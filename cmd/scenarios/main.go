@@ -43,7 +43,7 @@ func main() {
 	orgSizes := flag.String("org-sizes", "", "explicit per-org peer counts, e.g. 50,30,20 (overrides -peers/-orgs; asymmetric consortiums)")
 	variant := flag.String("variant", "enhanced", "protocol: original, enhanced or both")
 	seed := flag.Int64("seed", 1, "root random seed")
-	consenters := flag.Int("consenters", 0, "ordering-cluster size override: run the scenario with this many Raft consenters (0 keeps the scenario's own setting)")
+	consenters := flag.Int("consenters", 0, "ordering-cluster size override: run the scenario with this many Raft consenters (0 keeps the scenario's own size: 1 unless its script sets one; scripts naming a consenter index >= the override are rejected)")
 	shards := flag.String("shards", "auto", "sharded engine: auto (scenario decides), on, or off")
 	tail := flag.Duration("tail", 0, "override the scenario's post-injection tail (0 keeps its own; shortening it changes the fingerprint lineage — reduced-duration determinism smokes only)")
 	check := flag.Bool("check", false, "run each scenario twice and verify identical fingerprints")

@@ -25,10 +25,10 @@ const clusterEntryBlock = 3
 // org's session to the new leader with a rewind — the same machinery that
 // handles org-side leader failover.
 //
-// Peers need no changes for stall detection: statesync keys its
-// orderer-stall clock to DeliverBlock receipt, which in cluster mode is
-// exactly the current leader's silence — an election longer than
-// OrdererStall trips anchor probing, a shorter one does not.
+// Peers' stall detection follows for free: statesync keys its
+// orderer-stall clock to DeliverBlock receipt, which is exactly the
+// current leader's silence — an election longer than OrdererStall trips
+// anchor probing, a shorter one does not.
 type consenterCluster struct {
 	eps   []*transport.SimEndpoint
 	nodes []*raft.Node
@@ -63,14 +63,14 @@ type consenterCluster struct {
 }
 
 // WithConsenterHook installs f to observe consenter role changes (election
-// winners, step-downs) for tracing. Only fires with Params.Consenters > 0.
+// winners, step-downs) for tracing.
 func WithConsenterHook(f func(consenter int, s raft.State, term uint64)) NetworkOption {
 	return func(n *Network) { n.onConsenter = f }
 }
 
 // buildCluster provisions the consenter endpoints and Raft nodes. Endpoint
-// ids follow the peers (dense), mirroring the legacy orderer's position, so
-// traffic accounting and partition groups stay index-stable.
+// ids follow the peers (dense), so traffic accounting and partition groups
+// stay index-stable.
 func (n *Network) buildCluster(k int) {
 	c := &consenterCluster{
 		blockByNum: make(map[uint64]*ledger.Block),
@@ -187,8 +187,7 @@ func (n *Network) onClusterCommit(i int, data []byte) {
 // offerBlock records that consenter i holds block b: the block registers
 // for the shared chain (first applier wins; all consenters apply identical
 // bytes) and i's contiguous height advances. A leader gaining height pumps
-// immediately — block cut and block delivery stay one event apart, as with
-// the legacy orderer's Append.
+// immediately — block commit and block delivery stay one event apart.
 func (n *Network) offerBlock(i int, b *ledger.Block) {
 	c := n.cluster
 	if _, ok := c.blockByNum[b.Num]; !ok {
@@ -215,22 +214,17 @@ func (n *Network) offerBlock(i int, b *ledger.Block) {
 }
 
 // OfferBlock hands a block cut by consenter i's ordering service to the
-// deliver plane — the cluster-mode analogue of Append for blocks that were
-// themselves produced from the replicated log (the transaction workload's
-// path). Every consenter cuts identical blocks from the identical apply
-// stream, so the first to cut registers the chain entry and the leader's
-// own cut gates what it may serve.
+// deliver plane — the analogue of Append for blocks that were themselves
+// produced from the replicated log (the transaction workload's path).
+// Every consenter cuts identical blocks from the identical apply stream,
+// so the first to cut registers the chain entry and the leader's own cut
+// gates what it may serve.
 func (n *Network) OfferBlock(consenter int, b *ledger.Block) {
 	n.offerBlock(consenter, b)
 }
 
-// Consenters returns the ordering cluster's size (0 in legacy mode).
-func (n *Network) Consenters() int {
-	if n.cluster == nil {
-		return 0
-	}
-	return len(n.cluster.nodes)
-}
+// Consenters returns the ordering cluster's size.
+func (n *Network) Consenters() int { return len(n.cluster.nodes) }
 
 // ConsenterID returns consenter i's transport id.
 func (n *Network) ConsenterID(i int) wire.NodeID { return n.cluster.eps[i].ID() }
@@ -239,24 +233,15 @@ func (n *Network) ConsenterID(i int) wire.NodeID { return n.cluster.eps[i].ID() 
 func (n *Network) ConsenterNode(i int) *raft.Node { return n.cluster.nodes[i] }
 
 // ConsenterLeader returns the index of the consenter currently believed to
-// lead, or -1 during elections, quorum loss, or legacy mode.
-func (n *Network) ConsenterLeader() int {
-	if n.cluster == nil {
-		return -1
-	}
-	return n.cluster.leader
-}
+// lead, or -1 during elections and quorum loss.
+func (n *Network) ConsenterLeader() int { return n.cluster.leader }
 
 // ConsenterDown reports whether consenter i is crashed.
 func (n *Network) ConsenterDown(i int) bool { return n.cluster.down[i] }
 
-// OrderingNodeIDs returns the ordering service's transport ids — the single
-// orderer endpoint in legacy mode, every consenter in cluster mode — for
-// callers building partition groups.
+// OrderingNodeIDs returns every consenter's transport id, for callers
+// building partition groups.
 func (n *Network) OrderingNodeIDs() []wire.NodeID {
-	if n.cluster == nil {
-		return []wire.NodeID{n.Orderer.ID()}
-	}
 	ids := make([]wire.NodeID, len(n.cluster.eps))
 	for i, ep := range n.cluster.eps {
 		ids[i] = ep.ID()
@@ -301,19 +286,12 @@ func (n *Network) RestartConsenter(i int) {
 }
 
 // SubmitTargets returns the ordering endpoints a client at from should
-// currently submit to: the single orderer (if up and reachable) in legacy
-// mode, or every live reachable consenter in cluster mode. Submitting to
-// all consenters models client failover without modelling client retry
-// timers: an envelope survives any fault that leaves one receiving
-// consenter alive, and the shims' exactly-once apply window collapses the
-// duplicate proposals. Empty means the ordering service is unreachable.
+// currently submit to: every live reachable consenter. Submitting to all
+// of them models client failover without modelling client retry timers: an
+// envelope survives any fault that leaves one receiving consenter alive,
+// and the shims' exactly-once apply window collapses the duplicate
+// proposals. Empty means the ordering service is unreachable.
 func (n *Network) SubmitTargets(from wire.NodeID) []wire.NodeID {
-	if n.cluster == nil {
-		if n.ordererDown || !n.Net.Reachable(from, n.Orderer.ID()) {
-			return nil
-		}
-		return []wire.NodeID{n.Orderer.ID()}
-	}
 	var out []wire.NodeID
 	for i, ep := range n.cluster.eps {
 		if !n.cluster.down[i] && n.Net.Reachable(from, ep.ID()) {
@@ -344,11 +322,7 @@ func (n *Network) SubmitEntry(i int, data []byte) error {
 
 // ElectionStats reports the ordering cluster's election count and total
 // leaderless time (a still-open leaderless window counts up to now).
-// Zeroes in legacy mode.
 func (n *Network) ElectionStats() (count int, leaderless time.Duration) {
-	if n.cluster == nil {
-		return 0, 0
-	}
 	c := n.cluster
 	leaderless = c.leaderlessTotal
 	if c.leader < 0 {

@@ -260,33 +260,6 @@ func TestRunExperimentQuickAllDisseminationKinds(t *testing.T) {
 	}
 }
 
-func TestConflictExperimentOverRaftOrdering(t *testing.T) {
-	p := DefaultConflictParams(VariantEnhanced, time.Second, 23)
-	p.NumPeers = 20
-	p.Keys = 20
-	p.Rounds = 5
-	p.RaftOrderers = 3
-	res, err := RunConflictExperiment(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TotalTx != 100 {
-		t.Fatalf("workload = %d txs", res.TotalTx)
-	}
-	// All transactions reached the ledger through the Raft-ordered
-	// stream: valid + conflicted accounts for every submission (the
-	// occasional at-least-once duplicate would only add conflicts).
-	if res.Conflicts != res.PeerReportedConflicts {
-		t.Fatalf("accounting mismatch: %+v", res)
-	}
-	if res.Blocks == 0 {
-		t.Fatal("no blocks cut through Raft")
-	}
-	if res.Conflicts < 0 || res.Conflicts > res.TotalTx/2 {
-		t.Fatalf("implausible conflicts: %d", res.Conflicts)
-	}
-}
-
 // TestConflictAccountingCrossCheckDeterministic is the focused end-to-end
 // pipeline check: at small scale, the experiment's ledger-side conflict
 // count must equal what the endorsing peer's commit results report

@@ -82,18 +82,15 @@ type NetworkParams struct {
 	// on the LAN.
 	WANDelay time.Duration
 
-	// Consenters runs the ordering service as a Raft cluster of this many
-	// consenter nodes instead of the single crashable orderer endpoint.
-	// Zero (the default) keeps the legacy single-orderer model untouched —
-	// config-gated exactly like the statesync and membership extractions.
-	// With Consenters > 0 the Orderer endpoint is not created: the chain
-	// is replicated through the Raft log (each consenter appends it by
-	// applying the same committed entries) and only the current Raft
-	// leader serves deliver streams to org leader peers, rewinding each
-	// stream on leadership change via the existing deliver-rewind
-	// machinery. Orderer-stall anchor recovery needs no changes: peers
-	// key stall detection to DeliverBlock receipt, which in cluster mode
-	// is exactly leader silence.
+	// Consenters is the size of the Raft cluster that is the ordering
+	// service (default 1: a single orderer is a cluster whose quorum is
+	// itself, committing without a round trip). The chain is replicated
+	// through the Raft log (each consenter appends it by applying the same
+	// committed entries) and only the current Raft leader serves deliver
+	// streams to org leader peers, rewinding each stream on leadership
+	// change via the deliver-rewind machinery. Orderer-stall anchor
+	// recovery keys on DeliverBlock receipt, which is exactly leader
+	// silence.
 	Consenters int
 	// ConsenterSpread, with WANDelay, scatters consenters round-robin
 	// across the organizations' WAN sites instead of co-locating them all
@@ -147,6 +144,9 @@ func (p NetworkParams) withDefaults() NetworkParams {
 	if p.OrdererStall == 0 {
 		p.OrdererStall = 5 * time.Second
 	}
+	if p.Consenters == 0 {
+		p.Consenters = 1
+	}
 	return p
 }
 
@@ -161,7 +161,7 @@ func (p NetworkParams) withDefaults() NetworkParams {
 // lower the bound.
 func (p NetworkParams) lookahead() time.Duration {
 	la := netmodel.LAN().PropMin
-	if p.WANDelay > 0 && !(p.Consenters > 0 && p.ConsenterSpread) {
+	if p.WANDelay > 0 && !p.ConsenterSpread {
 		la += p.WANDelay
 	}
 	return la
@@ -193,9 +193,9 @@ func (d *OrgDomain) Size() int { return d.Hi - d.Lo }
 // only cross-organization path, exactly the paper's deployment shape.
 //
 // It generalizes Org: global peer indices are dense across organizations
-// (org 0 owns [0, M0), org 1 owns [M0, M0+M1), ...), the orderer endpoint
-// is the last node, and the fault surface (Crash, Restart, partitions via
-// Net) operates on global indices.
+// (org 0 owns [0, M0), org 1 owns [M0, M0+M1), ...), the consenter
+// endpoints follow the last peer, and the fault surface (Crash, Restart,
+// partitions via Net) operates on global indices.
 type Network struct {
 	Params NetworkParams
 	// Engine is the engine scenario/control code schedules on. Sequential
@@ -210,9 +210,6 @@ type Network struct {
 	Orgs    []*OrgDomain
 	// Cores is indexed by global peer index.
 	Cores []*gossip.Core
-	// Orderer is the legacy single ordering endpoint; nil when the
-	// ordering service runs as a consenter cluster (Params.Consenters > 0).
-	Orderer *transport.SimEndpoint
 
 	tune        func(self wire.NodeID, cfg *gossip.Config)
 	onCore      []func(global int, c *gossip.Core)
@@ -220,10 +217,9 @@ type Network struct {
 	onSubmitTx  func(consenter int, tx *ledger.Transaction)
 	onConsenter func(consenter int, s raft.State, term uint64)
 
-	eps         []*transport.SimEndpoint
-	crashed     []bool
-	orgOf       []int // global peer index -> org index
-	ordererDown bool
+	eps     []*transport.SimEndpoint
+	crashed []bool
+	orgOf   []int // global peer index -> org index
 
 	// Ordering-service state: the cut chain plus, per organization, the
 	// next chain position to stream, the last leader streamed to, and the
@@ -234,15 +230,14 @@ type Network struct {
 	highWater []int
 	pump      sim.Timer
 
-	// cluster is the replicated ordering service (nil in legacy mode).
+	// cluster is the replicated ordering service.
 	cluster *consenterCluster
 
 	// Sharded-mode state (nil/zero in sequential mode). ordEngine is the
-	// engine the ordering service (legacy orderer timers, raft nodes,
-	// order services) runs on: the ordering shard's engine, or Engine
-	// sequentially. pumpWanted coalesces mid-window pump requests (a
-	// consenter committing a block cannot touch other shards' peers until
-	// the next barrier).
+	// engine the ordering service (raft nodes, order services) runs on:
+	// the ordering shard's engine, or Engine sequentially. pumpWanted
+	// coalesces mid-window pump requests (a consenter committing a block
+	// cannot touch other shards' peers until the next barrier).
 	se            *sim.ShardedEngine
 	ordEngine     *sim.Engine
 	shardTraffics []*netmodel.Traffic
@@ -326,7 +321,7 @@ func NewNetwork(p NetworkParams, opts ...NetworkOption) (*Network, error) {
 		// Each organization shard's accountant covers only its org's id
 		// range (peers get dense ids in org creation order), so dense
 		// tables scale with the org, not the network. The ordering shard
-		// keeps the full window: orderer ids land after every peer.
+		// keeps the full window: consenter ids land after every peer.
 		n.shardTraffics = make([]*netmodel.Traffic, n.se.NumShards())
 		base := 0
 		for i := range p.Orgs {
@@ -400,14 +395,7 @@ func NewNetwork(p NetworkParams, opts ...NetworkOption) (*Network, error) {
 			n.Cores[g] = n.buildCore(g)
 		}
 	}
-	if p.Consenters > 0 {
-		n.buildCluster(p.Consenters)
-	} else {
-		n.Orderer = n.Net.AddNode()
-		if n.se != nil {
-			n.Net.SetNodeShard(n.Orderer.ID(), len(n.Orgs))
-		}
-	}
+	n.buildCluster(p.Consenters)
 	if p.WANDelay > 0 {
 		n.applyWAN(p.WANDelay)
 	}
@@ -481,9 +469,10 @@ func (n *Network) remoteAnchors(org int) []wire.NodeID {
 	return out
 }
 
-// applyWAN assigns every organization — and the ordering service — its own
-// WAN site on the transport, so any message crossing a site boundary pays
-// the delay. Site assignment is O(N); the per-message cost is one array
+// applyWAN assigns every organization — and the ordering service, unless
+// ConsenterSpread scatters it over the organizations' sites — its own WAN
+// site on the transport, so any message crossing a site boundary pays the
+// delay. Site assignment is O(N); the per-message cost is one array
 // compare, so intra-org LAN traffic keeps its fast path even at
 // thousand-peer scale (a per-link override mesh would be O(N^2) map
 // entries probed on every send).
@@ -491,17 +480,12 @@ func (n *Network) applyWAN(d time.Duration) {
 	for g := range n.Cores {
 		n.Net.SetNodeSite(wire.NodeID(g), n.orgOf[g])
 	}
-	if n.Orderer != nil {
-		n.Net.SetNodeSite(n.Orderer.ID(), len(n.Orgs))
-	}
-	if n.cluster != nil {
-		for i, ep := range n.cluster.eps {
-			site := len(n.Orgs)
-			if n.Params.ConsenterSpread {
-				site = i % len(n.Orgs)
-			}
-			n.Net.SetNodeSite(ep.ID(), site)
+	for i, ep := range n.cluster.eps {
+		site := len(n.Orgs)
+		if n.Params.ConsenterSpread {
+			site = i % len(n.Orgs)
 		}
+		n.Net.SetNodeSite(ep.ID(), site)
 	}
 	n.Net.SetSiteDelay(d)
 }
@@ -603,11 +587,11 @@ func (n *Network) AddClientNode(org int) *transport.SimEndpoint {
 	return ep
 }
 
-// requestPump triggers ordering redelivery. Sequentially it pumps inline —
-// the legacy behavior, fingerprint-pinned. In sharded mode a pump touches
-// every organization's leader state, so mid-window requests (a consenter
-// applying a committed block, an election resolving) coalesce into one pump
-// at the next barrier, where all shards are quiescent.
+// requestPump triggers ordering redelivery. Sequentially it pumps inline.
+// In sharded mode a pump touches every organization's leader state, so
+// mid-window requests (a consenter applying a committed block, an election
+// resolving) coalesce into one pump at the next barrier, where all shards
+// are quiescent.
 func (n *Network) requestPump() {
 	if n.se == nil {
 		n.pumpAll()
@@ -626,13 +610,13 @@ func (n *Network) drainPump() {
 	}
 }
 
-// StartAll starts every peer's core, the consenter cluster (if any), and
-// arms the ordering service's redelivery timer.
+// StartAll starts every peer's core and the consenter cluster, and arms the
+// ordering service's redelivery timer.
 func (n *Network) StartAll() {
 	for _, c := range n.Cores {
 		c.Start()
 	}
-	if n.cluster != nil && !n.cluster.started {
+	if !n.cluster.started {
 		n.cluster.started = true
 		for _, node := range n.cluster.nodes {
 			node.Start()
@@ -650,13 +634,11 @@ func (n *Network) StopAll() {
 			c.Stop()
 		}
 	}
-	if n.cluster != nil {
-		for i, node := range n.cluster.nodes {
-			if !n.cluster.down[i] {
-				node.Stop()
-			}
-			n.cluster.shims[i].Stop()
+	for i, node := range n.cluster.nodes {
+		if !n.cluster.down[i] {
+			node.Stop()
 		}
+		n.cluster.shims[i].Stop()
 	}
 	if n.pump != nil {
 		n.pump.Stop()
@@ -697,67 +679,28 @@ func (n *Network) Restart(global int) *gossip.Core {
 // Crashed reports whether the peer at the given global index is crashed.
 func (n *Network) Crashed(global int) bool { return n.crashed[global] }
 
-// CrashOrderer fails the whole ordering service: in legacy mode the single
-// orderer endpoint goes silent; in cluster mode every consenter crashes (a
+// CrashOrderer fails the whole ordering service: every consenter crashes (a
 // total ordering outage — use CrashConsenter for partial faults). Every
 // organization's deliver stream dies with it, and no blocks reach any
 // leader until RestartOrderer. With AnchorRecovery enabled, organizations
 // that fall behind can still catch up through remote anchor peers — the
 // paper-external scenario this harness models after Fabric's deliver
-// fallback. No-op if already crashed.
+// fallback.
 func (n *Network) CrashOrderer() {
-	if n.cluster != nil {
-		for i := range n.cluster.nodes {
-			n.CrashConsenter(i)
-		}
-		return
-	}
-	if n.ordererDown {
-		return
-	}
-	n.ordererDown = true
-	n.Net.SetNodeDown(n.Orderer.ID(), true)
-	for org := range n.lastLead {
-		n.lastLead[org] = -1 // every deliver session dies with the orderer
+	for i := range n.cluster.nodes {
+		n.CrashConsenter(i)
 	}
 }
 
-// RestartOrderer revives a crashed ordering service. Chain state survives
-// the restart in both modes, but through different mechanisms: the legacy
-// orderer's chain slice models a durable ledger, so the next pump resumes
-// each organization's stream exactly where the chain left off (rewinding
-// to the current leader's height) — TestRestartOrdererChainDurability pins
-// this down. In cluster mode every consenter restarts and rejoins by Raft
-// log replay — term, vote, and log are modelled durable; only role is
-// volatile (see raft.Node.Stop) — rather than from fresh state. No-op if
-// not crashed.
+// RestartOrderer revives a crashed ordering service: every consenter
+// restarts and rejoins by Raft log replay — term, vote, and log are
+// modelled durable; only role is volatile (see raft.Node.Stop) — and blocks
+// appended during the outage, held in the shims' durable buffers, commit
+// once a leader re-emerges (TestRestartOrdererChainDurability pins this).
 func (n *Network) RestartOrderer() {
-	if n.cluster != nil {
-		for i := range n.cluster.nodes {
-			n.RestartConsenter(i)
-		}
-		return
+	for i := range n.cluster.nodes {
+		n.RestartConsenter(i)
 	}
-	if !n.ordererDown {
-		return
-	}
-	n.ordererDown = false
-	n.Net.SetNodeDown(n.Orderer.ID(), false)
-	n.pumpAll()
-}
-
-// OrdererCrashed reports whether the ordering service is entirely down: the
-// legacy orderer crashed, or (cluster mode) no consenter is live.
-func (n *Network) OrdererCrashed() bool {
-	if n.cluster != nil {
-		for i := range n.cluster.down {
-			if !n.cluster.down[i] {
-				return false
-			}
-		}
-		return true
-	}
-	return n.ordererDown
 }
 
 // LiveCount returns the number of non-crashed peers across the network.
@@ -784,27 +727,20 @@ func (n *Network) OrgLeader(org int) int {
 	return -1
 }
 
-// Append hands a freshly cut block to the ordering service. In legacy mode
-// it lands on the chain and streams to each organization's leader
-// immediately. In cluster mode the block is an ordering input, not an
-// ordering output: it is submitted through every consenter's Raft shim and
-// joins the chain only when the replicated log commits it (the shims retry
-// through elections forever, so an injected block may be delayed by a
-// leaderless window but never lost while a quorum eventually exists).
-// Blocks must be appended in increasing, gap-free order.
+// Append hands a premade block to the ordering service. The block is an
+// ordering input, not an ordering output: it is submitted through every
+// consenter's Raft shim and joins the chain only when the replicated log
+// commits it (the shims retry through elections forever, so an injected
+// block may be delayed by a leaderless window but never lost while a quorum
+// eventually exists). Blocks must be appended in increasing, gap-free order.
 func (n *Network) Append(b *ledger.Block) {
-	if n.cluster != nil {
-		data := encodeBlockEntry(b)
-		for _, shim := range n.cluster.shims {
-			_ = shim.Submit(data)
-		}
-		return
+	data := encodeBlockEntry(b)
+	for _, shim := range n.cluster.shims {
+		_ = shim.Submit(data) // buffers and retries; never fails
 	}
-	n.chain = append(n.chain, b)
-	n.requestPump()
 }
 
-// ChainLength returns how many blocks the ordering service has cut.
+// ChainLength returns how many blocks the ordering service has committed.
 func (n *Network) ChainLength() int { return len(n.chain) }
 
 func (n *Network) pumpAll() {
@@ -814,19 +750,12 @@ func (n *Network) pumpAll() {
 }
 
 // deliverSource returns the endpoint currently serving deliver streams and
-// how much chain prefix it may serve: the single orderer over the whole
-// chain in legacy mode, or — cluster mode — the current Raft leader over
-// the prefix it has itself applied (a freshly elected leader mid-replay
-// must not stream blocks it has not reached). A nil endpoint means the
-// ordering service is silent: orderer crashed, or no consenter currently
-// leads (election in progress, quorum lost).
+// how much chain prefix it may serve: the current Raft leader over the
+// prefix it has itself applied (a freshly elected leader mid-replay must not
+// stream blocks it has not reached). A nil endpoint means the ordering
+// service is silent: no consenter currently leads (crashed, election in
+// progress, quorum lost).
 func (n *Network) deliverSource() (*transport.SimEndpoint, int) {
-	if n.cluster == nil {
-		if n.ordererDown {
-			return nil, 0
-		}
-		return n.Orderer, len(n.chain)
-	}
 	l := n.cluster.leader
 	if l < 0 || n.cluster.down[l] {
 		return nil, 0
@@ -843,8 +772,8 @@ func (n *Network) deliverSource() (*transport.SimEndpoint, int) {
 // can currently reach (a partition can leave the elected leader on the far
 // side, in which case the orderer serves the leader of its own side). When
 // the stream target changes — failover to another peer, a restarted leader
-// reopening its session, or (cluster mode) a consenter leadership change
-// resetting every session — the stream rewinds to the new leader's own
+// reopening its session, or a consenter leadership change resetting every
+// session — the stream rewinds to the new leader's own
 // ledger height, exactly how Fabric leaders pull blocks from the ordering
 // service starting at their current height.
 func (n *Network) pumpOrg(org int) {

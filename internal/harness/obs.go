@@ -79,7 +79,7 @@ func (n *Network) AttachObs(regs []*obs.Registry, traces []*obs.ShardTrace) {
 
 	// Consenter Raft log growth lands in the ordering context, whose
 	// engine goroutine runs every consenter callback.
-	if _, ordTrace := pick(n.OrdObsContext()); ordTrace != nil && n.cluster != nil {
+	if _, ordTrace := pick(n.OrdObsContext()); ordTrace != nil {
 		for i, node := range n.cluster.nodes {
 			id := int32(n.cluster.eps[i].ID())
 			node.OnAppend(func(index, term uint64) {

@@ -1,35 +1,57 @@
 package harness
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
 
-// TestRestartOrdererChainDurability pins the legacy single-orderer restart
-// contract that RestartOrderer documents: the cut chain is durable state.
-// Blocks appended while the orderer is down land in the durable chain (a
-// real orderer's Raft log accepts nothing while down, but the harness
-// models the chain as the scripted input, not the orderer's memory), and a
-// restart resumes the deliver streams over the FULL chain — nothing cut
-// before or during the outage is lost, and every organization converges on
+// TestRestartOrdererChainDurability pins the total-outage contract that
+// RestartOrderer documents, for a single consenter and for a real quorum:
+// a crashed ordering service commits nothing — blocks appended while every
+// consenter is down sit in the consenter shims' durable buffers, not on the
+// chain — and a restart loses nothing: the consenters rejoin with their
+// logs, elect a leader, commit the buffered blocks in order, and the deliver
+// streams resume over the full chain, so every organization converges on
 // the complete ledger.
 func TestRestartOrdererChainDurability(t *testing.T) {
-	n := buildNetwork(t, NetworkParams{
-		Seed: 11,
-		Orgs: []OrgSpec{{Peers: 4}, {Peers: 4}},
-	})
-	n.StartAll()
-	// Blocks 1-2 flow normally; the orderer crashes at 1s; blocks 3-4 are
-	// cut into the durable chain during the outage; the restart at 4s must
-	// deliver the whole backlog.
-	appendChain(n, 6, 300*time.Millisecond) // appends at 0,300ms,...,1.5s
-	n.Engine.At(time.Second, func() { n.CrashOrderer() })
-	n.Engine.At(4*time.Second, func() { n.RestartOrderer() })
-	n.Engine.RunUntil(25 * time.Second)
-	n.StopAll()
+	for _, k := range []int{1, 3} {
+		k := k
+		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
+			n := buildNetwork(t, NetworkParams{
+				Seed:       11,
+				Orgs:       []OrgSpec{{Peers: 4}, {Peers: 4}},
+				Consenters: k,
+			})
+			n.StartAll()
+			// Blocks are appended at 0, 300ms, ..., 1.5s; the cluster
+			// crashes at 1s, so four are committed before the outage and
+			// two are appended into it.
+			appendChain(n, 6, 300*time.Millisecond)
+			n.Engine.At(time.Second, func() { n.CrashOrderer() })
+			var duringOutage, electionsBefore int
+			n.Engine.At(3900*time.Millisecond, func() {
+				duringOutage = n.ChainLength()
+				electionsBefore, _ = n.ElectionStats()
+			})
+			n.Engine.At(4*time.Second, func() { n.RestartOrderer() })
+			n.Engine.RunUntil(25 * time.Second)
+			n.StopAll()
 
-	if got := n.ChainLength(); got != 6 {
-		t.Fatalf("chain length %d after restart, want 6 — the chain must survive the crash", got)
+			if duringOutage != 4 {
+				t.Fatalf("chain length %d during the outage, want the 4 blocks committed before it", duringOutage)
+			}
+			if n.ConsenterLeader() < 0 {
+				t.Fatal("no consenter leads after the restart")
+			}
+			if after, _ := n.ElectionStats(); after != electionsBefore+1 {
+				t.Fatalf("%d elections before the restart, %d after, want exactly one re-election",
+					electionsBefore, after)
+			}
+			if got := n.ChainLength(); got != 6 {
+				t.Fatalf("chain length %d after restart, want 6 — blocks appended during the outage must commit", got)
+			}
+			assertAllCommitted(t, n, 6)
+		})
 	}
-	assertAllCommitted(t, n, 6)
 }

@@ -16,7 +16,6 @@ import (
 	"fabricgossip/internal/netmodel"
 	"fabricgossip/internal/order"
 	"fabricgossip/internal/peer"
-	"fabricgossip/internal/raft"
 	"fabricgossip/internal/sim"
 	"fabricgossip/internal/transport"
 	"fabricgossip/internal/wire"
@@ -45,11 +44,6 @@ type ConflictParams struct {
 	// ValidationPerTx is the modelled per-transaction validation cost
 	// (paper: ≈50 ms).
 	ValidationPerTx time.Duration
-	// RaftOrderers, when > 0, replaces the solo consenter with a Raft
-	// cluster of that many ordering nodes (the paper used a 4-node Kafka
-	// CFT cluster; Fabric v1.4.1 replaced it with Raft). The lead service
-	// delivers blocks to the organization's leader peer.
-	RaftOrderers int
 }
 
 // DefaultConflictParams returns the paper's Table II workload for one
@@ -145,35 +139,13 @@ func RunConflictExperiment(p ConflictParams) (*ConflictResult, error) {
 		})
 	}
 
-	// Ordering service: one delivery endpoint on the same network; cut
-	// blocks go to the leader peer (peer 0). The consenter is solo by
-	// default, or a Raft cluster when RaftOrderers > 0.
+	// Ordering service: the paper-calibrated solo consenter behind one
+	// delivery endpoint on the same network; cut blocks go to the leader
+	// peer (peer 0). The Raft-ordered pipeline is Network + workload's.
 	ordererEp := net.AddNode()
 	oCfg := order.Config{MaxTxPerBlock: p.MaxTxPerBlock, BatchTimeout: p.BlockPeriod}
 	deliver := func(b *ledger.Block) { _ = ordererEp.Send(0, &wire.DeliverBlock{Block: b}) }
-	var service *order.Service
-	if p.RaftOrderers > 0 {
-		raftIDs := make([]wire.NodeID, p.RaftOrderers)
-		raftEps := make([]*transport.SimEndpoint, p.RaftOrderers)
-		for i := range raftIDs {
-			raftEps[i] = net.AddNode()
-			raftIDs[i] = raftEps[i].ID()
-		}
-		for i := 0; i < p.RaftOrderers; i++ {
-			node := raft.New(raft.DefaultConfig(raftIDs[i], raftIDs), raftEps[i], engine, engine.Rand("raft"))
-			d := func(*ledger.Block) {} // only the lead service delivers
-			if i == 0 {
-				d = deliver
-			}
-			svc := order.NewService(oCfg, engine, raft.NewConsenter(node, engine), ordererSigner, d)
-			if i == 0 {
-				service = svc
-			}
-			node.Start()
-		}
-	} else {
-		service = order.NewService(oCfg, engine, order.NewSolo(engine, 5*time.Millisecond), ordererSigner, deliver)
-	}
+	service := order.NewService(oCfg, engine, order.NewSolo(engine, 5*time.Millisecond), ordererSigner, deliver)
 	ordererEp.SetHandler(func(_ wire.NodeID, msg wire.Message) {
 		if st, ok := msg.(*wire.SubmitTx); ok {
 			_ = service.Broadcast(st.Tx)

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -135,5 +136,99 @@ func TestConsenterElectionDoesNotTripAnchorRecovery(t *testing.T) {
 	if withProbes > ctrlProbes+30 {
 		t.Fatalf("with election %d probes vs control %d over 5 seeds — the election tripped anchor recovery",
 			withProbes, ctrlProbes)
+	}
+}
+
+// The default ordering service is a one-consenter cluster, not a separate
+// mode: leaving Consenters unset and setting it to 1 — on the scenario or
+// through the Options override — are the same run, byte for byte, on both
+// the premade-chain and the workload path.
+func TestDefaultOrderingIsOneConsenter(t *testing.T) {
+	for _, name := range []string{"crash-restart", "txload-steady"} {
+		def, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := Options{Peers: 20, Orgs: def.MinOrgs, Seed: 42}.withDefaults()
+		top, err := opt.topology()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := def.Build(top)
+		sc.Name = def.Name
+		unset, err := Run(sc, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if unset.Consenters != 1 || unset.Elections != 1 {
+			t.Fatalf("%s: default run reports %d consenters, %d elections, want 1 and 1",
+				name, unset.Consenters, unset.Elections)
+		}
+		explicit := sc
+		explicit.Consenters = 1
+		viaOpt := opt
+		viaOpt.Consenters = 1
+		for _, c := range []struct {
+			label string
+			sc    Scenario
+			opt   Options
+		}{
+			{"Scenario.Consenters=1", explicit, opt},
+			{"Options.Consenters=1", sc, viaOpt},
+		} {
+			rep, err := Run(c.sc, c.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Fingerprint() != unset.Fingerprint() {
+				t.Fatalf("%s: %s diverged from the default run", name, c.label)
+			}
+		}
+	}
+}
+
+// The consenter fault actions need no special ordering mode: against the
+// default single consenter, crashing the leader is a total ordering outage
+// and restarting it resumes the chain through a second election.
+func TestConsenterActionsOnSingleConsenter(t *testing.T) {
+	rep, err := Run(Scenario{
+		Name:          "single-consenter-outage",
+		Blocks:        8,
+		BlockInterval: 500 * time.Millisecond,
+		Warmup:        time.Second,
+		Tail:          15 * time.Second,
+		Events: []Event{
+			{At: 2 * time.Second, Action: CrashConsenterLeader{}},
+			{At: 4 * time.Second, Action: RestartConsenter{Consenter: 0}},
+		},
+	}, Options{Peers: 10, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Elections != 2 {
+		t.Fatalf("%d elections, want the initial one plus the post-restart one", rep.Elections)
+	}
+	if rep.Leaderless < 2*time.Second {
+		t.Fatalf("leaderless %v, want the whole 2s outage", rep.Leaderless)
+	}
+	if rep.BlocksInjected != 8 || rep.CaughtUp != rep.Survivors || rep.OrderViolations != 0 {
+		t.Fatalf("outage lost blocks: %d injected, %d/%d caught up, %d order violations",
+			rep.BlocksInjected, rep.CaughtUp, rep.Survivors, rep.OrderViolations)
+	}
+}
+
+// A cluster-size override too small for a script's consenter indices fails
+// up front, and the error names the catalog entry — a batch over the whole
+// catalog (cmd/scenarios -scenario all -consenters 1) must say which entry
+// rejected the override.
+func TestConsenterOverrideErrorNamesScenario(t *testing.T) {
+	_, err := RunNamed("consenter-minority-loss", Options{Peers: 20, Seed: 42, Consenters: 1})
+	if err == nil {
+		t.Fatal("a 1-consenter override of a script that crashes consenter 2 was accepted")
+	}
+	for _, want := range []string{"consenter-minority-loss", "crash consenter 2", "outside [0, 1)"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not mention %q", err, want)
+		}
 	}
 }

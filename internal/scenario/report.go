@@ -110,10 +110,7 @@ type Report struct {
 	ViewCompleteness  float64
 	LeaderConvergence time.Duration
 
-	// Consenters is the ordering cluster's size (zero for the legacy
-	// single orderer; the ordering-cluster report line — and its
-	// contribution to the fingerprint — exists only when it is set, so
-	// pre-existing fingerprints are unaffected). Elections counts leader
+	// Consenters is the ordering cluster's size. Elections counts leader
 	// emergences (the initial election included); Leaderless is the total
 	// time the cluster had no leader (election_ms); DeliverGap is the
 	// widest gap between consecutive first-time block deliveries any
@@ -212,10 +209,8 @@ func (r *Report) String() string {
 		fmt.Fprintf(&b, "  membership view: completeness %.3f, leader convergence %v (%d samples)\n",
 			r.ViewCompleteness, r.LeaderConvergence, r.ViewSamples)
 	}
-	if r.Consenters > 0 {
-		fmt.Fprintf(&b, "  ordering cluster: %d consenters, %d elections, leaderless %v, deliver gap %v, %d anchor probes\n",
-			r.Consenters, r.Elections, r.Leaderless, r.DeliverGap, r.AnchorProbes)
-	}
+	fmt.Fprintf(&b, "  ordering cluster: %d consenters, %d elections, leaderless %v, deliver gap %v, %d anchor probes\n",
+		r.Consenters, r.Elections, r.Leaderless, r.DeliverGap, r.AnchorProbes)
 	if r.Workload != nil {
 		w := r.Workload
 		fmt.Fprintf(&b, "  workload: %d submitted, %d committed, %d conflicts (rate %.4f), %d retries\n",

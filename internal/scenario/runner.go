@@ -40,10 +40,10 @@ type Options struct {
 	// bandwidth overhead is dominated by block bodies).
 	TxPerBlock int
 	TxPayload  int
-	// Consenters, when > 0, overrides the scenario's ordering-service
-	// shape: any catalog entry replays against a Raft consenter cluster
-	// of this size instead of the single orderer (cmd/scenarios
-	// -consenters). Zero inherits the scenario's own Consenters setting.
+	// Consenters, when > 0, overrides the scenario's ordering-cluster
+	// size: any catalog entry replays against this many Raft consenters
+	// (cmd/scenarios -consenters). Zero inherits the scenario's own
+	// Consenters setting.
 	Consenters int
 	// Sharding overrides the scenario's Sharded flag per run
 	// (cmd/scenarios -shards): ShardOn forces the sharded parallel
@@ -261,7 +261,11 @@ func RunNamed(name string, opt Options) (*Report, error) {
 	sc := def.Build(top)
 	sc.Name = def.Name
 	sc.Description = def.Description
-	return Run(sc, opt)
+	rep, err := Run(sc, opt)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", name, err)
+	}
+	return rep, nil
 }
 
 // Run executes the scenario and returns its report. The run is fully
@@ -323,13 +327,11 @@ func Run(sc Scenario, opt Options) (*Report, error) {
 	if opt.Consenters > 0 {
 		consenters = opt.Consenters
 	}
+	if consenters == 0 {
+		consenters = 1
+	}
 	for _, ev := range sc.Events {
-		idxs, needs := actionConsenters(ev.Action)
-		if needs && consenters == 0 {
-			return nil, fmt.Errorf("scenario: event %q at %v needs a consenter cluster (Consenters > 0)",
-				ev.Action, ev.At)
-		}
-		for _, c := range idxs {
+		for _, c := range actionConsenters(ev.Action) {
 			if c < 0 || c >= consenters {
 				return nil, fmt.Errorf("scenario: event %q at %v names consenter %d, outside [0, %d)",
 					ev.Action, ev.At, c, consenters)
@@ -387,10 +389,8 @@ func Run(sc Scenario, opt Options) (*Report, error) {
 		// Scenario reports only read per-node totals; the per-bucket
 		// series would be the accountants' dominant allocation at 100k.
 		TrafficTotals: true,
-		// The recovery-plane extensions are scenario-scripted: anchors,
-		// WAN separation and the consenter cluster only exist when the
-		// scenario (or Options) asks for them, so every pre-existing
-		// script runs byte-identically.
+		// The recovery-plane extensions are scenario-scripted: anchors
+		// and WAN separation only exist when the scenario asks for them.
 		AnchorRecovery:  sc.AnchorRecovery,
 		WANDelay:        sc.WANDelay,
 		Consenters:      consenters,
@@ -645,20 +645,17 @@ func actionPeers(a Action) []int {
 	return nil
 }
 
-// actionConsenters returns the consenter indices an action addresses and
-// whether the action requires a consenter cluster at all.
-func actionConsenters(a Action) (idxs []int, needs bool) {
+// actionConsenters returns the consenter indices an action addresses.
+func actionConsenters(a Action) []int {
 	switch a := a.(type) {
 	case CrashConsenter:
-		return []int{a.Consenter}, true
+		return []int{a.Consenter}
 	case RestartConsenter:
-		return []int{a.Consenter}, true
-	case CrashConsenterLeader:
-		return nil, true
+		return []int{a.Consenter}
 	case IsolateConsenters:
-		return a.Consenters, true
+		return a.Consenters
 	}
-	return nil, false
+	return nil
 }
 
 // actionOrgs returns the organization indices an action addresses.
@@ -783,8 +780,8 @@ func (r *runner) restart(i int) {
 	r.net.Restart(i)
 }
 
-// partition cuts peers [0, split) plus the ordering service (the orderer,
-// or every consenter) from peers [split, n). Range validation happened in
+// partition cuts peers [0, split) plus the ordering service (every
+// consenter) from peers [split, n). Range validation happened in
 // Run. Workload clients are not listed, so they land in group 0 with the
 // ordering service (transport semantics): submissions keep flowing, but
 // endorsement against peers on the far side fails.
@@ -802,10 +799,10 @@ func (r *runner) partition(split int) {
 }
 
 // isolateOrgs partitions each listed organization into its own group; the
-// remaining organizations and the orderer form the main group. With a
+// remaining organizations and the consenters form the main group. With a
 // workload plane, an organization's clients are cut off with it (they sit
 // on the organization's site), so an isolated organization's submissions
-// fail as SubmitErrors instead of silently reaching the orderer.
+// fail as SubmitErrors instead of silently reaching the consenters.
 func (r *runner) isolateOrgs(orgs []int) {
 	cut := make(map[int]bool, len(orgs))
 	for _, o := range orgs {
@@ -1138,13 +1135,11 @@ func (r *runner) report(blocks []*ledger.Block) *Report {
 		rep.PendingRecoveries += or.PendingRecoveries
 		rep.OrgReports = append(rep.OrgReports, or)
 	}
-	if k := r.net.Consenters(); k > 0 {
-		rep.Consenters = k
-		rep.Elections, rep.Leaderless = r.net.ElectionStats()
-		rep.DeliverGap = r.net.MaxDeliverGap()
-		for _, c := range r.net.Cores {
-			rep.AnchorProbes += c.StateSyncStats().AnchorProbes
-		}
+	rep.Consenters = r.net.Consenters()
+	rep.Elections, rep.Leaderless = r.net.ElectionStats()
+	rep.DeliverGap = r.net.MaxDeliverGap()
+	for _, c := range r.net.Cores {
+		rep.AnchorProbes += c.StateSyncStats().AnchorProbes
 	}
 	if r.plane != nil {
 		w := r.plane.Stats()
@@ -1203,10 +1198,8 @@ func (r *runner) buildObs(rep *Report) *obs.Snapshot {
 	if r.tracer != nil {
 		reg.Counter("trace_events_total").Add(r.tracer.Total())
 	}
-	if rep.Consenters > 0 {
-		reg.Counter("elections_total").Add(uint64(rep.Elections))
-		reg.Gauge("leaderless_ns").Set(int64(rep.Leaderless))
-	}
+	reg.Counter("elections_total").Add(uint64(rep.Elections))
+	reg.Gauge("leaderless_ns").Set(int64(rep.Leaderless))
 	if w := rep.Workload; w != nil {
 		reg.Counter("workload_tx_total", "outcome", "submitted").Add(uint64(w.Submitted))
 		reg.Counter("workload_tx_total", "outcome", "committed").Add(uint64(w.Committed))

@@ -85,14 +85,12 @@ type Scenario struct {
 	// latency. Zero keeps the single shared LAN.
 	WANDelay time.Duration
 
-	// Consenters runs the ordering service as a Raft cluster of this many
-	// consenter nodes (harness.NetworkParams.Consenters): leader elections,
-	// minority loss and WAN-separated consenters become scriptable via the
-	// consenter actions below, and the report grows an ordering-cluster
-	// section (election count, leaderless time, deliver gap, anchor
-	// probes). Zero (the default) keeps the legacy single orderer, so
-	// pre-existing scripts replay byte-identically. Options.Consenters
-	// overrides it per run.
+	// Consenters is the size of the Raft cluster that is the ordering
+	// service (harness.NetworkParams.Consenters; default 1). Leader
+	// elections, minority loss and WAN-separated consenters are scripted
+	// via the consenter actions below; every report carries the
+	// ordering-cluster section (election count, leaderless time, deliver
+	// gap, anchor probes). Options.Consenters overrides it per run.
 	Consenters int
 	// ConsenterSpread, with WANDelay, scatters the consenters across the
 	// organizations' WAN sites instead of one shared ordering site.
@@ -241,17 +239,17 @@ func (a CrashOrderer) apply(r *runner) { r.net.CrashOrderer() }
 
 func (a CrashOrderer) String() string { return "crash orderer" }
 
-// RestartOrderer revives a crashed ordering service; its durable chain
-// resumes streaming to each organization's current leader.
+// RestartOrderer revives a crashed ordering service; once a consenter
+// leads again the durable chain resumes streaming to each organization's
+// current leader.
 type RestartOrderer struct{}
 
 func (a RestartOrderer) apply(r *runner) { r.net.RestartOrderer() }
 
 func (a RestartOrderer) String() string { return "restart orderer" }
 
-// CrashConsenter fails one ordering-cluster consenter (requires
-// Scenario/Options Consenters > 0): its Raft node stops and its endpoint
-// goes silent. Crashing a minority leaves ordering live (after an election
+// CrashConsenter fails one ordering-cluster consenter: its Raft node stops
+// and its endpoint goes silent. Crashing a minority leaves ordering live (after an election
 // if the leader died); crashing a majority halts ordering entirely until
 // enough consenters restart.
 type CrashConsenter struct{ Consenter int }

@@ -299,8 +299,20 @@ func (se *ShardedEngine) RunUntil(end time.Duration) {
 			if jump > end {
 				jump = end
 			}
-			for _, s := range se.shards {
-				s.advanceTo(jump)
+			if jump == minNext && se.controlDue(jump) {
+				// Shard events and a control event are both due at the hop
+				// target. Run the shard events first, exactly as a window
+				// clipped to that control event would have: a control event
+				// observes all shard activity up to its timestamp no matter
+				// how the coordinator reached it — otherwise the tie-break
+				// would hinge on where unrelated shards' events happened to
+				// put the previous window edge.
+				se.horizon = jump
+				se.runWindow(jump)
+			} else {
+				for _, s := range se.shards {
+					s.advanceTo(jump)
+				}
 			}
 			se.now = jump
 			continue

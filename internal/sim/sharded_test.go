@@ -124,6 +124,38 @@ func TestShardedControlEventsFireAtBarriers(t *testing.T) {
 	}
 }
 
+// A control event and a shard event due at the same instant must resolve
+// the same way however the coordinator reaches that instant: through a
+// window clipped to the control event, or through an idle hop landing on it.
+// Which of the two happens depends on whether some *other* shard has events
+// nearby (here: a bystander timer at 90 ms), so before the hop ran the due
+// shard events first, an unrelated shard's timers could flip the order — the
+// cause of sharded-crash-restart's recovery p99 moving when the ordering
+// shard gained Raft heartbeats.
+func TestShardedControlTieBreakIgnoresBystanderShards(t *testing.T) {
+	run := func(bystander bool) []string {
+		se := NewShardedEngine(3, 3, 10*time.Millisecond)
+		se.SetParallel(false)
+		var order []string
+		se.Shard(0).After(100*time.Millisecond, func() { order = append(order, "shard") })
+		se.Control().At(100*time.Millisecond, func() { order = append(order, "control") })
+		if bystander {
+			// Puts a window edge at 90 ms, so 100 ms is reached by a
+			// clipped window instead of a hop.
+			se.Shard(2).After(90*time.Millisecond, func() {})
+		}
+		se.RunUntil(200 * time.Millisecond)
+		return order
+	}
+	want := []string{"shard", "control"}
+	for _, bystander := range []bool{false, true} {
+		got := run(bystander)
+		if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+			t.Errorf("bystander=%v: order %v, want %v", bystander, got, want)
+		}
+	}
+}
+
 func TestShardedBarrierHooksSeeQuiescentShards(t *testing.T) {
 	const lookahead = 5 * time.Millisecond
 	se := NewShardedEngine(11, 2, lookahead)

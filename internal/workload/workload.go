@@ -97,11 +97,9 @@ type Config struct {
 	// thousand-peer runs stay fast; Table II keeps the calibrated value).
 	ValidationPerTx time.Duration
 	// MaxTxPerBlock and BatchTimeout parameterize block cutting (defaults
-	// 50 and 1 s). OrdererDelay is the solo consenter's commit latency
-	// (default 5 ms).
+	// 50 and 1 s).
 	MaxTxPerBlock int
 	BatchTimeout  time.Duration
-	OrdererDelay  time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -134,9 +132,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BatchTimeout == 0 {
 		c.BatchTimeout = time.Second
-	}
-	if c.OrdererDelay == 0 {
-		c.OrdererDelay = 5 * time.Millisecond
 	}
 	return c
 }
@@ -180,13 +175,10 @@ type pendingTx struct {
 type Plane struct {
 	cfg Config
 	net *harness.Network
-	// service is the legacy solo ordering service; services holds one
-	// replicated instance per consenter when the network runs a cluster
-	// (each fed by its consenter's identical Raft apply stream, so all
-	// cut identical blocks). Exactly one of the two is populated. Both run
-	// on the network's ordering engine — the ordering shard's under a
-	// sharded network.
-	service  *order.Service
+	// services holds one replicated ordering service per consenter, each
+	// fed by its consenter's identical Raft apply stream, so all cut
+	// identical blocks. They run on the network's ordering engine — the
+	// ordering shard's under a sharded network.
 	services []*order.Service
 	// checkers holds one policy checker per organization. The verdict
 	// cache is pure memoization over immutable transaction bytes, so
@@ -229,8 +221,8 @@ type Plane struct {
 	// always lands before the first resolver reads it.
 	blockTxs []map[uint64][]crypto.Digest
 	txSync   []blockRecord
-	// cutSeen dedupes cluster-mode cuts (every consenter replica cuts the
-	// identical block; the first registers it). Ordering-engine-local.
+	// cutSeen dedupes cuts (every consenter replica cuts the identical
+	// block; the first registers it). Ordering-engine-local.
 	cutSeen map[uint64]bool
 	// orgNext is the next block number each organization has yet to
 	// resolve: the first member to commit it processes the outcomes,
@@ -279,8 +271,8 @@ type planeClient struct {
 
 // Install wires a workload plane into a built (but not necessarily
 // started) network: per-peer validation pipelines over the existing gossip
-// cores, per-org endorsing peers, an ordering service behind the network's
-// orderer endpoint, and per-org client populations on their own transport
+// cores, per-org endorsing peers, an ordering service behind each of the
+// network's consenters, and per-org client populations on their own transport
 // endpoints. Must be called before the network starts and before any
 // restart event fires.
 func Install(n *harness.Network, cfg Config) (*Plane, error) {
@@ -361,38 +353,27 @@ func Install(n *harness.Network, cfg Config) (*Plane, error) {
 		p.buildPeer(global, core, ordererID.Key)
 	})
 
-	// The ordering service lives behind the network's ordering
-	// endpoint(s): Broadcast arrives as SubmitTx messages, cut blocks
-	// enter the network's existing deliver/redeliver stream. Legacy mode
-	// is one solo service behind the orderer endpoint; cluster mode hosts
-	// one service per consenter, each cutting blocks from its consenter's
-	// Raft apply stream — identical streams, identical signer, identical
-	// blocks — with the network delivering only the leader's cuts.
+	// The ordering service lives behind the network's consenter
+	// endpoints: Broadcast arrives as SubmitTx messages, cut blocks enter
+	// the network's deliver/redeliver stream. Each consenter hosts one
+	// service cutting blocks from its Raft apply stream — identical
+	// streams, identical signer, identical blocks — with the network
+	// delivering only the leader's cuts.
 	oCfg := order.Config{MaxTxPerBlock: cfg.MaxTxPerBlock, BatchTimeout: cfg.BatchTimeout}
 	ordEng := n.OrdererEngine()
-	if k := n.Consenters(); k > 0 {
-		p.services = make([]*order.Service, k)
-		for i := 0; i < k; i++ {
-			i := i
-			p.services[i] = order.NewService(oCfg, ordEng,
-				&clusterConsenter{net: n, idx: i}, ordererSigner,
-				func(b *ledger.Block) { p.onClusterCut(i, b) })
-		}
-		n.SetSubmitHandler(func(consenter int, tx *ledger.Transaction) {
-			_ = p.services[consenter].Broadcast(tx)
-		})
-	} else {
-		p.service = order.NewService(oCfg, ordEng,
-			order.NewSolo(ordEng, cfg.OrdererDelay), ordererSigner, p.onCut)
-		n.Orderer.SetHandler(func(_ wire.NodeID, msg wire.Message) {
-			if st, ok := msg.(*wire.SubmitTx); ok {
-				_ = p.service.Broadcast(st.Tx)
-			}
-		})
+	p.services = make([]*order.Service, n.Consenters())
+	for i := range p.services {
+		i := i
+		p.services[i] = order.NewService(oCfg, ordEng,
+			&clusterConsenter{net: n, idx: i}, ordererSigner,
+			func(b *ledger.Block) { p.onClusterCut(i, b) })
 	}
+	n.SetSubmitHandler(func(consenter int, tx *ledger.Transaction) {
+		_ = p.services[consenter].Broadcast(tx)
+	})
 
 	// Client populations: each client gets its own endpoint (appended
-	// after the orderer — dense ids keep traffic accounting amortized), a
+	// after the consenters — dense ids keep traffic accounting amortized), a
 	// WAN site co-located with its organization when the network is
 	// WAN-separated, and its own named random stream. An aggregated pool
 	// keeps a bounded endpoint set per org and one arrival stream
@@ -480,9 +461,9 @@ func (p *Plane) endorserSource(org int) client.EndorserSource {
 // the ordering service. The simulated transport drops messages to crashed
 // or partitioned-away nodes silently (bytes leave the NIC either way), so
 // reachability is checked explicitly — a Broadcast no ordering node can
-// receive is a submit error the client must count. Against a consenter
-// cluster the envelope goes to every live reachable consenter (modelled
-// client failover; the consenter shims deduplicate on apply), so a counted
+// receive is a submit error the client must count. The envelope goes to
+// every live reachable consenter (modelled client failover; the consenter
+// shims deduplicate on apply), so a counted
 // submission survives any election or crash that leaves one recipient
 // alive — the submitted == committed + conflicts invariant holds across
 // leadership changes.
@@ -492,11 +473,10 @@ func (p *Plane) submitter(ep *transport.SimEndpoint) client.Submitter {
 		if len(targets) == 0 {
 			return errors.New("workload: ordering service unreachable")
 		}
-		if len(targets) == 1 {
-			return ep.Send(targets[0], &wire.SubmitTx{Tx: tx})
-		}
 		for _, t := range targets {
-			_ = ep.Send(t, &wire.SubmitTx{Tx: tx})
+			if err := ep.Send(t, &wire.SubmitTx{Tx: tx}); err != nil {
+				return err
+			}
 		}
 		return nil
 	}
@@ -504,26 +484,14 @@ func (p *Plane) submitter(ep *transport.SimEndpoint) client.Submitter {
 
 // OnBlockCut installs fn to observe every block the plane's ordering
 // service cuts, on the ordering engine's goroutine: consenter is the
-// cutting replica's index, or -1 for the legacy solo service. In cluster
-// mode every live replica cuts the identical block, so fn fires once per
-// replica per block. Install before Start; fn must not call back into
-// the plane.
+// cutting replica's index. Every live replica cuts the identical block, so
+// fn fires once per replica per block. Install before Start; fn must not
+// call back into the plane.
 func (p *Plane) OnBlockCut(fn func(consenter int, num uint64, txs int)) {
-	if p.service != nil {
-		p.service.OnBlockCut(func(num uint64, txs int) { fn(-1, num, txs) })
-	}
 	for i, svc := range p.services {
 		i := i
 		svc.OnBlockCut(func(num uint64, txs int) { fn(i, num, txs) })
 	}
-}
-
-// onCut receives each block the ordering service cuts: record its
-// transaction ids for resolution, then hand it to the network's deliver
-// stream.
-func (p *Plane) onCut(b *ledger.Block) {
-	p.recordBlock(b)
-	p.net.Append(b)
 }
 
 // onClusterCut receives a block cut by one consenter's service replica.
@@ -890,15 +858,13 @@ func (p *Plane) Stats() Stats {
 		out.Orgs = append(out.Orgs, os)
 	}
 	out.Latency = metrics.Summarize(metrics.NewDistribution(all))
-	svc := p.service
-	if svc == nil {
-		// Cluster mode: report the most advanced replica (replicas only
-		// differ by how far through the shared apply stream they are —
-		// crashed consenters lag until log replay catches them up).
-		for _, s := range p.services {
-			if svc == nil || s.Height() > svc.Height() {
-				svc = s
-			}
+	// Report the most advanced replica (replicas only differ by how far
+	// through the shared apply stream they are — crashed consenters lag
+	// until log replay catches them up).
+	svc := p.services[0]
+	for _, s := range p.services[1:] {
+		if s.Height() > svc.Height() {
+			svc = s
 		}
 	}
 	out.OrderedTx, out.CutBySize, out.CutByTimeout = svc.Stats()
