@@ -498,24 +498,16 @@ func BenchmarkScenarioConsenterFailover(b *testing.B) {
 	}
 }
 
-// --- 10k-peer benchmark tier (sharded parallel engine) ---
-
-// benchScenario10k runs one of the sharded-* catalog entries at 10
-// organizations x 1000 peers, in the requested engine mode. sim_events is
-// deterministic per mode (the two modes are distinct fingerprint lineages,
-// so their event counts differ slightly and each benchmark gates its own);
-// events_per_s is the wall-clock trajectory, reported but never gated. On a
-// single-core runner the sharded engine still wins (~1.5x on
-// crash-restart) because per-shard event queues stay ~10x shallower than
-// the sequential global heap; multi-core runners add genuine parallelism
-// on top.
-func benchScenario10k(b *testing.B, name string, mode scenario.ShardMode) {
-	b.Helper()
-	benchScenarioSharded(b, name, 10000, mode)
-}
+// --- 10k- and 100k-peer benchmark tiers (per-org shards) ---
 
 // benchScenarioSharded is the scale-tier body shared by the 10k and 100k
-// benchmarks. Beyond the usual event fingerprint it exports bytes_per_peer
+// benchmarks: one of the sharded-* catalog entries at 10 organizations,
+// WAN-separated, so one shard engine per organization plus one for the
+// ordering service. sim_events is deterministic and gated; events_per_s is
+// the wall-clock trajectory, reported but never gated. Per-shard event
+// queues stay ~10x shallower than one global heap would, which pays even on
+// a single core; multi-core runners add genuine parallelism on top.
+// Beyond the usual event fingerprint it exports bytes_per_peer
 // — the run's heap high-water divided by the peer count, the per-peer
 // memory-footprint contract of the dense-state layout (either-drift gated:
 // growth means per-peer state regressed, a large drop means the baseline
@@ -523,7 +515,7 @@ func benchScenario10k(b *testing.B, name string, mode scenario.ShardMode) {
 // timing, so the gate tolerance absorbs run-to-run noise; the structural
 // regressions it exists to catch (a reintroduced per-peer map, a leaked
 // per-peer buffer) move the number by integer factors.
-func benchScenarioSharded(b *testing.B, name string, peers int, mode scenario.ShardMode) {
+func benchScenarioSharded(b *testing.B, name string, peers int) {
 	b.Helper()
 	var events uint64
 	var heapHigh uint64
@@ -534,16 +526,13 @@ func benchScenarioSharded(b *testing.B, name string, peers int, mode scenario.Sh
 		runtime.GC()
 		rep, err := scenario.RunNamed(name, scenario.Options{
 			Peers: peers, Orgs: 10, Variant: harness.VariantEnhanced,
-			Seed: int64(i + 1), Sharding: mode,
+			Seed: int64(i + 1),
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
 		if rep.CaughtUp != rep.Survivors {
 			b.Fatalf("%d of %d survivors caught up", rep.CaughtUp, rep.Survivors)
-		}
-		if wantSharded := mode != scenario.ShardOff; rep.Sharded != wantSharded {
-			b.Fatalf("sharded=%v, want %v", rep.Sharded, wantSharded)
 		}
 		events += rep.EngineEvents
 		heapHigh = rep.HeapHighWater
@@ -555,30 +544,18 @@ func benchScenarioSharded(b *testing.B, name string, peers int, mode scenario.Sh
 	}
 }
 
-// BenchmarkScenarioShardedCrashRestart10k is the sharded engine's headline
-// scale run: crash-restart with catch-up across 10 orgs x 1000 peers, one
-// event loop per organization plus one for the ordering service.
+// BenchmarkScenarioShardedCrashRestart10k is the headline scale run:
+// crash-restart with catch-up across 10 orgs x 1000 peers, one event loop
+// per organization plus one for the ordering service.
 func BenchmarkScenarioShardedCrashRestart10k(b *testing.B) {
-	benchScenario10k(b, "sharded-crash-restart", scenario.ShardAuto)
-}
-
-// BenchmarkScenarioSequentialCrashRestart10k is the same workload forced
-// onto the sequential engine — the denominator for the sharded speedup.
-func BenchmarkScenarioSequentialCrashRestart10k(b *testing.B) {
-	benchScenario10k(b, "sharded-crash-restart", scenario.ShardOff)
+	benchScenarioSharded(b, "sharded-crash-restart", 10000)
 }
 
 // BenchmarkScenarioShardedMembership10k runs SWIM membership convergence
 // (piggybacked dissemination, probe-based suspicion, view shuffling) at
-// 10 orgs x 1000 peers on the sharded engine.
+// 10 orgs x 1000 peers on per-org shards.
 func BenchmarkScenarioShardedMembership10k(b *testing.B) {
-	benchScenario10k(b, "sharded-view-convergence", scenario.ShardAuto)
-}
-
-// BenchmarkScenarioSequentialMembership10k is the sequential denominator
-// for the membership convergence scale run.
-func BenchmarkScenarioSequentialMembership10k(b *testing.B) {
-	benchScenario10k(b, "sharded-view-convergence", scenario.ShardOff)
+	benchScenarioSharded(b, "sharded-view-convergence", 10000)
 }
 
 // BenchmarkScenarioShardedCrashRestart100k is the 100k-peer tier: the same
@@ -589,7 +566,7 @@ func BenchmarkScenarioSequentialMembership10k(b *testing.B) {
 // pool together hold the footprint near 13 KB/peer where the map-based
 // layout needed 40+ KB/peer. Expect a couple of minutes per iteration.
 func BenchmarkScenarioShardedCrashRestart100k(b *testing.B) {
-	benchScenarioSharded(b, "sharded-crash-restart", 100000, scenario.ShardAuto)
+	benchScenarioSharded(b, "sharded-crash-restart", 100000)
 }
 
 // BenchmarkMultiOrgDissemination measures the fault-free Figure 1 shape on
@@ -631,7 +608,7 @@ func BenchmarkMultiOrgDissemination(b *testing.B) {
 			blk := blk
 			net.Engine.At(time.Duration(j)*300*time.Millisecond, func() { net.Append(blk) })
 		}
-		net.Engine.RunUntil(time.Duration(blocks)*300*time.Millisecond + 10*time.Second)
+		net.RunUntil(time.Duration(blocks)*300*time.Millisecond + 10*time.Second)
 		net.StopAll()
 		if want := orgs * (peersPerOrg - 1) * blocks; len(lat) != want {
 			b.Fatalf("recorded %d latencies, want %d", len(lat), want)

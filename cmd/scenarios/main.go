@@ -44,7 +44,6 @@ func main() {
 	variant := flag.String("variant", "enhanced", "protocol: original, enhanced or both")
 	seed := flag.Int64("seed", 1, "root random seed")
 	consenters := flag.Int("consenters", 0, "ordering-cluster size override: run the scenario with this many Raft consenters (0 keeps the scenario's own size: 1 unless its script sets one; scripts naming a consenter index >= the override are rejected)")
-	shards := flag.String("shards", "auto", "sharded engine: auto (scenario decides), on, or off")
 	tail := flag.Duration("tail", 0, "override the scenario's post-injection tail (0 keeps its own; shortening it changes the fingerprint lineage — reduced-duration determinism smokes only)")
 	check := flag.Bool("check", false, "run each scenario twice and verify identical fingerprints")
 	trace := flag.Bool("trace", false, "print the run's event trace")
@@ -96,10 +95,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	sharding, err := parseShards(*shards)
-	if err != nil {
-		fatal(err)
-	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -130,7 +125,7 @@ func main() {
 		for _, v := range variants {
 			opt := scenario.Options{
 				Peers: *peers, Orgs: *orgs, OrgSizes: sizes, Variant: v, Seed: *seed,
-				Consenters: *consenters, Sharding: sharding, Tail: *tail,
+				Consenters: *consenters, Tail: *tail,
 				Trace: *traceJSONL != "", FlightRing: *flightRing, FlightDir: *flightDir,
 				TimeSeries: *timeseries,
 			}
@@ -176,17 +171,11 @@ func printStats(rep *scenario.Report) {
 		v, _ := rep.Obs.Get(name, labels...)
 		return v
 	}
-	mode := "sequential"
-	if rep.Sharded {
-		mode = "sharded"
-	}
-	fmt.Printf("  engine: %s, %.0f events, peak pending %.0f, heap high-water %.1f MB\n",
-		mode, stat("engine_events_total"), stat("peak_pending_events"),
+	fmt.Printf("  engine: %.0f events, peak pending %.0f, heap high-water %.1f MB\n",
+		stat("engine_events_total"), stat("peak_pending_events"),
 		stat("heap_high_water_bytes")/1e6)
-	if rep.Sharded {
-		fmt.Printf("  barriers: %.0f full, %.0f elided (adaptive lookahead)\n",
-			stat("barriers_total", "kind", "full"), stat("barriers_total", "kind", "elided"))
-	}
+	fmt.Printf("  barriers: %.0f full, %.0f elided (adaptive lookahead)\n",
+		stat("barriers_total", "kind", "full"), stat("barriers_total", "kind", "elided"))
 	// Wire-level instruments exist only when the run attached the
 	// observability plane (-trace-jsonl, -flight or -timeseries).
 	if out, ok := rep.Obs.Get("wire_msgs_total", "dir", "out"); ok {
@@ -260,18 +249,6 @@ func parseOrgSizes(s string) ([]int, error) {
 		sizes = append(sizes, n)
 	}
 	return sizes, nil
-}
-
-func parseShards(s string) (scenario.ShardMode, error) {
-	switch s {
-	case "auto":
-		return scenario.ShardAuto, nil
-	case "on":
-		return scenario.ShardOn, nil
-	case "off":
-		return scenario.ShardOff, nil
-	}
-	return scenario.ShardAuto, fmt.Errorf("scenarios: unknown -shards %q (want auto, on or off)", s)
 }
 
 func parseVariants(s string) ([]harness.Variant, error) {

@@ -62,8 +62,9 @@ func main() {
 		b := b
 		net.Engine.At(time.Duration(i)*400*time.Millisecond, func() { net.Append(b) })
 	}
-	net.Engine.RunUntil(time.Duration(blocks)*400*time.Millisecond + 10*time.Second)
+	net.RunUntil(time.Duration(blocks)*400*time.Millisecond + 10*time.Second)
 	net.StopAll()
+	traffic := net.TrafficView()
 
 	fmt.Printf("%d organizations x %d peers, %d blocks each:\n", orgs, peersPerOrg, blocks)
 	blockBytes := wire.BlockEncodedSize(chain[0])
@@ -74,7 +75,7 @@ func main() {
 		}
 		var inBytes uint64
 		for _, id := range net.Orgs[o].Peers {
-			in, _ := net.Traffic.NodeTotals(id)
+			in, _ := traffic.NodeTotals(id)
 			inBytes += in
 		}
 		fmt.Printf("  org %c: %v, overhead %.2fx ideal\n", 'A'+o,
@@ -83,6 +84,6 @@ func main() {
 	}
 	fmt.Printf("  aggregate: %v\n", metrics.Summarize(lat.All().All()))
 	fmt.Printf("  total traffic %.2f MB across the shared LAN\n",
-		float64(net.Traffic.TotalBytes())/1e6)
+		float64(traffic.TotalBytes())/1e6)
 	fmt.Println("every organization's epidemic ran independently over the shared LAN")
 }

@@ -17,7 +17,7 @@ import (
 const clusterEntryBlock = 3
 
 // consenterCluster is the replicated ordering service: K Raft nodes on the
-// sim engine, each fronted by a raft.Consenter shim that owns reliable
+// ordering shard's engine, each fronted by a raft.Consenter shim that owns reliable
 // submission (buffer through elections, re-propose to new leaders) and
 // exactly-once apply delivery. The chain every organization sees is the
 // committed log's block stream; only the current Raft leader serves deliver
@@ -82,9 +82,7 @@ func (n *Network) buildCluster(k int) {
 	for i := 0; i < k; i++ {
 		c.eps[i] = n.Net.AddNode()
 		ids[i] = c.eps[i].ID()
-		if n.se != nil {
-			n.Net.SetNodeShard(c.eps[i].ID(), len(n.Orgs))
-		}
+		n.Net.SetNodeShard(ids[i], n.ordShard)
 	}
 	c.nodes = make([]*raft.Node, k)
 	c.shims = make([]*raft.Consenter, k)
@@ -92,11 +90,12 @@ func (n *Network) buildCluster(k int) {
 	c.height = make([]int, k)
 	c.seen = make([]map[uint64]bool, k)
 	c.stream = make([]func([]byte), k)
+	eng := n.OrdererEngine()
 	for i := 0; i < k; i++ {
 		i := i
-		node := raft.New(raft.DefaultConfig(ids[i], ids), c.eps[i], n.ordEngine,
-			n.ordEngine.Rand(fmt.Sprintf("raft/consenter%d", i)))
-		shim := raft.NewConsenter(node, n.ordEngine)
+		node := raft.New(raft.DefaultConfig(ids[i], ids), c.eps[i], eng,
+			eng.Rand(fmt.Sprintf("raft/consenter%d", i)))
+		shim := raft.NewConsenter(node, eng)
 		// Never age out: a dropped premade block would wedge the chain,
 		// and workload accounting requires every accepted envelope to
 		// eventually resolve.
@@ -146,7 +145,7 @@ func (n *Network) onConsenterState(i int, s raft.State, term uint64) {
 		}
 		c.electionCount++
 		if c.leader < 0 {
-			c.leaderlessTotal += n.ordEngine.Now() - c.leaderLostAt
+			c.leaderlessTotal += n.OrdererEngine().Now() - c.leaderLostAt
 		}
 		c.leader = i
 		n.resetDeliverSessions()
@@ -155,7 +154,7 @@ func (n *Network) onConsenterState(i int, s raft.State, term uint64) {
 		// The serving leader lost its role (higher term observed, or a
 		// restart demotion): deliver streams go silent until a successor.
 		c.leader = -1
-		c.leaderLostAt = n.ordEngine.Now()
+		c.leaderLostAt = n.OrdererEngine().Now()
 		n.resetDeliverSessions()
 	}
 }
@@ -266,7 +265,7 @@ func (n *Network) CrashConsenter(i int) {
 	n.Net.SetNodeDown(c.eps[i].ID(), true)
 	if c.leader == i {
 		c.leader = -1
-		c.leaderLostAt = n.ordEngine.Now()
+		c.leaderLostAt = n.OrdererEngine().Now()
 		n.resetDeliverSessions()
 	}
 }
@@ -326,7 +325,7 @@ func (n *Network) ElectionStats() (count int, leaderless time.Duration) {
 	c := n.cluster
 	leaderless = c.leaderlessTotal
 	if c.leader < 0 {
-		leaderless += n.ordEngine.Now() - c.leaderLostAt
+		leaderless += n.OrdererEngine().Now() - c.leaderLostAt
 	}
 	return c.electionCount, leaderless
 }

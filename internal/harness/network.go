@@ -97,18 +97,11 @@ type NetworkParams struct {
 	// on the ordering site — the WAN-separated consenter deployment.
 	ConsenterSpread bool
 
-	// Sharded partitions the simulation into one engine per organization
-	// plus one for the ordering service, run in conservative lock-step
-	// windows (sim.ShardedEngine). Organizations are already isolated
-	// gossip domains, so the only cross-shard traffic is ordering
-	// delivery, client submission, and anchor/statesync recovery — all of
-	// which carry at least the derived lookahead of simulated latency.
-	// Deterministic for a given seed regardless of GOMAXPROCS, but a
-	// *different* deterministic lineage than the sequential engine: the
-	// two cannot interleave same-instant events identically, so sharded
-	// fingerprints are compared sharded-to-sharded.
+	// Sharded is read by nothing: the shard layout follows from WANDelay
+	// and ConsenterSpread (shardLayout). Declared until bench/ stops
+	// setting it.
 	Sharded bool
-	// FixedLookahead disables the sharded coordinator's adaptive barrier
+	// FixedLookahead disables the window coordinator's adaptive barrier
 	// elision, forcing the full ceremony at every window edge. Adaptive
 	// and fixed runs are byte-identical — elision only skips edges whose
 	// ceremony would have executed nothing — so the knob exists for the
@@ -150,21 +143,30 @@ func (p NetworkParams) withDefaults() NetworkParams {
 	return p
 }
 
-// lookahead derives the sharded engine's conservative window width: a lower
-// bound on the simulated latency of every cross-shard message. The LAN
-// model's minimum propagation delay floors every send (Model.Delay starts
-// there and only adds), and when WANDelay separates the organizations onto
-// sites, every cross-shard pair additionally crosses a site boundary —
-// *except* under ConsenterSpread, which co-locates each consenter with one
-// organization's site, keeping some cross-shard pairs on the LAN floor.
-// Per-link and per-node extra delays only ever add latency, so they never
-// lower the bound.
-func (p NetworkParams) lookahead() time.Duration {
-	la := netmodel.LAN().PropMin
+// shardLayout derives how the simulation is partitioned across the window
+// coordinator's shard engines, and the coordinator's conservative window
+// width: a lower bound on the simulated latency of every cross-shard
+// message. Organizations are isolated gossip domains whose only cross-org
+// traffic is ordering delivery, client submission and anchor/statesync
+// recovery, so when WANDelay puts every organization and the ordering
+// service on its own site, each gets its own shard and every cross-shard
+// message pays the LAN model's minimum propagation delay (Model.Delay starts
+// there and only adds) plus the WAN hop. Anything else — a shared LAN, or
+// ConsenterSpread co-locating each consenter with one organization's site —
+// leaves some pair on the LAN floor, where a window holds an event or two
+// per shard and the goroutine hand-off costs more than it overlaps: that
+// network is one shard. Per-link and per-node extra delays only ever add
+// latency, so they never lower the bound.
+func (p NetworkParams) shardLayout() (orgShard []int, ordShard int, lookahead time.Duration) {
+	orgShard = make([]int, len(p.Orgs))
+	lookahead = netmodel.LAN().PropMin
 	if p.WANDelay > 0 && !p.ConsenterSpread {
-		la += p.WANDelay
+		for o := range orgShard {
+			orgShard[o] = o
+		}
+		return orgShard, len(p.Orgs), lookahead + p.WANDelay
 	}
-	return la
+	return orgShard, 0, lookahead
 }
 
 // OrgDomain is one organization inside a Network: a contiguous range of
@@ -186,11 +188,12 @@ type OrgDomain struct {
 func (d *OrgDomain) Size() int { return d.Hi - d.Lo }
 
 // Network is a simulated multi-organization blockchain network: N orgs of
-// M peers each over one shared LAN model and discrete-event engine, plus an
-// ordering service that tracks every organization's dynamic leader and
-// streams each cut block to one leader peer per organization. Gossip
-// dissemination stays within each organization; the ordering service is the
-// only cross-organization path, exactly the paper's deployment shape.
+// M peers each over one shared LAN model, plus an ordering service that
+// tracks every organization's dynamic leader and streams each cut block to
+// one leader peer per organization. Gossip dissemination stays within each
+// organization; the ordering service is the only cross-organization path,
+// exactly the paper's deployment shape. It always runs on the window
+// coordinator (sim.ShardedEngine); shardLayout decides how many shards.
 //
 // It generalizes Org: global peer indices are dense across organizations
 // (org 0 owns [0, M0), org 1 owns [M0, M0+M1), ...), the consenter
@@ -198,16 +201,15 @@ func (d *OrgDomain) Size() int { return d.Hi - d.Lo }
 // partitions via Net) operates on global indices.
 type Network struct {
 	Params NetworkParams
-	// Engine is the engine scenario/control code schedules on. Sequential
-	// mode: the one engine running everything. Sharded mode: the
-	// coordinator's control engine — its events fire at window barriers
-	// with every shard quiescent, so existing At/Every call sites (fault
-	// actions, block injections, the redelivery pump, samplers) need no
-	// changes to become barrier-hosted.
-	Engine  *sim.Engine
-	Net     *transport.SimNetwork
-	Traffic *netmodel.Traffic
-	Orgs    []*OrgDomain
+	// Engine is the control-plane scheduler only: the coordinator's control
+	// engine, whose events (fault actions, block injections, the redelivery
+	// pump, samplers) fire at window barriers with every shard quiescent.
+	// Peers and consenters run on the shard engines (OrgEngine,
+	// OrdererEngine), which only RunUntil drives — running Engine directly
+	// executes control events and nothing else.
+	Engine *sim.Engine
+	Net    *transport.SimNetwork
+	Orgs   []*OrgDomain
 	// Cores is indexed by global peer index.
 	Cores []*gossip.Core
 
@@ -233,15 +235,15 @@ type Network struct {
 	// cluster is the replicated ordering service.
 	cluster *consenterCluster
 
-	// Sharded-mode state (nil/zero in sequential mode). ordEngine is the
-	// engine the ordering service (raft nodes, order services) runs on:
-	// the ordering shard's engine, or Engine sequentially. pumpWanted
-	// coalesces mid-window pump requests (a consenter committing a block
-	// cannot touch other shards' peers until the next barrier).
+	// se is the window coordinator driving the run; orgShard and ordShard
+	// are the layout (shardLayout): which shard each organization's peers
+	// and the ordering service (raft nodes, order services) run on.
+	// pumpWanted coalesces mid-window pump requests (a consenter committing
+	// a block cannot touch other shards' peers until the next barrier).
 	se            *sim.ShardedEngine
-	ordEngine     *sim.Engine
+	orgShard      []int
+	ordShard      int
 	shardTraffics []*netmodel.Traffic
-	trafficMerged bool
 	pumpWanted    bool
 
 	// Per-org deliver-gap tracking: time of the last first-time delivery
@@ -293,50 +295,35 @@ func NewNetwork(p NetworkParams, opts ...NetworkOption) (*Network, error) {
 		return nil, fmt.Errorf("harness: network needs at least one organization")
 	}
 	n := &Network{Params: p}
-	if p.Sharded {
-		if la := p.lookahead(); la > 0 {
-			// One shard per organization plus one for the ordering service.
-			n.se = sim.NewShardedEngine(p.Seed, len(p.Orgs)+1, la)
-			n.se.SetAdaptive(!p.FixedLookahead)
-		}
-		// Safe fallback: a non-positive lookahead admits no parallel
-		// window, so the network silently runs sequentially.
-	}
-	if n.se != nil {
-		n.Engine = n.se.Control()
-		n.ordEngine = n.se.Shard(len(p.Orgs))
-	} else {
-		n.Engine = sim.NewEngine(p.Seed)
-		n.ordEngine = n.Engine
-	}
+	var lookahead time.Duration
+	n.orgShard, n.ordShard, lookahead = p.shardLayout()
+	n.se = sim.NewShardedEngine(p.Seed, n.ordShard+1, lookahead)
+	n.se.SetAdaptive(!p.FixedLookahead)
+	n.se.OnBarrier(n.drainPump)
+	n.Engine = n.se.Control()
 	for _, opt := range opts {
 		opt(n)
 	}
-	n.Traffic = netmodel.NewSimTraffic(p.Bucket)
+	// An organization with a shard to itself gets an accountant covering
+	// only its id range (peers get dense ids in org creation order), so
+	// dense tables scale with the org, not the network. The ordering
+	// service's shard keeps the full window: consenter ids land after
+	// every peer.
+	n.shardTraffics = make([]*netmodel.Traffic, n.se.NumShards())
+	base := 0
+	for o, spec := range p.Orgs {
+		if n.orgShard[o] != n.ordShard {
+			n.shardTraffics[n.orgShard[o]] = netmodel.NewSimTrafficWindow(p.Bucket, wire.NodeID(base), spec.Peers)
+		}
+		base += spec.Peers
+	}
+	n.shardTraffics[n.ordShard] = netmodel.NewSimTraffic(p.Bucket)
 	if p.TrafficTotals {
-		n.Traffic.TotalsOnly()
-	}
-	n.Net = transport.NewSimNetwork(n.Engine, netmodel.LAN(), n.Traffic)
-	if n.se != nil {
-		// Each organization shard's accountant covers only its org's id
-		// range (peers get dense ids in org creation order), so dense
-		// tables scale with the org, not the network. The ordering shard
-		// keeps the full window: consenter ids land after every peer.
-		n.shardTraffics = make([]*netmodel.Traffic, n.se.NumShards())
-		base := 0
-		for i := range p.Orgs {
-			n.shardTraffics[i] = netmodel.NewSimTrafficWindow(p.Bucket, wire.NodeID(base), p.Orgs[i].Peers)
-			base += p.Orgs[i].Peers
+		for _, tv := range n.shardTraffics {
+			tv.TotalsOnly()
 		}
-		n.shardTraffics[len(p.Orgs)] = netmodel.NewSimTraffic(p.Bucket)
-		if p.TrafficTotals {
-			for _, tv := range n.shardTraffics {
-				tv.TotalsOnly()
-			}
-		}
-		n.Net.EnableSharding(n.se, n.shardTraffics)
-		n.se.OnBarrier(n.drainPump)
 	}
+	n.Net = transport.NewShardedSimNetwork(n.se, netmodel.LAN(), n.shardTraffics)
 	// The ordering service delivers over a reliable stream: uniform loss
 	// must not swallow a block before it enters an organization.
 	n.Net.SetLossExempt(wire.TypeDeliverBlock, true)
@@ -389,9 +376,7 @@ func NewNetwork(p NetworkParams, opts ...NetworkOption) (*Network, error) {
 		for g := d.Lo; g < d.Hi; g++ {
 			n.orgOf[g] = d.Index
 			n.eps[g] = n.Net.AddNode()
-			if n.se != nil {
-				n.Net.SetNodeShard(n.eps[g].ID(), d.Index)
-			}
+			n.Net.SetNodeShard(n.eps[g].ID(), n.orgShard[d.Index])
 			n.Cores[g] = n.buildCore(g)
 		}
 	}
@@ -433,8 +418,8 @@ func (n *Network) buildCore(global int) *gossip.Core {
 	default:
 		proto = enhanced.New(d.enhanced)
 	}
-	// Each org's cores run on the org's engine: the shard engine in sharded
-	// mode (with the shard's own "gossip" stream), the one engine otherwise.
+	// Each org's cores run on the org's shard engine, drawing from the
+	// shard's own "gossip" stream.
 	eng := n.OrgEngine(d.Index)
 	core := gossip.New(cfg, ep, eng, eng.Rand("gossip"), proto)
 	for _, hook := range n.onCore {
@@ -509,94 +494,63 @@ func (n *Network) TotalPeers() int { return len(n.Cores) }
 // OrgOf returns the organization index owning the given global peer index.
 func (n *Network) OrgOf(global int) int { return n.orgOf[global] }
 
-// Sharded returns the conservative coordinator, or nil when the network
-// runs on the single sequential engine.
+// Sharded returns the window coordinator driving the run.
 func (n *Network) Sharded() *sim.ShardedEngine { return n.se }
 
-// OrgEngine returns the engine the organization's peers run on: its shard
-// engine, or the one sequential engine.
-func (n *Network) OrgEngine(org int) *sim.Engine {
-	if n.se != nil {
-		return n.se.Shard(org)
-	}
-	return n.Engine
-}
+// OrgEngine returns the shard engine the organization's peers run on.
+func (n *Network) OrgEngine(org int) *sim.Engine { return n.se.Shard(n.orgShard[org]) }
 
 // EngineFor returns the engine the peer at the given global index runs on.
 func (n *Network) EngineFor(global int) *sim.Engine {
 	return n.OrgEngine(n.orgOf[global])
 }
 
-// OrdererEngine returns the engine the ordering service runs on: the
-// ordering shard's engine, or the one sequential engine.
-func (n *Network) OrdererEngine() *sim.Engine { return n.ordEngine }
+// OrdererEngine returns the shard engine the ordering service runs on.
+func (n *Network) OrdererEngine() *sim.Engine { return n.se.Shard(n.ordShard) }
 
-// RunUntil drives the simulation to time t, through the coordinator's
-// lock-step windows in sharded mode.
-func (n *Network) RunUntil(t time.Duration) {
-	if n.se != nil {
-		n.se.RunUntil(t)
-		return
-	}
-	n.Engine.RunUntil(t)
-}
+// RunUntil drives the simulation to time t through the coordinator's
+// lock-step windows.
+func (n *Network) RunUntil(t time.Duration) { n.se.RunUntil(t) }
 
 // ExecutedEvents returns the total simulation events run across all engines.
-func (n *Network) ExecutedEvents() uint64 {
-	if n.se != nil {
-		return n.se.Executed()
-	}
-	return n.Engine.Executed()
-}
+func (n *Network) ExecutedEvents() uint64 { return n.se.Executed() }
 
-// PeakPending returns the event queues' high-water mark (the largest single
-// engine's, in sharded mode).
-func (n *Network) PeakPending() int {
-	if n.se != nil {
-		return n.se.PeakPending()
-	}
-	return n.Engine.PeakPending()
-}
+// PeakPending returns the event queues' high-water mark: the largest single
+// engine's.
+func (n *Network) PeakPending() int { return n.se.PeakPending() }
 
-// TrafficView returns the network-wide traffic accounting: the live
-// accountant sequentially, or the per-shard accountants merged on first use
-// in sharded mode (a post-run reporting accessor there — traffic recorded
-// after the first call is not folded in).
+// TrafficView returns the network-wide traffic accounting so far: the
+// per-shard accountants merged into a fresh one. Call it between RunUntil
+// calls, when no shard is recording.
 func (n *Network) TrafficView() *netmodel.Traffic {
-	if n.se != nil && !n.trafficMerged {
-		n.trafficMerged = true
-		for _, t := range n.shardTraffics {
-			n.Traffic.Merge(t)
-		}
+	t := netmodel.NewSimTraffic(n.Params.Bucket)
+	if n.Params.TrafficTotals {
+		t.TotalsOnly()
 	}
-	return n.Traffic
+	for _, st := range n.shardTraffics {
+		t.Merge(st)
+	}
+	return t
 }
 
 // AddClientNode attaches a workload client endpoint homed in the given
 // organization: it joins the org's WAN site (when sites are active) and the
-// org's shard (when sharded), so client traffic to the ordering service is
-// cross-site and cross-shard exactly like the org's peers'.
+// org's shard, so client traffic to the ordering service crosses exactly the
+// boundaries the org's peers' does.
 func (n *Network) AddClientNode(org int) *transport.SimEndpoint {
 	ep := n.Net.AddNode()
 	if n.Params.WANDelay > 0 {
 		n.Net.SetNodeSite(ep.ID(), org)
 	}
-	if n.se != nil {
-		n.Net.SetNodeShard(ep.ID(), org)
-	}
+	n.Net.SetNodeShard(ep.ID(), n.orgShard[org])
 	return ep
 }
 
-// requestPump triggers ordering redelivery. Sequentially it pumps inline.
-// In sharded mode a pump touches every organization's leader state, so
-// mid-window requests (a consenter applying a committed block, an election
-// resolving) coalesce into one pump at the next barrier, where all shards
-// are quiescent.
+// requestPump triggers ordering redelivery. A pump touches every
+// organization's leader state, so mid-window requests (a consenter applying
+// a committed block, an election resolving) coalesce into one pump at the
+// next barrier, where all shards are quiescent.
 func (n *Network) requestPump() {
-	if n.se == nil {
-		n.pumpAll()
-		return
-	}
 	n.pumpWanted = true
 	// The flush hook must not be elided by an adaptive coordinator.
 	n.se.RequestBarrier()

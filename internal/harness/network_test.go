@@ -61,7 +61,7 @@ func TestNetworkDisseminatesWithinEveryOrg(t *testing.T) {
 	}
 	n.StartAll()
 	appendChain(n, 5, 300*time.Millisecond)
-	n.Engine.RunUntil(20 * time.Second)
+	n.RunUntil(20 * time.Second)
 	n.StopAll()
 	assertAllCommitted(t, n, 5)
 }
@@ -79,7 +79,7 @@ func TestNetworkMixedProtocolOrgs(t *testing.T) {
 	}
 	n.StartAll()
 	appendChain(n, 4, 400*time.Millisecond)
-	n.Engine.RunUntil(25 * time.Second)
+	n.RunUntil(25 * time.Second)
 	n.StopAll()
 	assertAllCommitted(t, n, 4)
 }
@@ -102,7 +102,7 @@ func TestNetworkLeaderFailoverAndRewind(t *testing.T) {
 	// Crash org 1's leader mid-stream; it restarts cold later.
 	n.Engine.At(700*time.Millisecond, func() { n.Crash(4) })
 	n.Engine.At(6*time.Second, func() { n.Restart(4) })
-	n.Engine.RunUntil(30 * time.Second)
+	n.RunUntil(30 * time.Second)
 	n.StopAll()
 	assertAllCommitted(t, n, 6)
 	if lead := n.OrgLeader(1); lead != 4 {
@@ -131,7 +131,7 @@ func TestNetworkWholeOrgColdJoin(t *testing.T) {
 			n.Restart(g)
 		}
 	})
-	n.Engine.RunUntil(40 * time.Second)
+	n.RunUntil(40 * time.Second)
 	n.StopAll()
 	assertAllCommitted(t, n, 6)
 }
@@ -160,7 +160,7 @@ func TestNetworkOrgFlapBetweenPumpTicksRewindsStream(t *testing.T) {
 			n.Restart(g)
 		}
 	})
-	n.Engine.RunUntil(30 * time.Second)
+	n.RunUntil(30 * time.Second)
 	n.StopAll()
 	assertAllCommitted(t, n, 4)
 }

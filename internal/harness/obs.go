@@ -8,32 +8,16 @@ import (
 )
 
 // ObsContexts returns the number of observability emission contexts the
-// network needs: one per organization shard plus the ordering shard plus
-// the control plane in sharded mode, or a single context sequentially —
-// the same layout the scenario runner's text-trace buffers use.
-func (n *Network) ObsContexts() int {
-	if n.se != nil {
-		return len(n.Orgs) + 2
-	}
-	return 1
-}
+// network needs: one per shard engine plus the control plane, last — the
+// same layout the scenario runner's text-trace buffers use.
+func (n *Network) ObsContexts() int { return n.se.NumShards() + 1 }
 
 // OrdObsContext returns the emission-context index owning the ordering
 // service (consenter Raft nodes, order services, the deliver pump).
-func (n *Network) OrdObsContext() int {
-	if n.se != nil {
-		return len(n.Orgs)
-	}
-	return 0
-}
+func (n *Network) OrdObsContext() int { return n.ordShard }
 
 // OrgObsContext returns the emission-context index owning an org's peers.
-func (n *Network) OrgObsContext(org int) int {
-	if n.se != nil {
-		return org
-	}
-	return 0
-}
+func (n *Network) OrgObsContext(org int) int { return n.orgShard[org] }
 
 // AttachObs wires the observability plane into the network: per-context
 // wire observers on the transport (sends in the sender's context,
@@ -64,13 +48,9 @@ func (n *Network) AttachObs(regs []*obs.Registry, traces []*obs.ShardTrace) {
 		return r, t
 	}
 
-	// Transport contexts are the shard engines: 1 sequentially, NumShards
-	// (orgs + ordering) sharded. The control context never touches a NIC.
-	nw := 1
-	if n.se != nil {
-		nw = n.se.NumShards()
-	}
-	wobs := make([]*transport.WireObs, nw)
+	// Transport contexts are the shard engines; the control context never
+	// touches a NIC.
+	wobs := make([]*transport.WireObs, n.se.NumShards())
 	for i := range wobs {
 		r, t := pick(i)
 		wobs[i] = transport.NewWireObs(r, t)
@@ -84,7 +64,7 @@ func (n *Network) AttachObs(regs []*obs.Registry, traces []*obs.ShardTrace) {
 			id := int32(n.cluster.eps[i].ID())
 			node.OnAppend(func(index, term uint64) {
 				ordTrace.Emit(obs.Event{
-					At: n.ordEngine.Now(), Kind: obs.EvAppend,
+					At: n.OrdererEngine().Now(), Kind: obs.EvAppend,
 					Node: id, Peer: -1, Num: index, Aux: term,
 				})
 			})

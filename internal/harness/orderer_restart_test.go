@@ -35,7 +35,7 @@ func TestRestartOrdererChainDurability(t *testing.T) {
 				electionsBefore, _ = n.ElectionStats()
 			})
 			n.Engine.At(4*time.Second, func() { n.RestartOrderer() })
-			n.Engine.RunUntil(25 * time.Second)
+			n.RunUntil(25 * time.Second)
 			n.StopAll()
 
 			if duringOutage != 4 {

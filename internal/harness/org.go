@@ -14,11 +14,10 @@ import (
 )
 
 // Org is a simulated organization: one gossip core per peer over a
-// simulated network, plus an ordering-service endpoint that delivers cut
-// blocks to the organization's leader peer. It is the shared substrate of
-// the dissemination experiments (RunDissemination) and the fault-scenario
-// runner (internal/scenario), which crashes, restarts and partitions its
-// peers mid-run.
+// simulated network on a plain sim.Engine, plus an ordering-service endpoint
+// that delivers cut blocks to the organization's leader peer. It is the
+// substrate of the paper's dissemination experiments (RunDissemination);
+// the fault-scenario runner (internal/scenario) is built on Network.
 type Org struct {
 	Params  Params
 	Engine  *sim.Engine

@@ -5,70 +5,59 @@ import (
 	"time"
 
 	"fabricgossip/internal/netmodel"
+	"fabricgossip/internal/sim"
 )
 
-// The lookahead rule: the conservative window width must lower-bound every
-// cross-shard delivery latency. The LAN propagation floor always applies;
-// WAN separation raises it by the inter-site delay — except under
-// ConsenterSpread, where consenters share the organizations' sites and some
-// cross-shard pairs stay on the LAN floor.
-func TestLookaheadRule(t *testing.T) {
+// The layout rule: the conservative window width must lower-bound every
+// cross-shard delivery latency. Organizations WAN-separated from the
+// ordering service each get a shard (plus one for ordering) and the window
+// widens by the inter-site delay; on a shared LAN — or under
+// ConsenterSpread, where consenters share the organizations' sites and a
+// consenter and its host org's peers are one LAN apart — only the LAN
+// propagation floor is safe, and the network is one shard.
+func TestShardLayoutRule(t *testing.T) {
 	floor := netmodel.LAN().PropMin
 	if floor <= 0 {
-		t.Fatalf("LAN model has no propagation floor (%v); the sharded engine's safety argument is void", floor)
+		t.Fatalf("LAN model has no propagation floor (%v); the coordinator's safety argument is void", floor)
 	}
+	orgs := []OrgSpec{{Peers: 2}, {Peers: 2}, {Peers: 2}}
+	wan := 25 * time.Millisecond
 	cases := []struct {
-		name string
-		p    NetworkParams
-		want time.Duration
+		name          string
+		p             NetworkParams
+		wantShards    int
+		wantLookahead time.Duration
 	}{
-		{"lan-only", NetworkParams{}, floor},
-		{"wan", NetworkParams{WANDelay: 25 * time.Millisecond}, floor + 25*time.Millisecond},
-		{"wan-clustered", NetworkParams{WANDelay: 25 * time.Millisecond, Consenters: 3},
-			floor + 25*time.Millisecond},
-		// Spread consenters sit on org sites: a consenter and its host
-		// org's peers are one LAN apart but on different shards, so only
-		// the floor is safe.
-		{"wan-consenter-spread", NetworkParams{WANDelay: 25 * time.Millisecond, Consenters: 3, ConsenterSpread: true},
-			floor},
+		{"lan-only", NetworkParams{Orgs: orgs}, 1, floor},
+		{"wan", NetworkParams{Orgs: orgs, WANDelay: wan}, 4, floor + wan},
+		{"wan-clustered", NetworkParams{Orgs: orgs, WANDelay: wan, Consenters: 3}, 4, floor + wan},
+		{"wan-consenter-spread", NetworkParams{Orgs: orgs, WANDelay: wan, Consenters: 3, ConsenterSpread: true}, 1, floor},
 	}
 	for _, c := range cases {
-		if got := c.p.lookahead(); got != c.want {
-			t.Errorf("%s: lookahead = %v, want %v", c.name, got, c.want)
+		c.p.Seed = 1
+		n, err := NewNetwork(c.p)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
 		}
-	}
-}
-
-// A sharded network hosts each organization on its own engine, the ordering
-// service on another, and the scenario-facing Engine field on the control
-// engine — all distinct, all windows driven through the coordinator.
-func TestShardedNetworkEngineLayout(t *testing.T) {
-	n, err := NewNetwork(NetworkParams{
-		Seed:     1,
-		Orgs:     []OrgSpec{{Peers: 2}, {Peers: 2}},
-		WANDelay: 25 * time.Millisecond,
-		Sharded:  true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	se := n.Sharded()
-	if se == nil {
-		t.Fatal("sharded network fell back sequential despite positive lookahead")
-	}
-	if got, want := se.NumShards(), 3; got != want {
-		t.Fatalf("NumShards = %d, want %d (one per org + ordering)", got, want)
-	}
-	if se.Lookahead() != 25*time.Millisecond+netmodel.LAN().PropMin {
-		t.Errorf("lookahead = %v", se.Lookahead())
-	}
-	if n.Engine != se.Control() {
-		t.Error("Network.Engine is not the control engine")
-	}
-	if n.OrgEngine(0) == n.OrgEngine(1) || n.OrgEngine(0) == n.OrdererEngine() {
-		t.Error("org and ordering engines are not distinct shards")
-	}
-	if n.OrdererEngine() != se.Shard(2) {
-		t.Error("ordering service is not on the last shard")
+		se := n.Sharded()
+		if se.NumShards() != c.wantShards || se.Lookahead() != c.wantLookahead {
+			t.Errorf("%s: %d shards at lookahead %v, want %d at %v",
+				c.name, se.NumShards(), se.Lookahead(), c.wantShards, c.wantLookahead)
+		}
+		if n.Engine != se.Control() {
+			t.Errorf("%s: Network.Engine is not the control engine", c.name)
+		}
+		if n.OrdererEngine() != se.Shard(c.wantShards-1) {
+			t.Errorf("%s: ordering service is not on the last shard", c.name)
+		}
+		// Per-org shards are all distinct from each other and from the
+		// ordering shard; the one-shard layout hosts everything together.
+		distinct := map[*sim.Engine]bool{n.OrdererEngine(): true}
+		for o := range orgs {
+			distinct[n.OrgEngine(o)] = true
+		}
+		if len(distinct) != c.wantShards {
+			t.Errorf("%s: orgs and ordering occupy %d engines, want %d", c.name, len(distinct), c.wantShards)
+		}
 	}
 }

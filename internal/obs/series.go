@@ -10,7 +10,7 @@ import (
 // the live (shard-local) registries are merged and every instrument's
 // value is appended as one row, so scenario reports can show how a metric
 // moved, not just where it ended. Sampling happens on the control plane at
-// quiescent instants (barrier-hosted in sharded runs), so the values are
+// quiescent instants (coordinator barriers), so the values are
 // deterministic per seed.
 type Series struct {
 	Period time.Duration `json:"period_ns"`

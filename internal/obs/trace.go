@@ -38,7 +38,7 @@ const (
 	EvBlockCut    // the ordering service cut a block (Num = block)
 	EvBlockCommit // a peer committed a block in order (Num = block)
 	EvDeliver     // the ordering stream handed a block to an org leader
-	EvBarrier     // the sharded coordinator ran a full window barrier
+	EvBarrier     // the window coordinator ran a full barrier
 	EvFault       // a scenario fault action was applied
 )
 
@@ -192,10 +192,8 @@ func (t *ShardTrace) chronological() []Event {
 	return out
 }
 
-// Tracer bundles one ShardTrace per emission context: in a sharded run,
-// one per organization shard, one for the ordering shard, and one for the
-// control plane; sequentially a single context carries everything in exact
-// emission order.
+// Tracer bundles one ShardTrace per emission context: one per shard engine
+// of the run, then one for the control plane.
 type Tracer struct {
 	Shards []*ShardTrace
 }

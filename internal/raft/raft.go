@@ -6,9 +6,9 @@
 //
 // The implementation covers the consensus core used by the ordering
 // service: elections with randomized timeouts, AppendEntries consistency
-// repair, majority commit, and exactly-once in-order application. Log
-// compaction and membership changes are out of scope (the ordering cluster
-// is static, as in the paper's deployment).
+// repair, majority commit, check-quorum leader step-down, and exactly-once
+// in-order application. Log compaction and membership changes are out of
+// scope (the ordering cluster is static, as in the paper's deployment).
 package raft
 
 import (
@@ -108,6 +108,10 @@ type Node struct {
 	// bound, so a lost append or response wedges a follower for at most
 	// one heartbeat interval.
 	inflight map[wire.NodeID]bool
+	// lastAck is when each follower last answered an AppendEntries of this
+	// leadership (its start, until the first answer): the evidence behind
+	// check-quorum.
+	lastAck map[wire.NodeID]time.Duration
 
 	electionTimer  sim.Timer
 	heartbeatTimer sim.Timer
@@ -141,6 +145,7 @@ func New(cfg Config, ep transport.Endpoint, sched sim.Scheduler, rng *sim.Rand) 
 		nextIndex:  make(map[wire.NodeID]uint64),
 		matchIndex: make(map[wire.NodeID]uint64),
 		inflight:   make(map[wire.NodeID]bool),
+		lastAck:    make(map[wire.NodeID]time.Duration),
 	}
 	ep.SetHandler(n.handle)
 	return n
@@ -380,6 +385,7 @@ func (n *Node) becomeLeaderLocked() {
 		n.nextIndex[p] = last + 1
 		n.matchIndex[p] = 0
 		delete(n.inflight, p)
+		n.lastAck[p] = n.sched.Now()
 	}
 	n.matchIndex[n.cfg.ID] = last
 	if n.electionTimer != nil {
@@ -404,10 +410,33 @@ func (n *Node) armHeartbeatLocked() {
 			n.mu.Unlock()
 			return
 		}
+		if !n.quorumActiveLocked() {
+			// Check-quorum: a leader cut off from a majority can commit
+			// nothing, so it stops claiming the role (and stops pointing
+			// proposers at itself) instead of leading a halted cluster.
+			n.hasLead = false
+			n.noteLeaderLocked()
+			n.becomeFollowerLocked(n.term)
+			n.mu.Unlock()
+			return
+		}
 		n.armHeartbeatLocked()
 		n.mu.Unlock()
 		n.broadcastAppends(true)
 	})
+}
+
+// quorumActiveLocked reports whether a majority of the cluster (this node
+// included) has answered the leader within the last election timeout.
+func (n *Node) quorumActiveLocked() bool {
+	now := n.sched.Now()
+	active := 0
+	for _, p := range n.cfg.Peers {
+		if p == n.cfg.ID || now-n.lastAck[p] <= n.cfg.ElectionTimeoutMin {
+			active++
+		}
+	}
+	return active >= n.majority()
 }
 
 // broadcastAppends ships log suffixes (or heartbeats) to all followers.
@@ -623,6 +652,7 @@ func (n *Node) handleAppendResponse(from wire.NodeID, m *wire.RaftAppendResponse
 		n.mu.Unlock()
 		return
 	}
+	n.lastAck[from] = n.sched.Now()
 	resend := false
 	if m.Success {
 		if m.MatchIndex > n.matchIndex[from] {

@@ -187,6 +187,40 @@ func TestLeaderFailover(t *testing.T) {
 	}
 }
 
+// Check-quorum: a leader that loses contact with a majority cannot commit,
+// so it must give up the role within about an election timeout instead of
+// reporting itself leader of a halted cluster — and the cluster must elect
+// again once the majority is back.
+func TestLeaderWithoutQuorumStepsDown(t *testing.T) {
+	c := newCluster(t, 3, 6)
+	c.engine.RunUntil(2 * time.Second)
+	old := c.leader()
+	if old == nil {
+		t.Fatal("no initial leader")
+	}
+	for _, n := range c.nodes {
+		if n != old {
+			c.net.SetNodeDown(n.cfg.ID, true)
+		}
+	}
+	cfg := old.cfg
+	c.engine.RunFor(cfg.ElectionTimeoutMin + 2*cfg.HeartbeatInterval)
+	if st, _, _, known := old.Status(); st == Leader || known {
+		t.Fatalf("cut-off leader is still %v (leader known: %v) after an election timeout", st, known)
+	}
+	c.engine.RunFor(3 * time.Second)
+	if l := c.leader(); l != nil {
+		t.Fatalf("node %v leads without a quorum", l.cfg.ID)
+	}
+	for _, n := range c.nodes {
+		c.net.SetNodeDown(n.cfg.ID, false)
+	}
+	c.engine.RunFor(3 * time.Second)
+	if len(c.leaders()) != 1 {
+		t.Fatalf("%d leaders after the majority returned, want 1", len(c.leaders()))
+	}
+}
+
 func TestCrashedFollowerCatchesUpOnRevival(t *testing.T) {
 	c := newCluster(t, 3, 6)
 	c.engine.RunUntil(time.Second)

@@ -637,16 +637,16 @@ func init() {
 		},
 	})
 
-	// --- sharded parallel engine entries (per-org shards, lock-step
-	// windows). Each separates the organizations onto WAN sites: the 25 ms
-	// inter-site latency floor becomes the conservative lookahead, so
-	// shards run long windows between barriers instead of thrashing on the
-	// LAN's 150 µs propagation floor. ---
+	// --- per-org shard entries. Each separates the organizations onto WAN
+	// sites, which is what gives every organization its own shard engine:
+	// the 25 ms inter-site latency floor becomes the conservative
+	// lookahead, so shards run long windows between barriers instead of
+	// thrashing on the LAN's 150 µs propagation floor. ---
 
 	register(Def{
 		Name: "sharded-crash-restart",
-		Description: "the crash-restart fault script on the sharded parallel " +
-			"engine: each WAN-separated organization runs on its own event loop, " +
+		Description: "the crash-restart fault script over a WAN, which shards " +
+			"the engine: each WAN-separated organization runs on its own event loop, " +
 			"synchronized in conservative lookahead windows, with a " +
 			"deterministic, GOMAXPROCS-independent fingerprint — the 10k-peer " +
 			"benchmark tier's crash workload",
@@ -660,7 +660,6 @@ func init() {
 				Warmup:        time.Second,
 				Tail:          30 * time.Second,
 				WANDelay:      25 * time.Millisecond,
-				Sharded:       true,
 				Events: []Event{
 					{At: 1500 * time.Millisecond, Action: CrashPeers{Peers: span(1, 1+k)}},
 					{At: 4 * time.Second, Action: RestartAll{}},
@@ -671,7 +670,7 @@ func init() {
 	register(Def{
 		Name: "sharded-view-convergence",
 		Description: "membership convergence under the SWIM extensions on the " +
-			"sharded parallel engine: every organization's piggybacked events, " +
+			"per-org shards of a WAN topology: every organization's piggybacked events, " +
 			"suspicion probes and view shuffles run shard-local, and the " +
 			"convergence measurement samples at coordinator barriers — the " +
 			"10k-peer benchmark tier's membership workload",
@@ -683,7 +682,6 @@ func init() {
 				Warmup:            time.Second,
 				Tail:              40 * time.Second,
 				WANDelay:          25 * time.Millisecond,
-				Sharded:           true,
 				SwimMembership:    true,
 				MeasureMembership: true,
 			}
@@ -692,7 +690,7 @@ func init() {
 	register(Def{
 		Name: "sharded-txload-aggregate",
 		Description: "a thousand modeled clients per organization as one " +
-			"aggregated per-org arrival process on the sharded engine: the " +
+			"aggregated per-org arrival process on per-org shards: the " +
 			"open-loop Poisson superposition fires one timer per org at the " +
 			"summed rate and attributes arrivals round-robin across a bounded " +
 			"endpoint set — the client-pool scaling path of the 100k tier",
@@ -702,7 +700,6 @@ func init() {
 				Warmup:   time.Second,
 				Tail:     25 * time.Second,
 				WANDelay: 25 * time.Millisecond,
-				Sharded:  true,
 				Workload: &workload.Config{
 					ClientsPerOrg:    1000,
 					Rate:             0.05,
@@ -719,8 +716,8 @@ func init() {
 	})
 	register(Def{
 		Name: "sharded-txload-steady",
-		Description: "the steady Poisson transaction workload on the sharded " +
-			"parallel engine: clients and validation run on their organization's " +
+		Description: "the steady Poisson transaction workload over a WAN, on " +
+			"per-org shards: clients and validation run on their organization's " +
 			"shard, the ordering service on its own, and only endorsed " +
 			"submissions and block deliveries cross shards — the full " +
 			"execute-order-validate pipeline under parallel simulation",
@@ -730,7 +727,6 @@ func init() {
 				Warmup:   time.Second,
 				Tail:     25 * time.Second,
 				WANDelay: 25 * time.Millisecond,
-				Sharded:  true,
 				Workload: &workload.Config{
 					ClientsPerOrg: 2,
 					Rate:          5,

@@ -42,30 +42,34 @@ func TestConsenterMinorityLossSustainsCommits(t *testing.T) {
 // Losing two of three consenters halts ordering outright — the cluster
 // must go leaderless for essentially the whole outage window — and the
 // heal must elect a leader again and drain the entire backlog: every
-// injected block reaches every surviving peer.
+// injected block reaches every surviving peer. The seeds cover both cases
+// of who leads when the followers crash: when it is the survivor, only
+// check-quorum makes it give up the role.
 func TestConsenterMajorityLossHaltsThenHeals(t *testing.T) {
-	rep, err := RunNamed("consenter-majority-loss-and-heal", Options{Peers: 20, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Crash at ~2.6s, restarts at ~8s: the cluster cannot have a quorum in
-	// between, so the leaderless total must cover most of that window.
-	if rep.Leaderless < 4*time.Second {
-		t.Fatalf("leaderless %v, want > 4s — the majority loss did not halt ordering", rep.Leaderless)
-	}
-	if rep.DeliverGap < 4*time.Second {
-		t.Fatalf("deliver gap %v, want > 4s — deliveries continued through the halt", rep.DeliverGap)
-	}
-	if rep.BlocksInjected != 10 {
-		t.Fatalf("blocks injected = %d, want the full 10 (backlog must drain after the heal)",
-			rep.BlocksInjected)
-	}
-	if rep.CaughtUp != rep.Survivors || rep.PendingRecoveries != 0 {
-		t.Fatalf("%d/%d caught up, %d pending — backlog did not fully resolve",
-			rep.CaughtUp, rep.Survivors, rep.PendingRecoveries)
-	}
-	if rep.OrderViolations != 0 {
-		t.Fatalf("%d order violations", rep.OrderViolations)
+	for seed := int64(1); seed <= 10; seed++ {
+		rep, err := RunNamed("consenter-majority-loss-and-heal", Options{Peers: 20, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Crash at ~2.6s, restarts at ~8s: the cluster cannot have a quorum
+		// in between, so the leaderless total must cover most of that window.
+		if rep.Leaderless < 4*time.Second {
+			t.Errorf("seed %d: leaderless %v, want > 4s — the majority loss did not halt ordering", seed, rep.Leaderless)
+		}
+		if rep.DeliverGap < 4*time.Second {
+			t.Errorf("seed %d: deliver gap %v, want > 4s — deliveries continued through the halt", seed, rep.DeliverGap)
+		}
+		if rep.BlocksInjected != 10 {
+			t.Errorf("seed %d: blocks injected = %d, want the full 10 (backlog must drain after the heal)",
+				seed, rep.BlocksInjected)
+		}
+		if rep.CaughtUp != rep.Survivors || rep.PendingRecoveries != 0 {
+			t.Errorf("seed %d: %d/%d caught up, %d pending — backlog did not fully resolve",
+				seed, rep.CaughtUp, rep.Survivors, rep.PendingRecoveries)
+		}
+		if rep.OrderViolations != 0 {
+			t.Errorf("seed %d: %d order violations", seed, rep.OrderViolations)
+		}
 	}
 }
 

@@ -16,15 +16,15 @@ import (
 // run. Trace points are passive (no random draws, no scheduled events) and
 // the registries are read only at report time, so a run with tracing, the
 // flight recorder, or both armed produces a fingerprint byte-identical to
-// a bare run — sequentially and on the sharded engine.
+// a bare run — on the one-shard and the per-org layout.
 func TestObsLeavesFingerprintUnchanged(t *testing.T) {
 	cases := []struct {
 		name     string
 		scenario string
 		opt      Options
 	}{
-		{"sequential", "crash-restart", Options{Peers: 40, Seed: 3}},
-		{"sharded", "sharded-crash-restart", Options{Peers: 20, Seed: 42}},
+		{"one-shard", "crash-restart", Options{Peers: 40, Seed: 3}},
+		{"per-org", "sharded-crash-restart", Options{Peers: 20, Seed: 42}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -78,9 +78,6 @@ func TestTraceJSONLIndependentOfParallelism(t *testing.T) {
 		rep, err := RunNamed("sharded-crash-restart", Options{Peers: 20, Seed: 42, Trace: true})
 		if err != nil {
 			t.Fatalf("procs=%d: %v", procs, err)
-		}
-		if !rep.Sharded {
-			t.Fatalf("procs=%d: expected a sharded run", procs)
 		}
 		var buf bytes.Buffer
 		if err := obs.WriteJSONL(&buf, rep.Events); err != nil {

@@ -130,21 +130,16 @@ type Report struct {
 	// pre-existing fingerprints are unaffected).
 	Workload *workload.Stats
 
-	// EngineEvents is the number of discrete events the engine executed
-	// (summed across shards, in sharded mode).
+	// EngineEvents is the number of discrete events executed, summed over
+	// the control engine and every shard.
 	EngineEvents uint64
 
-	// Sharded reports whether the run actually used the sharded parallel
-	// engine (a Sharded request falls back sequential when the latency
-	// model leaves no lookahead window). PeakPending is the event queues'
-	// high-water mark — the largest any single engine's pending set grew.
-	// Both are excluded from String — and therefore from Fingerprint —
-	// like SyncBytes: Sharded is config echo and PeakPending a capacity
-	// diagnostic, so neither moves pre-existing fingerprints.
-	Sharded     bool
+	// PeakPending is the event queues' high-water mark — the largest any
+	// single engine's pending set grew. A capacity diagnostic, excluded
+	// from String — and therefore from Fingerprint — like SyncBytes.
 	PeakPending int
 
-	// BarrierFull and BarrierElided count the sharded coordinator's window
+	// BarrierFull and BarrierElided count the window coordinator's
 	// edges that ran the full barrier ceremony versus those the adaptive
 	// lookahead skipped (provably-no-op edges: no inbox traffic, no control
 	// event due, no hook work requested). Wall-side diagnostics like
@@ -155,8 +150,7 @@ type Report struct {
 	BarrierElided uint64
 
 	// HeapHighWater is the process heap's high-water mark over the run
-	// (runtime.ReadMemStats samples at window barriers in sharded mode, at
-	// injection/fault instants sequentially). It is wall-side state, not
+	// (runtime.ReadMemStats samples at window barriers). It is wall-side state, not
 	// simulation output, so like PeakPending it is excluded from String —
 	// and therefore from Fingerprint. The 100k benchmark tier gates
 	// bytes_per_peer = HeapHighWater / peers from it.

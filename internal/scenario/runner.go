@@ -45,12 +45,7 @@ type Options struct {
 	// (cmd/scenarios -consenters). Zero inherits the scenario's own
 	// Consenters setting.
 	Consenters int
-	// Sharding overrides the scenario's Sharded flag per run
-	// (cmd/scenarios -shards): ShardOn forces the sharded parallel
-	// engine, ShardOff forces the sequential one, ShardAuto (the zero
-	// value) inherits the scenario's own setting.
-	Sharding ShardMode
-	// FixedLookahead disables the sharded coordinator's adaptive barrier
+	// FixedLookahead disables the window coordinator's adaptive barrier
 	// elision, forcing the full ceremony at every window edge. Both modes
 	// produce byte-identical fingerprints (the equivalence property test
 	// pins it); the knob exists for that test and for bisecting.
@@ -82,25 +77,13 @@ type Options struct {
 	// directory).
 	FlightDir string
 	// TimeSeries, when > 0, samples every registry instrument at this
-	// period of simulated time into Report.Series. The sampler is an
-	// engine event (barrier-hosted under a sharded network), so unlike
+	// period of simulated time into Report.Series. The sampler is a
+	// control-engine event (barrier-hosted), so unlike
 	// Trace it extends the run's event lineage — same-seed runs with the
 	// same period stay deterministic, but fingerprints are comparable
 	// only across runs with identical TimeSeries settings (like Tail).
 	TimeSeries time.Duration
 }
-
-// ShardMode is the per-run sharding override.
-type ShardMode int
-
-const (
-	// ShardAuto inherits the scenario's Sharded flag.
-	ShardAuto ShardMode = iota
-	// ShardOn forces the sharded parallel engine.
-	ShardOn
-	// ShardOff forces the sequential engine.
-	ShardOff
-)
 
 func (o Options) withDefaults() Options {
 	if o.Peers == 0 {
@@ -157,21 +140,16 @@ type runner struct {
 	net   *harness.Network
 	plane *workload.Plane // nil unless sc.Workload is set
 
-	// sharded reports whether the network actually runs the sharded
-	// engine (the request may fall back sequential on zero lookahead).
-	sharded bool
-
 	// orgRecs and lat take writes from commit/reception hooks, which run
-	// on each organization's own shard of a sharded network — so both are
-	// partitioned per org (the network-wide views merge at report time).
+	// on each organization's own shard — so both are partitioned per org
+	// (the network-wide views merge at report time).
 	orgRecs []*metrics.RecoveryRecorder
 	lat     *metrics.GroupedLatency
 
-	// traces holds per-engine-context trace buffers: index o for org o,
-	// then one for the ordering engine, then one for the control engine
-	// (fault actions, deliveries). Sequentially there is a single buffer
-	// and the report keeps exact emission order — fingerprint-pinned; a
-	// sharded run merges buffers by (time, buffer, position), which is
+	// traces holds per-emission-context trace buffers, in the network's
+	// context layout (harness.Network.ObsContexts): one per shard engine,
+	// then one for the control engine (fault actions, deliveries). The
+	// report merges them by (time, buffer, position), which is
 	// deterministic regardless of window interleaving.
 	traces   [][]traceEntry
 	injected int               // distinct blocks delivered to at least one org
@@ -202,12 +180,11 @@ type runner struct {
 	liveBuf     []wire.NodeID
 	actualBuf   []wire.NodeID
 
-	// Heap high-water sampling (wall-side diagnostic, never fingerprinted):
-	// sharded runs sample at coordinator barriers, sequential runs piggyback
-	// on the injection/fault closures already scheduled — either way no new
-	// simulation events exist, so EngineEvents (which IS fingerprinted) is
-	// untouched. lastHeapAt throttles the ReadMemStats stop-the-world cost
-	// to one sample per heapSampleInterval of simulated time.
+	// Heap high-water sampling (wall-side diagnostic, never fingerprinted),
+	// from a coordinator barrier hook: no new simulation events exist, so
+	// EngineEvents (which IS fingerprinted) is untouched. lastHeapAt
+	// throttles the ReadMemStats stop-the-world cost to one sample per
+	// heapSampleInterval of simulated time.
 	heapHigh    uint64
 	heapSampled bool
 	lastHeapAt  time.Duration
@@ -225,7 +202,7 @@ type runner struct {
 }
 
 // traceEntry is one trace line before prefix formatting, tagged with its
-// virtual time for the sharded merge.
+// virtual time for the merge.
 type traceEntry struct {
 	at   time.Duration
 	line string
@@ -339,14 +316,6 @@ func Run(sc Scenario, opt Options) (*Report, error) {
 		}
 	}
 
-	sharded := sc.Sharded
-	switch opt.Sharding {
-	case ShardOn:
-		sharded = true
-	case ShardOff:
-		sharded = false
-	}
-
 	r := &runner{
 		sc:              sc,
 		opt:             opt,
@@ -395,7 +364,6 @@ func Run(sc Scenario, opt Options) (*Report, error) {
 		WANDelay:        sc.WANDelay,
 		Consenters:      consenters,
 		ConsenterSpread: sc.ConsenterSpread,
-		Sharded:         sharded,
 		FixedLookahead:  opt.FixedLookahead,
 	},
 		// Fault handling wants faster membership and recovery turnarounds
@@ -440,16 +408,10 @@ func Run(sc Scenario, opt Options) (*Report, error) {
 		return nil, err
 	}
 	r.net = net
-	// The request may fall back sequential (no usable lookahead window);
-	// trace buffering follows what the network actually runs.
-	r.sharded = net.Sharded() != nil
-	nbuf := 1
-	if r.sharded {
-		nbuf = top.Orgs() + 2
-		// Barrier-hosted heap sampling: every shard is quiescent, so the
-		// reading covers the whole network's live state.
-		net.Sharded().OnBarrier(r.sampleHeap)
-	}
+	// Barrier-hosted heap sampling: every shard is quiescent, so the
+	// reading covers the whole network's live state.
+	net.Sharded().OnBarrier(r.sampleHeap)
+	nbuf := net.ObsContexts()
 	r.traces = make([][]traceEntry, nbuf)
 	engine := net.Engine
 
@@ -479,18 +441,16 @@ func Run(sc Scenario, opt Options) (*Report, error) {
 		net.AttachObs(r.obsRegs, shards)
 		if opt.FlightRing > 0 {
 			r.flight = obs.NewFlightRecorder(r.tracer, opt.FlightRing, opt.FlightDir)
-			if se := net.Sharded(); se != nil {
-				se.SetViolationHook(func(src, dst int, msg string) {
-					// Mid-window only the offending shard's ring is safe
-					// to read; dump it before the panic unwinds so the
-					// artifact survives the crash.
-					if p, derr := r.flight.DumpShard(src, msg); derr == nil {
-						r.flightDump = p
-					}
-				})
-			}
+			net.Sharded().SetViolationHook(func(src, dst int, msg string) {
+				// Mid-window only the offending shard's ring is safe
+				// to read; dump it before the panic unwinds so the
+				// artifact survives the crash.
+				if p, derr := r.flight.DumpShard(src, msg); derr == nil {
+					r.flightDump = p
+				}
+			})
 		}
-		if r.tracer != nil && r.sharded {
+		if r.tracer != nil {
 			ctl := r.tracer.Shards[nbuf-1]
 			var barrierN uint64
 			net.Sharded().OnBarrier(func() {
@@ -510,8 +470,7 @@ func Run(sc Scenario, opt Options) (*Report, error) {
 		}
 		r.plane = plane
 		if r.tracer != nil {
-			// Block cutting happens on the ordering engine's goroutine
-			// (the consenter shard, when sharded).
+			// Block cutting happens on the ordering engine's goroutine.
 			ordTrace := r.tracer.Shards[net.OrdObsContext()]
 			ordEng := net.OrdererEngine()
 			plane.OnBlockCut(func(consenter int, num uint64, txs int) {
@@ -524,9 +483,8 @@ func Run(sc Scenario, opt Options) (*Report, error) {
 	}
 	if opt.TimeSeries > 0 {
 		// The sampler merges every context's registry into one row per
-		// period. It runs on the control engine — at coordinator barriers
-		// under a sharded network — where all shard-local registries are
-		// quiescent and safe to read.
+		// period. It runs on the control engine — at coordinator barriers,
+		// where all shard-local registries are quiescent and safe to read.
 		r.series = obs.NewSeries(opt.TimeSeries)
 		sampler := engine.Every(opt.TimeSeries, func() {
 			r.series.Sample(engine.Now(), r.obsRegs)
@@ -559,10 +517,7 @@ func Run(sc Scenario, opt Options) (*Report, error) {
 		blocks = harness.BuildChain(sc.Blocks, opt.TxPerBlock, opt.TxPayload, opt.Seed)
 		for i, b := range blocks {
 			b := b
-			engine.At(sc.Warmup+time.Duration(i)*sc.BlockInterval, func() {
-				net.Append(b)
-				r.sampleHeap()
-			})
+			engine.At(sc.Warmup+time.Duration(i)*sc.BlockInterval, func() { net.Append(b) })
 		}
 	}
 
@@ -575,7 +530,6 @@ func Run(sc Scenario, opt Options) (*Report, error) {
 				r.emitCtl(obs.Event{At: engine.Now(), Kind: obs.EvFault, Node: -1, Peer: -1, Num: uint64(idx)})
 			}
 			ev.Action.apply(r)
-			r.sampleHeap()
 		})
 	}
 
@@ -955,30 +909,21 @@ func (r *runner) sampleViews() {
 }
 
 // tracef records a trace line from the control context: fault actions,
-// block deliveries, setup — everything that runs on the control engine (at
-// coordinator barriers, when sharded).
+// block deliveries, setup — everything that runs on the control engine, at
+// coordinator barriers.
 func (r *runner) tracef(format string, args ...any) {
 	r.traceTo(len(r.traces)-1, r.net.Engine.Now(), format, args...)
 }
 
 // orgTracef records a trace line from an organization's engine context —
-// its own shard's goroutine, mid-window, when sharded.
+// its shard's goroutine, mid-window.
 func (r *runner) orgTracef(org int, format string, args ...any) {
-	buf := len(r.traces) - 1
-	if r.sharded {
-		buf = org
-	}
-	r.traceTo(buf, r.net.OrgEngine(org).Now(), format, args...)
+	r.traceTo(r.net.OrgObsContext(org), r.net.OrgEngine(org).Now(), format, args...)
 }
 
-// ordTracef records a trace line from the ordering engine's context (the
-// consenter cluster's shard, when sharded).
+// ordTracef records a trace line from the ordering engine's context.
 func (r *runner) ordTracef(format string, args ...any) {
-	buf := len(r.traces) - 1
-	if r.sharded {
-		buf = len(r.traces) - 2
-	}
-	r.traceTo(buf, r.net.OrdererEngine().Now(), format, args...)
+	r.traceTo(r.net.OrdObsContext(), r.net.OrdererEngine().Now(), format, args...)
 }
 
 func (r *runner) traceTo(buf int, at time.Duration, format string, args ...any) {
@@ -990,40 +935,21 @@ func (r *runner) traceTo(buf int, at time.Duration, format string, args ...any) 
 // text-trace buffers. Callers guard with r.tracer != nil so the
 // tracing-off hot path pays only that check.
 func (r *runner) emitOrg(org int, e obs.Event) {
-	buf := 0
-	if r.sharded {
-		buf = org
-	}
-	r.tracer.Shards[buf].Emit(e)
+	r.tracer.Shards[r.net.OrgObsContext(org)].Emit(e)
 }
 
 func (r *runner) emitOrd(e obs.Event) {
-	buf := 0
-	if r.sharded {
-		buf = len(r.tracer.Shards) - 2
-	}
-	r.tracer.Shards[buf].Emit(e)
+	r.tracer.Shards[r.net.OrdObsContext()].Emit(e)
 }
 
 func (r *runner) emitCtl(e obs.Event) {
 	r.tracer.Shards[len(r.tracer.Shards)-1].Emit(e)
 }
 
-// mergedTrace assembles the final trace. Sequential runs keep the single
-// buffer's exact emission order (fingerprint-pinned); sharded runs merge
-// the per-context buffers by (time, buffer, position) — a total order that
-// does not depend on how windows interleaved across goroutines.
+// mergedTrace assembles the final trace: the per-context buffers merged by
+// (time, buffer, position) — a total order that does not depend on how
+// windows interleaved across goroutines.
 func (r *runner) mergedTrace() []string {
-	format := func(e traceEntry) string {
-		return fmt.Sprintf("[%10v] %s", e.at, e.line)
-	}
-	if !r.sharded {
-		out := make([]string, len(r.traces[0]))
-		for i, e := range r.traces[0] {
-			out[i] = format(e)
-		}
-		return out
-	}
 	type tagged struct {
 		traceEntry
 		buf, pos int
@@ -1045,7 +971,7 @@ func (r *runner) mergedTrace() []string {
 	})
 	out := make([]string, len(all))
 	for i, e := range all {
-		out[i] = format(e.traceEntry)
+		out[i] = fmt.Sprintf("[%10v] %s", e.at, e.line)
 	}
 	return out
 }
@@ -1053,10 +979,7 @@ func (r *runner) mergedTrace() []string {
 // report assembles the final Report after the engine has drained.
 func (r *runner) report(blocks []*ledger.Block) *Report {
 	tv := r.net.TrafficView()
-	var barrierFull, barrierElided uint64
-	if se := r.net.Sharded(); se != nil {
-		barrierFull, barrierElided = se.BarrierStats()
-	}
+	barrierFull, barrierElided := r.net.Sharded().BarrierStats()
 	var transitions, violations int
 	var recAll []time.Duration
 	for o := 0; o < r.top.Orgs(); o++ {
@@ -1070,7 +993,6 @@ func (r *runner) report(blocks []*ledger.Block) *Report {
 		Peers:          r.top.Total(),
 		Orgs:           r.top.Orgs(),
 		Seed:           r.opt.Seed,
-		Sharded:        r.sharded,
 		BlocksInjected: r.injected,
 		Transitions:    transitions,
 		EngineEvents:   r.net.ExecutedEvents(),

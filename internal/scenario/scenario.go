@@ -96,17 +96,9 @@ type Scenario struct {
 	// organizations' WAN sites instead of one shared ordering site.
 	ConsenterSpread bool
 
-	// Sharded opts the run into the sharded parallel engine
-	// (sim.ShardedEngine): one event loop per organization plus one for
-	// the ordering service, synchronized in conservative lock-step
-	// windows. A sharded run is deterministic — independent of
-	// GOMAXPROCS — but is its own fingerprint lineage: per-shard random
-	// streams differ from the single sequential engine's, so enabling it
-	// moves a scenario's fingerprint exactly once. Off by default, so
-	// pre-existing scripts replay byte-identically. Options.Sharding
-	// overrides it per run. When the network's latency model leaves no
-	// usable lookahead window, the run silently falls back to the
-	// sequential engine.
+	// Sharded is read by nothing: the shard layout follows from WANDelay
+	// and ConsenterSpread (harness.NetworkParams). Declared until bench/
+	// stops copying it.
 	Sharded bool
 
 	// Workload, when set, installs the transaction workload plane

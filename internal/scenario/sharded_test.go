@@ -5,16 +5,17 @@ import (
 	"testing"
 )
 
-// The cross-shard determinism property: a sharded run's fingerprint is a
-// pure function of (scenario, Options) — independent of how the shard
-// goroutines are scheduled. Exercised across seeds and GOMAXPROCS ∈ {1, 4}:
-// at 1 the windows execute effectively serially, at 4 they genuinely
-// interleave, and the coordinator's barrier protocol must make both
-// byte-identical.
+// The cross-shard determinism property: a run's fingerprint is a pure
+// function of (scenario, Options) — independent of how the shard goroutines
+// are scheduled. Exercised across seeds and GOMAXPROCS ∈ {1, 4}: at 1 the
+// windows execute effectively serially, at 4 they genuinely interleave, and
+// the coordinator's barrier protocol must make both byte-identical.
+// org-outage-orderer-down adds cross-shard anchor recovery (org leaders
+// fetching from other orgs' anchors while the orderer is down).
 func TestShardedFingerprintIndependentOfParallelism(t *testing.T) {
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
-	for _, name := range []string{"sharded-crash-restart", "sharded-txload-steady"} {
+	for _, name := range []string{"sharded-crash-restart", "sharded-txload-steady", "org-outage-orderer-down"} {
 		for _, seed := range []int64{1, 7, 42} {
 			var prints []string
 			for _, procs := range []int{1, 4} {
@@ -23,79 +24,11 @@ func TestShardedFingerprintIndependentOfParallelism(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s seed=%d procs=%d: %v", name, seed, procs, err)
 				}
-				if !rep.Sharded {
-					t.Fatalf("%s seed=%d: expected a sharded run", name, seed)
-				}
 				prints = append(prints, rep.Fingerprint())
 			}
 			if prints[0] != prints[1] {
 				t.Errorf("%s seed=%d: fingerprint depends on GOMAXPROCS:\n  1: %s\n  4: %s",
 					name, seed, prints[0], prints[1])
-			}
-		}
-	}
-}
-
-// The Sharding override: ShardOn runs any catalog entry sharded, ShardOff
-// forces a Sharded entry back onto the sequential engine, and the two
-// lineages genuinely differ (per-shard random streams are not the
-// sequential engine's).
-func TestShardingOverride(t *testing.T) {
-	seq, err := RunNamed("sharded-crash-restart", Options{Peers: 20, Seed: 42, Sharding: ShardOff})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Sharded {
-		t.Fatal("ShardOff still ran sharded")
-	}
-	shd, err := RunNamed("crash-restart", Options{Peers: 20, Orgs: 2, Seed: 42, Sharding: ShardOn})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !shd.Sharded {
-		t.Fatal("ShardOn did not run sharded")
-	}
-	if shd.CaughtUp != shd.Survivors {
-		t.Errorf("sharded crash-restart left %d/%d caught up", shd.CaughtUp, shd.Survivors)
-	}
-	on, err := RunNamed("sharded-crash-restart", Options{Peers: 20, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if on.Fingerprint() == seq.Fingerprint() {
-		t.Error("sharded and sequential lineages produced identical fingerprints")
-	}
-}
-
-// A sharded run must reproduce the sequential run's *outcome* even though
-// its fingerprint lineage differs: same blocks delivered, everyone caught
-// up, no ordering violations.
-func TestShardedRunMatchesSequentialOutcome(t *testing.T) {
-	for _, name := range []string{"sharded-crash-restart", "sharded-view-convergence", "sharded-txload-steady"} {
-		shd, err := RunNamed(name, Options{Peers: 20, Seed: 42})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		seq, err := RunNamed(name, Options{Peers: 20, Seed: 42, Sharding: ShardOff})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if shd.BlocksInjected != seq.BlocksInjected {
-			t.Errorf("%s: sharded injected %d blocks, sequential %d",
-				name, shd.BlocksInjected, seq.BlocksInjected)
-		}
-		for label, rep := range map[string]*Report{"sharded": shd, "sequential": seq} {
-			if rep.CaughtUp != rep.Survivors {
-				t.Errorf("%s (%s): %d/%d caught up", name, label, rep.CaughtUp, rep.Survivors)
-			}
-			if rep.OrderViolations != 0 {
-				t.Errorf("%s (%s): %d order violations", name, label, rep.OrderViolations)
-			}
-		}
-		if w := shd.Workload; w != nil {
-			if w.Submitted != w.Committed+w.Conflicts {
-				t.Errorf("%s: workload accounting drifted: %d submitted != %d committed + %d conflicts",
-					name, w.Submitted, w.Committed, w.Conflicts)
 			}
 		}
 	}

@@ -83,12 +83,11 @@ type crossEvent struct {
 
 // NewShardedEngine returns a coordinator over nShards shard engines and one
 // control engine. The control engine is seeded with the root seed — so
-// control-plane random streams match a sequential engine built from the same
+// control-plane random streams match a plain Engine built from the same
 // seed — and shard i derives its streams from StreamSeed(seed, "shard<i>"),
 // giving every shard an independent stream universe. lookahead must be a
 // lower bound on the simulated latency of every cross-shard message; it must
-// be positive (a zero lookahead admits no parallel window — callers fall
-// back to the sequential engine instead).
+// be positive (a zero lookahead admits no window at all).
 func NewShardedEngine(seed int64, nShards int, lookahead time.Duration) *ShardedEngine {
 	if nShards <= 0 {
 		panic(fmt.Sprintf("sim: NewShardedEngine with %d shards", nShards))
@@ -325,9 +324,20 @@ func (se *ShardedEngine) RunUntil(end time.Duration) {
 	}
 }
 
-// runWindow executes one window on every shard.
+// runWindow executes one window on every shard. Shards with nothing due by
+// h only advance their clocks, and a window with a single busy shard runs it
+// on the caller's goroutine: the hand-off would buy no overlap. Which
+// goroutine runs a shard never shows in the result.
 func (se *ShardedEngine) runWindow(h time.Duration) {
-	if !se.parallel {
+	busy := 0
+	if se.parallel {
+		for _, s := range se.shards {
+			if t, ok := s.NextEventAt(); ok && t <= h {
+				busy++
+			}
+		}
+	}
+	if busy < 2 {
 		for _, s := range se.shards {
 			s.RunUntil(h)
 		}

@@ -279,3 +279,75 @@ func TestAtMsgSchedulesAtAbsoluteTime(t *testing.T) {
 		t.Fatalf("AtMsg fire times %v", at)
 	}
 }
+
+// oneShardRun drives a one-shard coordinator — the whole engine of a
+// LAN-only network — through a same-instant shard/control tie and a
+// mid-window barrier request, and returns what ran when.
+func oneShardRun(t *testing.T, parallel bool) []string {
+	t.Helper()
+	const lookahead = 150 * time.Microsecond
+	se := NewShardedEngine(11, 1, lookahead)
+	se.SetAdaptive(true)
+	se.SetParallel(parallel)
+	eng := se.Shard(0)
+	var log []string
+	note := func(at time.Duration, what string) { log = append(log, fmt.Sprintf("%v %s", at, what)) }
+
+	// Steady shard chatter, so windows advance edge by edge instead of
+	// idle-hopping and the adaptive coordinator has edges to elide.
+	jitter := eng.Rand("jitter")
+	eng.Every(40*time.Microsecond, func() {
+		if jitter.Intn(8) == 0 {
+			note(eng.Now(), "tick")
+		}
+	})
+	eng.At(time.Millisecond, func() { note(eng.Now(), "shard") })
+	se.Control().At(time.Millisecond, func() { note(se.Control().Now(), "control") })
+
+	const requestAt = 2030 * time.Microsecond
+	wanted := false
+	se.OnBarrier(func() {
+		if wanted {
+			wanted = false
+			note(se.Now(), "hook")
+			if late := se.Now() - requestAt; late <= 0 || late > lookahead {
+				t.Errorf("barrier request at %v honoured at %v, want the next window edge", requestAt, se.Now())
+			}
+		}
+	})
+	eng.At(requestAt, func() {
+		wanted = true
+		se.RequestBarrier()
+		note(eng.Now(), "request")
+	})
+
+	se.RunUntil(3 * time.Millisecond)
+	if wanted {
+		t.Error("mid-window RequestBarrier was never honoured")
+	}
+	if _, elided := se.BarrierStats(); elided == 0 {
+		t.Error("no edge was elided: the barrier request was never at risk")
+	}
+	return log
+}
+
+func TestOneShardCoordinator(t *testing.T) {
+	serial := oneShardRun(t, false)
+	parallel := oneShardRun(t, true)
+	if strings.Join(serial, "\n") != strings.Join(parallel, "\n") {
+		t.Fatalf("serial and parallel runs diverged:\nserial:   %v\nparallel: %v", serial, parallel)
+	}
+	// Shard events due at t run before the control event at t.
+	shard, control := -1, -1
+	for i, line := range serial {
+		switch line {
+		case "1ms shard":
+			shard = i
+		case "1ms control":
+			control = i
+		}
+	}
+	if shard < 0 || control < 0 || shard > control {
+		t.Fatalf("want the shard event at 1ms before the control event at 1ms, got %v", serial)
+	}
+}

@@ -9,9 +9,8 @@ import (
 
 // WireObs is one emission context's wire-level observability bundle: the
 // registry instruments and trace buffer every message crossing that
-// context's NIC feeds. The sim network holds one per shard (one total,
-// sequentially) so the per-message path stays single-writer and
-// allocation-free; the TCP runtime holds one backed by a concurrent
+// context's NIC feeds. The sim network holds one per shard so the
+// per-message path stays single-writer and allocation-free; the TCP runtime holds one backed by a concurrent
 // registry. Either half may be absent: a nil registry records no metrics,
 // a nil trace emits no events.
 type WireObs struct {

@@ -9,15 +9,26 @@ import (
 	"fabricgossip/internal/wire"
 )
 
-// SimNetwork is the discrete-event implementation of the transport. It is
-// driven by a sim.Engine and must only be used from engine callbacks (the
-// engine is single-threaded).
+// SimNetwork is the discrete-event implementation of the transport. Every
+// node lives on one shard: an engine with its own clock, "transport" random
+// stream, traffic accountant and wire observer. A send runs on the sender's
+// shard — so it must be issued from that engine's callbacks — and a delivery
+// to another shard detours through the coordinator's inboxes, becoming
+// visible at the next window barrier. A network built on a plain sim.Engine
+// (NewSimNetwork) is the one-shard case: every node is on shard 0 and no
+// coordinator is ever consulted.
 type SimNetwork struct {
-	engine  *sim.Engine
-	model   netmodel.Model
-	traffic *netmodel.Traffic
-	rng     *sim.Rand
+	model netmodel.Model
+	// shards is indexed by shard; shardOf maps a dense NodeID to its shard
+	// (-1 = unassigned). coord routes cross-shard deliveries and is nil for
+	// a one-shard network, which has none.
+	shards  []simShard
+	shardOf []int
+	coord   *sim.ShardedEngine
 
+	// The fault maps below are written only from control code — between
+	// runs, or at window barriers with every shard quiescent — and read
+	// concurrently during windows, which is safe without locks.
 	nodes    []*SimEndpoint
 	downLink map[[2]wire.NodeID]bool
 	dropRate float64
@@ -46,113 +57,97 @@ type SimNetwork struct {
 	// deliverFn is the deliver method bound once at construction so that
 	// per-message scheduling through sim.Engine.AfterMsg captures nothing.
 	deliverFn sim.DeliveryHandler
-
-	// Sharded mode (EnableSharding): each send runs on the *sender's* shard
-	// engine — its clock, its "transport" random stream, its traffic
-	// accountant — and same-shard deliveries schedule directly while
-	// cross-shard ones go through the coordinator's inboxes. The fault maps
-	// above are then written only at window barriers (every shard
-	// quiescent) and read concurrently during windows, which is safe
-	// without locks.
-	se           *sim.ShardedEngine
-	shardOf      []int // dense by NodeID; -1 = unassigned
-	shardEng     []*sim.Engine
-	shardRng     []*sim.Rand
-	shardTraffic []*netmodel.Traffic
-
-	// wobs, when set, observes every message at the NIC: index 0
-	// sequentially, the sender's/receiver's shard index in sharded mode.
-	// Like the traffic accountants, each entry is written only by its own
-	// shard's goroutine.
-	wobs []*WireObs
 }
 
-// NewSimNetwork creates a simulated network. traffic may be nil to skip
-// accounting.
+// simShard is one shard's send-side state, touched only by that shard's
+// engine goroutine. traffic and wobs may be nil to skip accounting and
+// observation.
+type simShard struct {
+	eng     *sim.Engine
+	rng     *sim.Rand
+	traffic *netmodel.Traffic
+	wobs    *WireObs
+}
+
+// NewSimNetwork creates a simulated network on one engine. traffic may be
+// nil to skip accounting.
 func NewSimNetwork(engine *sim.Engine, model netmodel.Model, traffic *netmodel.Traffic) *SimNetwork {
+	return newSimNetwork(model, nil, []*sim.Engine{engine}, []*netmodel.Traffic{traffic})
+}
+
+// NewShardedSimNetwork creates a simulated network over the coordinator's
+// shard engines, with one traffic accountant per shard (merged by the caller
+// for reporting; entries may be nil). With more than one shard every node
+// must be assigned one with SetNodeShard before it sends or receives.
+func NewShardedSimNetwork(se *sim.ShardedEngine, model netmodel.Model, traffics []*netmodel.Traffic) *SimNetwork {
+	if len(traffics) != se.NumShards() {
+		panic(fmt.Sprintf("transport: %d traffic accountants for %d shards", len(traffics), se.NumShards()))
+	}
+	engines := make([]*sim.Engine, se.NumShards())
+	for i := range engines {
+		engines[i] = se.Shard(i)
+	}
+	return newSimNetwork(model, se, engines, traffics)
+}
+
+func newSimNetwork(model netmodel.Model, coord *sim.ShardedEngine, engines []*sim.Engine, traffics []*netmodel.Traffic) *SimNetwork {
 	n := &SimNetwork{
-		engine:    engine,
 		model:     model,
-		traffic:   traffic,
-		rng:       engine.Rand("transport"),
+		coord:     coord,
+		shards:    make([]simShard, len(engines)),
 		downLink:  make(map[[2]wire.NodeID]bool),
 		downNode:  make(map[wire.NodeID]bool),
 		linkExtra: make(map[[2]wire.NodeID]time.Duration),
 		nodeExtra: make(map[wire.NodeID]time.Duration),
+	}
+	for i, eng := range engines {
+		n.shards[i] = simShard{eng: eng, rng: eng.Rand("transport"), traffic: traffics[i]}
 	}
 	n.deliverFn = n.deliver
 	return n
 }
 
 // AddNode attaches a new endpoint and returns it. IDs are assigned densely
-// from 0 in creation order.
+// from 0 in creation order. On a one-shard network the node is on shard 0;
+// otherwise it starts unassigned (SetNodeShard).
 func (n *SimNetwork) AddNode() *SimEndpoint {
 	ep := &SimEndpoint{net: n, id: wire.NodeID(len(n.nodes))}
 	n.nodes = append(n.nodes, ep)
+	shard := -1
+	if len(n.shards) == 1 {
+		shard = 0
+	}
+	n.shardOf = append(n.shardOf, shard)
 	return ep
 }
 
 // Size returns the number of attached endpoints.
 func (n *SimNetwork) Size() int { return len(n.nodes) }
 
-// EnableSharding switches the network into sharded mode: sends draw delays
-// from the sender's shard engine and record into the shard's traffic
-// accountant (one per shard, merged for reporting), and deliveries crossing
-// a shard boundary are routed through the coordinator's conservative
-// inboxes. Every node must subsequently be assigned a shard with
-// SetNodeShard. traffics must have one accountant per shard (or be nil to
-// skip accounting).
-func (n *SimNetwork) EnableSharding(se *sim.ShardedEngine, traffics []*netmodel.Traffic) {
-	if traffics != nil && len(traffics) != se.NumShards() {
-		panic(fmt.Sprintf("transport: %d traffic accountants for %d shards", len(traffics), se.NumShards()))
-	}
-	n.se = se
-	n.shardTraffic = traffics
-	n.shardEng = make([]*sim.Engine, se.NumShards())
-	n.shardRng = make([]*sim.Rand, se.NumShards())
-	for i := range n.shardEng {
-		n.shardEng[i] = se.Shard(i)
-		n.shardRng[i] = se.Shard(i).Rand("transport")
-	}
-}
-
-// SetObs attaches per-context wire observers: one entry sequentially,
-// one per shard in sharded mode (call after EnableSharding). nil detaches.
+// SetObs attaches one wire observer per shard (entries may be nil).
 func (n *SimNetwork) SetObs(wobs []*WireObs) {
-	if wobs != nil {
-		want := 1
-		if n.se != nil {
-			want = n.se.NumShards()
-		}
-		if len(wobs) != want {
-			panic(fmt.Sprintf("transport: %d wire observers for %d contexts", len(wobs), want))
-		}
+	if len(wobs) != len(n.shards) {
+		panic(fmt.Sprintf("transport: %d wire observers for %d shards", len(wobs), len(n.shards)))
 	}
-	n.wobs = wobs
+	for i := range n.shards {
+		n.shards[i].wobs = wobs[i]
+	}
 }
 
-// SetNodeShard assigns the node to a shard (sharded mode only). Sends from
-// or to an unassigned node panic: silently guessing a shard would let a
-// message bypass the conservative synchronization.
+// SetNodeShard assigns the node to a shard.
 func (n *SimNetwork) SetNodeShard(id wire.NodeID, shard int) {
-	for len(n.shardOf) <= int(id) {
-		n.shardOf = append(n.shardOf, -1)
-	}
 	n.shardOf[id] = shard
 }
 
-// shardOfNode returns the node's shard, panicking on unassigned nodes.
+// shardOfNode returns the node's shard. Sends from or to an unassigned node
+// panic: silently guessing a shard would let a message bypass the
+// conservative synchronization.
 func (n *SimNetwork) shardOfNode(id wire.NodeID) int {
-	if int(id) < len(n.shardOf) {
-		if s := n.shardOf[id]; s >= 0 {
-			return s
-		}
+	if s := n.shardOf[id]; s >= 0 {
+		return s
 	}
 	panic(fmt.Sprintf("transport: node %v has no shard assignment", id))
 }
-
-// Engine returns the driving engine.
-func (n *SimNetwork) Engine() *sim.Engine { return n.engine }
 
 // SetLinkDown cuts (or restores) the directed link from -> to.
 func (n *SimNetwork) SetLinkDown(from, to wire.NodeID, down bool) {
@@ -269,76 +264,38 @@ func (n *SimNetwork) Reachable(from, to wire.NodeID) bool {
 	return true
 }
 
-// send accounts, filters and schedules one message. The steady-state path
-// is allocation-free: delivery goes through the engine's pooled AfterMsg
+// send accounts, filters and schedules one message on the sender's shard:
+// its engine provides the clock and randomness, and a delivery to another
+// shard detours through the coordinator so it becomes visible only at a
+// window barrier (the network model is the same either way, so a cross-shard
+// hop costs the same simulated latency). The steady-state path is
+// allocation-free: delivery goes through the engine's pooled AfterMsg
 // events via the pre-bound deliverFn, and the common no-overrides case
 // skips the linkExtra/nodeExtra lookups entirely.
 func (n *SimNetwork) send(from, to wire.NodeID, msg wire.Message) error {
-	if n.se != nil {
-		return n.sendSharded(from, to, msg)
-	}
+	src := n.shardOfNode(from)
+	sh := &n.shards[src]
 	if int(to) >= len(n.nodes) {
 		releaseMsg(msg)
 		return fmt.Errorf("transport: unknown destination %v", to)
 	}
 	size := msg.EncodedSize()
 	// Bytes leave the sender's NIC whether or not they arrive.
-	if n.traffic != nil {
-		n.traffic.Record(from, to, msg.Type(), size, n.engine.Now())
+	if sh.traffic != nil {
+		sh.traffic.Record(from, to, msg.Type(), size, sh.eng.Now())
 	}
-	if n.wobs != nil {
-		n.wobs[0].Sent(n.engine.Now(), from, to, msg.Type(), size)
+	if sh.wobs != nil {
+		sh.wobs.Sent(sh.eng.Now(), from, to, msg.Type(), size)
 	}
 	if !n.Reachable(from, to) {
 		releaseMsg(msg)
 		return nil // silently lost: crashed endpoint, cut link or partition
 	}
-	if n.dropRate > 0 && !n.lossExempt[msg.Type()] && n.rng.Float64() < n.dropRate {
+	if n.dropRate > 0 && !n.lossExempt[msg.Type()] && sh.rng.Float64() < n.dropRate {
 		releaseMsg(msg)
 		return nil
 	}
-	delay := n.model.Delay(n.rng, size)
-	if len(n.linkExtra) > 0 {
-		delay += n.linkExtra[[2]wire.NodeID{from, to}]
-	}
-	if len(n.nodeExtra) > 0 {
-		delay += n.nodeExtra[from] + n.nodeExtra[to]
-	}
-	if n.siteDelay > 0 && n.siteOf(from) != n.siteOf(to) {
-		delay += n.siteDelay
-	}
-	n.engine.AfterMsg(delay, n.deliverFn, uint64(from), uint64(to), msg)
-	return nil
-}
-
-// sendSharded is send on the sharded runtime: the sender's shard engine
-// provides the clock and randomness, and cross-shard deliveries detour
-// through the coordinator so they become visible only at window barriers.
-// The per-shard network model is identical, so a cross-shard hop costs the
-// same simulated latency it would sequentially.
-func (n *SimNetwork) sendSharded(from, to wire.NodeID, msg wire.Message) error {
-	src := n.shardOfNode(from)
-	eng, rng := n.shardEng[src], n.shardRng[src]
-	if int(to) >= len(n.nodes) {
-		releaseMsg(msg)
-		return fmt.Errorf("transport: unknown destination %v", to)
-	}
-	size := msg.EncodedSize()
-	if n.shardTraffic != nil {
-		n.shardTraffic[src].Record(from, to, msg.Type(), size, eng.Now())
-	}
-	if n.wobs != nil {
-		n.wobs[src].Sent(eng.Now(), from, to, msg.Type(), size)
-	}
-	if !n.Reachable(from, to) {
-		releaseMsg(msg)
-		return nil
-	}
-	if n.dropRate > 0 && !n.lossExempt[msg.Type()] && rng.Float64() < n.dropRate {
-		releaseMsg(msg)
-		return nil
-	}
-	delay := n.model.Delay(rng, size)
+	delay := n.model.Delay(sh.rng, size)
 	if len(n.linkExtra) > 0 {
 		delay += n.linkExtra[[2]wire.NodeID{from, to}]
 	}
@@ -349,9 +306,9 @@ func (n *SimNetwork) sendSharded(from, to wire.NodeID, msg wire.Message) error {
 		delay += n.siteDelay
 	}
 	if dst := n.shardOfNode(to); dst != src {
-		n.se.SendCross(src, dst, eng.Now()+delay, n.deliverFn, uint64(from), uint64(to), msg)
+		n.coord.SendCross(src, dst, sh.eng.Now()+delay, n.deliverFn, uint64(from), uint64(to), msg)
 	} else {
-		eng.AfterMsg(delay, n.deliverFn, uint64(from), uint64(to), msg)
+		sh.eng.AfterMsg(delay, n.deliverFn, uint64(from), uint64(to), msg)
 	}
 	return nil
 }
@@ -364,16 +321,10 @@ func (n *SimNetwork) deliver(from, to uint64, msg any) {
 	dst := n.nodes[to]
 	m := msg.(wire.Message)
 	if h := dst.handler; h != nil && !n.downNode[dst.id] {
-		if n.wobs != nil {
-			// The receive lands in the receiver's context, on whose
-			// engine goroutine this handler is already running.
-			ctx := 0
-			at := n.engine.Now()
-			if n.se != nil {
-				ctx = n.shardOfNode(dst.id)
-				at = n.shardEng[ctx].Now()
-			}
-			n.wobs[ctx].Received(at, wire.NodeID(from), dst.id, m.Type(), m.EncodedSize())
+		// The receive lands on the receiver's shard, on whose engine
+		// goroutine this handler is already running.
+		if sh := &n.shards[n.shardOf[dst.id]]; sh.wobs != nil {
+			sh.wobs.Received(sh.eng.Now(), wire.NodeID(from), dst.id, m.Type(), m.EncodedSize())
 		}
 		h(wire.NodeID(from), m)
 	}

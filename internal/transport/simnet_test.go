@@ -284,3 +284,58 @@ func TestSimNetworkDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// A network on a plain engine is the one-shard case of the coordinated one:
+// built from the same seed, both deliver the same messages at the same
+// instants — same latency draws, same loss draws, same order. This is what
+// keeps harness.Org (the paper experiments) bit-identical while Network runs
+// on the coordinator.
+func TestPlainAndOneShardNetworksDeliverIdentically(t *testing.T) {
+	type delivery struct {
+		at       time.Duration
+		from, to wire.NodeID
+		height   uint64
+	}
+	drive := func(eng *sim.Engine, n *SimNetwork, run func(time.Duration)) []delivery {
+		const nodes = 6
+		eps := make([]*SimEndpoint, nodes)
+		var got []delivery
+		for i := range eps {
+			ep := n.AddNode()
+			eps[i] = ep
+			n.SetNodeSite(ep.ID(), i%2)
+			ep.SetHandler(func(from wire.NodeID, msg wire.Message) {
+				got = append(got, delivery{eng.Now(), from, ep.ID(), msg.(*wire.StateInfo).Height})
+			})
+		}
+		n.SetSiteDelay(2 * time.Millisecond)
+		n.SetDropRate(0.2)
+		pick := eng.Rand("pick")
+		for i := 0; i < 400; i++ {
+			i := i
+			eng.At(time.Duration(i)*70*time.Microsecond, func() {
+				from, to := pick.Intn(nodes), pick.Intn(nodes)
+				_ = eps[from].Send(eps[to].ID(), &wire.StateInfo{Height: uint64(i)})
+			})
+		}
+		run(time.Second)
+		return got
+	}
+
+	se := sim.NewShardedEngine(5, 1, netmodel.LAN().PropMin)
+	coordinated := drive(se.Shard(0), NewShardedSimNetwork(se, netmodel.LAN(), []*netmodel.Traffic{nil}), se.RunUntil)
+	plainEng := sim.NewEngine(se.Shard(0).Seed())
+	plain := drive(plainEng, NewSimNetwork(plainEng, netmodel.LAN(), nil), func(end time.Duration) { plainEng.RunUntil(end) })
+
+	if len(plain) == 0 || len(plain) == 400 {
+		t.Fatalf("%d of 400 messages delivered: the loss draw is not exercised", len(plain))
+	}
+	if len(plain) != len(coordinated) {
+		t.Fatalf("plain delivered %d messages, one-shard coordinated %d", len(plain), len(coordinated))
+	}
+	for i := range plain {
+		if plain[i] != coordinated[i] {
+			t.Fatalf("delivery %d differs: plain %+v, coordinated %+v", i, plain[i], coordinated[i])
+		}
+	}
+}

@@ -177,8 +177,7 @@ type Plane struct {
 	net *harness.Network
 	// services holds one replicated ordering service per consenter, each
 	// fed by its consenter's identical Raft apply stream, so all cut
-	// identical blocks. They run on the network's ordering engine — the
-	// ordering shard's under a sharded network.
+	// identical blocks. They run on the network's ordering engine.
 	services []*order.Service
 	// checkers holds one policy checker per organization. The verdict
 	// cache is pure memoization over immutable transaction bytes, so
@@ -206,15 +205,14 @@ type Plane struct {
 	running bool
 	// pending maps a submitted transaction's ID to its tracking record,
 	// partitioned by issuing organization: clients insert and resolvers
-	// delete on the same org, so under a sharded network each map is
-	// touched by exactly one shard. Looked up only by key — never
+	// delete on the same org, so each map is touched by exactly one
+	// shard. Looked up only by key — never
 	// iterated — so it cannot perturb determinism.
 	pending []map[crypto.Digest]*pendingTx
 	// blockTxs records each cut block's transaction IDs so a peer's
 	// CommitResult (block number + per-index codes) can be mapped back to
 	// transactions. One map per organization: blocks are cut on the
-	// ordering engine but resolved on each org's, so sequentially the cut
-	// writes every org's map directly, while a sharded run queues the
+	// ordering engine but resolved on each org's, so the cut queues the
 	// record (txSync, ordering-shard-local) and a coordinator barrier
 	// fans it out while every shard is quiescent. Gossip needs at least
 	// one full window to carry the block to any peer, so the fan-out
@@ -255,8 +253,8 @@ type planeClient struct {
 	ep  wire.NodeID
 	cl  *client.Client
 	// eng is the engine the client runs on — its organization's shard
-	// engine under a sharded network, so arrivals and endorsement stay
-	// shard-local and only the submit hop crosses to the ordering shard.
+	// engine, so arrivals and endorsement stay shard-local and only the
+	// submit hop reaches the ordering shard.
 	eng      *sim.Engine
 	rng      *sim.Rand
 	zipf     *rand.Zipf
@@ -299,9 +297,7 @@ func Install(n *harness.Network, cfg Config) (*Plane, error) {
 		p.pending[o] = make(map[crypto.Digest]*pendingTx)
 		p.blockTxs[o] = make(map[uint64][]crypto.Digest)
 	}
-	if se := n.Sharded(); se != nil {
-		se.OnBarrier(p.syncBlockTxs)
-	}
+	n.Sharded().OnBarrier(p.syncBlockTxs)
 
 	// Identities: one MSP enrolls the orderer and every endorsing peer.
 	// The id stream is private to the plane, so installing it leaves every
@@ -506,24 +502,17 @@ func (p *Plane) onClusterCut(consenter int, b *ledger.Block) {
 	p.net.OfferBlock(consenter, b)
 }
 
-// recordBlock registers a cut block's transaction ids for every
-// organization's resolvers. Sequentially the maps are filled in place; a
-// sharded run queues the record on the ordering shard and syncBlockTxs fans
-// it out at the next coordinator barrier.
+// recordBlock queues a cut block's transaction ids on the ordering shard;
+// syncBlockTxs fans them out to every organization's resolvers at the next
+// coordinator barrier.
 func (p *Plane) recordBlock(b *ledger.Block) {
 	ids := make([]crypto.Digest, len(b.Txs))
 	for i, tx := range b.Txs {
 		ids[i] = tx.ID
 	}
-	if se := p.net.Sharded(); se != nil {
-		p.txSync = append(p.txSync, blockRecord{num: b.Num, ids: ids})
-		// The fan-out hook must not be elided by an adaptive coordinator.
-		se.RequestBarrier()
-		return
-	}
-	for o := range p.blockTxs {
-		p.blockTxs[o][b.Num] = ids
-	}
+	p.txSync = append(p.txSync, blockRecord{num: b.Num, ids: ids})
+	// The fan-out hook must not be elided by an adaptive coordinator.
+	p.net.Sharded().RequestBarrier()
 }
 
 // syncBlockTxs is the coordinator barrier hook that publishes
@@ -603,9 +592,8 @@ func (p *Plane) resolve(org int, id crypto.Digest, code ledger.ValidationCode) {
 }
 
 // Start opens the submission window: every client begins its arrival
-// process. Safe to call from an engine callback; under a sharded network
-// it must run from the control engine (scenario actions do), whose events
-// fire at coordinator barriers while every shard is quiescent.
+// process. It must run from the control engine (scenario actions do),
+// whose events fire at coordinator barriers while every shard is quiescent.
 func (p *Plane) Start() {
 	if p.running {
 		return
