@@ -186,6 +186,8 @@ func printStats(rep *scenario.Report) {
 	fmt.Printf("  sync: %.2f MB in %.0f msgs; pool outstanding at end: %.0f data, %.0f push-digest\n",
 		stat("state_sync_bytes_total")/1e6, stat("state_sync_msgs_total"),
 		stat("pool_outstanding", "pool", "data"), stat("pool_outstanding", "pool", "push_digest"))
+	fmt.Printf("  raft: %.0f entries shipped, %.0f redundant\n",
+		stat("raft_entries_total", "kind", "shipped"), stat("raft_entries_total", "kind", "redundant"))
 	if ev := stat("trace_events_total"); ev > 0 {
 		fmt.Printf("  trace: %.0f structured events\n", ev)
 	}

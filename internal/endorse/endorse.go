@@ -244,6 +244,9 @@ func (p Policy) checkOnce(tx *ledger.Transaction) error {
 		}
 		seen[key] = true
 		valid++
+		if valid == p.Required {
+			return nil // satisfied: further signatures cannot change the verdict
+		}
 	}
 	if valid < p.Required {
 		return fmt.Errorf("%w: %d of %d required signatures", ErrPolicyUnsatisfied, valid, p.Required)

@@ -9,6 +9,10 @@
 // repair, majority commit, check-quorum leader step-down, and exactly-once
 // in-order application. Log compaction and membership changes are out of
 // scope (the ordering cluster is static, as in the paper's deployment).
+//
+// Replication ships each log index to each follower once: the leader keeps
+// one progress record per follower (see progress) and sends nothing the
+// follower is known to hold or has already been sent.
 package raft
 
 import (
@@ -77,6 +81,38 @@ func DefaultConfig(id wire.NodeID, peers []wire.NodeID) Config {
 // to forward to.
 var ErrNotLeader = errors.New("raft: not the leader")
 
+// progress is what the leader knows about one follower's log, kept in the
+// etcd "replicate" style so that every index crosses the link once:
+//
+//   - next advances when entries are sent, not when they are acknowledged,
+//     so nothing already on the wire is shipped again;
+//   - an answer only ever moves match and next forward (answers reorder in
+//     flight), and a reject — the follower's hint — is the one thing that
+//     moves next back, never below match+1;
+//   - at most one entries-bearing append is outstanding: proposals that
+//     arrive meanwhile leave as one batch on its answer, which also bounds
+//     the append/response population of a saturated cluster;
+//   - while it is outstanding, heartbeats are empty appends anchored at
+//     match: they always pass the follower's consistency check, carry the
+//     commit index and feed check-quorum, and their answers (MatchIndex ==
+//     match) change nothing here;
+//   - an append unanswered for ElectionTimeoutMin — the silence check-quorum
+//     counts as absence — is written off, not re-sent: the next append is
+//     anchored at next-1 again, and the follower's verdict on it (success if
+//     only the answer was lost, else a hint) says exactly what to re-ship.
+type progress struct {
+	// match is the highest index known replicated on the follower; next
+	// is the first index not yet sent to it. next > match always.
+	match, next uint64
+	// pendingUntil is when the outstanding entries-bearing append is
+	// written off; zero once it is answered.
+	pendingUntil time.Duration
+	// lastAck is when the follower last answered an append of this
+	// leadership (its start, until the first answer): the evidence behind
+	// check-quorum.
+	lastAck time.Duration
+}
+
 // Node is one Raft participant.
 type Node struct {
 	cfg   Config
@@ -97,21 +133,12 @@ type Node struct {
 	commitIndex uint64
 	lastApplied uint64
 	votes       map[wire.NodeID]bool
-	nextIndex   map[wire.NodeID]uint64
-	matchIndex  map[wire.NodeID]uint64
-	// inflight marks followers with an unanswered AppendEntries. Proposal
-	// and response-driven sends skip those followers, so replication keeps
-	// at most one append in flight per follower (each response triggers at
-	// most one resend to its sender); without the bound a saturated
-	// cluster's append/response traffic feeds on itself and the message
-	// population grows without limit. The heartbeat path overrides the
-	// bound, so a lost append or response wedges a follower for at most
-	// one heartbeat interval.
-	inflight map[wire.NodeID]bool
-	// lastAck is when each follower last answered an AppendEntries of this
-	// leadership (its start, until the first answer): the evidence behind
-	// check-quorum.
-	lastAck map[wire.NodeID]time.Duration
+	// progress is the leader's replication state, one record per follower,
+	// rebuilt at every election win.
+	progress map[wire.NodeID]*progress
+	// shipped counts the entries this node has put on the wire as leader;
+	// redundant counts the received entries this node already held.
+	shipped, redundant uint64
 
 	electionTimer  sim.Timer
 	heartbeatTimer sim.Timer
@@ -136,16 +163,12 @@ type Node struct {
 // node is passive until Start.
 func New(cfg Config, ep transport.Endpoint, sched sim.Scheduler, rng *sim.Rand) *Node {
 	n := &Node{
-		cfg:        cfg,
-		ep:         ep,
-		sched:      sched,
-		rng:        rng,
-		state:      Follower,
-		votes:      make(map[wire.NodeID]bool),
-		nextIndex:  make(map[wire.NodeID]uint64),
-		matchIndex: make(map[wire.NodeID]uint64),
-		inflight:   make(map[wire.NodeID]bool),
-		lastAck:    make(map[wire.NodeID]time.Duration),
+		cfg:   cfg,
+		ep:    ep,
+		sched: sched,
+		rng:   rng,
+		state: Follower,
+		votes: make(map[wire.NodeID]bool),
 	}
 	ep.SetHandler(n.handle)
 	return n
@@ -225,6 +248,15 @@ func (n *Node) CommitIndex() uint64 {
 	return n.commitIndex
 }
 
+// Replication reports how many log entries this node has put on the wire
+// as leader, and how many of the entries it received it already held — the
+// waste a replication discipline is judged by.
+func (n *Node) Replication() (shipped, redundant uint64) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.shipped, n.redundant
+}
+
 // Propose appends data to the replicated log. On the leader it is accepted
 // locally; on a follower it is forwarded to the known leader. It returns
 // ErrNotLeader when no leader is known yet — callers retry.
@@ -236,7 +268,6 @@ func (n *Node) Propose(data []byte) error {
 	}
 	if n.state == Leader {
 		n.log = append(n.log, wire.RaftEntry{Term: n.term, Data: data})
-		n.matchIndex[n.cfg.ID] = n.lastIndexLocked()
 		appended, term := n.lastIndexLocked(), n.term
 		// A single-node cluster commits immediately.
 		n.advanceCommitLocked()
@@ -380,14 +411,14 @@ func (n *Node) becomeLeaderLocked() {
 	n.leader = n.cfg.ID
 	n.hasLead = true
 	n.noteLeaderLocked()
-	last := n.lastIndexLocked()
+	// Fresh records: match is unknown until the follower answers the
+	// first append, which probes at the end of this leader's log.
+	n.progress = make(map[wire.NodeID]*progress, len(n.cfg.Peers))
 	for _, p := range n.cfg.Peers {
-		n.nextIndex[p] = last + 1
-		n.matchIndex[p] = 0
-		delete(n.inflight, p)
-		n.lastAck[p] = n.sched.Now()
+		if p != n.cfg.ID {
+			n.progress[p] = &progress{next: n.lastIndexLocked() + 1, lastAck: n.sched.Now()}
+		}
 	}
-	n.matchIndex[n.cfg.ID] = last
 	if n.electionTimer != nil {
 		n.electionTimer.Stop()
 		n.electionTimer = nil
@@ -396,7 +427,7 @@ func (n *Node) becomeLeaderLocked() {
 		n.onStateChange(Leader, n.term)
 	}
 	n.armHeartbeatLocked()
-	// Send the initial empty heartbeats asynchronously.
+	// Send the initial empty appends asynchronously.
 	n.sched.After(0, func() { n.broadcastAppends(true) })
 }
 
@@ -432,18 +463,18 @@ func (n *Node) quorumActiveLocked() bool {
 	now := n.sched.Now()
 	active := 0
 	for _, p := range n.cfg.Peers {
-		if p == n.cfg.ID || now-n.lastAck[p] <= n.cfg.ElectionTimeoutMin {
+		if p == n.cfg.ID || now-n.progress[p].lastAck <= n.cfg.ElectionTimeoutMin {
 			active++
 		}
 	}
 	return active >= n.majority()
 }
 
-// broadcastAppends ships log suffixes (or heartbeats) to all followers.
-// Followers with an append already in flight are skipped unless force is
-// set (the heartbeat and leader-emergence paths force, so a lost message
-// never wedges a follower past one heartbeat interval).
-func (n *Node) broadcastAppends(force bool) {
+// broadcastAppends sends every follower the append it is due: the entries
+// it has not been sent yet if nothing is outstanding to it, and on a
+// heartbeat an empty append to everyone else, so that each follower hears
+// from the leader (and the leader from it) once per HeartbeatInterval.
+func (n *Node) broadcastAppends(heartbeat bool) {
 	n.mu.Lock()
 	if n.state != Leader || n.stopped {
 		n.mu.Unlock()
@@ -458,11 +489,9 @@ func (n *Node) broadcastAppends(force bool) {
 		if p == n.cfg.ID {
 			continue
 		}
-		if !force && n.inflight[p] {
-			continue
+		if msg := n.nextAppendLocked(n.progress[p], heartbeat); msg != nil {
+			outs = append(outs, out{p, msg})
 		}
-		n.inflight[p] = true
-		outs = append(outs, out{p, n.buildAppendLocked(p)})
 	}
 	n.mu.Unlock()
 	for _, o := range outs {
@@ -470,37 +499,35 @@ func (n *Node) broadcastAppends(force bool) {
 	}
 }
 
-// sendAppend ships one log suffix (or heartbeat) to a single follower,
-// marking its in-flight slot. The append-response path uses it so each
-// response triggers at most one resend, to its own sender.
-func (n *Node) sendAppend(p wire.NodeID) {
-	n.mu.Lock()
-	if n.state != Leader || n.stopped {
-		n.mu.Unlock()
-		return
+// nextAppendLocked builds the append the follower is due, or nil if it is
+// due none. With entries outstanding that is nothing, or on a heartbeat the
+// empty append anchored at match; otherwise it is the unsent suffix from
+// next (up to MaxEntriesPerAppend), and shipping it advances next. An idle
+// follower's heartbeat is that same append with no entries, anchored at
+// next-1 — which is also how a new leader probes for match.
+func (n *Node) nextAppendLocked(pr *progress, heartbeat bool) *wire.RaftAppend {
+	now := n.sched.Now()
+	prev, last := pr.next-1, n.lastIndexLocked()
+	if now < pr.pendingUntil {
+		prev, last = pr.match, pr.match
 	}
-	n.inflight[p] = true
-	msg := n.buildAppendLocked(p)
-	n.mu.Unlock()
-	n.send(p, msg)
-}
-
-func (n *Node) buildAppendLocked(p wire.NodeID) *wire.RaftAppend {
-	next := n.nextIndex[p]
-	if next == 0 {
-		next = 1
+	if last == prev && !heartbeat {
+		return nil
 	}
-	prevIdx := next - 1
-	entries := make([]wire.RaftEntry, 0)
-	for idx := next; idx <= n.lastIndexLocked() && len(entries) < n.cfg.MaxEntriesPerAppend; idx++ {
-		entries = append(entries, n.log[idx-1])
+	last = min(last, prev+uint64(n.cfg.MaxEntriesPerAppend))
+	if last > prev {
+		pr.next = last + 1
+		pr.pendingUntil = now + n.cfg.ElectionTimeoutMin
+		n.shipped += last - prev
 	}
 	return &wire.RaftAppend{
 		Term:         n.term,
 		Leader:       n.cfg.ID,
-		PrevLogIndex: prevIdx,
-		PrevLogTerm:  n.termAtLocked(prevIdx),
-		Entries:      entries,
+		PrevLogIndex: prev,
+		PrevLogTerm:  n.termAtLocked(prev),
+		// The log's backing array is shared with the message: entries are
+		// never overwritten in place (see handleAppend's truncation).
+		Entries:      n.log[prev:last:last],
 		LeaderCommit: n.commitIndex,
 	}
 }
@@ -613,19 +640,22 @@ func (n *Node) handleAppend(from wire.NodeID, m *wire.RaftAppend) {
 		idx++
 		if idx <= n.lastIndexLocked() {
 			if n.log[idx-1].Term == e.Term {
+				n.redundant++
 				continue // already have it
 			}
-			n.log = n.log[:idx-1] // conflict: truncate suffix
+			// Conflict: truncate the suffix. Capping the slice makes the
+			// append below copy rather than overwrite, because appends in
+			// flight from this node's own leadership alias the old array.
+			n.log = n.log[: idx-1 : idx-1]
 		}
 		n.log = append(n.log, e)
 		grew = true
 	}
+	// Only the prefix this append vouches for may commit: what lies past
+	// it (an empty heartbeat is anchored well below the log's end) can be
+	// an old leader's suffix that no append has overwritten yet.
 	match := m.PrevLogIndex + uint64(len(m.Entries))
-	if m.LeaderCommit > n.commitIndex {
-		c := m.LeaderCommit
-		if last := n.lastIndexLocked(); c > last {
-			c = last
-		}
+	if c := min(m.LeaderCommit, match); c > n.commitIndex {
 		n.commitIndex = c
 	}
 	term := n.term
@@ -642,43 +672,40 @@ func (n *Node) handleAppend(from wire.NodeID, m *wire.RaftAppend) {
 
 func (n *Node) handleAppendResponse(from wire.NodeID, m *wire.RaftAppendResponse) {
 	n.mu.Lock()
-	delete(n.inflight, from)
 	if m.Term > n.term {
 		n.becomeFollowerLocked(m.Term)
 		n.mu.Unlock()
 		return
 	}
-	if n.state != Leader || m.Term < n.term {
+	pr := n.progress[from]
+	if n.state != Leader || m.Term < n.term || pr == nil {
 		n.mu.Unlock()
 		return
 	}
-	n.lastAck[from] = n.sched.Now()
-	resend := false
+	pr.lastAck = n.sched.Now()
 	if m.Success {
-		if m.MatchIndex > n.matchIndex[from] {
-			n.matchIndex[from] = m.MatchIndex
+		if m.MatchIndex > pr.match {
+			pr.match = m.MatchIndex
+			pr.next = max(pr.next, pr.match+1)
+			n.advanceCommitLocked()
 		}
-		n.nextIndex[from] = m.MatchIndex + 1
-		n.advanceCommitLocked()
-		resend = n.nextIndex[from] <= n.lastIndexLocked()
-	} else {
-		next := m.MatchIndex + 1
-		if next < 1 {
-			next = 1
+		if pr.match+1 == pr.next {
+			pr.pendingUntil = 0
 		}
-		if next < n.nextIndex[from] {
-			n.nextIndex[from] = next
-		} else if n.nextIndex[from] > 1 {
-			n.nextIndex[from]--
-		}
-		resend = true
+	} else if m.MatchIndex+1 < pr.next {
+		// The follower's log ends (or diverges) below what was sent: back
+		// up to its hint. A hint at or past next answers an append that
+		// an earlier reject has already corrected for.
+		pr.next = max(m.MatchIndex, pr.match) + 1
+		pr.pendingUntil = 0
 	}
+	msg := n.nextAppendLocked(pr, false)
 	apply := n.collectApplyLocked()
 	n.mu.Unlock()
 
 	n.runApplies(apply)
-	if resend {
-		n.sendAppend(from)
+	if msg != nil {
+		n.send(from, msg)
 	}
 }
 
@@ -689,9 +716,9 @@ func (n *Node) advanceCommitLocked() {
 		if n.termAtLocked(idx) != n.term {
 			break // only current-term entries commit by counting
 		}
-		count := 0
-		for _, p := range n.cfg.Peers {
-			if n.matchIndex[p] >= idx {
+		count := 1 // this node
+		for _, pr := range n.progress {
+			if pr.match >= idx {
 				count++
 			}
 		}

@@ -15,12 +15,46 @@ type cluster struct {
 	net     *transport.SimNetwork
 	nodes   []*Node
 	applied [][]string
+	// onSend sees every message a node hands to its endpoint and may drop
+	// it; onRecv sees every message just before its handler runs.
+	onSend func(from, to wire.NodeID, msg wire.Message) (drop bool)
+	onRecv func(from, to wire.NodeID, msg wire.Message)
 }
 
+// tap is the endpoint the cluster's nodes run on: the simulated one, with
+// the cluster's hooks on both directions.
+type tap struct {
+	transport.Endpoint
+	c *cluster
+}
+
+func (tp tap) Send(to wire.NodeID, msg wire.Message) error {
+	if tp.c.onSend != nil && tp.c.onSend(tp.ID(), to, msg) {
+		return nil
+	}
+	return tp.Endpoint.Send(to, msg)
+}
+
+func (tp tap) SetHandler(h transport.Handler) {
+	tp.Endpoint.SetHandler(func(from wire.NodeID, msg wire.Message) {
+		if tp.c.onRecv != nil {
+			tp.c.onRecv(from, tp.ID(), msg)
+		}
+		h(from, msg)
+	})
+}
+
+// testModel is a quiet LAN: 1-3 ms one way, so messages sent within 2 ms of
+// each other can reorder.
+var testModel = netmodel.Model{PropMin: time.Millisecond, PropMax: 3 * time.Millisecond}
+
 func newCluster(t *testing.T, n int, seed int64) *cluster {
+	return newClusterOn(t, n, seed, testModel)
+}
+
+func newClusterOn(t *testing.T, n int, seed int64, model netmodel.Model) *cluster {
 	t.Helper()
 	c := &cluster{engine: sim.NewEngine(seed)}
-	model := netmodel.Model{PropMin: time.Millisecond, PropMax: 3 * time.Millisecond}
 	c.net = transport.NewSimNetwork(c.engine, model, nil)
 	ids := make([]wire.NodeID, n)
 	for i := range ids {
@@ -28,7 +62,7 @@ func newCluster(t *testing.T, n int, seed int64) *cluster {
 	}
 	c.applied = make([][]string, n)
 	for i := 0; i < n; i++ {
-		ep := c.net.AddNode()
+		ep := tap{c.net.AddNode(), c}
 		node := New(DefaultConfig(ep.ID(), ids), ep, c.engine, c.engine.Rand("raft"))
 		idx := i
 		node.OnApply(func(data []byte) {
@@ -261,6 +295,11 @@ func TestCrashedFollowerCatchesUpOnRevival(t *testing.T) {
 			t.Fatalf("revived node order wrong: %v", c.applied[downIdx])
 		}
 	}
+	// Catch-up is hint back-off, not a blind replay: whoever leads now was
+	// told where the revived log ends and shipped it only what it lacked.
+	if _, redundant := down.Replication(); redundant != 0 {
+		t.Fatalf("revived node was sent %d entries it already held", redundant)
+	}
 }
 
 func TestNoEntryAppliedTwice(t *testing.T) {
@@ -314,5 +353,368 @@ func TestStateString(t *testing.T) {
 	}
 	if State(9).String() == "" {
 		t.Error("unknown state name empty")
+	}
+}
+
+// --- replication discipline: Raft Figure 2's leader state (nextIndex,
+// matchIndex) as invariants over the wire ---
+
+// watch records what crosses the links of a cluster led by l and checks, at
+// every message, the invariants that hold on any run: at most one
+// entries-bearing append outstanding per follower, anything sent meanwhile
+// is an empty append anchored at match, next > match, and match never
+// decreases. lossFree adds that next never decreases either (only a reject
+// may move it back, and a loss-free run draws none).
+type watch struct {
+	// receipts counts, per follower, how often each index arrived.
+	receipts map[wire.NodeID]map[uint64]int
+	// overlapped counts the empty appends sent while entries were
+	// outstanding to the same follower.
+	overlapped int
+}
+
+func watchReplication(t *testing.T, c *cluster, l *Node, lossFree bool) *watch {
+	t.Helper()
+	w := &watch{receipts: make(map[wire.NodeID]map[uint64]int)}
+	// outstanding[f] is the last index of the entries-bearing append to f
+	// that no success has covered yet (0: none); the leader writes it off
+	// after ElectionTimeoutMin, and so does the watch.
+	outstanding := make(map[wire.NodeID]uint64)
+	sentAt := make(map[wire.NodeID]time.Duration)
+	type mark struct{ match, next uint64 }
+	seen := make(map[wire.NodeID]mark)
+	checkProgress := func() {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		if l.state != Leader {
+			return
+		}
+		for f, pr := range l.progress {
+			if pr.next <= pr.match {
+				t.Errorf("follower %v: next %d <= match %d", f, pr.next, pr.match)
+			}
+			if pr.match < seen[f].match {
+				t.Errorf("follower %v: match fell %d -> %d", f, seen[f].match, pr.match)
+			}
+			if lossFree && pr.next < seen[f].next {
+				t.Errorf("follower %v: next fell %d -> %d on a loss-free run", f, seen[f].next, pr.next)
+			}
+			seen[f] = mark{pr.match, pr.next}
+		}
+	}
+	c.onSend = func(from, to wire.NodeID, msg wire.Message) bool {
+		if m, ok := msg.(*wire.RaftAppend); ok && from == l.cfg.ID {
+			checkProgress()
+			if c.engine.Now()-sentAt[to] >= l.cfg.ElectionTimeoutMin {
+				outstanding[to] = 0
+			}
+			switch hi := m.PrevLogIndex + uint64(len(m.Entries)); {
+			case len(m.Entries) > 0 && outstanding[to] != 0:
+				t.Errorf("entries %d..%d sent to %v while the append up to %d is outstanding",
+					m.PrevLogIndex+1, hi, to, outstanding[to])
+			case len(m.Entries) > 0:
+				outstanding[to], sentAt[to] = hi, c.engine.Now()
+			case outstanding[to] != 0:
+				w.overlapped++
+				if m.PrevLogIndex != seen[to].match {
+					t.Errorf("heartbeat to %v over an outstanding append anchored at %d, match is %d",
+						to, m.PrevLogIndex, seen[to].match)
+				}
+			}
+		}
+		return false
+	}
+	c.onRecv = func(from, to wire.NodeID, msg wire.Message) {
+		switch m := msg.(type) {
+		case *wire.RaftAppend:
+			if w.receipts[to] == nil {
+				w.receipts[to] = make(map[uint64]int)
+			}
+			for i := range m.Entries {
+				w.receipts[to][m.PrevLogIndex+1+uint64(i)]++
+			}
+		case *wire.RaftAppendResponse:
+			if to == l.cfg.ID {
+				checkProgress()
+				if m.Success && m.MatchIndex >= outstanding[from] {
+					outstanding[from] = 0
+				}
+			}
+		}
+	}
+	return w
+}
+
+// electedCluster runs a fresh 3-node cluster until it has a leader.
+func electedCluster(t *testing.T, seed int64, model netmodel.Model) (*cluster, *Node) {
+	t.Helper()
+	c := newClusterOn(t, 3, seed, model)
+	c.engine.RunUntil(2 * time.Second)
+	l := c.leader()
+	if l == nil {
+		t.Fatal("no leader")
+	}
+	return c, l
+}
+
+func (c *cluster) followersOf(l *Node) []*Node {
+	var out []*Node
+	for _, n := range c.nodes {
+		if n != l {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// proposeEvery schedules count proposals at the leader, one per interval.
+func (c *cluster) proposeEvery(l *Node, count int, interval time.Duration) {
+	for i := 0; i < count; i++ {
+		i := i
+		c.engine.After(time.Duration(i)*interval, func() { _ = l.Propose([]byte{byte(i), byte(i >> 8)}) })
+	}
+}
+
+// On a loss-free run every index crosses every leader->follower link exactly
+// once, however the network reorders — on the harness's own delay model,
+// whose per-message lognormal jitter reorders appends, heartbeats and their
+// answers constantly — and what the wire shows is what the counters say.
+func TestEachIndexCrossesEachLinkOnce(t *testing.T) {
+	c, l := electedCluster(t, 11, netmodel.LAN())
+	w := watchReplication(t, c, l, true)
+	const proposals = 1000
+	c.proposeEvery(l, proposals, time.Millisecond)
+	c.engine.RunFor(3 * time.Second)
+
+	for _, f := range c.followersOf(l) {
+		got := w.receipts[f.cfg.ID]
+		for idx := uint64(1); idx <= proposals; idx++ {
+			if got[idx] != 1 {
+				t.Fatalf("follower %v received index %d %d times, want once", f.cfg.ID, idx, got[idx])
+			}
+		}
+		if _, redundant := f.Replication(); redundant != 0 {
+			t.Errorf("follower %v counted %d redundant entries", f.cfg.ID, redundant)
+		}
+	}
+	if shipped, _ := l.Replication(); shipped != 2*proposals {
+		t.Errorf("leader shipped %d entries, want %d (each index once per follower)", shipped, 2*proposals)
+	}
+	for i, got := range c.applied {
+		if len(got) != proposals {
+			t.Errorf("node %d applied %d entries, want %d", i, len(got), proposals)
+		}
+	}
+	if w.overlapped == 0 {
+		t.Error("no heartbeat overlapped an outstanding append: the run did not exercise the empty-heartbeat rule")
+	}
+}
+
+// A follower 40 ms away keeps every entries-bearing append outstanding
+// across a heartbeat tick: each overlapping heartbeat must be the empty
+// append anchored at match (watchReplication checks the anchor and that no
+// entries ride along), and the follower still gets every index once.
+func TestHeartbeatOverOutstandingAppendIsEmpty(t *testing.T) {
+	c, l := electedCluster(t, 12, testModel)
+	far := c.followersOf(l)[0]
+	c.net.SetNodeExtraDelay(far.cfg.ID, 40*time.Millisecond)
+	w := watchReplication(t, c, l, true)
+	c.proposeEvery(l, 100, 10*time.Millisecond)
+	c.engine.RunFor(2 * time.Second)
+
+	if w.overlapped < 10 {
+		t.Fatalf("only %d heartbeats overlapped an outstanding append, want one per tick of the loaded second", w.overlapped)
+	}
+	for idx := uint64(1); idx <= 100; idx++ {
+		if n := w.receipts[far.cfg.ID][idx]; n != 1 {
+			t.Fatalf("far follower received index %d %d times, want once", idx, n)
+		}
+	}
+}
+
+// Answers that arrive late — a success for an older append, a heartbeat's
+// answer, a reject the leader has already corrected for — move nothing
+// backwards, with or without an append outstanding.
+func TestLateAnswersDoNotRegressProgress(t *testing.T) {
+	c, l := electedCluster(t, 13, testModel)
+	c.proposeEvery(l, 10, time.Millisecond)
+	c.engine.RunFor(time.Second)
+	f := c.followersOf(l)[0].cfg.ID
+	_, term, _, _ := l.Status()
+	late := []*wire.RaftAppendResponse{
+		{Term: term, Success: true, MatchIndex: 3},
+		{Term: term, Success: true, MatchIndex: 0},
+		{Term: term, Success: false, MatchIndex: 2},
+		{Term: term, Success: false, MatchIndex: 10},
+	}
+	check := func(match, next uint64, pending bool) {
+		t.Helper()
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		pr := l.progress[f]
+		if pr.match != match || pr.next != next || (pr.pendingUntil != 0) != pending {
+			t.Fatalf("progress = {match %d, next %d, pending until %v}, want {%d, %d, pending %v}",
+				pr.match, pr.next, pr.pendingUntil, match, next, pending)
+		}
+	}
+	check(10, 11, false)
+	for _, m := range late {
+		l.Handle(f, m)
+		check(10, 11, false)
+	}
+	// The same answers while entries 11..12 are on the wire.
+	c.net.SetNodeDown(f, true)
+	_ = l.Propose([]byte("x"))
+	_ = l.Propose([]byte("y"))
+	check(10, 12, true) // "y" waits for the answer to "x"
+	for _, m := range late[:2] {
+		l.Handle(f, m)
+		check(10, 12, true)
+	}
+	// "x" is written off and "y" leaves anchored behind it; when the answer
+	// to "x" turns up after all, it advances match and leaves "y" alone.
+	c.engine.RunFor(l.cfg.ElectionTimeoutMin + l.cfg.HeartbeatInterval)
+	check(10, 13, true)
+	before, _ := l.Replication()
+	l.Handle(f, &wire.RaftAppendResponse{Term: term, Success: true, MatchIndex: 11})
+	check(11, 13, true)
+	if after, _ := l.Replication(); after != before {
+		t.Fatalf("the late answer made the leader ship %d more entries", after-before)
+	}
+}
+
+// dropFirst makes the network lose the first message pred accepts, on top
+// of whatever hook is already installed, and reports when that happened
+// (negative until it has).
+func (c *cluster) dropFirst(pred func(from, to wire.NodeID, msg wire.Message) bool) *time.Duration {
+	at := time.Duration(-1)
+	inner := c.onSend
+	c.onSend = func(from, to wire.NodeID, msg wire.Message) bool {
+		drop := inner != nil && inner(from, to, msg)
+		if at < 0 && pred(from, to, msg) {
+			at = c.engine.Now()
+			return true
+		}
+		return drop
+	}
+	return &at
+}
+
+// lossBound is how long a lost append or answer may go unrepaired: the
+// append is written off after ElectionTimeoutMin, the next heartbeat (or
+// proposal) probes at next-1, and the follower's verdict and the re-shipped
+// entries each cross the link once more.
+func lossBound(cfg Config, oneWay time.Duration) time.Duration {
+	return cfg.ElectionTimeoutMin + cfg.HeartbeatInterval + 3*oneWay
+}
+
+// A dropped append is repaired within lossBound by hint back-off — the
+// follower gets the index exactly once — and until it is written off the
+// follower hears only empty heartbeats.
+func TestDroppedAppendIsRepaired(t *testing.T) {
+	c, l := electedCluster(t, 14, testModel)
+	victim := c.followersOf(l)[0]
+	w := watchReplication(t, c, l, false)
+	droppedAt := c.dropFirst(func(_, to wire.NodeID, msg wire.Message) bool {
+		m, ok := msg.(*wire.RaftAppend)
+		return ok && to == victim.cfg.ID && len(m.Entries) > 0
+	})
+	_ = l.Propose([]byte("lost-once"))
+	c.engine.RunFor(l.cfg.ElectionTimeoutMin - time.Millisecond)
+	if *droppedAt < 0 || len(w.receipts[victim.cfg.ID]) != 0 {
+		t.Fatalf("dropped at %v, victim received %v before the append was written off", *droppedAt, w.receipts[victim.cfg.ID])
+	}
+	c.engine.RunUntil(*droppedAt + lossBound(l.cfg, 3*time.Millisecond))
+	if n := w.receipts[victim.cfg.ID][1]; n != 1 {
+		t.Fatalf("victim received index 1 %d times within the loss bound, want once", n)
+	}
+	c.engine.RunFor(time.Second)
+	for i, got := range c.applied {
+		if len(got) != 1 {
+			t.Fatalf("node %d applied %v", i, got)
+		}
+	}
+}
+
+// A dropped answer is repaired within lossBound without re-shipping
+// anything: the probe at next-1 succeeds and match catches up.
+func TestDroppedAnswerIsRepairedWithoutReshipping(t *testing.T) {
+	c, l := electedCluster(t, 15, testModel)
+	victim := c.followersOf(l)[0]
+	w := watchReplication(t, c, l, true)
+	droppedAt := c.dropFirst(func(from, _ wire.NodeID, msg wire.Message) bool {
+		m, ok := msg.(*wire.RaftAppendResponse)
+		return ok && from == victim.cfg.ID && m.Success && m.MatchIndex == 1
+	})
+	_ = l.Propose([]byte("acked-twice"))
+	c.engine.RunFor(20 * time.Millisecond)
+	if *droppedAt < 0 {
+		t.Fatal("the victim's answer was not dropped")
+	}
+	c.engine.RunUntil(*droppedAt + lossBound(l.cfg, 3*time.Millisecond))
+	l.mu.Lock()
+	match := l.progress[victim.cfg.ID].match
+	l.mu.Unlock()
+	if match != 1 {
+		t.Fatalf("leader's match for the victim is %d within the loss bound, want 1", match)
+	}
+	if n := w.receipts[victim.cfg.ID][1]; n != 1 {
+		t.Fatalf("victim received index 1 %d times, want once (a lost answer re-ships nothing)", n)
+	}
+	if shipped, _ := l.Replication(); shipped != 2 {
+		t.Fatalf("leader shipped %d entries, want 2", shipped)
+	}
+}
+
+// Figure 2, AppendEntries step 5: a follower commits no further than the
+// last entry the append itself vouches for. An empty heartbeat anchored
+// below a stale suffix (left by an old leader, not yet overwritten) must not
+// commit that suffix, however high LeaderCommit is.
+func TestFollowerCommitsOnlyTheVouchedPrefix(t *testing.T) {
+	c := newCluster(t, 3, 16)
+	f := c.nodes[0]
+	f.mu.Lock()
+	f.term = 1
+	f.log = []wire.RaftEntry{{Term: 1, Data: []byte("a")}, {Term: 1, Data: []byte("stale-b")}, {Term: 1, Data: []byte("stale-c")}}
+	f.mu.Unlock()
+	f.Handle(1, &wire.RaftAppend{Term: 2, Leader: 1, PrevLogIndex: 1, PrevLogTerm: 1, LeaderCommit: 3})
+	if got := f.CommitIndex(); got != 1 {
+		t.Fatalf("commit index %d after an empty append anchored at 1, want 1", got)
+	}
+	if got := c.applied[0]; len(got) != 1 || got[0] != "a" {
+		t.Fatalf("applied %v, want only the vouched prefix [a]", got)
+	}
+}
+
+// An append's Entries alias the sender's log. When the sender later loses
+// leadership and a new leader overwrites its suffix, the message — still in
+// flight in the simulator, which passes pointers — must keep its content.
+func TestInFlightAppendSurvivesLogTruncation(t *testing.T) {
+	c, l := electedCluster(t, 17, testModel)
+	// Entries never arrive, so the log below stays the leader's alone;
+	// heartbeats do, so it keeps its quorum.
+	var sent *wire.RaftAppend
+	c.onSend = func(_, _ wire.NodeID, msg wire.Message) bool {
+		m, ok := msg.(*wire.RaftAppend)
+		if ok && len(m.Entries) == 2 {
+			sent = m // "b" and "c", which wait out the unanswered append of "a"
+		}
+		return ok && len(m.Entries) > 0
+	}
+	for _, v := range []string{"a", "b", "c"} {
+		_ = l.Propose([]byte(v))
+	}
+	c.engine.RunFor(l.cfg.ElectionTimeoutMin + l.cfg.HeartbeatInterval)
+	if sent == nil {
+		t.Fatal("no two-entry append was built")
+	}
+	_, term, _, _ := l.Status()
+	other := c.followersOf(l)[0].cfg.ID
+	l.Handle(other, &wire.RaftAppend{Term: term + 1, Leader: other, PrevLogIndex: 1, PrevLogTerm: term,
+		Entries: []wire.RaftEntry{{Term: term + 1, Data: []byte("B")}, {Term: term + 1, Data: []byte("C")}}})
+	for i, want := range []string{"b", "c"} {
+		if e := sent.Entries[i]; string(e.Data) != want || e.Term != term {
+			t.Fatalf("in-flight entry %d is now {term %d, %q}, want {term %d, %q}", i, e.Term, e.Data, term, want)
+		}
 	}
 }

@@ -97,15 +97,7 @@ func TestConsenterElectionDoesNotTripAnchorRecovery(t *testing.T) {
 	sc := def.Build(top)
 	sc.Name = def.Name
 
-	var control Scenario
-	control = sc
-	control.Events = nil
-	for _, ev := range sc.Events {
-		if _, ok := ev.Action.(CrashConsenterLeader); ok {
-			continue
-		}
-		control.Events = append(control.Events, ev)
-	}
+	control := withoutConsenterFaults(sc)
 
 	var withProbes, ctrlProbes uint64
 	for seed := int64(1); seed <= 5; seed++ {
@@ -140,6 +132,74 @@ func TestConsenterElectionDoesNotTripAnchorRecovery(t *testing.T) {
 	if withProbes > ctrlProbes+30 {
 		t.Fatalf("with election %d probes vs control %d over 5 seeds — the election tripped anchor recovery",
 			withProbes, ctrlProbes)
+	}
+}
+
+// withoutConsenterFaults is the scenario with every action that crashes,
+// restarts or partitions a consenter removed: the same cluster and load,
+// fault-free on the ordering side.
+func withoutConsenterFaults(sc Scenario) Scenario {
+	out := sc
+	out.Events = nil
+	for _, ev := range sc.Events {
+		switch ev.Action.(type) {
+		case CrashConsenter, RestartConsenter, CrashConsenterLeader, IsolateConsenters, HealPartition:
+			continue
+		}
+		out.Events = append(out.Events, ev)
+	}
+	return out
+}
+
+// replicationWaste reads the run's Raft replication counters from its obs
+// snapshot: entries the leaders shipped, and the share of them the
+// followers already held.
+func replicationWaste(t *testing.T, rep *Report) (shipped, waste float64) {
+	t.Helper()
+	shipped, ok := rep.Obs.Get("raft_entries_total", "kind", "shipped")
+	redundant, ok2 := rep.Obs.Get("raft_entries_total", "kind", "redundant")
+	if !ok || !ok2 {
+		t.Fatal("no raft_entries_total counters in the obs snapshot")
+	}
+	if shipped == 0 {
+		return 0, 0
+	}
+	return shipped, redundant / shipped
+}
+
+// While no consenter is crashed or partitioned, replication ships each log
+// entry to each follower once: on every consenter-* entry's cluster and
+// load — LAN and WAN-spread, premade chain and transaction workload — with
+// the ordering-side faults taken out of the script, at most 2 % of the
+// entries the leader ships are ones the follower already holds.
+func TestConsenterReplicationShipsEachEntryOnce(t *testing.T) {
+	for _, name := range []string{
+		"consenter-minority-loss", "consenter-majority-loss-and-heal",
+		"consenter-wan-separated", "consenter-election-under-txload",
+	} {
+		def, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := withoutConsenterFaults(def.Build(Uniform(2, 10)))
+		sc.Name = def.Name
+		for seed := int64(1); seed <= 3; seed++ {
+			rep, err := Run(sc, Options{Peers: 20, Orgs: 2, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Elections != 1 {
+				t.Fatalf("%s seed %d: %d elections on the fault-free script", name, seed, rep.Elections)
+			}
+			shipped, waste := replicationWaste(t, rep)
+			if shipped == 0 {
+				t.Fatalf("%s seed %d: nothing was replicated", name, seed)
+			}
+			if waste > 0.02 {
+				t.Errorf("%s seed %d: %.1f%% of %.0f shipped entries were redundant, want <= 2%%",
+					name, seed, 100*waste, shipped)
+			}
+		}
 	}
 }
 

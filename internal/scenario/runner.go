@@ -1121,6 +1121,13 @@ func (r *runner) buildObs(rep *Report) *obs.Snapshot {
 		reg.Counter("trace_events_total").Add(r.tracer.Total())
 	}
 	reg.Counter("elections_total").Add(uint64(rep.Elections))
+	var shipped, redundant uint64
+	for i := 0; i < r.net.Consenters(); i++ {
+		s, d := r.net.ConsenterNode(i).Replication()
+		shipped, redundant = shipped+s, redundant+d
+	}
+	reg.Counter("raft_entries_total", "kind", "shipped").Add(shipped)
+	reg.Counter("raft_entries_total", "kind", "redundant").Add(redundant)
 	reg.Gauge("leaderless_ns").Set(int64(rep.Leaderless))
 	if w := rep.Workload; w != nil {
 		reg.Counter("workload_tx_total", "outcome", "submitted").Add(uint64(w.Submitted))

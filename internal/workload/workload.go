@@ -179,11 +179,12 @@ type Plane struct {
 	// fed by its consenter's identical Raft apply stream, so all cut
 	// identical blocks. They run on the network's ordering engine.
 	services []*order.Service
-	// checkers holds one policy checker per organization. The verdict
-	// cache is pure memoization over immutable transaction bytes, so
-	// splitting it per org changes no behavior — it exists so each shard's
-	// peers validate against shard-local state only.
-	checkers []ledger.PolicyChecker
+	// checker is the one policy checker every peer validates through, so
+	// a transaction's endorsements are verified once per run, not once per
+	// organization. Its verdict cache is mutex-guarded pure memoization
+	// over immutable transaction bytes: sharing it across shards changes
+	// no outcome, whichever shard's peer reaches a transaction first.
+	checker ledger.PolicyChecker
 
 	// peers is the validation pipeline per global peer index, rebuilt on
 	// restart via the network's core hook. endorsers maps an endorsing
@@ -286,7 +287,6 @@ func Install(n *harness.Network, cfg Config) (*Plane, error) {
 		endorserIDs: make(map[int]*msp.Identity),
 		signers:     make(map[int]*crypto.Signer),
 		endorserIdx: make([][]int, len(n.Orgs)),
-		checkers:    make([]ledger.PolicyChecker, len(n.Orgs)),
 		pending:     make([]map[crypto.Digest]*pendingTx, len(n.Orgs)),
 		blockTxs:    make([]map[uint64][]crypto.Digest, len(n.Orgs)),
 		cutSeen:     make(map[uint64]bool),
@@ -330,13 +330,10 @@ func Install(n *harness.Network, cfg Config) (*Plane, error) {
 			policyIDs = append(policyIDs, id)
 		}
 	}
-	policy := endorse.NewPolicy(cfg.PolicyRequired, policyIDs...)
-	// One checker per organization: the verdict cache (keyed by
-	// transaction ID, bounded) is what lets an org's N peers validate the
-	// same transactions without N times the Ed25519 cost.
-	for o := range n.Orgs {
-		p.checkers[o] = policy.Checker()
-	}
+	// The verdict cache (keyed by transaction ID, bounded) is what lets N
+	// peers validate the same transactions without N times the Ed25519
+	// cost.
+	p.checker = endorse.NewPolicy(cfg.PolicyRequired, policyIDs...).Checker()
 
 	// Validation pipelines over the existing cores, and again for every
 	// core a Restart rebuilds. Orderer-signature verification runs on
@@ -430,7 +427,7 @@ func (p *Plane) buildPeer(global int, core *gossip.Core, ordererKey crypto.Publi
 	if _, isEndorser := p.endorserIDs[global]; isEndorser {
 		cfg.OrdererKey = ordererKey
 	}
-	pr := peer.New(core, p.checkers[p.net.OrgOf(global)], p.net.EngineFor(global), cfg)
+	pr := peer.New(core, p.checker, p.net.EngineFor(global), cfg)
 	pr.OnCommitResult(p.resolver(global))
 	p.peers[global] = pr
 	if id, ok := p.endorserIDs[global]; ok {

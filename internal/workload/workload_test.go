@@ -19,9 +19,15 @@ var clusterSizes = []int{1, 3}
 // peer 4 are their organizations' endorsers and leaders.
 func testPlane(t *testing.T, k int, cfg Config) (*harness.Network, *Plane) {
 	t.Helper()
+	return testPlaneOn(t, []harness.OrgSpec{{Peers: 4}, {Peers: 4}}, k, cfg)
+}
+
+// testPlaneOn is testPlane over the given organizations.
+func testPlaneOn(t *testing.T, orgs []harness.OrgSpec, k int, cfg Config) (*harness.Network, *Plane) {
+	t.Helper()
 	n, err := harness.NewNetwork(harness.NetworkParams{
 		Seed:       7,
-		Orgs:       []harness.OrgSpec{{Peers: 4}, {Peers: 4}},
+		Orgs:       orgs,
 		Consenters: k,
 	}, harness.WithNetworkGossipTune(func(_ wire.NodeID, c *gossip.Config) {
 		c.StateInfoInterval = time.Second
@@ -238,4 +244,35 @@ func TestEndorserRestartRebuildsPipeline(t *testing.T) {
 		}
 		assertClosed(t, s)
 	})
+}
+
+// Raft's share of the wire is what replication has to cost: on a fault-free
+// 3-consenter run every committed entry crosses each of the two
+// leader->follower links about once, so RaftAppend bytes stay within 1.5x
+// entries x entry size x followers (the slack covers append headers and the
+// empty heartbeats). The resend-the-suffix leader this replaced shipped each
+// entry some eighty times.
+func TestRaftAppendBytesNearOncePerFollower(t *testing.T) {
+	orgs := []harness.OrgSpec{{Peers: 10}, {Peers: 10}, {Peers: 10}, {Peers: 10}}
+	n, p := testPlaneOn(t, orgs, 3, Config{ClientsPerOrg: 2, Rate: 25})
+	n.Engine.At(time.Second, p.Start)
+	n.Engine.At(6*time.Second, p.Stop)
+	n.RunUntil(10 * time.Second)
+	n.StopAll()
+	assertClosed(t, p.Stats())
+
+	tv := n.TrafficView()
+	entries := n.ConsenterNode(n.ConsenterLeader()).CommitIndex()
+	// A log entry is a client envelope: SubmitTx carries the same bytes.
+	entrySize := tv.BytesOf(wire.TypeSubmitTx) / tv.CountOf(wire.TypeSubmitTx)
+	const followers = 2
+	if entries < 500 {
+		t.Fatalf("only %d entries committed: the run carried no load", entries)
+	}
+	got, ideal := tv.BytesOf(wire.TypeRaftAppend), entries*entrySize*followers
+	t.Logf("%d entries of ~%d B: RaftAppend %d B in %d msgs, %.2fx the once-per-follower ideal",
+		entries, entrySize, got, tv.CountOf(wire.TypeRaftAppend), float64(got)/float64(ideal))
+	if got > ideal*3/2 {
+		t.Fatalf("RaftAppend carried %d B, more than 1.5x the %d B of shipping each entry once per follower", got, ideal)
+	}
 }
