@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -508,21 +509,32 @@ func BenchmarkScenarioConsenterFailover(b *testing.B) {
 // queues stay ~10x shallower than one global heap would, which pays even on
 // a single core; multi-core runners add genuine parallelism on top.
 // Beyond the usual event fingerprint it exports bytes_per_peer
-// — the run's heap high-water divided by the peer count, the per-peer
-// memory-footprint contract of the dense-state layout (either-drift gated:
-// growth means per-peer state regressed, a large drop means the baseline
-// went stale). Heap readings are wall-side and jitter a little with GC
-// timing, so the gate tolerance absorbs run-to-run noise; the structural
-// regressions it exists to catch (a reintroduced per-peer map, a leaked
-// per-peer buffer) move the number by integer factors.
+// — the run's live-heap high-water (Report.HeapHighWater: the largest heap
+// a collection marked live, garbage excluded) divided by the peer count,
+// the per-peer memory-footprint contract of the dense-state layout
+// (either-drift gated: growth means per-peer state regressed, a large drop
+// means the baseline went stale). Which collection happens to land nearest
+// the peak still varies a little between runs, so the gate tolerance
+// absorbs that; the structural regressions it exists to catch (a
+// reintroduced per-peer map, a leaked per-peer buffer) move the number by
+// integer factors.
 func benchScenarioSharded(b *testing.B, name string, peers int) {
 	b.Helper()
+	// The live-heap gauge moves only when a collection completes. At the
+	// default pacing (one per doubling of the heap) a 10k run completes a
+	// handful, and bytes_per_peer swings ±8 % between identical runs with
+	// how near the peak the nearest one landed — as wide as the gate. At
+	// 25 % growth per cycle it holds within ±3 %, for a third more wall
+	// time (events_per_s is informational, and the baseline's figures for
+	// these tiers are recorded at this pacing).
+	defer debug.SetGCPercent(debug.SetGCPercent(25))
 	var events uint64
 	var heapHigh uint64
 	for i := 0; i < b.N; i++ {
-		// Garbage left by earlier benchmarks in the same process inflates
-		// the heap high-water until the GC happens to run; collect first so
-		// bytes_per_peer measures this run, not the suite's execution order.
+		// The live-heap gauge holds what the last collection marked, which
+		// before this run is whatever earlier benchmarks left reachable;
+		// collect first so bytes_per_peer measures this run, not the
+		// suite's execution order.
 		runtime.GC()
 		rep, err := scenario.RunNamed(name, scenario.Options{
 			Peers: peers, Orgs: 10, Variant: harness.VariantEnhanced,
@@ -690,38 +702,6 @@ func BenchmarkObsOverheadDelivery(b *testing.B) {
 	}
 	if v, ok := reg.Snapshot().Get("wire_msgs_total", "dir", "out"); !ok || v == 0 {
 		b.Fatal("registry saw no sends — the instruments were not armed")
-	}
-}
-
-// BenchmarkGroupedLatencySummarizeAllocs locks the report-time percentile
-// contract: once the grouped recorder's scratch buffer has grown to the
-// largest query, re-querying SummarizeAll and SummarizeGroup allocates
-// nothing (the old All()+NewDistribution path copied every sample into two
-// fresh recorders and a fresh sort slice per query). The allocs_op metric
-// is gated by cmd/benchdiff.
-func BenchmarkGroupedLatencySummarizeAllocs(b *testing.B) {
-	g := metrics.NewGroupedLatency()
-	g.EnsureGroups(4)
-	rng := sim.NewRand(1)
-	for o := 0; o < 4; o++ {
-		for i := 0; i < 2500; i++ {
-			g.Record(o, uint64(i%40), wire.NodeID(i), time.Duration(rng.Intn(1e9)))
-		}
-	}
-	cycle := func() {
-		if g.SummarizeAll().N != 10000 {
-			b.Fatal("lost samples")
-		}
-		if g.SummarizeGroup(2).N != 2500 {
-			b.Fatal("lost group samples")
-		}
-	}
-	cycle() // grow the scratch buffer once
-	reportMetric(b, testing.AllocsPerRun(2000, cycle), "allocs_op")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cycle()
 	}
 }
 

@@ -12,7 +12,7 @@
 //	scenarios -scenario org-cold-join -peers 1000 -orgs 4   # 4 orgs x 250 peers
 //	scenarios -scenario org-partition-heal,org-cold-join -orgs 4 -check
 //	scenarios -scenario churn -check                  # run twice, verify determinism
-//	scenarios -scenario partition-heal -trace         # include the event trace
+//	scenarios -scenario partition-heal -trace         # print the script events as text
 //	scenarios -scenario txload-hotkey-contention -peers 1000 -orgs 4 -check
 //	                          # full execute-order-validate pipeline under load
 //	scenarios -scenario crash-restart -stats          # registry-backed runtime stats
@@ -46,7 +46,7 @@ func main() {
 	consenters := flag.Int("consenters", 0, "ordering-cluster size override: run the scenario with this many Raft consenters (0 keeps the scenario's own size: 1 unless its script sets one; scripts naming a consenter index >= the override are rejected)")
 	tail := flag.Duration("tail", 0, "override the scenario's post-injection tail (0 keeps its own; shortening it changes the fingerprint lineage — reduced-duration determinism smokes only)")
 	check := flag.Bool("check", false, "run each scenario twice and verify identical fingerprints")
-	trace := flag.Bool("trace", false, "print the run's event trace")
+	trace := flag.Bool("trace", false, "print the run's script events (faults, deliveries, elections, catch-ups) as text: a view of the same events -trace-jsonl writes")
 	stats := flag.Bool("stats", false, "print runtime statistics (engine, barriers, wire traffic) from the metrics registry; never part of the fingerprint")
 	traceJSONL := flag.String("trace-jsonl", "", "collect the structured event trace and write it as JSONL to this file ('-' for stdout); fingerprint-neutral")
 	metricsOut := flag.String("metrics-out", "", "write the metrics-registry snapshot as JSON to this file ('-' for stdout)")

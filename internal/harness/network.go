@@ -25,6 +25,32 @@ type OrgSpec struct {
 	Variant Variant
 }
 
+// Deployment parameters with one value in use, hence not NetworkParams
+// fields.
+const (
+	// redeliverInterval is how often the ordering service retries streaming
+	// undelivered blocks to each organization's current leader. Real
+	// orderers serve a reliable deliver stream per leader; the retry models
+	// the stream resuming after partitions and failovers.
+	redeliverInterval = time.Second
+	// redeliverBatch caps how many backlogged blocks one retry streams to
+	// an organization, pacing deep catch-ups.
+	redeliverBatch = 32
+	// enhancedFout and enhancedTTLDirect are the paper's fout=4,
+	// TTLdirect=2; each enhanced organization's TTL follows from its size
+	// via enhanced.ConfigFor.
+	enhancedFout      = 4
+	enhancedTTLDirect = 2
+	// anchorsPerOrg is how many anchor peers each organization publishes
+	// (capped at the organization's size).
+	anchorsPerOrg = 1
+	// anchorInterval is each leader's anchor probe period while the orderer
+	// is silent; ordererStall how long without an orderer delivery before a
+	// leader starts probing.
+	anchorInterval = 2 * time.Second
+	ordererStall   = 5 * time.Second
+)
+
 // NetworkParams configures a multi-organization network: the paper's
 // Figure 1 deployment shape, one channel spanning several organizations.
 type NetworkParams struct {
@@ -42,37 +68,15 @@ type NetworkParams struct {
 	// unread series don't dominate the accountant's footprint at the
 	// 100k-peer tier. Figure runs keep the series.
 	TrafficTotals bool
-	// RedeliverInterval is how often the ordering service retries streaming
-	// undelivered blocks to each organization's current leader (default
-	// 1 s). Real orderers serve a reliable deliver stream per leader; the
-	// retry models the stream resuming after partitions and failovers.
-	RedeliverInterval time.Duration
-	// RedeliverBatch caps how many backlogged blocks one retry streams to
-	// an organization (default 32), pacing deep catch-ups.
-	RedeliverBatch int
-	// Fout and TTLDirect shape each enhanced organization's configuration,
-	// computed per organization size via enhanced.ConfigFor. Zero defaults
-	// to the paper's fout=4, TTLdirect=2.
-	Fout      int
-	TTLDirect uint32
 
 	// AnchorRecovery enables cross-organization state transfer: each
-	// organization designates its AnchorsPerOrg lowest-indexed peers as
-	// anchor peers (Fabric's channel-config anchors), and every peer is
+	// organization designates its lowest-indexed peer as its anchor peer
+	// (Fabric's channel-config anchors, anchorsPerOrg), and every peer is
 	// configured with the *other* organizations' anchors so its leader can
 	// fetch missing blocks from them when the ordering service goes
 	// silent. Off by default: single-org networks and orderer-only
 	// recovery behave exactly as before.
 	AnchorRecovery bool
-	// AnchorsPerOrg is how many anchor peers each organization publishes
-	// (default 1; capped at the organization's size).
-	AnchorsPerOrg int
-	// AnchorInterval is each leader's anchor probe period while the
-	// orderer is silent (default 2s).
-	AnchorInterval time.Duration
-	// OrdererStall is how long without an orderer delivery before a
-	// leader starts probing anchors (default 5s).
-	OrdererStall time.Duration
 
 	// WANDelay, when positive, separates every organization — and the
 	// ordering service — onto its own WAN site: messages between nodes of
@@ -115,27 +119,6 @@ func (p NetworkParams) withDefaults() NetworkParams {
 	}
 	if p.Bucket == 0 {
 		p.Bucket = 10 * time.Second
-	}
-	if p.RedeliverInterval == 0 {
-		p.RedeliverInterval = time.Second
-	}
-	if p.RedeliverBatch == 0 {
-		p.RedeliverBatch = 32
-	}
-	if p.Fout == 0 {
-		p.Fout = 4
-	}
-	if p.TTLDirect == 0 {
-		p.TTLDirect = 2
-	}
-	if p.AnchorsPerOrg == 0 {
-		p.AnchorsPerOrg = 1
-	}
-	if p.AnchorInterval == 0 {
-		p.AnchorInterval = 2 * time.Second
-	}
-	if p.OrdererStall == 0 {
-		p.OrdererStall = 5 * time.Second
 	}
 	if p.Consenters == 0 {
 		p.Consenters = 1
@@ -348,7 +331,7 @@ func NewNetwork(p NetworkParams, opts ...NetworkOption) (*Network, error) {
 			original: original.DefaultConfig(),
 		}
 		if variant == VariantEnhanced {
-			cfg, err := enhanced.ConfigFor(spec.Peers, p.Fout, 1e-6, p.TTLDirect)
+			cfg, err := enhanced.ConfigFor(spec.Peers, enhancedFout, 1e-6, enhancedTTLDirect)
 			if err != nil {
 				// Tiny organizations can fall below the analytic table's
 				// domain for the requested fan-out; fall back to the
@@ -405,8 +388,8 @@ func (n *Network) buildCore(global int) *gossip.Core {
 	cfg := gossip.DefaultConfig(ep.ID(), d.Peers)
 	if n.Params.AnchorRecovery {
 		cfg.AnchorPeers = n.remoteAnchors(d.Index)
-		cfg.AnchorInterval = n.Params.AnchorInterval
-		cfg.OrdererStall = n.Params.OrdererStall
+		cfg.AnchorInterval = anchorInterval
+		cfg.OrdererStall = ordererStall
 	}
 	if n.tune != nil {
 		n.tune(ep.ID(), &cfg)
@@ -429,16 +412,12 @@ func (n *Network) buildCore(global int) *gossip.Core {
 }
 
 // OrgAnchors returns an organization's published anchor peers: its
-// AnchorsPerOrg lowest-indexed members (Fabric designates anchors in the
+// anchorsPerOrg lowest-indexed members (Fabric designates anchors in the
 // channel configuration; the lowest indices are this harness's stable
 // choice).
 func (n *Network) OrgAnchors(org int) []wire.NodeID {
 	d := n.Orgs[org]
-	k := n.Params.AnchorsPerOrg
-	if k > len(d.Peers) {
-		k = len(d.Peers)
-	}
-	return d.Peers[:k]
+	return d.Peers[:min(anchorsPerOrg, len(d.Peers))]
 }
 
 // remoteAnchors collects every other organization's anchor peers, in org
@@ -577,7 +556,7 @@ func (n *Network) StartAll() {
 		}
 	}
 	if n.pump == nil {
-		n.pump = n.Engine.Every(n.Params.RedeliverInterval, n.pumpAll)
+		n.pump = n.Engine.Every(redeliverInterval, n.pumpAll)
 	}
 }
 
@@ -757,7 +736,7 @@ func (n *Network) pumpOrg(org int) {
 		}
 		n.nextIdx[org] = pos
 	}
-	for sent := 0; n.nextIdx[org] < limit && sent < n.Params.RedeliverBatch; sent++ {
+	for sent := 0; n.nextIdx[org] < limit && sent < redeliverBatch; sent++ {
 		b := n.chain[n.nextIdx[org]]
 		redelivery := n.nextIdx[org] < n.highWater[org]
 		_ = src.Send(wire.NodeID(target), &wire.DeliverBlock{Block: b})

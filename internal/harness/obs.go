@@ -8,8 +8,7 @@ import (
 )
 
 // ObsContexts returns the number of observability emission contexts the
-// network needs: one per shard engine plus the control plane, last — the
-// same layout the scenario runner's text-trace buffers use.
+// network needs: one per shard engine plus the control plane, last.
 func (n *Network) ObsContexts() int { return n.se.NumShards() + 1 }
 
 // OrdObsContext returns the emission-context index owning the ordering

@@ -32,8 +32,12 @@ func (d *Distribution) N() int { return len(d.sorted) }
 
 // Quantile returns the p-th order statistic (0 < p <= 1). Out-of-range p
 // clamps to the extremes; an empty distribution returns 0.
-func (d *Distribution) Quantile(p float64) time.Duration {
-	n := len(d.sorted)
+func (d *Distribution) Quantile(p float64) time.Duration { return quantile(d.sorted, p) }
+
+// quantile is the one order-statistic rule every summary in the repository
+// goes through: the ceil(p*n)-th smallest of an ascending slice.
+func quantile(sorted []time.Duration, p float64) time.Duration {
+	n := len(sorted)
 	if n == 0 {
 		return 0
 	}
@@ -44,7 +48,7 @@ func (d *Distribution) Quantile(p float64) time.Duration {
 	if idx >= n {
 		idx = n - 1
 	}
-	return d.sorted[idx]
+	return sorted[idx]
 }
 
 // Mean returns the sample mean.
@@ -220,137 +224,6 @@ func (r *LatencyRecorder) All() *Distribution {
 	return NewDistribution(all)
 }
 
-// GroupedLatency partitions latency observations by an integer group key —
-// the organization index in multi-org networks. Scenario reports use it to
-// summarize each organization's epidemic independently (the paper's Fig. 1
-// shape: per-org gossip domains) next to the network-wide distribution,
-// which All assembles by merging the groups on demand. Keeping the
-// aggregate virtual (instead of a live recorder every Record also feeds)
-// lets each group take writes from its own shard of a sharded simulation
-// with no shared state; call EnsureGroups up front so the group map itself
-// is never mutated concurrently.
-type GroupedLatency struct {
-	groups map[int]*LatencyRecorder
-	// scratch is the reusable sort buffer behind SummarizeAll and
-	// SummarizeGroup: percentile queries gather samples into it and sort
-	// in place, so re-querying allocates nothing once it has grown to the
-	// largest query's size (BenchmarkGroupedLatencySummarizeAllocs gates
-	// this). The All()/NewDistribution path copies every sample per query.
-	scratch []time.Duration
-}
-
-// NewGroupedLatency returns an empty grouped recorder.
-func NewGroupedLatency() *GroupedLatency {
-	return &GroupedLatency{groups: make(map[int]*LatencyRecorder)}
-}
-
-// Record adds one observation to the group's recorder.
-func (g *GroupedLatency) Record(group int, block uint64, peer wire.NodeID, latency time.Duration) {
-	g.Group(group).Record(block, peer, latency)
-}
-
-// Group returns the recorder for one group, creating it on first use.
-func (g *GroupedLatency) Group(group int) *LatencyRecorder {
-	r, ok := g.groups[group]
-	if !ok {
-		r = NewLatencyRecorder()
-		g.groups[group] = r
-	}
-	return r
-}
-
-// EnsureGroups pre-creates recorders for groups [0, n), so writers on
-// different goroutines (one per group) never grow the map concurrently.
-func (g *GroupedLatency) EnsureGroups(n int) {
-	for i := 0; i < n; i++ {
-		g.Group(i)
-	}
-}
-
-// All returns an aggregate recorder pooling every group's observations,
-// merged in ascending group order at call time.
-func (g *GroupedLatency) All() *LatencyRecorder {
-	out := NewLatencyRecorder()
-	for _, k := range g.Groups() {
-		r := g.groups[k]
-		for peer, s := range r.perPeer {
-			out.perPeer[peer] = append(out.perPeer[peer], s...)
-		}
-		for blk, s := range r.perBlock {
-			out.perBlock[blk] = append(out.perBlock[blk], s...)
-		}
-		out.count += r.count
-	}
-	return out
-}
-
-// SummarizeAll computes the pooled Summary over every group's samples,
-// reusing the recorder's scratch buffer. Quantiles of a multiset do not
-// depend on gather order, so iterating the group map directly is safe, and
-// the result is identical to Summarize(g.All().All()) without that path's
-// two recorder copies and fresh sort slice per query.
-func (g *GroupedLatency) SummarizeAll() Summary {
-	buf := g.scratch[:0]
-	for _, r := range g.groups {
-		for _, s := range r.perPeer {
-			buf = append(buf, s...)
-		}
-	}
-	g.scratch = buf
-	return SummarizeSamples(buf)
-}
-
-// SummarizeGroup computes one group's Summary with the same scratch reuse
-// as SummarizeAll. Unknown groups summarize as empty.
-func (g *GroupedLatency) SummarizeGroup(group int) Summary {
-	buf := g.scratch[:0]
-	if r, ok := g.groups[group]; ok {
-		for _, s := range r.perPeer {
-			buf = append(buf, s...)
-		}
-	}
-	g.scratch = buf
-	return SummarizeSamples(buf)
-}
-
-// Groups returns the group keys observed so far, in ascending order.
-func (g *GroupedLatency) Groups() []int {
-	out := make([]int, 0, len(g.groups))
-	for k := range g.groups {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// RecoveryRecorder accumulates peer catch-up latencies from fault and churn
-// scenarios: the time from a peer's restart (or staggered join) until its
-// in-order ledger height reached the organization's injected height. It is
-// the per-scenario recovery metric the scenario reports summarize.
-type RecoveryRecorder struct {
-	samples []time.Duration
-}
-
-// NewRecoveryRecorder returns an empty recorder.
-func NewRecoveryRecorder() *RecoveryRecorder { return &RecoveryRecorder{} }
-
-// Record adds one observation: a peer caught up after latency.
-func (r *RecoveryRecorder) Record(latency time.Duration) {
-	r.samples = append(r.samples, latency)
-}
-
-// Count returns the number of recorded recoveries.
-func (r *RecoveryRecorder) Count() int { return len(r.samples) }
-
-// Samples returns the raw observations, for merging recorders that took
-// writes on separate goroutines. Callers must not mutate the slice.
-func (r *RecoveryRecorder) Samples() []time.Duration { return r.samples }
-
-// Distribution returns the recovery-latency distribution.
-func (r *RecoveryRecorder) Distribution() *Distribution {
-	return NewDistribution(r.samples)
-}
-
 // OverheadRatio relates total transmitted bytes to the ideal minimum of a
 // dissemination workload: every one of blocks payloads of payloadBytes
 // reaching each of receivers peers exactly once. A perfect protocol scores
@@ -372,38 +245,20 @@ type Summary struct {
 }
 
 // Summarize computes a Summary.
-func Summarize(d *Distribution) Summary {
-	return Summary{
-		N:    d.N(),
-		Min:  d.Min(),
-		Mean: d.Mean(),
-		Max:  d.Max(),
-		P50:  d.Quantile(0.50),
-		P95:  d.Quantile(0.95),
-		P99:  d.Quantile(0.99),
-		P999: d.Quantile(0.999),
-	}
-}
+func Summarize(d *Distribution) Summary { return summarizeSorted(d.sorted) }
 
 // SummarizeSamples summarizes samples in place: the slice is sorted (not
-// copied) and read directly, so callers owning a scratch slice get a
-// Summary without allocating. Identical to Summarize(NewDistribution(s))
-// — same multiset, same order statistics.
+// copied) and read directly, so a caller that owns its samples gets a
+// Summary without allocating. Identical to Summarize(NewDistribution(s)).
 func SummarizeSamples(s []time.Duration) Summary {
 	slices.Sort(s)
+	return summarizeSorted(s)
+}
+
+func summarizeSorted(s []time.Duration) Summary {
 	n := len(s)
 	if n == 0 {
 		return Summary{}
-	}
-	q := func(p float64) time.Duration {
-		idx := int(math.Ceil(p*float64(n))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= n {
-			idx = n - 1
-		}
-		return s[idx]
 	}
 	var sum time.Duration
 	for _, v := range s {
@@ -414,10 +269,10 @@ func SummarizeSamples(s []time.Duration) Summary {
 		Min:  s[0],
 		Mean: sum / time.Duration(n),
 		Max:  s[n-1],
-		P50:  q(0.50),
-		P95:  q(0.95),
-		P99:  q(0.99),
-		P999: q(0.999),
+		P50:  quantile(s, 0.50),
+		P95:  quantile(s, 0.95),
+		P99:  quantile(s, 0.99),
+		P999: quantile(s, 0.999),
 	}
 }
 

@@ -6,8 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
-
-	"fabricgossip/internal/wire"
 )
 
 func ms(v int) time.Duration { return time.Duration(v) * time.Millisecond }
@@ -211,23 +209,6 @@ func TestPropertyQuantileMonotone(t *testing.T) {
 	}
 }
 
-func TestRecoveryRecorder(t *testing.T) {
-	r := NewRecoveryRecorder()
-	if r.Count() != 0 || r.Distribution().N() != 0 {
-		t.Fatal("fresh recorder not empty")
-	}
-	r.Record(ms(200))
-	r.Record(ms(600))
-	r.Record(ms(400))
-	if r.Count() != 3 {
-		t.Fatalf("count = %d", r.Count())
-	}
-	d := r.Distribution()
-	if d.Min() != ms(200) || d.Max() != ms(600) || d.Quantile(0.5) != ms(400) {
-		t.Fatalf("distribution min=%v p50=%v max=%v", d.Min(), d.Quantile(0.5), d.Max())
-	}
-}
-
 func TestOverheadRatio(t *testing.T) {
 	// 10 blocks of 1000 bytes to 99 receivers, transmitted at 1.5x ideal.
 	ideal := uint64(1000 * 99 * 10)
@@ -239,64 +220,52 @@ func TestOverheadRatio(t *testing.T) {
 	}
 }
 
-func TestGroupedLatency(t *testing.T) {
-	g := NewGroupedLatency()
-	if len(g.Groups()) != 0 || g.All().Count() != 0 {
-		t.Fatal("fresh grouped recorder not empty")
-	}
-	g.Record(1, 0, 10, ms(100))
-	g.Record(0, 0, 1, ms(300))
-	g.Record(1, 1, 11, ms(200))
-	if got := g.Groups(); len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Fatalf("groups = %v, want [0 1]", got)
-	}
-	if g.Group(1).Count() != 2 || g.Group(0).Count() != 1 {
-		t.Fatalf("group counts = %d/%d", g.Group(0).Count(), g.Group(1).Count())
-	}
-	all := g.All().All()
-	if all.N() != 3 || all.Min() != ms(100) || all.Max() != ms(300) {
-		t.Fatalf("aggregate n=%d min=%v max=%v", all.N(), all.Min(), all.Max())
-	}
-	// Group accessor must not invent observations.
-	if g.Group(7).Count() != 0 {
-		t.Fatal("empty group has observations")
+// Summarize (a copy, sorted) and SummarizeSamples (the caller's slice,
+// sorted in place) are two doors onto one quantile routine. They must agree
+// with each other, and that routine with the definition it implements — the
+// smallest sample with at least a p share of the samples at or below it —
+// across sizes (empty and singleton included) and heavy duplication.
+func TestSummarizeSamplesMatchesDistributionPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{0, 1, 2, 7, 100, 999} {
+		samples := make([]time.Duration, n)
+		for i := range samples {
+			samples[i] = time.Duration(rng.Int63n(int64(n)/2 + 1))
+		}
+		want := Summarize(NewDistribution(samples))
+		got := SummarizeSamples(append([]time.Duration(nil), samples...))
+		if got != want {
+			t.Errorf("n=%d: SummarizeSamples = %+v\nwant %+v", n, got, want)
+		}
+		if got.N != n {
+			t.Errorf("n=%d: summary counts %d samples", n, got.N)
+		}
+		for _, q := range []struct {
+			p   float64
+			got time.Duration
+		}{{0.50, got.P50}, {0.95, got.P95}, {0.99, got.P99}, {0.999, got.P999}, {1, got.Max}} {
+			if ref := quantileByDefinition(samples, q.p); q.got != ref {
+				t.Errorf("n=%d p=%g: quantile %v, definition gives %v", n, q.p, q.got, ref)
+			}
+		}
 	}
 }
 
-// SummarizeAll/SummarizeGroup must be observably identical to the
-// allocation-heavy Summarize(All().All()) path they replaced at report
-// time: same multiset, same order statistics, every quantile equal —
-// across group counts, sample sizes (empty included) and a deliberately
-// adversarial insertion order.
-func TestSummarizeSamplesMatchesDistributionPath(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	g := NewGroupedLatency()
-	g.EnsureGroups(3)
-	for i := 0; i < 5000; i++ {
-		o := rng.Intn(3)
-		if o == 2 && i%5 != 0 {
-			continue // keep one group sparse
+// quantileByDefinition scans for the smallest sample v with
+// #{s <= v} >= p*n, without sorting: O(n^2), test only.
+func quantileByDefinition(samples []time.Duration, p float64) time.Duration {
+	var best time.Duration
+	found := false
+	for _, v := range samples {
+		atOrBelow := 0
+		for _, s := range samples {
+			if s <= v {
+				atOrBelow++
+			}
 		}
-		g.Record(o, uint64(rng.Intn(40)), wire.NodeID(rng.Intn(500)), time.Duration(rng.Int63n(1e9)))
-	}
-	want := Summarize(g.All().All())
-	if got := g.SummarizeAll(); got != want {
-		t.Errorf("SummarizeAll = %+v\nwant %+v", got, want)
-	}
-	for o := 0; o < 3; o++ {
-		want := Summarize(g.Group(o).All())
-		if got := g.SummarizeGroup(o); got != want {
-			t.Errorf("SummarizeGroup(%d) = %+v\nwant %+v", o, got, want)
+		if float64(atOrBelow) >= p*float64(len(samples)) && (!found || v < best) {
+			best, found = v, true
 		}
 	}
-	if got := g.SummarizeGroup(99); got != (Summary{}) {
-		t.Errorf("unknown group summary = %+v, want zero", got)
-	}
-	if got := SummarizeSamples(nil); got != (Summary{}) {
-		t.Errorf("empty SummarizeSamples = %+v, want zero", got)
-	}
-	// Re-querying reuses the scratch buffer and must not perturb results.
-	if a, b := g.SummarizeAll(), g.SummarizeAll(); a != b {
-		t.Errorf("requery drifted: %+v vs %+v", a, b)
-	}
+	return best
 }

@@ -8,9 +8,10 @@
 // must only be touched from one goroutine (one per simulation shard — the
 // shard's own event loop), while NewConcurrentRegistry takes atomic/locked
 // writes from any goroutine (the TCP runtime). Shard-local registries are
-// folded together with Merge at barriers or report time, exactly like
-// GroupedLatency.All(): determinism comes from merging in a fixed order at
-// a quiescent instant, not from synchronizing the hot path.
+// folded together with Merge at barriers or report time, exactly like the
+// scenario runner's per-organization latency samples: determinism comes
+// from merging in a fixed order at a quiescent instant, not from
+// synchronizing the hot path.
 //
 // Instruments are registered once, up front, by name plus label pairs; the
 // hot path holds the returned pointer and never performs a map lookup, so

@@ -39,7 +39,9 @@ const (
 	EvBlockCommit // a peer committed a block in order (Num = block)
 	EvDeliver     // the ordering stream handed a block to an org leader
 	EvBarrier     // the window coordinator ran a full barrier
-	EvFault       // a scenario fault action was applied
+	EvFault       // a scenario fault action was applied (Num = script index; Aux = 1: the initial-down set, before the script)
+	EvCaughtUp    // a restarted peer committed up to the injected height (Num = height, Aux = ns since restart)
+	EvFaultTarget // a crash-the-leader fault resolved which consenter leads (Node = consenter)
 )
 
 var eventKindNames = [...]string{
@@ -65,6 +67,8 @@ var eventKindNames = [...]string{
 	EvDeliver:     "deliver",
 	EvBarrier:     "barrier",
 	EvFault:       "fault",
+	EvCaughtUp:    "caught_up",
+	EvFaultTarget: "fault_target",
 }
 
 func (k EventKind) String() string {
@@ -217,9 +221,9 @@ func (t *Tracer) Total() uint64 {
 }
 
 // Merged assembles the run's total event order: (At, context index,
-// emission order) — the same total order PR 8's text-trace merge uses, a
-// pure function of (seed, scenario) regardless of how shard goroutines
-// interleaved. Call only after the run (or at a barrier).
+// emission order) — a pure function of (seed, scenario) regardless of how
+// shard goroutines interleaved, and the only trace merge in the
+// repository. Call only after the run (or at a barrier).
 func (t *Tracer) Merged() []Event {
 	if len(t.Shards) == 1 {
 		return append([]Event(nil), t.Shards[0].chronological()...)

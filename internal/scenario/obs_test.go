@@ -195,3 +195,91 @@ func TestViolationHookDumpsFlightRecorder(t *testing.T) {
 	}()
 	se.SendCross(0, 1, time.Millisecond, nil, 0, 0, nil)
 }
+
+// The text trace is a view of the structured one: rendering the merged
+// events of a traced run (the renderer skips every non-script kind)
+// reproduces Report.Trace line for line, each recovery is one caught-up
+// event, and a bare run — which keeps only the script events, privately —
+// prints the same lines while exposing no events.
+func TestTextTraceIsAViewOfEvents(t *testing.T) {
+	cases := []struct {
+		name  string
+		orgs  int
+		lines string // a line only this entry's script produces
+	}{
+		{"crash-restart", 1, "caught up to height"},
+		{"org-leader-failover", 4, "redeliver block"},
+		{"consenter-election-under-txload", 4, "consenter leader is"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			def, err := Lookup(tc.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc := def.Build(Uniform(tc.orgs, 20/tc.orgs))
+			opt := Options{Peers: 20, Orgs: tc.orgs, Seed: 42}
+			bare, err := Run(sc, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt.Trace = true
+			rep, err := Run(sc, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(bare.Events) != 0 {
+				t.Errorf("bare run exposes %d structured events", len(bare.Events))
+			}
+			rendered := renderTrace(rep.Events, sc, rep.Orgs)
+			for _, view := range []struct {
+				what string
+				got  []string
+			}{{"rendered events", rendered}, {"bare run's trace", bare.Trace}} {
+				if len(view.got) != len(rep.Trace) {
+					t.Fatalf("%s: %d lines, Report.Trace has %d", view.what, len(view.got), len(rep.Trace))
+				}
+				for i := range view.got {
+					if view.got[i] != rep.Trace[i] {
+						t.Fatalf("%s diverge from Report.Trace at line %d:\n  %s\n  %s",
+							view.what, i, view.got[i], rep.Trace[i])
+					}
+				}
+			}
+			if !strings.Contains(strings.Join(rep.Trace, "\n"), tc.lines) {
+				t.Errorf("trace has no %q line:\n%s", tc.lines, strings.Join(rep.Trace, "\n"))
+			}
+			caughtUp := 0
+			for _, e := range rep.Events {
+				if e.Kind == obs.EvCaughtUp {
+					caughtUp++
+				}
+			}
+			if caughtUp != rep.Recoveries.N {
+				t.Errorf("%d caught-up events for %d recoveries", caughtUp, rep.Recoveries.N)
+			}
+		})
+	}
+}
+
+// The samplers measure the run, not the pool-leak audit's drain past its
+// end: no time-series row is later than the scenario's End.
+func TestSamplersStopWhenTheRunEnds(t *testing.T) {
+	def, err := Lookup("crash-restart")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := def.Build(Uniform(1, 20))
+	rep, err := Run(sc, Options{Peers: 20, Seed: 3, TimeSeries: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Series.Rows) == 0 {
+		t.Fatal("no time-series rows sampled")
+	}
+	for _, row := range rep.Series.Rows {
+		if row.At > sc.End() {
+			t.Errorf("time-series row at %v, after the run ended at %v", row.At, sc.End())
+		}
+	}
+}

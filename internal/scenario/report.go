@@ -149,17 +149,25 @@ type Report struct {
 	BarrierFull   uint64
 	BarrierElided uint64
 
-	// HeapHighWater is the process heap's high-water mark over the run
-	// (runtime.ReadMemStats samples at window barriers). It is wall-side state, not
-	// simulation output, so like PeakPending it is excluded from String —
-	// and therefore from Fingerprint. The 100k benchmark tier gates
-	// bytes_per_peer = HeapHighWater / peers from it.
+	// HeapHighWater is the largest heap a garbage collection marked live,
+	// as read at the run's full barriers and at its end (runtime/metrics
+	// /gc/heap/live:bytes). The gauge only moves when a collection
+	// completes, so between collections it is a lower bound, a run too
+	// short to collect reads what the last collection before it marked,
+	// and callers comparing runs in one process collect first (the scale
+	// benchmarks do). It is wall-side state, not simulation output, so like
+	// PeakPending it is excluded from String — and therefore from
+	// Fingerprint. The 10k and 100k benchmark tiers gate bytes_per_peer =
+	// HeapHighWater / peers from it.
 	HeapHighWater uint64
 
 	// OrgReports breaks the run down per organization, in org order.
 	OrgReports []OrgReport
 
-	// Trace is the deterministic event log of the run.
+	// Trace is the deterministic event log of the run: the script events
+	// (initial-down, faults, deliveries, elections, catch-ups) rendered as
+	// text, one line each — a view of the same events a traced run carries
+	// in Events. Always populated; Fingerprint hashes it.
 	Trace []string
 
 	// Obs is the run's unified metrics inventory: the transport's
@@ -233,6 +241,57 @@ func (r *Report) String() string {
 	}
 	fmt.Fprintf(&b, "  engine events: %d", r.EngineEvents)
 	return b.String()
+}
+
+// renderTrace renders a run's script events as the text trace, one line
+// per event in the order given; kinds outside the script (commits,
+// membership, wire traffic, barriers) are skipped, so the merged trace of a
+// traced run renders to the same lines as the script trace every run keeps.
+// sc supplies what the events only index: the fault script and the
+// initial-down set. A delivery prints the first time its (org, block) pair
+// appears and whenever it is a redelivery (Aux = 1).
+func renderTrace(events []obs.Event, sc Scenario, orgs int) []string {
+	type orgBlock struct {
+		org int32
+		num uint64
+	}
+	delivered := make(map[orgBlock]bool)
+	var out []string
+	for _, e := range events {
+		var line string
+		switch e.Kind {
+		case obs.EvFault:
+			if e.Aux == 1 {
+				line = fmt.Sprintf("start with peers %s down", rangeSpec(sc.InitialDown))
+			} else {
+				line = sc.Events[e.Num].Action.String()
+			}
+		case obs.EvDeliver:
+			verb := "deliver"
+			if key := (orgBlock{e.Peer, e.Num}); !delivered[key] {
+				delivered[key] = true
+			} else if e.Aux == 1 {
+				verb = "redeliver"
+			} else {
+				continue
+			}
+			if orgs == 1 {
+				line = fmt.Sprintf("%s block %d -> peer %d", verb, e.Num, e.Node)
+			} else {
+				line = fmt.Sprintf("%s block %d -> org %d peer %d", verb, e.Num, e.Peer, e.Node)
+			}
+		case obs.EvElection:
+			line = fmt.Sprintf("consenter %d elected leader (term %d)", e.Node, e.Num)
+		case obs.EvCaughtUp:
+			line = fmt.Sprintf("peer %d caught up to height %d, %v after restart", e.Node, e.Num, time.Duration(e.Aux))
+		case obs.EvFaultTarget:
+			line = fmt.Sprintf("consenter leader is %d", e.Node)
+		default:
+			continue
+		}
+		out = append(out, fmt.Sprintf("[%10v] %s", e.At, line))
+	}
+	return out
 }
 
 // Fingerprint returns a hex digest over the report and its full trace: two

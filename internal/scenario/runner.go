@@ -2,18 +2,27 @@ package scenario
 
 import (
 	"fmt"
-	"runtime"
-	"sort"
+	rtmetrics "runtime/metrics"
 	"time"
 
 	"fabricgossip/internal/gossip"
 	"fabricgossip/internal/harness"
 	"fabricgossip/internal/ledger"
 	"fabricgossip/internal/metrics"
+	"fabricgossip/internal/netmodel"
 	"fabricgossip/internal/obs"
 	"fabricgossip/internal/raft"
+	"fabricgossip/internal/sim"
 	"fabricgossip/internal/wire"
 	"fabricgossip/internal/workload"
+)
+
+// txPerBlock transactions of txPayload bytes shape the premade chain's
+// blocks: small enough that thousand-peer runs stay fast, large enough
+// that bandwidth overhead is dominated by block bodies.
+const (
+	txPerBlock = 10
+	txPayload  = 512
 )
 
 // Options parameterizes one scenario run.
@@ -35,11 +44,6 @@ type Options struct {
 	// Seed drives every random stream; the same seed reproduces the run
 	// byte for byte.
 	Seed int64
-	// TxPerBlock/TxPayload shape the workload blocks (defaults 10 x 512 B:
-	// small enough that thousand-peer runs stay fast, large enough that
-	// bandwidth overhead is dominated by block bodies).
-	TxPerBlock int
-	TxPayload  int
 	// Consenters, when > 0, overrides the scenario's ordering-cluster
 	// size: any catalog entry replays against this many Raft consenters
 	// (cmd/scenarios -consenters). Zero inherits the scenario's own
@@ -64,7 +68,9 @@ type Options struct {
 	// passive — no random draws, no scheduled events — so enabling them
 	// leaves the run's fingerprint byte-identical; the merged stream
 	// itself is deterministic per seed regardless of GOMAXPROCS. Off by
-	// default: the per-message hot path then carries only a nil check.
+	// default: the per-message hot path then carries only a nil check, and
+	// the run records just the low-volume script events Report.Trace
+	// renders.
 	Trace bool
 	// FlightRing arms the crash flight recorder: each emission context
 	// keeps a bounded ring of this many recent trace events, dumped to a
@@ -97,12 +103,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.TxPerBlock == 0 {
-		o.TxPerBlock = 10
-	}
-	if o.TxPayload == 0 {
-		o.TxPayload = 512
 	}
 	return o
 }
@@ -140,18 +140,14 @@ type runner struct {
 	net   *harness.Network
 	plane *workload.Plane // nil unless sc.Workload is set
 
-	// orgRecs and lat take writes from commit/reception hooks, which run
-	// on each organization's own shard — so both are partitioned per org
-	// (the network-wide views merge at report time).
-	orgRecs []*metrics.RecoveryRecorder
-	lat     *metrics.GroupedLatency
+	// dissem and recovery hold every latency sample of the run once, per
+	// organization: the commit/reception hooks that append to them run on
+	// each organization's own shard, so no two writers share a slice (the
+	// network-wide summaries concatenate at report time).
+	dissem   [][]time.Duration
+	recovery [][]time.Duration
 
-	// traces holds per-emission-context trace buffers, in the network's
-	// context layout (harness.Network.ObsContexts): one per shard engine,
-	// then one for the control engine (fault actions, deliveries). The
-	// report merges them by (time, buffer, position), which is
-	// deterministic regardless of window interleaving.
-	traces   [][]traceEntry
+	blocks   []*ledger.Block   // the premade chain (nil with a workload plane)
 	injected int               // distinct blocks delivered to at least one org
 	seen     map[uint64]bool   // blocks counted in injected
 	orgSeen  []map[uint64]bool // per-org delivered blocks
@@ -170,6 +166,10 @@ type runner struct {
 	transitions     []int
 	orderViolations []int
 
+	// samplers are the control-engine timers that measure the run (time
+	// series, membership views); drive stops them when the run ends.
+	samplers []sim.Timer
+
 	// Membership-view sampling state (MeasureMembership only). liveBuf and
 	// actualBuf are the sampler's reusable scratch; convergedAt is the
 	// first sample time of the current everyone-agrees-on-the-leader
@@ -180,32 +180,27 @@ type runner struct {
 	liveBuf     []wire.NodeID
 	actualBuf   []wire.NodeID
 
-	// Heap high-water sampling (wall-side diagnostic, never fingerprinted),
-	// from a coordinator barrier hook: no new simulation events exist, so
-	// EngineEvents (which IS fingerprinted) is untouched. lastHeapAt
-	// throttles the ReadMemStats stop-the-world cost to one sample per
-	// heapSampleInterval of simulated time.
-	heapHigh    uint64
-	heapSampled bool
-	lastHeapAt  time.Duration
+	// heapHigh is the largest live-heap reading taken (readLiveHeap).
+	heapHigh uint64
 
-	// Observability plane (all nil/empty unless Options opts in).
-	// obsRegs holds one shard-local registry per emission context —
-	// same layout as traces — merged at report (and time-series sample)
-	// time; tracer's contexts back both the structured event stream and
-	// the flight recorder's rings.
+	// script is the one record Report.Trace renders: an always-on,
+	// unbounded trace of the low-volume script events (initial-down,
+	// fault, deliver, election, caught-up, fault target). tracer is the
+	// full structured trace or the flight recorder's rings (nil unless
+	// Options opts in) and receives the same script events plus the
+	// high-volume commit, membership and wire points. Both follow the
+	// network's emission-context layout (harness.Network.ObsContexts):
+	// one buffer per shard engine, then one for the control engine.
+	script *obs.Tracer
+	tracer *obs.Tracer
+
+	// The rest of the observability plane (nil unless Options opts in):
+	// one shard-local registry per emission context, merged at report (and
+	// time-series sample) time.
 	obsRegs    []*obs.Registry
-	tracer     *obs.Tracer
 	flight     *obs.FlightRecorder
 	series     *obs.Series
 	flightDump string
-}
-
-// traceEntry is one trace line before prefix formatting, tagged with its
-// virtual time for the merge.
-type traceEntry struct {
-	at   time.Duration
-	line string
 }
 
 // RunNamed instantiates the named catalog scenario for opt's topology and
@@ -252,76 +247,122 @@ func Run(sc Scenario, opt Options) (*Report, error) {
 	if opt.Tail > 0 {
 		sc.Tail = opt.Tail
 	}
-	top, err := opt.topology()
+	top, consenters, err := validate(sc, opt)
 	if err != nil {
 		return nil, err
 	}
-	if sc.Workload != nil {
+	r, err := build(sc, opt, top, consenters)
+	if err != nil {
+		return nil, err
+	}
+	r.arm()
+	r.drive()
+	// The report snapshots every fingerprinted counter (EngineEvents
+	// included) before drain executes the deliveries still in flight at
+	// End — the leak audit must settle refcounts without moving a single
+	// reported number.
+	rep := r.report()
+	if err := r.drain(); err != nil {
+		return nil, err
+	}
+	return rep, nil
+}
+
+// validate rejects a scenario its topology cannot run, before anything is
+// built: a bad index must fail Run, not panic mid-simulation. It resolves
+// the two sizes everything downstream needs, the topology and the
+// ordering-cluster size.
+func validate(sc Scenario, opt Options) (top Topology, consenters int, err error) {
+	if top, err = opt.topology(); err != nil {
+		return top, 0, err
+	}
+	switch {
+	case sc.Workload != nil && sc.Blocks > 0:
 		// The workload plane cuts blocks through a real ordering service;
 		// a premade chain would collide with it on block numbers.
-		if sc.Blocks > 0 {
-			return nil, fmt.Errorf("scenario: %q sets both Blocks and Workload", sc.Name)
-		}
-	} else if sc.Blocks <= 0 {
-		return nil, fmt.Errorf("scenario: %q injects no blocks", sc.Name)
-	}
-	if sc.Workload == nil {
-		for _, ev := range sc.Events {
-			switch ev.Action.(type) {
-			case StartWorkload, StopWorkload:
-				return nil, fmt.Errorf("scenario: %q schedules %q without a Workload config",
-					sc.Name, ev.Action)
-			}
-		}
-	}
-	if len(sc.InitialDown) >= top.Total() {
-		return nil, fmt.Errorf("scenario: all %d peers initially down", top.Total())
+		return top, 0, fmt.Errorf("scenario: %q sets both Blocks and Workload", sc.Name)
+	case sc.Workload == nil && sc.Blocks <= 0:
+		return top, 0, fmt.Errorf("scenario: %q injects no blocks", sc.Name)
+	case len(sc.InitialDown) >= top.Total():
+		return top, 0, fmt.Errorf("scenario: all %d peers initially down", top.Total())
 	}
 	for _, i := range sc.InitialDown {
 		if i < 0 || i >= top.Total() {
-			return nil, fmt.Errorf("scenario: initial-down peer %d out of range [0, %d)", i, top.Total())
+			return top, 0, fmt.Errorf("scenario: initial-down peer %d out of range [0, %d)", i, top.Total())
 		}
 	}
-	for _, ev := range sc.Events {
-		for _, i := range actionPeers(ev.Action) {
-			if i < 0 || i >= top.Total() {
-				return nil, fmt.Errorf("scenario: event %q at %v names peer %d, outside [0, %d)",
-					ev.Action, ev.At, i, top.Total())
-			}
-		}
-		for _, o := range actionOrgs(ev.Action) {
-			if o < 0 || o >= top.Orgs() {
-				return nil, fmt.Errorf("scenario: event %q at %v names org %d, outside [0, %d)",
-					ev.Action, ev.At, o, top.Orgs())
-			}
-		}
-		if split, ok := ev.Action.(PartitionSplit); ok && (split.Split <= 0 || split.Split >= top.Total()) {
-			return nil, fmt.Errorf("scenario: event %q at %v splits outside (0, %d)",
-				ev.Action, ev.At, top.Total())
-		}
-	}
-	consenters := sc.Consenters
+	consenters = sc.Consenters
 	if opt.Consenters > 0 {
 		consenters = opt.Consenters
 	}
 	if consenters == 0 {
 		consenters = 1
 	}
+	// What each addressable unit may range over, [lo, hi).
+	bounds := map[string][2]int{
+		"peer":        {0, top.Total()},
+		"org":         {0, top.Orgs()},
+		"consenter":   {0, consenters},
+		"split point": {1, top.Total()},
+	}
 	for _, ev := range sc.Events {
-		for _, c := range actionConsenters(ev.Action) {
-			if c < 0 || c >= consenters {
-				return nil, fmt.Errorf("scenario: event %q at %v names consenter %d, outside [0, %d)",
-					ev.Action, ev.At, c, consenters)
+		unit, indices := addressed(ev.Action)
+		if unit == "workload" && sc.Workload == nil {
+			return top, 0, fmt.Errorf("scenario: %q schedules %q without a Workload config", sc.Name, ev.Action)
+		}
+		for _, i := range indices {
+			if b := bounds[unit]; i < b[0] || i >= b[1] {
+				return top, 0, fmt.Errorf("scenario: event %q at %v names %s %d, outside [%d, %d)",
+					ev.Action, ev.At, unit, i, b[0], b[1])
 			}
 		}
 	}
+	return top, consenters, nil
+}
 
+// addressed is the table behind validate's range check: the unit an action
+// addresses and the indices it names. Actions that resolve their target at
+// run time (CrashLeader, RestartAll, ...) name none.
+func addressed(a Action) (unit string, indices []int) {
+	switch a := a.(type) {
+	case CrashPeers:
+		return "peer", a.Peers
+	case RestartPeers:
+		return "peer", a.Peers
+	case SlowPeers:
+		return "peer", a.Peers
+	case PartitionSplit:
+		return "split point", []int{a.Split}
+	case CrashOrg:
+		return "org", []int{a.Org}
+	case RestartOrg:
+		return "org", []int{a.Org}
+	case CrashOrgLeader:
+		return "org", []int{a.Org}
+	case IsolateOrgs:
+		return "org", a.Orgs
+	case CrashConsenter:
+		return "consenter", []int{a.Consenter}
+	case RestartConsenter:
+		return "consenter", []int{a.Consenter}
+	case IsolateConsenters:
+		return "consenter", a.Consenters
+	case StartWorkload, StopWorkload:
+		return "workload", nil
+	}
+	return "", nil
+}
+
+// build constructs everything the run needs and starts nothing: the
+// network with the runner's measurement hooks on it, the observability
+// plane, and (if scripted) the workload plane.
+func build(sc Scenario, opt Options, top Topology, consenters int) (*runner, error) {
 	r := &runner{
 		sc:              sc,
 		opt:             opt,
 		top:             top,
-		orgRecs:         make([]*metrics.RecoveryRecorder, top.Orgs()),
-		lat:             metrics.NewGroupedLatency(),
+		dissem:          make([][]time.Duration, top.Orgs()),
+		recovery:        make([][]time.Duration, top.Orgs()),
 		seen:            make(map[uint64]bool),
 		orgSeen:         make([]map[uint64]bool, top.Orgs()),
 		orgStart:        make([]map[uint64]time.Duration, top.Orgs()),
@@ -331,28 +372,42 @@ func Run(sc Scenario, opt Options) (*Report, error) {
 		transitions:     make([]int, top.Orgs()),
 		orderViolations: make([]int, top.Orgs()),
 	}
-	r.lat.EnsureGroups(top.Orgs())
 	for o := 0; o < top.Orgs(); o++ {
-		r.orgRecs[o] = metrics.NewRecoveryRecorder()
 		r.orgSeen[o] = make(map[uint64]bool)
 		r.orgStart[o] = make(map[uint64]time.Duration)
 	}
 	for i := range r.lastCommit {
 		r.lastCommit[i] = -1
 	}
+	if err := r.buildNetwork(consenters); err != nil {
+		return nil, err
+	}
+	r.buildObsPlane()
+	// The workload plane must install before the cores start (its per-peer
+	// validation pipelines hook OnCommit) and before any restart event can
+	// fire (its rebuild hook must be registered).
+	if sc.Workload != nil {
+		if err := r.buildWorkloadPlane(); err != nil {
+			return nil, err
+		}
+	}
+	return r, nil
+}
 
+func (r *runner) buildNetwork(consenters int) error {
+	sc := r.sc
 	// One spec per organization; a scenario's OrgVariants pin protocols
 	// per org, everything else inherits the run's variant.
-	specs := make([]harness.OrgSpec, top.Orgs())
+	specs := make([]harness.OrgSpec, r.top.Orgs())
 	for o := range specs {
-		specs[o] = harness.OrgSpec{Peers: top.Size(o)}
+		specs[o] = harness.OrgSpec{Peers: r.top.Size(o)}
 		if o < len(sc.OrgVariants) && sc.OrgVariants[o] != "" {
 			specs[o].Variant = sc.OrgVariants[o]
 		}
 	}
 	net, err := harness.NewNetwork(harness.NetworkParams{
-		Seed:    opt.Seed,
-		Variant: opt.Variant,
+		Seed:    r.opt.Seed,
+		Variant: r.opt.Variant,
 		Orgs:    specs,
 		Bucket:  time.Second,
 		// Scenario reports only read per-node totals; the per-bucket
@@ -364,202 +419,202 @@ func Run(sc Scenario, opt Options) (*Report, error) {
 		WANDelay:        sc.WANDelay,
 		Consenters:      consenters,
 		ConsenterSpread: sc.ConsenterSpread,
-		FixedLookahead:  opt.FixedLookahead,
+		FixedLookahead:  r.opt.FixedLookahead,
 	},
-		// Fault handling wants faster membership and recovery turnarounds
-		// than the paper's fault-free 10 s defaults.
-		harness.WithNetworkGossipTune(func(self wire.NodeID, cfg *gossip.Config) {
-			cfg.StateInfoInterval = time.Second
-			cfg.AliveInterval = 2 * time.Second
-			cfg.AliveExpiration = 5 * time.Second
-			cfg.RecoveryInterval = 2 * time.Second
-			cfg.RecoveryBatch = 64
-			if sc.SwimMembership {
-				// The SWIM defaults for dense views at n >= 1000: lapsed
-				// peers survive as refutable suspects for five heartbeat
-				// periods, rumors ride every message, and the shuffle
-				// refreshes 128 view entries per heartbeat period.
-				cfg.SuspectTimeout = 10 * time.Second
-				cfg.PiggybackMax = 32
-				cfg.PiggybackBudget = 4
-				cfg.ShuffleInterval = 2 * time.Second
-				cfg.ShuffleSample = 256
-			}
-		}),
+		harness.WithNetworkGossipTune(r.tuneGossip),
 		harness.WithNetworkCoreHook(r.instrument),
 		harness.WithDeliverHook(r.onDeliver),
-		harness.WithConsenterHook(func(c int, s raft.State, term uint64) {
-			if s == raft.Leader {
-				r.ordTracef("consenter %d elected leader (term %d)", c, term)
-			}
-			if r.tracer != nil {
-				kind := obs.EvRaftState
-				if s == raft.Leader {
-					kind = obs.EvElection
-				}
-				r.emitOrd(obs.Event{
-					At: r.net.OrdererEngine().Now(), Kind: kind,
-					Node: int32(c), Peer: -1, Num: term, Aux: uint64(s),
-				})
-			}
-		}),
+		harness.WithConsenterHook(r.onConsenterState),
 	)
-	if err != nil {
-		return nil, err
-	}
 	r.net = net
-	// Barrier-hosted heap sampling: every shard is quiescent, so the
-	// reading covers the whole network's live state.
-	net.Sharded().OnBarrier(r.sampleHeap)
-	nbuf := net.ObsContexts()
-	r.traces = make([][]traceEntry, nbuf)
-	engine := net.Engine
+	return err
+}
 
-	// Observability plane: registries and structured-trace buffers share
-	// the text-trace contexts' layout. AttachObs installs only passive
-	// instruments (no random draws, no events), so a Trace or FlightRing
-	// run's fingerprint is byte-identical to a bare one; TimeSeries is the
-	// exception — its sampler is an engine event, documented on Options.
-	if opt.Trace || opt.FlightRing > 0 || opt.TimeSeries > 0 {
-		r.obsRegs = make([]*obs.Registry, nbuf)
-		for i := range r.obsRegs {
-			r.obsRegs[i] = obs.NewRegistry()
+// tuneGossip gives every peer faster membership and recovery turnarounds
+// than the paper's fault-free 10 s defaults: fault handling wants them.
+func (r *runner) tuneGossip(_ wire.NodeID, cfg *gossip.Config) {
+	cfg.StateInfoInterval = time.Second
+	cfg.AliveInterval = 2 * time.Second
+	cfg.AliveExpiration = 5 * time.Second
+	cfg.RecoveryInterval = 2 * time.Second
+	cfg.RecoveryBatch = 64
+	if r.sc.SwimMembership {
+		// The SWIM defaults for dense views at n >= 1000: lapsed peers
+		// survive as refutable suspects for five heartbeat periods, rumors
+		// ride every message, and the shuffle refreshes 128 view entries
+		// per heartbeat period.
+		cfg.SuspectTimeout = 10 * time.Second
+		cfg.PiggybackMax = 32
+		cfg.PiggybackBudget = 4
+		cfg.ShuffleInterval = 2 * time.Second
+		cfg.ShuffleSample = 256
+	}
+}
+
+// buildObsPlane creates the script trace every run keeps and, when Options
+// opts in, the observability plane: registries and structured-trace
+// buffers in the same context layout. AttachObs installs only passive
+// instruments (no random draws, no events), so a Trace or FlightRing run's
+// fingerprint is byte-identical to a bare one; TimeSeries is the exception
+// — its sampler is an engine event, documented on Options.
+func (r *runner) buildObsPlane() {
+	net, opt := r.net, r.opt
+	nctx := net.ObsContexts()
+	r.script = obs.NewTracer(nctx, 0)
+	if !opt.Trace && opt.FlightRing == 0 && opt.TimeSeries == 0 {
+		return
+	}
+	r.obsRegs = make([]*obs.Registry, nctx)
+	for i := range r.obsRegs {
+		r.obsRegs[i] = obs.NewRegistry()
+	}
+	var shards []*obs.ShardTrace
+	if opt.Trace || opt.FlightRing > 0 {
+		// Full buffers when the merged stream is wanted; bounded rings
+		// when only the flight recorder needs recent history.
+		ringCap := 0
+		if !opt.Trace {
+			ringCap = opt.FlightRing
 		}
-		if opt.Trace || opt.FlightRing > 0 {
-			// Full buffers when the merged stream is wanted; bounded
-			// rings when only the flight recorder needs recent history.
-			ringCap := 0
-			if !opt.Trace {
-				ringCap = opt.FlightRing
+		r.tracer = obs.NewTracer(nctx, ringCap)
+		shards = r.tracer.Shards
+		ctl := shards[nctx-1]
+		var barrierN uint64
+		net.Sharded().OnBarrier(func() {
+			barrierN++
+			ctl.Emit(obs.Event{At: net.Engine.Now(), Kind: obs.EvBarrier, Node: -1, Peer: -1, Num: barrierN})
+		})
+	}
+	net.AttachObs(r.obsRegs, shards)
+	if opt.FlightRing > 0 {
+		r.flight = obs.NewFlightRecorder(r.tracer, opt.FlightRing, opt.FlightDir)
+		net.Sharded().SetViolationHook(func(src, dst int, msg string) {
+			// Mid-window only the offending shard's ring is safe to read;
+			// dump it before the panic unwinds so the artifact survives
+			// the crash.
+			if p, derr := r.flight.DumpShard(src, msg); derr == nil {
+				r.flightDump = p
 			}
-			r.tracer = obs.NewTracer(nbuf, ringCap)
-		}
-		var shards []*obs.ShardTrace
-		if r.tracer != nil {
-			shards = r.tracer.Shards
-		}
-		net.AttachObs(r.obsRegs, shards)
-		if opt.FlightRing > 0 {
-			r.flight = obs.NewFlightRecorder(r.tracer, opt.FlightRing, opt.FlightDir)
-			net.Sharded().SetViolationHook(func(src, dst int, msg string) {
-				// Mid-window only the offending shard's ring is safe
-				// to read; dump it before the panic unwinds so the
-				// artifact survives the crash.
-				if p, derr := r.flight.DumpShard(src, msg); derr == nil {
-					r.flightDump = p
-				}
-			})
-		}
-		if r.tracer != nil {
-			ctl := r.tracer.Shards[nbuf-1]
-			var barrierN uint64
-			net.Sharded().OnBarrier(func() {
-				barrierN++
-				ctl.Emit(obs.Event{At: engine.Now(), Kind: obs.EvBarrier, Node: -1, Peer: -1, Num: barrierN})
-			})
-		}
+		})
 	}
+}
 
-	// The workload plane must install before the cores start (its
-	// per-peer validation pipelines hook OnCommit) and before any restart
-	// event can fire (its rebuild hook must be registered).
-	if sc.Workload != nil {
-		plane, err := workload.Install(net, *sc.Workload)
-		if err != nil {
-			return nil, err
-		}
-		r.plane = plane
-		if r.tracer != nil {
-			// Block cutting happens on the ordering engine's goroutine.
-			ordTrace := r.tracer.Shards[net.OrdObsContext()]
-			ordEng := net.OrdererEngine()
-			plane.OnBlockCut(func(consenter int, num uint64, txs int) {
-				ordTrace.Emit(obs.Event{
-					At: ordEng.Now(), Kind: obs.EvBlockCut,
-					Node: int32(consenter), Peer: -1, Num: num, Aux: uint64(txs),
-				})
-			})
-		}
+func (r *runner) buildWorkloadPlane() error {
+	plane, err := workload.Install(r.net, *r.sc.Workload)
+	if err != nil {
+		return err
 	}
-	if opt.TimeSeries > 0 {
+	r.plane = plane
+	if r.tracer != nil {
+		// Block cutting happens on the ordering engine's goroutine.
+		ordTrace := r.tracer.Shards[r.net.OrdObsContext()]
+		ordEng := r.net.OrdererEngine()
+		plane.OnBlockCut(func(consenter int, num uint64, txs int) {
+			ordTrace.Emit(obs.Event{
+				At: ordEng.Now(), Kind: obs.EvBlockCut,
+				Node: int32(consenter), Peer: -1, Num: num, Aux: uint64(txs),
+			})
+		})
+	}
+	return nil
+}
+
+// arm schedules the run on the built network, in this order — same-instant
+// control events fire in the order they were scheduled, and the golden
+// fingerprints pin it: the samplers, the cores and the ordering pump
+// (StartAll), the initial-down set, the block chain, the fault script.
+func (r *runner) arm() {
+	net, engine := r.net, r.net.Engine
+	// Barrier-hosted heap reading: every shard is quiescent, and a hook
+	// adds no simulation event, so EngineEvents (fingerprinted) is untouched.
+	net.Sharded().OnBarrier(r.readLiveHeap)
+	if r.opt.TimeSeries > 0 {
 		// The sampler merges every context's registry into one row per
 		// period. It runs on the control engine — at coordinator barriers,
 		// where all shard-local registries are quiescent and safe to read.
-		r.series = obs.NewSeries(opt.TimeSeries)
-		sampler := engine.Every(opt.TimeSeries, func() {
+		r.series = obs.NewSeries(r.opt.TimeSeries)
+		r.samplers = append(r.samplers, engine.Every(r.opt.TimeSeries, func() {
 			r.series.Sample(engine.Now(), r.obsRegs)
-		})
-		defer sampler.Stop()
+		}))
 	}
-
 	net.StartAll()
-	if sc.MeasureMembership {
+	if r.sc.MeasureMembership {
 		// Sample twice a second once the initial heartbeat view has had
 		// Warmup to form. The sampler only reads core state — no random
 		// draws, no sends — so it cannot perturb the run it measures.
 		r.convergedAt = -1
-		sampler := engine.Every(viewSampleInterval, r.sampleViews)
-		defer sampler.Stop()
+		r.samplers = append(r.samplers, engine.Every(viewSampleInterval, r.sampleViews))
 	}
-	for _, i := range sc.InitialDown {
-		net.Crash(i)
+	if len(r.sc.InitialDown) > 0 {
+		for _, i := range r.sc.InitialDown {
+			net.Crash(i)
+		}
+		r.emit(r.ctl(), obs.Event{
+			At: engine.Now(), Kind: obs.EvFault,
+			Node: -1, Peer: -1, Num: uint64(len(r.sc.InitialDown)), Aux: 1,
+		})
 	}
-	if len(sc.InitialDown) > 0 {
-		r.tracef("start with peers %s down", rangeSpec(sc.InitialDown))
-	}
-
-	// Schedule the dissemination workload: the ordering service streams
-	// each cut block to every organization's leader (and retries
-	// undelivered backlogs). With a workload plane the chain comes from
-	// the plane's ordering service instead.
-	var blocks []*ledger.Block
-	if sc.Blocks > 0 {
-		blocks = harness.BuildChain(sc.Blocks, opt.TxPerBlock, opt.TxPayload, opt.Seed)
-		for i, b := range blocks {
-			b := b
-			engine.At(sc.Warmup+time.Duration(i)*sc.BlockInterval, func() { net.Append(b) })
+	// The dissemination workload: the ordering service streams each cut
+	// block to every organization's leader (and retries undelivered
+	// backlogs). With a workload plane the chain comes from the plane's
+	// ordering service instead.
+	if r.sc.Blocks > 0 {
+		r.blocks = harness.BuildChain(r.sc.Blocks, txPerBlock, txPayload, r.opt.Seed)
+		for i, b := range r.blocks {
+			engine.At(r.sc.Warmup+time.Duration(i)*r.sc.BlockInterval, func() { net.Append(b) })
 		}
 	}
-
-	// Schedule the fault script.
-	for idx, ev := range sc.Events {
-		idx, ev := idx, ev
+	for idx, ev := range r.sc.Events {
 		engine.At(ev.At, func() {
-			r.tracef("%s", ev.Action)
-			if r.tracer != nil {
-				r.emitCtl(obs.Event{At: engine.Now(), Kind: obs.EvFault, Node: -1, Peer: -1, Num: uint64(idx)})
-			}
+			r.emit(r.ctl(), obs.Event{At: engine.Now(), Kind: obs.EvFault, Node: -1, Peer: -1, Num: uint64(idx)})
 			ev.Action.apply(r)
 		})
 	}
-
-	net.RunUntil(sc.End())
-	net.StopAll()
-	r.sampleHeapNow()
-
-	// The report snapshots every fingerprinted counter (EngineEvents
-	// included) before the leak audit's bounded drain executes the
-	// deliveries still in flight at End — the drain must settle refcounts
-	// without moving a single reported number.
-	rep := r.report(blocks)
-	if err := r.checkPoolLeaks(); err != nil {
-		return nil, err
-	}
-	return rep, nil
 }
 
-// checkPoolLeaks asserts the pooled-envelope refcount invariant on every
-// run: once in-flight deliveries settle, every Data/PushDigest drawn from a
+// drive runs the simulation to the scenario's end and stops everything
+// that measures it, so neither sampler sees the post-run drain.
+func (r *runner) drive() {
+	r.net.RunUntil(r.sc.End())
+	r.net.StopAll()
+	for _, s := range r.samplers {
+		s.Stop()
+	}
+	r.readLiveHeap()
+}
+
+// drain asserts the pooled-envelope refcount invariant on every run: once
+// in-flight deliveries settle, every Data/PushDigest drawn from a
 // protocol's pool must have been released exactly refs times, so both
 // outstanding counters read zero. Deliveries scheduled just before End are
 // still in transit when the run stops (a release per delivery attempt is
 // the invariant, and those attempts have not happened yet), so the audit
 // first drains the engines a grace period past End — the cores are stopped,
 // so the extra events release envelopes and do nothing else.
-func (r *runner) checkPoolLeaks() error {
+func (r *runner) drain() error {
 	r.net.RunUntil(r.sc.End() + 5*time.Second)
+	data, digest := r.poolOutstanding()
+	if data == 0 && digest == 0 {
+		return nil
+	}
+	// The engines are quiescent after the drain, so the full
+	// flight-recorder dump (every context) is safe here.
+	detail := ""
+	if r.flight != nil {
+		reason := fmt.Sprintf("pool leak after drain: %d data, %d push-digest outstanding", data, digest)
+		if p, derr := r.flight.Dump(reason); derr == nil {
+			r.flightDump = p
+			detail = fmt.Sprintf("; flight dump: %s", p)
+		}
+	}
+	return fmt.Errorf("scenario: %q leaked pooled envelopes after drain: %d data, %d push-digest outstanding%s",
+		r.sc.Name, data, digest, detail)
+}
+
+// poolOutstanding sums the pooled envelopes every protocol instance still
+// has out.
+func (r *runner) poolOutstanding() (data, digest int) {
 	type pooled interface{ PoolOutstanding() (data, digest int) }
-	var data, digest int
 	for _, c := range r.net.Cores {
 		if p, ok := c.Proto().(pooled); ok {
 			d, g := p.PoolOutstanding()
@@ -567,106 +622,66 @@ func (r *runner) checkPoolLeaks() error {
 			digest += g
 		}
 	}
-	if data != 0 || digest != 0 {
-		// The engines are quiescent after the drain, so the full
-		// flight-recorder dump (every context) is safe here.
-		detail := ""
-		if r.flight != nil {
-			reason := fmt.Sprintf("pool leak after drain: %d data, %d push-digest outstanding", data, digest)
-			if p, derr := r.flight.Dump(reason); derr == nil {
-				r.flightDump = p
-				detail = fmt.Sprintf("; flight dump: %s", p)
-			}
-		}
-		return fmt.Errorf("scenario: %q leaked pooled envelopes after drain: %d data, %d push-digest outstanding%s",
-			r.sc.Name, data, digest, detail)
-	}
-	return nil
+	return data, digest
 }
 
-// actionPeers returns the global peer indices an action addresses, for
-// up-front range validation (a bad index must fail Run, not panic
-// mid-simulation).
-func actionPeers(a Action) []int {
-	switch a := a.(type) {
-	case CrashPeers:
-		return a.Peers
-	case RestartPeers:
-		return a.Peers
-	case SlowPeers:
-		return a.Peers
-	}
-	return nil
-}
+// ctl is the control engine's emission context (fault actions, deliveries,
+// setup): the last one.
+func (r *runner) ctl() int { return len(r.script.Shards) - 1 }
 
-// actionConsenters returns the consenter indices an action addresses.
-func actionConsenters(a Action) []int {
-	switch a := a.(type) {
-	case CrashConsenter:
-		return []int{a.Consenter}
-	case RestartConsenter:
-		return []int{a.Consenter}
-	case IsolateConsenters:
-		return a.Consenters
-	}
-	return nil
-}
-
-// actionOrgs returns the organization indices an action addresses.
-func actionOrgs(a Action) []int {
-	switch a := a.(type) {
-	case CrashOrg:
-		return []int{a.Org}
-	case RestartOrg:
-		return []int{a.Org}
-	case CrashOrgLeader:
-		return []int{a.Org}
-	case IsolateOrgs:
-		return a.Orgs
-	}
-	return nil
-}
-
-// onDeliver traces ordering-service deliveries and maintains the injected
-// counters. Redeliveries (leader failover replaying the stream) are traced
-// separately and never recounted.
-func (r *runner) onDeliver(org, peer int, b *ledger.Block, redelivery bool) {
+// emit records one script event from emission context ctx: into the script
+// trace always, and into the full trace (or flight ring) when there is one.
+// Every line of Report.Trace comes through here, once.
+func (r *runner) emit(ctx int, e obs.Event) {
+	r.script.Shards[ctx].Emit(e)
 	if r.tracer != nil {
-		// Deliveries run on the control engine (the pump's timer host).
-		var re uint64
-		if redelivery {
-			re = 1
-		}
-		r.emitCtl(obs.Event{
-			At: r.net.Engine.Now(), Kind: obs.EvDeliver,
-			Node: int32(peer), Peer: int32(org), Num: b.Num, Aux: re,
-		})
+		r.tracer.Shards[ctx].Emit(e)
 	}
+}
+
+// onConsenterState traces the ordering cluster's role transitions: an
+// election is a script event, the other transitions are full-trace only.
+func (r *runner) onConsenterState(c int, s raft.State, term uint64) {
+	ord := r.net.OrdObsContext()
+	e := obs.Event{
+		At: r.net.OrdererEngine().Now(), Kind: obs.EvRaftState,
+		Node: int32(c), Peer: -1, Num: term, Aux: uint64(s),
+	}
+	if s == raft.Leader {
+		e.Kind = obs.EvElection
+		r.emit(ord, e)
+	} else if r.tracer != nil {
+		r.tracer.Shards[ord].Emit(e)
+	}
+}
+
+// onDeliver traces ordering-service deliveries — on the control engine, the
+// pump's timer host — and maintains the injected counters. Redeliveries
+// (leader failover replaying the stream) carry Aux = 1 and are never
+// recounted.
+func (r *runner) onDeliver(org, peer int, b *ledger.Block, redelivery bool) {
+	var re uint64
+	if redelivery {
+		re = 1
+	}
+	r.emit(r.ctl(), obs.Event{
+		At: r.net.Engine.Now(), Kind: obs.EvDeliver,
+		Node: int32(peer), Peer: int32(org), Num: b.Num, Aux: re,
+	})
 	if !r.orgSeen[org][b.Num] {
 		r.orgSeen[org][b.Num] = true
 		if !r.seen[b.Num] {
 			r.seen[b.Num] = true
 			r.injected++
 		}
-		if r.top.Orgs() == 1 {
-			r.tracef("deliver block %d -> peer %d", b.Num, peer)
-		} else {
-			r.tracef("deliver block %d -> org %d peer %d", b.Num, org, peer)
-		}
-		return
-	}
-	if redelivery {
-		if r.top.Orgs() == 1 {
-			r.tracef("redeliver block %d -> peer %d", b.Num, peer)
-		} else {
-			r.tracef("redeliver block %d -> org %d peer %d", b.Num, org, peer)
-		}
 	}
 }
 
 // instrument installs the measurement hooks on a (possibly restarted) core.
 // It runs during NewNetwork, before r.net is assigned, so the callbacks
-// resolve the engine lazily.
+// resolve the engine lazily. The commit, membership and wire trace points
+// are high-volume and stay behind r.tracer != nil: with tracing off the
+// per-message hot path pays only that check.
 func (r *runner) instrument(i int, core *gossip.Core) {
 	org := r.top.OrgOf(i)
 	core.OnCommit(func(b *ledger.Block) {
@@ -675,16 +690,20 @@ func (r *runner) instrument(i int, core *gossip.Core) {
 		}
 		r.lastCommit[i] = int64(b.Num)
 		if r.tracer != nil {
-			r.emitOrg(org, obs.Event{
+			r.tracer.Shards[r.net.OrgObsContext(org)].Emit(obs.Event{
 				At: r.net.EngineFor(i).Now(), Kind: obs.EvBlockCommit,
 				Node: int32(i), Peer: -1, Num: b.Num, Aux: uint64(len(b.Txs)),
 			})
 		}
 		if r.recovering[i] && b.Num+1 >= uint64(r.injected) {
-			lat := r.net.EngineFor(i).Now() - r.restartAt[i]
-			r.orgRecs[org].Record(lat)
+			now := r.net.EngineFor(i).Now()
+			lat := now - r.restartAt[i]
+			r.recovery[org] = append(r.recovery[org], lat)
 			r.recovering[i] = false
-			r.orgTracef(org, "peer %d caught up to height %d, %v after restart", i, b.Num+1, lat)
+			r.emit(r.net.OrgObsContext(org), obs.Event{
+				At: now, Kind: obs.EvCaughtUp,
+				Node: int32(i), Peer: -1, Num: b.Num + 1, Aux: uint64(lat),
+			})
 		}
 	})
 	core.OnFirstReception(func(b *ledger.Block, at time.Duration) {
@@ -696,7 +715,7 @@ func (r *runner) instrument(i int, core *gossip.Core) {
 		// Catch-up receptions after a restart measure recovery, not the
 		// epidemic; keep them out of the dissemination distribution.
 		if !r.recovering[i] && at >= start {
-			r.lat.Record(org, b.Num, wire.NodeID(i), at-start)
+			r.dissem[org] = append(r.dissem[org], at-start)
 		}
 	})
 	core.OnPeerStateChange(func(p wire.NodeID, live bool, at time.Duration) {
@@ -706,7 +725,7 @@ func (r *runner) instrument(i int, core *gossip.Core) {
 			if live {
 				alive = 1
 			}
-			r.emitOrg(org, obs.Event{
+			r.tracer.Shards[r.net.OrgObsContext(org)].Emit(obs.Event{
 				At: at, Kind: obs.EvMembership,
 				Node: int32(i), Peer: int32(p), Num: alive,
 			})
@@ -815,31 +834,15 @@ func (r *runner) isolateConsenters(idxs []int) {
 // viewSampleInterval is the membership sampler's period.
 const viewSampleInterval = 500 * time.Millisecond
 
-// heapSampleInterval throttles heap high-water sampling: barriers fire every
-// few simulated milliseconds at 100k scale, and a ReadMemStats per barrier
-// would dominate wall time.
-const heapSampleInterval = 500 * time.Millisecond
-
-// sampleHeap records the heap high-water mark, at most once per
-// heapSampleInterval of simulated time. It reads wall-side runtime state
-// only — no random draws, no sends, no events — so it cannot perturb the
-// simulation it measures.
-func (r *runner) sampleHeap() {
-	now := r.net.Engine.Now()
-	if r.heapSampled && now-r.lastHeapAt < heapSampleInterval {
-		return
-	}
-	r.heapSampled = true
-	r.lastHeapAt = now
-	r.sampleHeapNow()
-}
-
-// sampleHeapNow is sampleHeap without the throttle (the run-end sample).
-func (r *runner) sampleHeapNow() {
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	if m.HeapAlloc > r.heapHigh {
-		r.heapHigh = m.HeapAlloc
+// readLiveHeap folds the runtime's live-heap gauge — what the most recent
+// collection marked — into the run's high-water mark. It runs at full
+// barriers and once when the run ends, reads wall-side runtime state only
+// (no stop-the-world, no forced collection) and adds no simulation event.
+func (r *runner) readLiveHeap() {
+	live := []rtmetrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	rtmetrics.Read(live)
+	if v := live[0].Value.Uint64(); v > r.heapHigh {
+		r.heapHigh = v
 	}
 }
 
@@ -908,85 +911,9 @@ func (r *runner) sampleViews() {
 	}
 }
 
-// tracef records a trace line from the control context: fault actions,
-// block deliveries, setup — everything that runs on the control engine, at
-// coordinator barriers.
-func (r *runner) tracef(format string, args ...any) {
-	r.traceTo(len(r.traces)-1, r.net.Engine.Now(), format, args...)
-}
-
-// orgTracef records a trace line from an organization's engine context —
-// its shard's goroutine, mid-window.
-func (r *runner) orgTracef(org int, format string, args ...any) {
-	r.traceTo(r.net.OrgObsContext(org), r.net.OrgEngine(org).Now(), format, args...)
-}
-
-// ordTracef records a trace line from the ordering engine's context.
-func (r *runner) ordTracef(format string, args ...any) {
-	r.traceTo(r.net.OrdObsContext(), r.net.OrdererEngine().Now(), format, args...)
-}
-
-func (r *runner) traceTo(buf int, at time.Duration, format string, args ...any) {
-	r.traces[buf] = append(r.traces[buf], traceEntry{at: at, line: fmt.Sprintf(format, args...)})
-}
-
-// emitOrg/emitOrd/emitCtl append one structured event to the owning
-// emission context's buffer, following the same context layout as the
-// text-trace buffers. Callers guard with r.tracer != nil so the
-// tracing-off hot path pays only that check.
-func (r *runner) emitOrg(org int, e obs.Event) {
-	r.tracer.Shards[r.net.OrgObsContext(org)].Emit(e)
-}
-
-func (r *runner) emitOrd(e obs.Event) {
-	r.tracer.Shards[r.net.OrdObsContext()].Emit(e)
-}
-
-func (r *runner) emitCtl(e obs.Event) {
-	r.tracer.Shards[len(r.tracer.Shards)-1].Emit(e)
-}
-
-// mergedTrace assembles the final trace: the per-context buffers merged by
-// (time, buffer, position) — a total order that does not depend on how
-// windows interleaved across goroutines.
-func (r *runner) mergedTrace() []string {
-	type tagged struct {
-		traceEntry
-		buf, pos int
-	}
-	var all []tagged
-	for b, buf := range r.traces {
-		for p, e := range buf {
-			all = append(all, tagged{e, b, p})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].at != all[j].at {
-			return all[i].at < all[j].at
-		}
-		if all[i].buf != all[j].buf {
-			return all[i].buf < all[j].buf
-		}
-		return all[i].pos < all[j].pos
-	})
-	out := make([]string, len(all))
-	for i, e := range all {
-		out[i] = fmt.Sprintf("[%10v] %s", e.at, e.line)
-	}
-	return out
-}
-
-// report assembles the final Report after the engine has drained.
-func (r *runner) report(blocks []*ledger.Block) *Report {
+// report assembles the final Report once the run has stopped.
+func (r *runner) report() *Report {
 	tv := r.net.TrafficView()
-	barrierFull, barrierElided := r.net.Sharded().BarrierStats()
-	var transitions, violations int
-	var recAll []time.Duration
-	for o := 0; o < r.top.Orgs(); o++ {
-		transitions += r.transitions[o]
-		violations += r.orderViolations[o]
-		recAll = append(recAll, r.orgRecs[o].Samples()...)
-	}
 	rep := &Report{
 		Scenario:       r.sc.Name,
 		Variant:        string(r.opt.Variant),
@@ -994,72 +921,34 @@ func (r *runner) report(blocks []*ledger.Block) *Report {
 		Orgs:           r.top.Orgs(),
 		Seed:           r.opt.Seed,
 		BlocksInjected: r.injected,
-		Transitions:    transitions,
 		EngineEvents:   r.net.ExecutedEvents(),
 		PeakPending:    r.net.PeakPending(),
 		HeapHighWater:  r.heapHigh,
-		BarrierFull:    barrierFull,
-		BarrierElided:  barrierElided,
 		TotalBytes:     tv.TotalBytes(),
 		SyncBytes: tv.BytesOf(wire.TypeStateRequest) +
 			tv.BytesOf(wire.TypeStateResponse),
 		SyncMessages: tv.CountOf(wire.TypeStateRequest) +
 			tv.CountOf(wire.TypeStateResponse),
-		Recoveries: metrics.SummarizeSamples(recAll),
-		Latency:    r.lat.SummarizeAll(),
-		Trace:      r.mergedTrace(),
+		Consenters: r.net.Consenters(),
+		DeliverGap: r.net.MaxDeliverGap(),
+		Trace:      renderTrace(r.script.Merged(), r.sc, r.top.Orgs()),
+		Series:     r.series,
+		FlightDump: r.flightDump,
 	}
+	rep.BarrierFull, rep.BarrierElided = r.net.Sharded().BarrierStats()
+	rep.Elections, rep.Leaderless = r.net.ElectionStats()
 	if r.viewSamples > 0 {
 		rep.ViewSamples = r.viewSamples
 		rep.ViewCompleteness = r.lastCompl
+		rep.LeaderConvergence = r.sc.End() // never converged
 		if r.convergedAt >= 0 {
 			rep.LeaderConvergence = r.convergedAt
-		} else {
-			rep.LeaderConvergence = r.sc.End() // never converged
 		}
 	}
-	var blockBytes int
-	if len(blocks) > 0 {
-		blockBytes = wire.BlockEncodedSize(blocks[0])
-		rep.BlockBytes = blockBytes
+	if len(r.blocks) > 0 {
+		rep.BlockBytes = wire.BlockEncodedSize(r.blocks[0])
 	}
-	for o := 0; o < r.top.Orgs(); o++ {
-		or := OrgReport{
-			Org:       o,
-			Variant:   string(r.net.Orgs[o].Variant),
-			Peers:     r.top.Size(o),
-			Delivered: len(r.orgSeen[o]),
-			Recovery:  metrics.Summarize(r.orgRecs[o].Distribution()),
-			Latency:   r.lat.SummarizeGroup(o),
-		}
-		var inBytes uint64
-		for _, i := range r.top.OrgSpan(o) {
-			in, _ := tv.NodeTotals(wire.NodeID(i))
-			inBytes += in
-			if r.net.Crashed(i) {
-				continue
-			}
-			or.Survivors++
-			if r.lastCommit[i] == int64(r.injected)-1 {
-				or.CaughtUp++
-			}
-			if r.recovering[i] {
-				or.PendingRecoveries++
-			}
-		}
-		or.InBytes = inBytes
-		// Per-org overhead relates bytes entering the organization's NICs
-		// to the ideal minimum of every delivered block reaching each
-		// member exactly once (the leader's copy arrives from the orderer).
-		or.Overhead = metrics.OverheadRatio(inBytes, blockBytes, r.top.Size(o), or.Delivered)
-		rep.Survivors += or.Survivors
-		rep.CaughtUp += or.CaughtUp
-		rep.PendingRecoveries += or.PendingRecoveries
-		rep.OrgReports = append(rep.OrgReports, or)
-	}
-	rep.Consenters = r.net.Consenters()
-	rep.Elections, rep.Leaderless = r.net.ElectionStats()
-	rep.DeliverGap = r.net.MaxDeliverGap()
+	r.reportOrgs(rep, tv)
 	for _, c := range r.net.Cores {
 		rep.AnchorProbes += c.StateSyncStats().AnchorProbes
 	}
@@ -1067,27 +956,74 @@ func (r *runner) report(blocks []*ledger.Block) *Report {
 		w := r.plane.Stats()
 		rep.Workload = &w
 	}
-	rep.OrderViolations = violations
-	if blockBytes > 0 {
-		// Same definition of "ideal" as the per-org lines: every peer —
-		// leaders included, their copy arrives from the orderer and is in
-		// TotalBytes — receives each injected block exactly once.
-		rep.Overhead = metrics.OverheadRatio(rep.TotalBytes, blockBytes, r.top.Total(), r.injected)
-	}
-	rep.Obs = r.buildObs(rep)
+	// Same definition of "ideal" as the per-org lines: every peer —
+	// leaders included, their copy arrives from the orderer and is in
+	// TotalBytes — receives each injected block exactly once. Zero without
+	// a premade chain (BlockBytes is 0).
+	rep.Overhead = metrics.OverheadRatio(rep.TotalBytes, rep.BlockBytes, r.top.Total(), r.injected)
+	rep.Obs = r.snapshot(rep)
 	if r.opt.Trace {
 		rep.Events = r.tracer.Merged()
 	}
-	rep.Series = r.series
-	rep.FlightDump = r.flightDump
 	return rep
 }
 
-// buildObs assembles the report-time metrics snapshot: the shard-local
+// reportOrgs fills the per-organization breakdown and everything summed or
+// pooled over it: the survivor counts and the two latency summaries, each
+// computed from the samples the run kept once.
+func (r *runner) reportOrgs(rep *Report, tv *netmodel.Traffic) {
+	var dissem, recovery []time.Duration
+	for o := 0; o < r.top.Orgs(); o++ {
+		dissem = append(dissem, r.dissem[o]...)
+		recovery = append(recovery, r.recovery[o]...)
+		or := r.orgReport(o, tv, rep.BlockBytes)
+		rep.Transitions += r.transitions[o]
+		rep.OrderViolations += r.orderViolations[o]
+		rep.Survivors += or.Survivors
+		rep.CaughtUp += or.CaughtUp
+		rep.PendingRecoveries += or.PendingRecoveries
+		rep.OrgReports = append(rep.OrgReports, or)
+	}
+	rep.Latency = metrics.SummarizeSamples(dissem)
+	rep.Recoveries = metrics.SummarizeSamples(recovery)
+}
+
+// orgReport is one organization's slice of the report.
+func (r *runner) orgReport(o int, tv *netmodel.Traffic, blockBytes int) OrgReport {
+	or := OrgReport{
+		Org:       o,
+		Variant:   string(r.net.Orgs[o].Variant),
+		Peers:     r.top.Size(o),
+		Delivered: len(r.orgSeen[o]),
+		Recovery:  metrics.SummarizeSamples(r.recovery[o]),
+		Latency:   metrics.SummarizeSamples(r.dissem[o]),
+	}
+	for _, i := range r.top.OrgSpan(o) {
+		in, _ := tv.NodeTotals(wire.NodeID(i))
+		or.InBytes += in
+		if r.net.Crashed(i) {
+			continue
+		}
+		or.Survivors++
+		if r.lastCommit[i] == int64(r.injected)-1 {
+			or.CaughtUp++
+		}
+		if r.recovering[i] {
+			or.PendingRecoveries++
+		}
+	}
+	// Per-org overhead relates bytes entering the organization's NICs to
+	// the ideal minimum of every delivered block reaching each member
+	// exactly once (the leader's copy arrives from the orderer).
+	or.Overhead = metrics.OverheadRatio(or.InBytes, blockBytes, r.top.Size(o), or.Delivered)
+	return or
+}
+
+// snapshot assembles the report-time metrics snapshot: the shard-local
 // registries merged (wire-level instruments), then every scattered report
 // counter re-registered under one namespace so downstream consumers read
 // a single inventory instead of scraping Report fields.
-func (r *runner) buildObs(rep *Report) *obs.Snapshot {
+func (r *runner) snapshot(rep *Report) *obs.Snapshot {
 	reg := obs.NewRegistry()
 	for _, lr := range r.obsRegs {
 		reg.Merge(lr)
@@ -1104,17 +1040,9 @@ func (r *runner) buildObs(rep *Report) *obs.Snapshot {
 	reg.Counter("membership_transitions_total").Add(uint64(rep.Transitions))
 	reg.Counter("order_violations_total").Add(uint64(rep.OrderViolations))
 	// Pool leak canaries: pooled envelopes still outstanding at End —
-	// in-flight deliveries the post-report drain settles. The audit in
-	// checkPoolLeaks asserts these reach zero after the drain.
-	type pooled interface{ PoolOutstanding() (data, digest int) }
-	var data, digest int
-	for _, c := range r.net.Cores {
-		if p, ok := c.Proto().(pooled); ok {
-			d, g := p.PoolOutstanding()
-			data += d
-			digest += g
-		}
-	}
+	// in-flight deliveries the post-report drain settles and then asserts
+	// are zero.
+	data, digest := r.poolOutstanding()
 	reg.Gauge("pool_outstanding", "pool", "data").Set(int64(data))
 	reg.Gauge("pool_outstanding", "pool", "push_digest").Set(int64(digest))
 	if r.tracer != nil {

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"fabricgossip/internal/harness"
+	"fabricgossip/internal/obs"
 	"fabricgossip/internal/wire"
 	"fabricgossip/internal/workload"
 )
@@ -265,7 +266,7 @@ type CrashConsenterLeader struct{}
 
 func (a CrashConsenterLeader) apply(r *runner) {
 	if l := r.net.ConsenterLeader(); l >= 0 {
-		r.tracef("consenter leader is %d", l)
+		r.emit(r.ctl(), obs.Event{At: r.net.Engine.Now(), Kind: obs.EvFaultTarget, Node: int32(l), Peer: -1})
 		r.net.CrashConsenter(l)
 	}
 }

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -182,6 +183,47 @@ func TestRunRejectsOutOfRangePartitionSplit(t *testing.T) {
 		}
 		if _, err := Run(sc, Options{Peers: 10}); err == nil {
 			t.Fatalf("split %d of 10 peers accepted", split)
+		}
+	}
+}
+
+// Every action that names a peer, an organization, a consenter or a split
+// point is range-checked against the topology before anything is built:
+// one index past either end of the range fails Run with an error naming
+// the unit and its bounds.
+func TestRunRejectsOutOfRangeIndices(t *testing.T) {
+	// 10 peers in 2 orgs, 3 consenters.
+	cases := []struct {
+		action func(i int) Action
+		unit   string
+		lo, hi int
+	}{
+		{func(i int) Action { return CrashPeers{Peers: []int{0, i}} }, "peer", 0, 10},
+		{func(i int) Action { return RestartPeers{Peers: []int{i}} }, "peer", 0, 10},
+		{func(i int) Action { return SlowPeers{Peers: []int{i}, Extra: time.Second} }, "peer", 0, 10},
+		{func(i int) Action { return PartitionSplit{Split: i} }, "split point", 1, 10},
+		{func(i int) Action { return CrashOrg{Org: i} }, "org", 0, 2},
+		{func(i int) Action { return RestartOrg{Org: i} }, "org", 0, 2},
+		{func(i int) Action { return CrashOrgLeader{Org: i} }, "org", 0, 2},
+		{func(i int) Action { return IsolateOrgs{Orgs: []int{0, i}} }, "org", 0, 2},
+		{func(i int) Action { return CrashConsenter{Consenter: i} }, "consenter", 0, 3},
+		{func(i int) Action { return RestartConsenter{Consenter: i} }, "consenter", 0, 3},
+		{func(i int) Action { return IsolateConsenters{Consenters: []int{i}} }, "consenter", 0, 3},
+	}
+	for _, tc := range cases {
+		for _, i := range []int{tc.lo - 1, tc.hi} {
+			sc := Scenario{
+				Name:          "bad-index",
+				Blocks:        2,
+				BlockInterval: time.Second,
+				Consenters:    3,
+				Events:        []Event{{At: time.Second, Action: tc.action(i)}},
+			}
+			_, err := Run(sc, Options{Peers: 10, Orgs: 2})
+			want := fmt.Sprintf("names %s %d, outside [%d, %d)", tc.unit, i, tc.lo, tc.hi)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%q: error %v, want one saying %q", tc.action(i), err, want)
+			}
 		}
 	}
 }
