@@ -826,10 +826,14 @@ func (c *Core) LivePeers() []wire.NodeID {
 	return c.view.Live(c.sched.Now())
 }
 
-// LivePeersInto is LivePeers appending into buf's backing array, for
-// callers sampling the view periodically without per-sample allocations.
-func (c *Core) LivePeersInto(buf []wire.NodeID) []wire.NodeID {
-	return c.view.LiveInto(buf, c.sched.Now())
+// LiveCount is len(LivePeers()) without building the list, for callers
+// sampling every view periodically.
+func (c *Core) LiveCount() int { return c.view.LiveCount(c.sched.Now()) }
+
+// PeerAlive reports whether the membership view believes the peer alive
+// (self always is): the exact complement of PeerDead over observed peers.
+func (c *Core) PeerAlive(p wire.NodeID) bool {
+	return c.view.Alive(p, c.sched.Now())
 }
 
 // LeaderPeer returns the organization's dynamic-election leader: the

@@ -37,6 +37,7 @@
 package membership
 
 import (
+	"math"
 	"sync"
 	"time"
 
@@ -88,6 +89,7 @@ type Config struct {
 	// is enabled — small, because every view that finds a rumor newsworthy
 	// relays it with a fresh budget, so the spread is epidemic and a large
 	// per-view budget only slows the queue's drain after a churn burst.
+	// Clamped to [1, 65535], the width of the queued rumor's counter.
 	PiggybackBudget int
 	// ShuffleInterval is the period of the view-shuffle exchange (the
 	// timer is armed by the core). Zero disables shuffling.
@@ -101,8 +103,13 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.PiggybackMax > 0 && c.PiggybackBudget == 0 {
-		c.PiggybackBudget = 4
+	if c.PiggybackMax > 0 {
+		if c.PiggybackBudget == 0 {
+			c.PiggybackBudget = 4
+		}
+		// rumor.budget is 16 bits wide, and a queued rumor ships at least
+		// once (what a negative budget always meant).
+		c.PiggybackBudget = min(max(c.PiggybackBudget, 1), math.MaxUint16)
 	}
 	if c.ShuffleSample == 0 {
 		c.ShuffleSample = 64
@@ -130,7 +137,7 @@ func (c Config) Swim() bool {
 	return c.SuspectTimeout > 0 || c.PiggybackMax > 0 || c.ShuffleInterval > 0
 }
 
-// peer states. A peer absent from the status map has never been observed.
+// peer states. A peer with no member record has never been observed.
 type status uint8
 
 const (
@@ -140,6 +147,8 @@ const (
 	// members as members until the timeout confirms them dead.
 	statusSuspect
 	statusDead
+
+	numStatus // sizes View.counts
 )
 
 // Stats is a point-in-time snapshot of one view's counters, for report
@@ -164,30 +173,67 @@ type Stats struct {
 	DeadDeclared uint64
 }
 
+// member is everything a view holds about one tracked peer: 24 bytes.
+type member struct {
+	// seq is the freshest heartbeat sequence (SWIM incarnation) seen.
+	seq uint64
+	// since is one timestamp with two readers that never overlap: for a
+	// live (or, in legacy mode, any) member it is when the last heartbeat
+	// or alive evidence arrived — the lapse clock; for a suspect it is when
+	// the suspicion began — the timeout clock. The lapse clock is never read
+	// while a member is suspect, and every way out of suspicion (Observe, an
+	// applied alive event, death followed by a fresher incarnation) rewrites
+	// it before it is read again.
+	since  time.Duration
+	id     wire.NodeID
+	status status
+	// queued has bit 1<<kind set exactly while a rumor of that kind about
+	// this member sits in the rumor queue (see queueRumor).
+	queued uint8
+}
+
 // View tracks which peers of the organization are believed alive. All
 // exported methods are safe for concurrent use (required by the TCP
 // runtime; the simulated runtime is single-threaded anyway).
+//
+// Its storage is built so that no operation costs more than what it
+// touches, SWIM's O(1) work per member per protocol period:
+//
+//   - members is one array of 24-byte records sorted by id — the
+//     deterministic order for sweeps, samples and Live, the allocation-free
+//     scan behind Leader (the lowest live id is almost always the first
+//     probe), a fraction of the four map entries per peer it replaced
+//     (megabytes against hundreds of megabytes across a 10k-peer
+//     organization), and no map iteration near the deterministic streams.
+//   - A received payload is resolved against it as a merge: shuffle samples
+//     are cut from a sorted view by a rotating cursor, so the next entry's
+//     member is almost always the slot after the previous one (locate); the
+//     rest — digest entries, in rumor order — go through search, which
+//     interpolates over the id span and is O(1) on the contiguous ids of a
+//     converged organization, O(log n) on any.
+//   - rumors is a ring deque: a digest pops its k newest rumors from the
+//     tail and parks the survivors at the head, O(k); member.queued says in
+//     O(1) whether a rumor about (peer, kind) is already queued, so the
+//     common enqueue is a push and only a genuine duplicate scans.
+//   - counts holds the number of members in each state, maintained by the
+//     one setStatus every transition goes through: Stats and LiveCount are
+//     O(1), ShuffleTick indexes its target directly while nobody is dead,
+//     Sweep returns at once when nobody is suspect.
+//
+// A view therefore costs 24 B per tracked member plus 16 B per slot of the
+// rumor ring, which grows like append to the queue's peak and is kept: an
+// 800-member organization whose queue peaked at 757 rumors holds
+// 800×24 + 768×16 B ≈ 31 KB per view.
 type View struct {
 	cfg  Config
 	host Host
 
-	mu sync.Mutex
-	// tracked holds every peer ever observed, in ascending id order: the
-	// deterministic iteration order for sweeps and samples, and the
-	// allocation-free scan behind Leader (the lowest live id is almost
-	// always found in the first probe). Per-peer state is dense: lastSeen,
-	// lastSeq, status and suspectAt are parallel slices indexed by the
-	// peer's position in tracked — a few words per peer instead of four
-	// map entries, which is the difference between megabytes and hundreds
-	// of megabytes of tracking state across a 10k-peer organization, and
-	// no map iteration anywhere near the deterministic streams.
-	tracked  []wire.NodeID
-	lastSeen []time.Duration
-	lastSeq  []uint64
-	status   []status
-	// suspectAt[i] is when suspect tracked[i] entered suspicion (zero when
-	// tracked[i] is not currently a suspect).
-	suspectAt []time.Duration
+	mu      sync.Mutex
+	members []member
+	counts  [numStatus]int32
+	rumors  rumorQueue
+	// selfQueued is member.queued for rumors about self, which has no record.
+	selfQueued uint8
 	// selfSeq mirrors the core's heartbeat sequence (SWIM incarnation):
 	// shuffle samples advertise it, and accusations at or above it flag a
 	// refutation.
@@ -196,9 +242,7 @@ type View struct {
 	// the core consumes it and answers with an incarnation bump.
 	selfAccused bool
 
-	// queue holds the budgeted piggyback rumors, oldest first.
-	queue []rumor
-	// shufCursor rotates sample selection through tracked so consecutive
+	// shufCursor rotates sample selection through members so consecutive
 	// shuffles cover the whole view instead of resampling a prefix.
 	shufCursor int
 	// probeTarget/probePending track the outstanding shuffle probe: the
@@ -217,13 +261,6 @@ type View struct {
 	eventsApplied uint64
 	refutations   uint64
 	deadDeclared  uint64
-}
-
-// rumor is one queued membership event with its remaining retransmit
-// budget.
-type rumor struct {
-	ev     wire.MemberEvent
-	budget int
 }
 
 // New creates a view for cfg.Self. host may be nil when the SWIM
@@ -252,53 +289,81 @@ func (v *View) NoteSelfSeq(seq uint64) {
 	v.mu.Unlock()
 }
 
-// track inserts peer into the sorted tracked slice and opens a zeroed slot
-// at the same position in every parallel state slice, returning the index.
-// Caller holds mu and guarantees the peer is not yet tracked.
-func (v *View) track(peer wire.NodeID) int {
-	lo, hi := 0, len(v.tracked)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if v.tracked[mid] < peer {
-			lo = mid + 1
+// search returns the position of the first member whose id is not below
+// peer — where peer is, or where it would be inserted — and whether peer is
+// there. It interpolates one guess over the id span, gallops outward from it
+// in doubling steps until peer is bracketed, and bisects the bracket: a probe
+// or two when ids are close to evenly spread (an organization's ids are
+// contiguous, so a converged view's guess is off by at most self's gap),
+// O(log n) on any ids. Caller holds mu.
+func (v *View) search(peer wire.NodeID) (int, bool) {
+	m := v.members
+	n := len(m)
+	if n == 0 || peer <= m[0].id {
+		return 0, n > 0 && m[0].id == peer
+	}
+	first, last := m[0].id, m[n-1].id
+	if peer > last {
+		return n, false
+	}
+	lo, hi := 0, n-1 // m[lo].id < peer <= m[hi].id
+	guess := int(uint64(peer-first) * uint64(hi) / uint64(last-first))
+	if m[guess].id < peer {
+		lo = guess
+		for step := 1; lo+step < hi; step <<= 1 {
+			if m[lo+step].id >= peer {
+				hi = lo + step
+				break
+			}
+			lo += step
+		}
+	} else {
+		hi = guess
+		for step := 1; hi-step > lo; step <<= 1 {
+			if m[hi-step].id < peer {
+				lo = hi - step
+				break
+			}
+			hi -= step
+		}
+	}
+	for hi-lo > 1 {
+		mid := int(uint(lo+hi) >> 1)
+		if m[mid].id < peer {
+			lo = mid
 		} else {
 			hi = mid
 		}
 	}
-	v.tracked = append(v.tracked, 0)
-	copy(v.tracked[lo+1:], v.tracked[lo:])
-	v.tracked[lo] = peer
-	v.lastSeen = append(v.lastSeen, 0)
-	copy(v.lastSeen[lo+1:], v.lastSeen[lo:])
-	v.lastSeen[lo] = 0
-	v.lastSeq = append(v.lastSeq, 0)
-	copy(v.lastSeq[lo+1:], v.lastSeq[lo:])
-	v.lastSeq[lo] = 0
-	v.status = append(v.status, 0)
-	copy(v.status[lo+1:], v.status[lo:])
-	v.status[lo] = 0
-	v.suspectAt = append(v.suspectAt, 0)
-	copy(v.suspectAt[lo+1:], v.suspectAt[lo:])
-	v.suspectAt[lo] = 0
-	return lo
+	return hi, m[hi].id == peer
 }
 
-// idxOf returns peer's index into tracked (and the parallel state slices),
-// or -1 if the peer was never observed. Caller holds mu.
-func (v *View) idxOf(peer wire.NodeID) int {
-	lo, hi := 0, len(v.tracked)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if v.tracked[mid] < peer {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+// locate is search for payload entries: it first tries hint, the slot after
+// the previous entry's member, which is where the next entry of a shuffle
+// sample is unless the sender's cursor wrapped or the two views differ
+// there.
+func (v *View) locate(peer wire.NodeID, hint int) (int, bool) {
+	if hint < len(v.members) && v.members[hint].id == peer {
+		return hint, true
 	}
-	if lo < len(v.tracked) && v.tracked[lo] == peer {
-		return lo
-	}
-	return -1
+	return v.search(peer)
+}
+
+// track inserts a new member's record at pos, the position search returned
+// for its id. Caller holds mu.
+func (v *View) track(pos int, m member) {
+	v.members = append(v.members, member{})
+	copy(v.members[pos+1:], v.members[pos:])
+	v.members[pos] = m
+	v.counts[m.status]++
+}
+
+// setStatus is the one place a tracked member changes state, so counts
+// always equals a recount. Caller holds mu.
+func (v *View) setStatus(m *member, st status) {
+	v.counts[m.status]--
+	v.counts[st]++
+	m.status = st
 }
 
 // Observe records a direct heartbeat from peer with the given sequence
@@ -315,34 +380,29 @@ func (v *View) Observe(peer wire.NodeID, seq uint64, at time.Duration) bool {
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	i := v.idxOf(peer)
-	if i >= 0 && seq <= v.lastSeq[i] {
-		return false
-	}
-	tracked := i >= 0
+	i, tracked := v.search(peer)
 	var st status
 	if tracked {
-		st = v.status[i]
+		m := &v.members[i]
+		if seq <= m.seq {
+			return false
+		}
+		st = m.status
+		m.seq, m.since = seq, at
+		v.setStatus(m, statusLive)
 	} else {
-		i = v.track(peer)
+		v.track(i, member{id: peer, seq: seq, since: at, status: statusLive})
 	}
-	v.lastSeq[i] = seq
-	v.lastSeen[i] = at
-	v.status[i] = statusLive
 	becameLive := !tracked || st == statusDead
 	if v.cfg.Swim() {
 		if v.probePending && peer == v.probeTarget {
 			v.probePending = false // direct evidence: the probe target lives
 		}
-		if st == statusSuspect {
-			v.suspectAt[i] = 0
-			// Direct evidence refuting a suspicion is worth re-gossiping:
-			// other peers may still hold the suspect claim.
-			v.queueRumor(wire.MemberEvent{Peer: peer, Seq: seq, Kind: wire.EventAlive})
-		} else if becameLive {
-			// A join or rejoin is news the rest of the organization only
-			// samples sparsely; spread it.
-			v.queueRumor(wire.MemberEvent{Peer: peer, Seq: seq, Kind: wire.EventAlive})
+		// Direct evidence refuting a suspicion is worth re-gossiping (other
+		// peers may still hold the suspect claim), and a join or rejoin is
+		// news the rest of the organization only samples sparsely.
+		if st == statusSuspect || becameLive {
+			v.queueRumor(&v.members[i].queued, wire.MemberEvent{Peer: peer, Seq: seq, Kind: wire.EventAlive})
 		}
 	}
 	return becameLive
@@ -364,60 +424,77 @@ func (v *View) Observe(peer wire.NodeID, seq uint64, at time.Duration) bool {
 func (v *View) Sweep(now time.Duration) []wire.NodeID {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	var dead []wire.NodeID
 	suspicion := v.cfg.SuspectTimeout > 0
 	probing := v.cfg.ShuffleInterval > 0
-	for i, p := range v.tracked {
-		switch v.status[i] {
+	if suspicion && probing && v.counts[statusSuspect] == 0 {
+		// Per-pair heartbeat freshness is a sparse sample of a large
+		// organization: lapse means nothing here. Probes carry the
+		// failure-detection duty instead, and nobody is awaiting a timeout.
+		return nil
+	}
+	var dead []wire.NodeID
+	for i := range v.members {
+		m := &v.members[i]
+		switch m.status {
 		case statusLive:
 			if suspicion && probing {
-				// Per-pair heartbeat freshness is a sparse sample of a
-				// large organization: lapse means nothing here. Probes
-				// carry the failure-detection duty instead.
 				continue
 			}
-			if now-v.lastSeen[i] <= v.cfg.Expiration {
+			if now-m.since <= v.cfg.Expiration {
 				continue
 			}
 			if suspicion {
 				// No prober to originate suspicion (shuffling disabled),
 				// so lapse must: without this, a crashed peer would stay
 				// live forever in this configuration.
-				v.status[i] = statusSuspect
-				v.suspectAt[i] = now
-				v.queueRumor(wire.MemberEvent{Peer: p, Seq: v.lastSeq[i], Kind: wire.EventSuspect})
+				v.setStatus(m, statusSuspect)
+				m.since = now
+				v.queueRumor(&m.queued, wire.MemberEvent{Peer: m.id, Seq: m.seq, Kind: wire.EventSuspect})
 				continue
 			}
-			v.status[i] = statusDead
-			dead = append(dead, p)
+			v.setStatus(m, statusDead)
+			dead = append(dead, m.id)
 		case statusSuspect:
-			if now-v.suspectAt[i] <= v.cfg.SuspectTimeout {
+			if now-m.since <= v.cfg.SuspectTimeout {
 				continue
 			}
-			v.suspectAt[i] = 0
-			v.status[i] = statusDead
+			v.setStatus(m, statusDead)
 			v.deadDeclared++
-			dead = append(dead, p)
-			v.queueRumor(wire.MemberEvent{Peer: p, Seq: v.lastSeq[i], Kind: wire.EventDead})
+			dead = append(dead, m.id)
+			v.queueRumor(&m.queued, wire.MemberEvent{Peer: m.id, Seq: m.seq, Kind: wire.EventDead})
 		}
 	}
 	return dead
 }
 
-// aliveIdxLocked is the one liveness predicate every query shares,
-// answering for tracked[i]. Legacy mode is time-based: alive means a
-// heartbeat within Expiration — the moment a peer lapses it stops being
-// alive and becomes dead, with no window where the two disagree. Suspicion
-// mode is state-based: live and suspect count as alive, only a declared
-// death removes a peer from the view (per-pair heartbeat freshness is
-// meaningless when the fan-out is a sparse sample of a large
-// organization). Callers answer false for untracked peers (idxOf < 0).
-func (v *View) aliveIdxLocked(i int, now time.Duration) bool {
+// aliveLocked is the one liveness predicate every query shares. Legacy mode
+// is time-based: alive means a heartbeat within Expiration — the moment a
+// peer lapses it stops being alive and becomes dead, with no window where
+// the two disagree. Suspicion mode is state-based: live and suspect count
+// as alive, only a declared death removes a peer from the view (per-pair
+// heartbeat freshness is meaningless when the fan-out is a sparse sample of
+// a large organization). Callers answer false for untracked peers.
+func (v *View) aliveLocked(m *member, now time.Duration) bool {
 	if v.cfg.SuspectTimeout > 0 {
-		st := v.status[i]
-		return st == statusLive || st == statusSuspect
+		return m.status == statusLive || m.status == statusSuspect
 	}
-	return now-v.lastSeen[i] <= v.cfg.Expiration
+	return now-m.since <= v.cfg.Expiration
+}
+
+// aliveCountLocked is how many tracked members aliveLocked holds for: two
+// counters in suspicion mode, a walk in legacy mode (whose predicate is a
+// function of now).
+func (v *View) aliveCountLocked(now time.Duration) int {
+	if v.cfg.SuspectTimeout > 0 {
+		return int(v.counts[statusLive] + v.counts[statusSuspect])
+	}
+	n := 0
+	for i := range v.members {
+		if v.aliveLocked(&v.members[i], now) {
+			n++
+		}
+	}
+	return n
 }
 
 // Alive reports whether peer is believed alive at time now. Self is always
@@ -428,8 +505,8 @@ func (v *View) Alive(peer wire.NodeID, now time.Duration) bool {
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	i := v.idxOf(peer)
-	return i >= 0 && v.aliveIdxLocked(i, now)
+	i, tracked := v.search(peer)
+	return tracked && v.aliveLocked(&v.members[i], now)
 }
 
 // Dead reports whether the view considers peer dead at time now: it was
@@ -444,12 +521,13 @@ func (v *View) Dead(peer wire.NodeID, now time.Duration) bool {
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	i := v.idxOf(peer)
-	return i >= 0 && !v.aliveIdxLocked(i, now)
+	i, tracked := v.search(peer)
+	return tracked && !v.aliveLocked(&v.members[i], now)
 }
 
 // Live returns the sorted ids of all peers believed alive at now,
-// including self. Hot paths use LiveInto with a reusable buffer instead.
+// including self. Hot paths use LiveInto with a reusable buffer instead,
+// and LiveCount when only the size matters.
 func (v *View) Live(now time.Duration) []wire.NodeID {
 	return v.LiveInto(nil, now)
 }
@@ -461,13 +539,14 @@ func (v *View) LiveInto(buf []wire.NodeID, now time.Duration) []wire.NodeID {
 	defer v.mu.Unlock()
 	out := buf[:0]
 	selfDone := false
-	for i, p := range v.tracked {
-		if !selfDone && v.cfg.Self < p {
+	for i := range v.members {
+		m := &v.members[i]
+		if !selfDone && v.cfg.Self < m.id {
 			out = append(out, v.cfg.Self)
 			selfDone = true
 		}
-		if v.aliveIdxLocked(i, now) {
-			out = append(out, p)
+		if v.aliveLocked(m, now) {
+			out = append(out, m.id)
 		}
 	}
 	if !selfDone {
@@ -476,21 +555,30 @@ func (v *View) LiveInto(buf []wire.NodeID, now time.Duration) []wire.NodeID {
 	return out
 }
 
+// LiveCount is len(Live(now)) without building the list: O(1) in suspicion
+// mode.
+func (v *View) LiveCount(now time.Duration) int {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.aliveCountLocked(now) + 1
+}
+
 // Leader returns the dynamic-election leader: the lowest-id live peer
 // (self counts). This is the convergence point of Fabric's leader election
-// once heartbeats have propagated. The scan walks the sorted tracked slice
-// and stops at self, so the steady state answers from the first probe with
+// once heartbeats have propagated. The scan walks the sorted members and
+// stops at self, so the steady state answers from the first probe with
 // zero allocations (the live-minimum is effectively tracked by the sorted
 // order).
 func (v *View) Leader(now time.Duration) wire.NodeID {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	for i, p := range v.tracked {
-		if p >= v.cfg.Self {
+	for i := range v.members {
+		m := &v.members[i]
+		if m.id >= v.cfg.Self {
 			break
 		}
-		if v.aliveIdxLocked(i, now) {
-			return p
+		if v.aliveLocked(m, now) {
+			return m.id
 		}
 	}
 	return v.cfg.Self
@@ -505,24 +593,16 @@ func (v *View) IsLeader(now time.Duration) bool {
 func (v *View) Stats() Stats {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	s := Stats{
-		Known:         len(v.tracked),
-		Queued:        len(v.queue),
+	return Stats{
+		Known:         len(v.members),
+		Live:          int(v.counts[statusLive]),
+		Suspects:      int(v.counts[statusSuspect]),
+		Dead:          int(v.counts[statusDead]),
+		Queued:        v.rumors.len(),
 		EventsQueued:  v.eventsQueued,
 		EventsSent:    v.eventsSent,
 		EventsApplied: v.eventsApplied,
 		Refutations:   v.refutations,
 		DeadDeclared:  v.deadDeclared,
 	}
-	for i := range v.tracked {
-		switch v.status[i] {
-		case statusLive:
-			s.Live++
-		case statusSuspect:
-			s.Suspects++
-		case statusDead:
-			s.Dead++
-		}
-	}
-	return s
 }

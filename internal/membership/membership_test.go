@@ -186,16 +186,20 @@ func swimViewHost(self wire.NodeID, host Host) *View {
 	}, host)
 }
 
+// gossiper is the sender of the payloads tests hand to apply directly: a
+// member nobody probes.
+const gossiper wire.NodeID = 99
+
 // suspect puts peer into the suspect state through the public path: a
 // gossiped suspicion at the peer's current incarnation.
 func (v *View) suspectForTest(peer wire.NodeID, now time.Duration) {
 	v.mu.Lock()
 	var seq uint64
-	if i := v.idxOf(peer); i >= 0 {
-		seq = v.lastSeq[i]
+	if i, tracked := v.search(peer); tracked {
+		seq = v.members[i].seq
 	}
 	v.mu.Unlock()
-	v.apply([]wire.MemberEvent{{Peer: peer, Seq: seq, Kind: wire.EventSuspect}}, now, true)
+	v.apply(gossiper, []wire.MemberEvent{{Peer: peer, Seq: seq, Kind: wire.EventSuspect}}, now, true, false)
 }
 
 func TestSilenceAloneDoesNotKillUnderSuspicion(t *testing.T) {
@@ -314,13 +318,7 @@ func TestFailedProbeSuspects(t *testing.T) {
 	if s := v.Stats(); s.Suspects != 1 {
 		t.Fatalf("failed probe did not suspect: %+v", s)
 	}
-	found := false
-	for _, q := range v.queue {
-		if q.ev.Peer == 1 && q.ev.Kind == wire.EventSuspect {
-			found = true
-		}
-	}
-	if !found {
+	if v.rumors.index(1, wire.EventSuspect) < 0 {
 		t.Fatal("failed probe queued no suspect rumor")
 	}
 	// The suspicion times out into a death.
@@ -388,7 +386,7 @@ func TestUnknownEventKindAboutSelfIsNotAnAccusation(t *testing.T) {
 	v.NoteSelfSeq(5)
 	// Unknown forward-compatibility kinds are documented as ignored; they
 	// must not trigger incarnation bumps and refutation floods.
-	v.apply([]wire.MemberEvent{{Peer: 3, Seq: 9, Kind: wire.MemberEventKind(9)}}, sec(1), true)
+	v.apply(gossiper, []wire.MemberEvent{{Peer: 3, Seq: 9, Kind: wire.MemberEventKind(9)}}, sec(1), true, false)
 	if v.TakeAccusation() {
 		t.Fatal("unknown event kind latched a self-accusation")
 	}
@@ -397,7 +395,7 @@ func TestUnknownEventKindAboutSelfIsNotAnAccusation(t *testing.T) {
 func TestSuspectEventAgainstSelfLatchesAccusation(t *testing.T) {
 	v := swimView(3)
 	v.NoteSelfSeq(5)
-	v.apply([]wire.MemberEvent{{Peer: 3, Seq: 5, Kind: wire.EventSuspect}}, sec(1), true)
+	v.apply(gossiper, []wire.MemberEvent{{Peer: 3, Seq: 5, Kind: wire.EventSuspect}}, sec(1), true, false)
 	if !v.TakeAccusation() {
 		t.Fatal("suspicion at the current incarnation not latched")
 	}
@@ -406,7 +404,7 @@ func TestSuspectEventAgainstSelfLatchesAccusation(t *testing.T) {
 	}
 	// A stale accusation (below the current incarnation) is ignored.
 	v.NoteSelfSeq(9)
-	v.apply([]wire.MemberEvent{{Peer: 3, Seq: 7, Kind: wire.EventDead}}, sec(2), true)
+	v.apply(gossiper, []wire.MemberEvent{{Peer: 3, Seq: 7, Kind: wire.EventDead}}, sec(2), true, false)
 	if v.TakeAccusation() {
 		t.Fatal("stale accusation latched")
 	}
@@ -424,22 +422,22 @@ func TestApplyEventLifecycle(t *testing.T) {
 	})
 
 	// Alive event about an unknown peer grows the view.
-	v.apply([]wire.MemberEvent{{Peer: 4, Seq: 10, Kind: wire.EventAlive}}, sec(1), true)
+	v.apply(gossiper, []wire.MemberEvent{{Peer: 4, Seq: 10, Kind: wire.EventAlive}}, sec(1), true, false)
 	if !v.Alive(4, sec(1)) {
 		t.Fatal("alive event did not admit the peer")
 	}
 	// Dead event at the same incarnation kills it.
-	v.apply([]wire.MemberEvent{{Peer: 4, Seq: 10, Kind: wire.EventDead}}, sec(2), true)
+	v.apply(gossiper, []wire.MemberEvent{{Peer: 4, Seq: 10, Kind: wire.EventDead}}, sec(2), true, false)
 	if !v.Dead(4, sec(2)) {
 		t.Fatal("dead event ignored")
 	}
 	// Alive at the same incarnation must NOT resurrect (dead is final per
 	// incarnation); a strictly fresher incarnation must.
-	v.apply([]wire.MemberEvent{{Peer: 4, Seq: 10, Kind: wire.EventAlive}}, sec(3), true)
+	v.apply(gossiper, []wire.MemberEvent{{Peer: 4, Seq: 10, Kind: wire.EventAlive}}, sec(3), true, false)
 	if v.Alive(4, sec(3)) {
 		t.Fatal("same-incarnation alive resurrected a declared death")
 	}
-	v.apply([]wire.MemberEvent{{Peer: 4, Seq: 11, Kind: wire.EventAlive}}, sec(4), true)
+	v.apply(gossiper, []wire.MemberEvent{{Peer: 4, Seq: 11, Kind: wire.EventAlive}}, sec(4), true, false)
 	if !v.Alive(4, sec(4)) {
 		t.Fatal("fresher incarnation did not rejoin")
 	}

@@ -90,7 +90,7 @@ func TestPropertyApplyThenDrainTerminates(t *testing.T) {
 				Kind: wire.MemberEventKind(kinds[i] % 5), // includes invalid kinds
 			})
 		}
-		v.apply(events, time.Second, true)
+		v.apply(gossiper, events, time.Second, true, false)
 		if v.QueuedRumors() > 32 {
 			return false // cap violated
 		}
@@ -119,7 +119,7 @@ func TestPropertyQueueDedupesByPeerAndKind(t *testing.T) {
 			if i%2 == 1 {
 				kind = wire.EventSuspect
 			}
-			v.apply([]wire.MemberEvent{{Peer: 7, Seq: uint64(s), Kind: kind}}, time.Second, true)
+			v.apply(gossiper, []wire.MemberEvent{{Peer: 7, Seq: uint64(s), Kind: kind}}, time.Second, true, false)
 		}
 		return v.QueuedRumors() <= 2
 	}

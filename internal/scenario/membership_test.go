@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"testing"
+
+	"fabricgossip/internal/wire"
 )
 
 // runWithSwim instantiates a catalog entry, optionally strips the SWIM
@@ -136,5 +138,91 @@ func TestMeasuredScenariosStayDeterministic(t *testing.T) {
 		if a.ViewSamples == 0 {
 			t.Fatalf("%s: no view samples in report", name)
 		}
+	}
+}
+
+// TestSamplerCountMatchesMerge checks the sampler's count-based view
+// completeness against the merge pass it replaced — kept here as the oracle
+// — for every live peer at every sample of org-flapping-members: a lossy
+// network, suspects, a genuine crash that views go on believing alive for a
+// while, and its rejoin.
+func TestSamplerCountMatchesMerge(t *testing.T) {
+	def, err := Lookup("org-flapping-members")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Peers: 60, Seed: 5}.withDefaults()
+	top, err := opt.topology()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := def.Build(top)
+	sc.Name = def.Name
+	top, consenters, err := validate(sc, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := build(sc, opt, top, consenters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.arm()
+
+	// mergeCount is the parent's sampler: both lists are sorted ascending,
+	// so one merge pass counts the intersection.
+	mergeCount := func(live, actual []wire.NodeID) int {
+		inter, a := 0, 0
+		for _, p := range live {
+			for a < len(actual) && actual[a] < p {
+				a++
+			}
+			if a < len(actual) && actual[a] == p {
+				inter++
+				a++
+			}
+		}
+		return inter
+	}
+	var samples, staleBeliefs, suspects int
+	r.samplers = append(r.samplers, r.net.Engine.Every(viewSampleInterval, func() {
+		for o := 0; o < top.Orgs(); o++ {
+			var actual, crashed []wire.NodeID
+			for _, i := range top.OrgSpan(o) {
+				if r.net.Crashed(i) {
+					crashed = append(crashed, wire.NodeID(i))
+				} else {
+					actual = append(actual, wire.NodeID(i))
+				}
+			}
+			for _, i := range top.OrgSpan(o) {
+				if r.net.Crashed(i) {
+					continue
+				}
+				core := r.net.Cores[i]
+				live := core.LivePeers()
+				got, want := liveActual(core, crashed), mergeCount(live, actual)
+				if got != want {
+					t.Fatalf("at %v, peer %d: count-based intersection %d, merge pass %d (live view %d, %d crashed)",
+						r.net.Engine.Now(), i, got, want, len(live), len(crashed))
+				}
+				if core.LiveCount() != len(live) {
+					t.Fatalf("at %v, peer %d: LiveCount %d, len(LivePeers) %d", r.net.Engine.Now(), i, core.LiveCount(), len(live))
+				}
+				samples++
+				if got < len(live) {
+					staleBeliefs++
+				}
+				suspects += core.MembershipStats().Suspects
+			}
+		}
+	}))
+	r.drive()
+	if err := r.drain(); err != nil {
+		t.Fatal(err)
+	}
+	// The comparison must have seen the cases where the two could differ.
+	if samples == 0 || staleBeliefs == 0 || suspects == 0 {
+		t.Fatalf("%d comparisons, %d with a crashed member still believed alive, %d suspects seen: the run exercised too little",
+			samples, staleBeliefs, suspects)
 	}
 }

@@ -170,15 +170,14 @@ type runner struct {
 	// series, membership views); drive stops them when the run ends.
 	samplers []sim.Timer
 
-	// Membership-view sampling state (MeasureMembership only). liveBuf and
-	// actualBuf are the sampler's reusable scratch; convergedAt is the
-	// first sample time of the current everyone-agrees-on-the-leader
-	// streak (-1 while disagreeing).
+	// Membership-view sampling state (MeasureMembership only). crashedBuf
+	// is the sampler's reusable scratch; convergedAt is the first sample
+	// time of the current everyone-agrees-on-the-leader streak (-1 while
+	// disagreeing).
 	viewSamples int
 	lastCompl   float64
 	convergedAt time.Duration
-	liveBuf     []wire.NodeID
-	actualBuf   []wire.NodeID
+	crashedBuf  []wire.NodeID
 
 	// heapHigh is the largest live-heap reading taken (readLiveHeap).
 	heapHigh uint64
@@ -441,8 +440,8 @@ func (r *runner) tuneGossip(_ wire.NodeID, cfg *gossip.Config) {
 	if r.sc.SwimMembership {
 		// The SWIM defaults for dense views at n >= 1000: lapsed peers
 		// survive as refutable suspects for five heartbeat periods, rumors
-		// ride every message, and the shuffle refreshes 128 view entries
-		// per heartbeat period.
+		// ride every message, and once per heartbeat period a peer swaps
+		// 256-entry view samples with one other.
 		cfg.SuspectTimeout = 10 * time.Second
 		cfg.PiggybackMax = 32
 		cfg.PiggybackBudget = 4
@@ -861,38 +860,27 @@ func (r *runner) sampleViews() {
 	var complN int
 	agree := true
 	for o := 0; o < r.top.Orgs(); o++ {
-		// The ground truth: the organization's actually live (non-crashed)
-		// members and its true leader, from the fault surface.
-		r.actualBuf = r.actualBuf[:0]
-		for _, i := range r.top.OrgSpan(o) {
-			if !r.net.Crashed(i) {
-				r.actualBuf = append(r.actualBuf, wire.NodeID(i))
+		// The ground truth, from the fault surface: which of the
+		// organization's members are crashed — the rest are actually live —
+		// and its true leader.
+		span := r.top.OrgSpan(o)
+		r.crashedBuf = r.crashedBuf[:0]
+		for _, i := range span {
+			if r.net.Crashed(i) {
+				r.crashedBuf = append(r.crashedBuf, wire.NodeID(i))
 			}
 		}
-		if len(r.actualBuf) == 0 {
+		actual := len(span) - len(r.crashedBuf)
+		if actual == 0 {
 			continue
 		}
 		trueLeader := wire.NodeID(r.net.OrgLeader(o))
-		for _, i := range r.top.OrgSpan(o) {
+		for _, i := range span {
 			if r.net.Crashed(i) {
 				continue
 			}
 			core := r.net.Cores[i]
-			r.liveBuf = core.LivePeersInto(r.liveBuf)
-			// Both slices are sorted ascending: count the intersection
-			// with one merge pass. Entries outside the organization (none
-			// today: views are per-org) fall out naturally.
-			inter, a := 0, 0
-			for _, p := range r.liveBuf {
-				for a < len(r.actualBuf) && r.actualBuf[a] < p {
-					a++
-				}
-				if a < len(r.actualBuf) && r.actualBuf[a] == p {
-					inter++
-					a++
-				}
-			}
-			complSum += float64(inter) / float64(len(r.actualBuf))
+			complSum += float64(liveActual(core, r.crashedBuf)) / float64(actual)
 			complN++
 			if core.LeaderPeer() != trueLeader {
 				agree = false
@@ -909,6 +897,22 @@ func (r *runner) sampleViews() {
 	} else if r.convergedAt < 0 {
 		r.convergedAt = now
 	}
+}
+
+// liveActual is the size of core's live view intersected with its
+// organization's actually live members. A view tracks only its own
+// organization, and every member is either crashed or actually live, so the
+// intersection is the view's live count minus the crashed members it still
+// believes alive — a counter and a lookup per crashed member, where merging
+// the two lists walked every entry of every view at every sample.
+func liveActual(core *gossip.Core, crashed []wire.NodeID) int {
+	n := core.LiveCount()
+	for _, c := range crashed {
+		if core.PeerAlive(c) {
+			n--
+		}
+	}
+	return n
 }
 
 // report assembles the final Report once the run has stopped.

@@ -33,9 +33,13 @@ const (
 // incarnation number SWIM uses to order conflicting claims: alive at seq s
 // refutes suspicion at any s' <= s, and a dead declaration at s yields only
 // to alive at a strictly higher sequence.
+//
+// Fields are ordered widest first so an entry is 16 bytes, not 24: every
+// in-flight shuffle sample holds up to a few hundred of them. The codec
+// writes fields by name, so the encoding is Peer, Seq, Kind regardless.
 type MemberEvent struct {
-	Peer NodeID
 	Seq  uint64
+	Peer NodeID
 	Kind MemberEventKind
 }
 
