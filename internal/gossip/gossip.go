@@ -165,7 +165,7 @@ type Core struct {
 	// fetcher/provider form the statesync engine the core delegates the
 	// recovery plane to: the fetcher owns the advertised-heights view,
 	// request targeting and anchor probing; the provider serves requests
-	// from frozen block batches. Both are called only with mu released
+	// from cached block batches. Both are called only with mu released
 	// (they lock internally and call back into the core's accessors).
 	fetcher  *statesync.Fetcher
 	provider *statesync.Provider

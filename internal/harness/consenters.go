@@ -345,11 +345,10 @@ func (n *Network) MaxDeliverGap() time.Duration {
 
 // encodeBlockEntry wraps a premade block as a Raft log entry.
 func encodeBlockEntry(b *ledger.Block) []byte {
-	payload := wire.Marshal(&wire.DeliverBlock{Block: b})
-	data := make([]byte, 1+len(payload))
+	msg := &wire.DeliverBlock{Block: b}
+	data := make([]byte, 1, 1+msg.EncodedSize())
 	data[0] = clusterEntryBlock
-	copy(data[1:], payload)
-	return data
+	return wire.AppendMarshal(data, msg)
 }
 
 // decodeBlockEntry unwraps encodeBlockEntry's framing.

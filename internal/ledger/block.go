@@ -7,6 +7,7 @@ package ledger
 import (
 	"encoding/binary"
 	"fmt"
+	"sync/atomic"
 
 	"fabricgossip/internal/crypto"
 )
@@ -89,7 +90,9 @@ func ProposalDigest(client, chaincode string, rw RWSet, payload []byte) crypto.D
 	return crypto.Hash(buf, payload)
 }
 
-// Block is one link of the chain.
+// Block is one link of the chain. A block is immutable once it has been
+// handed to the gossip or ordering layers, and must not be copied by value
+// (it carries atomics).
 type Block struct {
 	Num      uint64
 	PrevHash crypto.Digest
@@ -97,6 +100,44 @@ type Block struct {
 	Txs      []*Transaction
 	// Sig is the ordering service's signature over HeaderBytes.
 	Sig crypto.Signature
+
+	// wireSize and wireEnc cache the block's canonical wire encoding and its
+	// length. Package wire owns their meaning (it cannot be imported from
+	// here); the block only carries them, so the cache lives and dies with
+	// the block. Both are published atomically, because shards and
+	// connection goroutines size and send one block concurrently, and are
+	// set once: every writer computes the same value from the same
+	// immutable block. The simulator fills only the size.
+	wireSize atomic.Int64
+	wireEnc  atomic.Pointer[[]byte]
+}
+
+// WireSize returns the cached length of the block's wire encoding, 0 if
+// nobody has sized or encoded the block yet (an encoding is never empty).
+func (b *Block) WireSize() int { return int(b.wireSize.Load()) }
+
+// SetWireSize records the length of the block's wire encoding.
+func (b *Block) SetWireSize(n int) { b.wireSize.Store(int64(n)) }
+
+// WireEncoding returns the cached wire encoding, nil if there is none yet.
+// The bytes are shared by every holder of the block and must not be written.
+func (b *Block) WireEncoding() []byte {
+	if p := b.wireEnc.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// SetWireEncoding records enc as the block's wire encoding and returns the
+// encoding the block now carries: enc, or the one a concurrent caller
+// published first (the two are equal byte for byte). The caller must not
+// write to enc afterwards.
+func (b *Block) SetWireEncoding(enc []byte) []byte {
+	if !b.wireEnc.CompareAndSwap(nil, &enc) {
+		return *b.wireEnc.Load()
+	}
+	b.wireSize.Store(int64(len(enc)))
+	return enc
 }
 
 // HeaderBytes returns the canonical encoding of the block header, the

@@ -43,11 +43,10 @@ const (
 
 // encodeTxEntry wraps a transaction for the ordered stream.
 func encodeTxEntry(tx *ledger.Transaction) []byte {
-	body := wire.Marshal(&wire.SubmitTx{Tx: tx})
-	out := make([]byte, 1+len(body))
+	msg := &wire.SubmitTx{Tx: tx}
+	out := make([]byte, 1, 1+msg.EncodedSize())
 	out[0] = entryTx
-	copy(out[1:], body)
-	return out
+	return wire.AppendMarshal(out, msg)
 }
 
 // encodeTTCEntry encodes a time-to-cut marker for block blockNum.

@@ -44,20 +44,17 @@ func (s *RealScheduler) After(d time.Duration, fn func()) Timer {
 		rt.fired = true
 		return rt
 	}
+	rt.fn = fn
 	s.timers[rt] = struct{}{}
 	s.mu.Unlock()
 
-	rt.t = time.AfterFunc(d, func() {
-		s.mu.Lock()
-		if s.closed || rt.fired {
-			s.mu.Unlock()
-			return
-		}
-		rt.fired = true
-		delete(s.timers, rt)
-		s.mu.Unlock()
-		fn()
-	})
+	// The runtime keeps a stopped timer — and everything its function
+	// references — until it next tidies its timer heap, which on a busy
+	// process can be a while. So the function it gets references only rt,
+	// and rt lets go of the callback the moment it fires or is cancelled: a
+	// closed scheduler pins none of the state its callbacks closed over (a
+	// peer's whole ledger, for the gossip tickers).
+	rt.t = time.AfterFunc(d, rt.fire)
 	return rt
 }
 
@@ -67,6 +64,7 @@ func (s *RealScheduler) Close() {
 	s.closed = true
 	timers := make([]*realTimer, 0, len(s.timers))
 	for rt := range s.timers {
+		rt.fn = nil
 		timers = append(timers, rt)
 	}
 	s.timers = make(map[*realTimer]struct{})
@@ -82,6 +80,22 @@ type realTimer struct {
 	sched *RealScheduler
 	t     *time.Timer
 	fired bool
+	fn    func() // nil once fired or cancelled; guarded by sched.mu
+}
+
+func (rt *realTimer) fire() {
+	s := rt.sched
+	s.mu.Lock()
+	if s.closed || rt.fired {
+		s.mu.Unlock()
+		return
+	}
+	rt.fired = true
+	delete(s.timers, rt)
+	fn := rt.fn
+	rt.fn = nil
+	s.mu.Unlock()
+	fn()
 }
 
 func (rt *realTimer) Stop() bool {
@@ -91,6 +105,7 @@ func (rt *realTimer) Stop() bool {
 		return false
 	}
 	rt.fired = true
+	rt.fn = nil
 	delete(rt.sched.timers, rt)
 	rt.sched.mu.Unlock()
 	if rt.t != nil {

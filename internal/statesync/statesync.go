@@ -2,7 +2,7 @@
 // layer, carved out of the core so both dissemination protocols share one
 // engine: a Fetcher that owns request targeting, batch sizing and the
 // in-flight/backoff state of catch-up, and a Provider that serves block
-// ranges from frozen zero-copy batches (paper §III-A, "recovery").
+// ranges from cached zero-copy batches (paper §III-A, "recovery").
 //
 // The pair talks to its peer through the narrow Host interface — ledger
 // height and block access, message sending, the membership view's dead
@@ -79,7 +79,7 @@ type Stats struct {
 	// AnchorProbes counts cross-org StateRequests sent to anchor peers.
 	AnchorProbes uint64
 	// Served / ServedCached count responses sent by the Provider and how
-	// many of them were answered from a frozen cached batch.
+	// many of them were answered from a cached batch.
 	Served       uint64
 	ServedCached uint64
 }
@@ -339,10 +339,10 @@ func (f *Fetcher) HandleResponse(m *wire.StateResponse) {
 // --- Provider ---
 
 // Provider serves StateRequests from the host's block store. Responses are
-// built once per distinct range, frozen (pre-encoded), and cached: at
-// steady state — a wave of recovering peers asking for the same range — a
-// request is answered by re-sending the cached message with zero
-// allocations and zero re-encoding.
+// built once per distinct range and cached: at steady state — a wave of
+// recovering peers asking for the same range — a request is answered by
+// re-sending the cached message with zero allocations, and every
+// transmission reuses the encodings cached on the blocks themselves.
 type Provider struct {
 	host Host
 	cfg  Config
@@ -354,9 +354,9 @@ type Provider struct {
 	servedCached uint64
 }
 
-// providerCacheSize bounds the frozen-batch cache. Recovering peers cluster
+// providerCacheSize bounds the response cache. Recovering peers cluster
 // around a handful of distinct ranges at any moment, so a few slots give
-// the steady-state hit rate without holding old encodings alive.
+// the steady-state hit rate without holding old batches alive.
 const providerCacheSize = 4
 
 type cachedBatch struct {
@@ -393,7 +393,7 @@ func (p *Provider) Serve(from wire.NodeID, req *wire.StateRequest) {
 	if len(blocks) == 0 {
 		return
 	}
-	resp := &wire.StateResponse{Batch: wire.NewBlockBatch(blocks).Freeze()}
+	resp := &wire.StateResponse{Batch: wire.NewBlockBatch(blocks)}
 	p.store(req.From, limit, resp)
 	p.host.Send(from, resp)
 }

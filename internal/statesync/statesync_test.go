@@ -145,9 +145,6 @@ func TestProviderServesConsecutiveRunRespectingBatch(t *testing.T) {
 	if got := len(resp.Blocks()); got != 3 {
 		t.Fatalf("served %d blocks, want the batch cap 3", got)
 	}
-	if !resp.Batch.Frozen() {
-		t.Fatal("served batch not frozen")
-	}
 	p.Serve(9, &wire.StateRequest{From: 4, To: 7})
 	resp = h.sentMsg[1].(*wire.StateResponse)
 	if got := len(resp.Blocks()); got != 1 || resp.Blocks()[0].Num != 4 {
@@ -160,8 +157,8 @@ func TestProviderServesConsecutiveRunRespectingBatch(t *testing.T) {
 	}
 }
 
-// Repeated requests for the same range must re-send the cached frozen
-// response (the zero-copy steady state) — same message value, no rebuild.
+// Repeated requests for the same range must re-send the cached response
+// (the zero-copy steady state) — same message value, no rebuild.
 func TestProviderCachesFrozenBatches(t *testing.T) {
 	h := newStubHost()
 	p := NewProvider(h, Config{Batch: 8})

@@ -20,12 +20,16 @@ type WireObs struct {
 	bytesIn  *obs.Counter
 	sizes    *obs.Histogram
 	trace    *obs.ShardTrace
+	// reg registers the TCP runtime's drop counters when the first drop
+	// happens, so the simulator's snapshots (which can have none) do not
+	// list them.
+	reg *obs.Registry
 }
 
 // NewWireObs registers the wire instruments on reg (if non-nil) and binds
 // the trace buffer (if non-nil).
 func NewWireObs(reg *obs.Registry, trace *obs.ShardTrace) *WireObs {
-	w := &WireObs{trace: trace}
+	w := &WireObs{trace: trace, reg: reg}
 	if reg != nil {
 		w.msgsOut = reg.Counter("wire_msgs_total", "dir", "out")
 		w.bytesOut = reg.Counter("wire_bytes_total", "dir", "out")
@@ -59,5 +63,23 @@ func (w *WireObs) Received(at time.Duration, from, to wire.NodeID, t wire.MsgTyp
 	}
 	if w.trace != nil {
 		w.trace.Emit(obs.Event{At: at, Kind: obs.WireRecvKind(t), Node: int32(to), Peer: int32(from), Num: uint64(t), Aux: uint64(size)})
+	}
+}
+
+// FrameRejected counts one inbound frame the TCP reader refused — reason is
+// "length" (prefix out of range), "truncated" (the stream ended mid-frame)
+// or "decode" (wire.Unmarshal failed) — and with it the connection it
+// dropped. TCP runtime only: the registry must be concurrent.
+func (w *WireObs) FrameRejected(reason string) {
+	if w.reg != nil {
+		w.reg.Counter("wire_frames_rejected_total", "reason", reason).Inc()
+	}
+}
+
+// SendError counts one TCP send that failed at the write (error, timeout or
+// short write) and dropped its connection. TCP runtime only.
+func (w *WireObs) SendError() {
+	if w.reg != nil {
+		w.reg.Counter("wire_send_errors_total").Inc()
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fabricgossip/internal/netmodel"
@@ -16,6 +17,18 @@ import (
 // maxFrame bounds accepted frame sizes (a full block batch fits well
 // within it; anything larger is a protocol violation).
 const maxFrame = 256 << 20
+
+// readChunk is how far a frame's payload buffer may run ahead of the bytes
+// that have arrived: the length prefix is untrusted until they do.
+const readChunk = 1 << 20
+
+const (
+	dialTimeout = 5 * time.Second
+	// writeTimeout bounds one frame's write. A peer that has not drained
+	// its socket for this long is treated like a broken connection, so a
+	// stalled receiver costs a sender one timeout, not its handler.
+	writeTimeout = 5 * time.Second
+)
 
 // AddressBook resolves node ids to dialable addresses.
 type AddressBook interface {
@@ -37,6 +50,13 @@ func (b StaticAddressBook) Resolve(id wire.NodeID) (string, bool) {
 //	[4-byte big-endian length][4-byte big-endian sender id][wire message]
 //
 // Connections to a destination are created on first use and cached.
+//
+// Neither direction copies a block. Send writes the frame header and the
+// message head from a pooled scratch buffer and the blocks' cached encodings
+// (see package wire) as further elements of one vectored write. The reader
+// gives each frame a buffer of its own and hands it over to the decoded
+// message, whose byte fields and block encodings alias it; a block that is
+// forwarded leaves as the bytes it arrived as.
 type TCPEndpoint struct {
 	id      wire.NodeID
 	book    AddressBook
@@ -46,10 +66,14 @@ type TCPEndpoint struct {
 	// wobs, when set, must be backed by a concurrent registry: sends and
 	// receives run on arbitrary connection goroutines.
 	wobs *WireObs
+	// writeTimeout is the constant of that name; a field so that a test can
+	// see a stalled receiver time out without waiting five seconds.
+	writeTimeout time.Duration
 
-	mu      sync.Mutex
-	handler Handler
-	conns   map[wire.NodeID]*sendConn
+	handler atomic.Pointer[Handler] // read once per inbound frame
+
+	mu    sync.Mutex
+	conns map[wire.NodeID]*sendConn
 	// all tracks every live connection — dialed and accepted — so Close
 	// can unblock their reader goroutines.
 	all    map[net.Conn]struct{}
@@ -70,13 +94,14 @@ func ListenTCP(id wire.NodeID, addr string, book AddressBook, traffic *netmodel.
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
 	ep := &TCPEndpoint{
-		id:      id,
-		book:    book,
-		ln:      ln,
-		traffic: traffic,
-		start:   time.Now(),
-		conns:   make(map[wire.NodeID]*sendConn),
-		all:     make(map[net.Conn]struct{}),
+		id:           id,
+		book:         book,
+		ln:           ln,
+		traffic:      traffic,
+		start:        time.Now(),
+		writeTimeout: writeTimeout,
+		conns:        make(map[wire.NodeID]*sendConn),
+		all:          make(map[net.Conn]struct{}),
 	}
 	ep.wg.Add(1)
 	go ep.acceptLoop()
@@ -94,20 +119,37 @@ func (ep *TCPEndpoint) Addr() string { return ep.ln.Addr().String() }
 func (ep *TCPEndpoint) ID() wire.NodeID { return ep.id }
 
 // SetHandler implements Endpoint.
-func (ep *TCPEndpoint) SetHandler(h Handler) {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	ep.handler = h
-}
-
-func (ep *TCPEndpoint) currentHandler() Handler {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	return ep.handler
-}
+func (ep *TCPEndpoint) SetHandler(h Handler) { ep.handler.Store(&h) }
 
 // ErrClosed is returned by Send after Close.
 var ErrClosed = errors.New("transport: endpoint closed")
+
+// frameBuf is Send's scratch: the bytes of the frame header and message
+// head, and the vector handed to the connection — that head first, then the
+// cached encoding of each block the message carries. Pooled, so a send
+// allocates nothing that grows with the message.
+type frameBuf struct {
+	head []byte
+	vec  net.Buffers
+	// out is the view of vec that Buffers.WriteTo consumes (it advances the
+	// slice it is called on). A field, so taking its address allocates
+	// nothing.
+	out net.Buffers
+}
+
+var frameBufs = sync.Pool{New: func() any { return &frameBuf{head: make([]byte, 0, 512)} }}
+
+// release returns fb to the pool without the block encodings it pointed at.
+// A head that a large block-less message (a Raft append, a view sample) grew
+// past 64 KB is not worth pinning: that scratch is left to the collector.
+func (fb *frameBuf) release() {
+	if cap(fb.head) > 64<<10 {
+		return
+	}
+	clear(fb.vec)
+	fb.out = nil
+	frameBufs.Put(fb)
+}
 
 // Send implements Endpoint.
 func (ep *TCPEndpoint) Send(to wire.NodeID, msg wire.Message) error {
@@ -115,30 +157,48 @@ func (ep *TCPEndpoint) Send(to wire.NodeID, msg wire.Message) error {
 	if err != nil {
 		return err
 	}
-	body := wire.Marshal(msg)
-	frame := make([]byte, 8+len(body))
-	binary.BigEndian.PutUint32(frame[0:4], uint32(4+len(body)))
-	binary.BigEndian.PutUint32(frame[4:8], uint32(ep.id))
-	copy(frame[8:], body)
+	fb := frameBufs.Get().(*frameBuf)
+	defer fb.release()
+	// Element 0 is the head's place; the encoder appends the bodies after it.
+	fb.head, fb.vec = wire.AppendMessage(fb.head[:8], append(fb.vec[:0], nil), msg)
+	fb.vec[0] = fb.head
+	size := 0
+	for _, b := range fb.vec {
+		size += len(b)
+	}
+	if size-4 > maxFrame {
+		return fmt.Errorf("transport: send to %v: %v of %d bytes exceeds the frame limit", to, msg.Type(), size)
+	}
+	binary.BigEndian.PutUint32(fb.head[0:4], uint32(size-4))
+	binary.BigEndian.PutUint32(fb.head[4:8], uint32(ep.id))
+	fb.out = fb.vec
 
 	sc.mu.Lock()
-	_, werr := sc.conn.Write(frame)
+	// SetWriteDeadline fails only on a closed connection, and then so does
+	// the write.
+	_ = sc.conn.SetWriteDeadline(time.Now().Add(ep.writeTimeout))
+	_, werr := fb.out.WriteTo(sc.conn) // one writev on a TCP connection
 	sc.mu.Unlock()
 	if werr != nil {
-		// Connection went bad: forget it so the next send redials.
+		// The connection went bad or the peer stopped reading. Part of the
+		// frame may be on the wire, so the stream is out of step either
+		// way: forget the connection and let the next send redial.
 		ep.mu.Lock()
 		if ep.conns[to] == sc {
 			delete(ep.conns, to)
 		}
 		ep.mu.Unlock()
 		_ = sc.conn.Close()
+		if ep.wobs != nil {
+			ep.wobs.SendError()
+		}
 		return fmt.Errorf("transport: send to %v: %w", to, werr)
 	}
 	if ep.traffic != nil {
-		ep.traffic.Record(ep.id, to, msg.Type(), len(frame), time.Since(ep.start))
+		ep.traffic.Record(ep.id, to, msg.Type(), size, time.Since(ep.start))
 	}
 	if ep.wobs != nil {
-		ep.wobs.Sent(time.Since(ep.start), ep.id, to, msg.Type(), len(frame))
+		ep.wobs.Sent(time.Since(ep.start), ep.id, to, msg.Type(), size)
 	}
 	return nil
 }
@@ -159,7 +219,7 @@ func (ep *TCPEndpoint) connTo(to wire.NodeID) (*sendConn, error) {
 	if !ok {
 		return nil, fmt.Errorf("transport: no address for %v", to)
 	}
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %v (%s): %w", to, addr, err)
 	}
@@ -211,31 +271,86 @@ func (ep *TCPEndpoint) readLoop(conn net.Conn) {
 		delete(ep.all, conn)
 		ep.mu.Unlock()
 	}()
-	var hdr [4]byte
 	for {
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-			return
-		}
-		n := binary.BigEndian.Uint32(hdr[:])
-		if n < 4 || n > maxFrame {
-			return // protocol violation; drop the connection
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(conn, payload); err != nil {
-			return
-		}
-		from := wire.NodeID(binary.BigEndian.Uint32(payload[:4]))
-		msg, err := wire.Unmarshal(payload[4:])
+		from, msg, size, err := readFrame(conn)
 		if err != nil {
-			return // corrupt frame; drop the connection
-		}
-		if h := ep.currentHandler(); h != nil {
-			if ep.wobs != nil {
-				ep.wobs.Received(time.Since(ep.start), from, ep.id, msg.Type(), 4+len(payload))
+			// The stream cannot be resynchronised: drop the connection.
+			var rej *frameError
+			if errors.As(err, &rej) && ep.wobs != nil {
+				ep.wobs.FrameRejected(rej.reason)
 			}
-			h(from, msg)
+			return
+		}
+		if h := ep.handler.Load(); h != nil && *h != nil {
+			if ep.wobs != nil {
+				ep.wobs.Received(time.Since(ep.start), from, ep.id, msg.Type(), size)
+			}
+			(*h)(from, msg)
 		}
 	}
+}
+
+// frameError is a frame the reader refused; reason labels the
+// wire_frames_rejected_total counter. A stream that ends between frames is
+// not one: readFrame returns the bare read error for it.
+type frameError struct {
+	reason string // "length", "truncated" or "decode"
+	err    error
+}
+
+func (e *frameError) Error() string { return "transport: " + e.reason + " frame: " + e.err.Error() }
+func (e *frameError) Unwrap() error { return e.err }
+
+// readFrame reads one frame from r and decodes it. size is the frame's
+// length on the wire, prefix included. The payload buffer is allocated here
+// and never reused: the decoded message aliases it (wire.Unmarshal) and
+// owns it from then on.
+func readFrame(r io.Reader) (from wire.NodeID, msg wire.Message, size int, err error) {
+	var hdr [4]byte
+	if got, err := io.ReadFull(r, hdr[:]); err != nil {
+		if got > 0 {
+			err = &frameError{"truncated", err}
+		}
+		return 0, nil, 0, err
+	}
+	n := binary.BigEndian.Uint32(hdr[:])
+	if n < 4 || n > maxFrame {
+		return 0, nil, 0, &frameError{"length", fmt.Errorf("prefix %d outside [4, %d]", n, maxFrame)}
+	}
+	payload, err := readPayload(r, int(n))
+	if err != nil {
+		return 0, nil, 0, &frameError{"truncated", err}
+	}
+	if msg, err = wire.Unmarshal(payload[4:]); err != nil {
+		return 0, nil, 0, &frameError{"decode", err}
+	}
+	return wire.NodeID(binary.BigEndian.Uint32(payload[:4])), msg, 4 + len(payload), nil
+}
+
+// readPayload reads exactly n bytes into a fresh buffer. Up to readChunk
+// that is one allocation and one read. Beyond it the length prefix is not
+// taken at its word: the bytes are collected a chunk at a time and joined
+// once all of them have arrived, so a lying prefix costs at most readChunk
+// more memory than the sender actually transmitted.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	if n <= readChunk {
+		p := make([]byte, n)
+		_, err := io.ReadFull(r, p)
+		return p, err
+	}
+	var chunks [][]byte
+	for got := 0; got < n; got += readChunk {
+		c := make([]byte, min(n-got, readChunk))
+		if _, err := io.ReadFull(r, c); err != nil {
+			return nil, err
+		}
+		chunks = append(chunks, c)
+	}
+	p := make([]byte, 0, n)
+	for _, c := range chunks {
+		p = append(p, c...)
+	}
+	return p, nil
 }
 
 // Close shuts the endpoint down and waits for its goroutines to exit.

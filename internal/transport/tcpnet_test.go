@@ -1,12 +1,15 @@
 package transport
 
 import (
+	"bytes"
+	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"fabricgossip/internal/ledger"
 	"fabricgossip/internal/netmodel"
+	"fabricgossip/internal/obs"
 	"fabricgossip/internal/wire"
 )
 
@@ -163,4 +166,252 @@ func testBlockTCP(num uint64) *ledger.Block {
 		Payload:   make([]byte, 128),
 	}
 	return &ledger.Block{Num: num, Txs: []*ledger.Transaction{tx}, DataHash: ledger.ComputeDataHash([]*ledger.Transaction{tx})}
+}
+
+// paperBlockTCP is a block of the paper's shape: 50 transactions of ~3.2 KB.
+func paperBlockTCP(num uint64) *ledger.Block {
+	txs := make([]*ledger.Transaction, 50)
+	for i := range txs {
+		payload := make([]byte, 3000)
+		payload[0], payload[1] = byte(num), byte(i)
+		rw := ledger.RWSet{
+			Reads:  []ledger.KVRead{{Key: "asset", Version: ledger.Version{BlockNum: num, TxNum: uint32(i)}}},
+			Writes: []ledger.KVWrite{{Key: "asset", Value: payload[:16]}},
+		}
+		txs[i] = &ledger.Transaction{
+			ID:           ledger.ProposalDigest("client", "cc", rw, payload),
+			Client:       "client",
+			Chaincode:    "cc",
+			RWSet:        rw,
+			Endorsements: []ledger.Endorsement{{Org: "orgA", Name: "endorser0", Sig: make([]byte, 64)}},
+			Payload:      payload,
+		}
+	}
+	return &ledger.Block{Num: num, Txs: txs, DataHash: ledger.ComputeDataHash(txs), Sig: make([]byte, 64)}
+}
+
+// counter reads one counter of a registry, 0 if it was never bumped.
+func counter(reg *obs.Registry, name string, labels ...string) float64 {
+	v, _ := reg.Snapshot().Get(name, labels...)
+	return v
+}
+
+// A peer that accepts and never reads must cost a sender one write timeout,
+// not its goroutine: Send fails once the socket buffers are full and the
+// deadline passes, the connection is dropped so that the next send redials,
+// and sends to a healthy peer go through while the stalled one is blocked.
+func TestTCPStalledReceiverDoesNotHangSend(t *testing.T) {
+	stalled, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var held []net.Conn // accepted, never read
+	var heldMu sync.Mutex
+	accepting := make(chan struct{})
+	go func() {
+		defer close(accepting)
+		for {
+			c, err := stalled.Accept()
+			if err != nil {
+				return
+			}
+			heldMu.Lock()
+			held = append(held, c)
+			heldMu.Unlock()
+		}
+	}()
+	t.Cleanup(func() {
+		_ = stalled.Close()
+		<-accepting
+		for _, c := range held {
+			_ = c.Close()
+		}
+	})
+
+	a, b := startPair(t, nil)
+	a.book.(StaticAddressBook)[2] = stalled.Addr().String()
+	const timeout = 300 * time.Millisecond
+	a.writeTimeout = timeout
+	reg := obs.NewConcurrentRegistry()
+	a.SetObs(NewWireObs(reg, nil))
+	b.SetHandler(func(wire.NodeID, wire.Message) {})
+
+	// One sender fills the stalled peer's socket buffers until a Send
+	// fails; it reports when that Send started and ended.
+	type span struct{ start, end time.Time }
+	failed := make(chan span, 1)
+	go func() {
+		msg := &wire.Data{Block: paperBlockTCP(1)}
+		for i := 0; i < 10000; i++ {
+			start := time.Now()
+			if err := a.Send(2, msg); err != nil {
+				failed <- span{start, time.Now()}
+				return
+			}
+		}
+		close(failed) // never blocked: the test cannot tell anything
+	}()
+	// Another keeps sending to the healthy peer meanwhile.
+	var healthy []span
+	msg := &wire.Data{Block: paperBlockTCP(2)}
+	var blocked span
+	for done := false; !done; {
+		start := time.Now()
+		if err := a.Send(1, msg); err != nil {
+			t.Fatalf("send to the healthy peer: %v", err)
+		}
+		healthy = append(healthy, span{start, time.Now()})
+		select {
+		case s, ok := <-failed:
+			if !ok {
+				t.Fatal("10000 blocks fit the socket buffers of a peer that never reads")
+			}
+			blocked, done = s, true
+		default:
+		}
+	}
+	if d := blocked.end.Sub(blocked.start); d < timeout || d > timeout+5*time.Second {
+		t.Fatalf("the send that failed took %v, want about the %v write timeout", d, timeout)
+	}
+	during := 0
+	for _, s := range healthy {
+		if s.start.After(blocked.start) && s.end.Before(blocked.end) {
+			during++
+		}
+	}
+	if during == 0 {
+		t.Fatalf("no send to the healthy peer completed during the %v another send spent blocked", blocked.end.Sub(blocked.start))
+	}
+	if got := counter(reg, "wire_send_errors_total"); got != 1 {
+		t.Fatalf("wire_send_errors_total = %v, want 1", got)
+	}
+	// The failed connection is gone: the next send dials a fresh one, whose
+	// empty buffers take the frame.
+	if err := a.Send(2, &wire.StateInfo{Height: 1}); err != nil {
+		t.Fatalf("send after the drop did not redial: %v", err)
+	}
+	waitFor(t, func() bool {
+		heldMu.Lock()
+		defer heldMu.Unlock()
+		return len(held) == 2
+	}, "the stalled peer to accept the redial")
+}
+
+// Every way the reader gives up on a connection is counted by reason.
+func TestTCPRejectedFramesAreCounted(t *testing.T) {
+	_, b := startPair(t, nil)
+	reg := obs.NewConcurrentRegistry()
+	b.SetObs(NewWireObs(reg, nil))
+	delivered := make(chan wire.Message, 1)
+	b.SetHandler(func(_ wire.NodeID, m wire.Message) { delivered <- m })
+
+	good := frameOf(7, &wire.StateInfo{Height: 9})
+	cases := []struct {
+		reason string
+		bytes  []byte
+	}{
+		{"length", []byte{0, 0, 0, 3, 1, 2, 3}},
+		{"length", []byte{0xff, 0xff, 0xff, 0xff}},
+		{"truncated", good[:len(good)-1]},
+		{"truncated", good[:2]},
+		{"decode", frameOf(7, &wire.StateInfo{Height: 9}, 0xEE)}, // trailing byte inside the frame
+	}
+	want := map[string]float64{}
+	for _, c := range cases {
+		conn, err := net.Dial("tcp", b.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A good frame first: the connection works until the bad one.
+		if _, err := conn.Write(append(append([]byte{}, good...), c.bytes...)); err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.Close()
+		if m := <-delivered; m.(*wire.StateInfo).Height != 9 {
+			t.Fatalf("good frame decoded as %#v", m)
+		}
+		want[c.reason]++
+		waitFor(t, func() bool {
+			return counter(reg, "wire_frames_rejected_total", "reason", c.reason) == want[c.reason]
+		}, c.reason+" rejection to be counted")
+	}
+	// A connection closed between frames is not a rejection.
+	conn, err := net.Dial("tcp", b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = conn.Write(good)
+	_ = conn.Close()
+	<-delivered
+	_ = b.Close() // waits for the readers
+	for reason, n := range want {
+		if got := counter(reg, "wire_frames_rejected_total", "reason", reason); got != n {
+			t.Errorf("wire_frames_rejected_total{reason=%q} = %v, want %v", reason, got, n)
+		}
+	}
+}
+
+// One locally built block, never encoded before, is sent by several
+// goroutines to several endpoints while others size it: every publication of
+// its cached size and encoding races with every read (run under -race), and
+// every receiver must still get the same, correct bytes.
+func TestTCPConcurrentSendsShareOneBlock(t *testing.T) {
+	const dests, senders, sizers, rounds = 3, 6, 2, 5
+	book := StaticAddressBook{}
+	eps := make([]*TCPEndpoint, dests+1)
+	for i := range eps {
+		ep, err := ListenTCP(wire.NodeID(i), "127.0.0.1:0", book, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = ep.Close() })
+		eps[i] = ep
+		book[wire.NodeID(i)] = ep.Addr()
+	}
+	want := wire.Marshal(&wire.Data{Block: paperBlockTCP(5), Counter: 2})
+	got := make(chan []byte, senders*rounds)
+	for _, ep := range eps[1:] {
+		ep.SetHandler(func(_ wire.NodeID, m wire.Message) { got <- wire.Marshal(m) })
+	}
+
+	blk := paperBlockTCP(5) // equal to the one above, but its own, uncached tree
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			for r := 0; r < rounds; r++ {
+				if err := eps[0].Send(wire.NodeID(1+(g+r)%dests), &wire.Data{Block: blk, Counter: 2}); err != nil {
+					t.Error(err)
+				}
+			}
+		}(g)
+	}
+	for g := 0; g < sizers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for r := 0; r < 100*rounds; r++ {
+				if n := wire.BlockEncodedSize(blk); n != len(want)-2 { // minus type byte and counter
+					t.Errorf("BlockEncodedSize = %d, want %d", n, len(want)-2)
+					return
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i := 0; i < senders*rounds; i++ {
+		select {
+		case enc := <-got:
+			if !bytes.Equal(enc, want) {
+				t.Fatalf("delivery %d differs from the block's encoding", i)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("only %d of %d sends were delivered", i, senders*rounds)
+		}
+	}
 }

@@ -8,9 +8,10 @@
 //   - TCPNetwork ships real bytes over localhost/LAN TCP connections for
 //     live deployments (cmd/gossipnet).
 //
-// Both are asynchronous and unreliable-by-contract: Send never blocks on
-// the receiver and delivery is not acknowledged, matching the gossip
-// layer's assumptions.
+// Both are asynchronous and unreliable-by-contract: Send does not wait for
+// the receiver (over TCP, for no longer than a write deadline once its
+// socket buffers are full) and delivery is not acknowledged, matching the
+// gossip layer's assumptions.
 package transport
 
 import (

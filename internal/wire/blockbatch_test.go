@@ -7,38 +7,44 @@ import (
 	"fabricgossip/internal/ledger"
 )
 
-// A frozen batch must be a pure transmission-cost optimization: identical
-// bytes, identical EncodedSize, before and after Freeze.
-func TestBlockBatchFreezeIsByteIdentical(t *testing.T) {
-	blocks := []*ledger.Block{testBlock(1, 3), testBlock(2, 2), testBlock(3, 1)}
-	cold := &StateResponse{Batch: NewBlockBatch(blocks)}
-	coldBytes := Marshal(cold)
-	if got := cold.EncodedSize(); got != len(coldBytes) {
-		t.Fatalf("unfrozen EncodedSize = %d, Marshal produced %d bytes", got, len(coldBytes))
+// The cache on the block must be a pure transmission-cost optimization: a
+// batch of blocks that were never encoded and a batch of blocks that were
+// marshal to the same bytes with the same EncodedSize, and every batch
+// covering a block sends the one slice cached on it.
+func TestBlockBatchSharesCachedEncodings(t *testing.T) {
+	mk := func() []*ledger.Block {
+		return []*ledger.Block{testBlock(1, 3), testBlock(2, 2), testBlock(3, 1)}
+	}
+	cold := &StateResponse{Batch: NewBlockBatch(mk())}
+	if got, want := cold.EncodedSize(), len(Marshal(cold)); got != want {
+		t.Fatalf("uncached EncodedSize = %d, Marshal produced %d bytes", got, want)
+	}
+	// The reference: a fresh walk of equal blocks, bypassing every cache.
+	s := &encSink{}
+	s.byte(byte(TypeStateResponse))
+	s.uvarint(3)
+	for _, b := range mk() {
+		encodeBlock(s, b)
+	}
+	if !bytes.Equal(Marshal(cold), s.buf) {
+		t.Fatal("cached batch marshals differently from a fresh walk")
 	}
 
-	hot := &StateResponse{Batch: NewBlockBatch(blocks).Freeze()}
-	hotBytes := Marshal(hot)
-	if !bytes.Equal(coldBytes, hotBytes) {
-		t.Fatal("frozen batch marshals differently from unfrozen")
+	blocks := cold.Blocks()
+	_, whole := AppendMessage(nil, nil, cold)
+	_, tail := AppendMessage(nil, nil, &StateResponse{Batch: NewBlockBatch(blocks[1:])})
+	_, data := AppendMessage(nil, nil, &Data{Block: blocks[2], Counter: 1})
+	if len(whole) != 3 || len(tail) != 2 || len(data) != 1 {
+		t.Fatalf("bodies = %d, %d, %d, want 3, 2, 1", len(whole), len(tail), len(data))
 	}
-	if got := hot.EncodedSize(); got != len(hotBytes) {
-		t.Fatalf("frozen EncodedSize = %d, Marshal produced %d bytes", got, len(hotBytes))
-	}
-
-	// Freeze is idempotent and Marshal does not thaw.
-	hot.Batch.Freeze()
-	if !bytes.Equal(Marshal(hot), coldBytes) {
-		t.Fatal("double freeze changed the encoding")
-	}
-	if !hot.Batch.Frozen() || cold.Batch.Frozen() {
-		t.Fatal("Frozen flags wrong")
+	if &whole[2][0] != &tail[1][0] || &whole[2][0] != &data[0][0] || &whole[2][0] != &blocks[2].WireEncoding()[0] {
+		t.Fatal("messages covering one block do not share its cached encoding")
 	}
 }
 
 func TestStateResponseRoundTrip(t *testing.T) {
 	blocks := []*ledger.Block{testBlock(5, 2), testBlock(6, 4)}
-	out := Marshal(&StateResponse{Batch: NewBlockBatch(blocks).Freeze()})
+	out := Marshal(&StateResponse{Batch: NewBlockBatch(blocks)})
 	m, err := Unmarshal(out)
 	if err != nil {
 		t.Fatal(err)
@@ -56,13 +62,12 @@ func TestStateResponseRoundTrip(t *testing.T) {
 			t.Fatalf("block %d decoded as num=%d txs=%d", i, b.Num, len(b.Txs))
 		}
 	}
-	// The decoded batch re-encodes canonically whether or not re-frozen.
+	// The decoded batch re-encodes canonically, from the bytes it arrived as.
 	if !bytes.Equal(Marshal(resp), out) {
 		t.Fatal("decoded response re-encodes differently")
 	}
-	resp.Batch.Freeze()
-	if !bytes.Equal(Marshal(resp), out) {
-		t.Fatal("re-frozen decoded response re-encodes differently")
+	if &got[0].WireEncoding()[0] != &out[2] {
+		t.Fatal("decoded block's cached encoding is not the input's bytes")
 	}
 }
 
@@ -71,7 +76,7 @@ func TestStateResponseRoundTrip(t *testing.T) {
 // block body, and trailing bytes after a complete batch.
 func TestStateResponseCorruptInputs(t *testing.T) {
 	good := Marshal(&StateResponse{Batch: NewBlockBatch(
-		[]*ledger.Block{testBlock(1, 2), testBlock(2, 1)}).Freeze()})
+		[]*ledger.Block{testBlock(1, 2), testBlock(2, 1)})})
 	cases := map[string][]byte{
 		"missing count":    {byte(TypeStateResponse)},
 		"absurd count":     {byte(TypeStateResponse), 0xff},
@@ -92,7 +97,6 @@ func TestStateResponseEmptyForms(t *testing.T) {
 	for name, m := range map[string]*StateResponse{
 		"nil batch":   {},
 		"empty batch": {Batch: NewBlockBatch(nil)},
-		"frozen nil":  {Batch: NewBlockBatch(nil).Freeze()},
 	} {
 		out := Marshal(m)
 		if m.EncodedSize() != len(out) {

@@ -1,12 +1,13 @@
 package wire
 
 import (
-	"sync"
-
+	"fabricgossip/internal/crypto"
 	"fabricgossip/internal/ledger"
 )
 
-// encodeBlock writes the full canonical encoding of a block.
+// encodeBlock walks a block's fields into s: the one definition of the
+// canonical block encoding. Messages never call it — they write a block
+// with sink.block, which goes through the cache on the block.
 func encodeBlock(s sink, b *ledger.Block) {
 	s.uvarint(b.Num)
 	putDigest(s, b.PrevHash)
@@ -42,23 +43,32 @@ func encodeTx(s sink, tx *ledger.Transaction) {
 	putBytes(s, tx.Payload)
 }
 
+// Minimum encoded sizes, the divisors of decoder.count: a block is a number,
+// two digests, a signature length and a transaction count; a transaction an
+// id and six lengths or counts.
+const (
+	minBlockBytes = 1 + 2*len(crypto.Digest{}) + 1 + 1
+	minTxBytes    = len(crypto.Digest{}) + 6
+)
+
+// decodeBlock reads one block and records the bytes it was read from as the
+// block's cached encoding: decode is strict, so they are exactly what a walk
+// of the decoded tree would write.
 func decodeBlock(d *decoder) *ledger.Block {
+	start := d.off
 	b := &ledger.Block{}
 	b.Num = d.uvarint("block num")
 	b.PrevHash = d.digest("prev hash")
 	b.DataHash = d.digest("data hash")
 	b.Sig = d.bytesField("block sig")
-	n := d.uvarint("tx count")
-	if d.err != nil {
-		return b
+	if n := d.count(minTxBytes, "tx count"); n > 0 {
+		b.Txs = make([]*ledger.Transaction, 0, n)
+		for i := 0; i < n && d.err == nil; i++ {
+			b.Txs = append(b.Txs, decodeTx(d))
+		}
 	}
-	if n > uint64(len(d.buf)) {
-		d.fail("tx count")
-		return b
-	}
-	b.Txs = make([]*ledger.Transaction, 0, n)
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		b.Txs = append(b.Txs, decodeTx(d))
+	if d.err == nil {
+		b.SetWireEncoding(d.buf[start:d.off:d.off])
 	}
 	return b
 }
@@ -68,42 +78,18 @@ func decodeTx(d *decoder) *ledger.Transaction {
 	tx.ID = d.digest("tx id")
 	tx.Client = d.str("client")
 	tx.Chaincode = d.str("chaincode")
-	nr := d.uvarint("read count")
-	if d.err != nil {
-		return tx
-	}
-	if nr > uint64(len(d.buf)) {
-		d.fail("read count")
-		return tx
-	}
-	for i := uint64(0); i < nr && d.err == nil; i++ {
+	for i, n := 0, d.count(3, "read count"); i < n && d.err == nil; i++ {
 		r := ledger.KVRead{Key: d.str("read key")}
 		r.Version.BlockNum = d.uvarint("read block")
-		r.Version.TxNum = uint32(d.uvarint("read tx"))
+		r.Version.TxNum = d.uint32("read tx")
 		tx.RWSet.Reads = append(tx.RWSet.Reads, r)
 	}
-	nw := d.uvarint("write count")
-	if d.err != nil {
-		return tx
-	}
-	if nw > uint64(len(d.buf)) {
-		d.fail("write count")
-		return tx
-	}
-	for i := uint64(0); i < nw && d.err == nil; i++ {
+	for i, n := 0, d.count(2, "write count"); i < n && d.err == nil; i++ {
 		w := ledger.KVWrite{Key: d.str("write key")}
 		w.Value = d.bytesField("write value")
 		tx.RWSet.Writes = append(tx.RWSet.Writes, w)
 	}
-	ne := d.uvarint("endorsement count")
-	if d.err != nil {
-		return tx
-	}
-	if ne > uint64(len(d.buf)) {
-		d.fail("endorsement count")
-		return tx
-	}
-	for i := uint64(0); i < ne && d.err == nil; i++ {
+	for i, n := 0, d.count(3, "endorsement count"); i < n && d.err == nil; i++ {
 		e := ledger.Endorsement{Org: d.str("endorser org"), Name: d.str("endorser name")}
 		e.Sig = d.bytesField("endorsement sig")
 		tx.Endorsements = append(tx.Endorsements, e)
@@ -112,37 +98,30 @@ func decodeTx(d *decoder) *ledger.Transaction {
 	return tx
 }
 
-// blockSizes caches the encoded size of blocks. Blocks are immutable once
+// BlockEncodedSize returns the exact encoded length of b. The first call
+// walks the block and caches the length on it; blocks are immutable once
 // emitted by the ordering service, and the same block is transmitted
-// hundreds of times per experiment, so the cache removes the dominant
-// sizing cost from the simulation's hot path.
-var blockSizes sync.Map // *ledger.Block -> int
-
-// BlockEncodedSize returns the exact encoded length of b, cached.
+// hundreds of times per experiment, so every later call is a field load.
 func BlockEncodedSize(b *ledger.Block) int {
-	if v, ok := blockSizes.Load(b); ok {
-		return v.(int)
+	if n := b.WireSize(); n != 0 {
+		return n
 	}
 	c := &countSink{}
 	encodeBlock(c, b)
-	blockSizes.Store(b, c.n)
+	b.SetWireSize(c.n)
 	return c.n
 }
 
-// blockEncs caches each block's full canonical encoding, blockSizes-style:
-// one buffer per block process-wide, shared by every frozen batch that
-// covers the block. Concurrent first encodes from different shards race
-// benignly — both produce identical bytes and either Store wins.
-var blockEncs sync.Map // *ledger.Block -> []byte
-
-// blockEncoding returns b's canonical encoding, cached. Callers must treat
-// the returned slice as immutable.
+// blockEncoding returns b's canonical encoding from the cache on the block,
+// walking the block to fill it if this process neither decoded nor encoded
+// b before (goroutines that race to be first each walk it; one result is
+// kept and returned to all). Callers must treat the returned slice as
+// immutable.
 func blockEncoding(b *ledger.Block) []byte {
-	if v, ok := blockEncs.Load(b); ok {
-		return v.([]byte)
+	if enc := b.WireEncoding(); enc != nil {
+		return enc
 	}
-	s := &bufSink{buf: make([]byte, 0, BlockEncodedSize(b))}
+	s := &encSink{buf: make([]byte, 0, BlockEncodedSize(b))}
 	encodeBlock(s, b)
-	blockEncs.Store(b, s.buf)
-	return s.buf
+	return b.SetWireEncoding(s.buf)
 }

@@ -1,7 +1,7 @@
 // Package wire defines every protocol message exchanged by gossip, ordering
 // and consensus nodes, together with a compact self-describing binary codec.
 //
-// Two properties matter for the reproduction:
+// Three properties matter for the reproduction:
 //
 //   - EncodedSize must equal len(Marshal(m)) exactly, because the simulated
 //     transport accounts bandwidth and store-and-forward transmission time
@@ -9,16 +9,39 @@
 //     ~300k block transmissions of an experiment would dominate run time).
 //   - Marshal/Unmarshal must round-trip exactly, because the TCP transport
 //     ships real bytes.
+//   - The encoding is canonical: a value has exactly one encoding and
+//     Unmarshal accepts no other (varints are minimal, 32-bit fields fit),
+//     so the bytes a block arrived as are the bytes it is forwarded as.
 //
-// Both properties are enforced by property-based tests.
+// All three are enforced by property-based tests and a fuzz target.
+//
+// # Who owns an encoding
+//
+// A block is by far the largest thing on the wire and the same block is
+// sent many times, so its canonical encoding is a property of the block: a
+// set-once, immutable cache slot on ledger.Block that lives and dies with
+// it. BlockEncodedSize fills the length (all the simulator ever asks for);
+// the first Marshal or AppendMessage of a locally built block walks its
+// tree once and fills the bytes; decoding a block records the byte range it
+// was read from. Whichever comes first, a block's tree is walked at most
+// once per process, and every later transmission — on any connection, in
+// any message type, alone or inside a StateResponse batch — sends that one
+// slice. There is no other cache and nothing to evict.
+//
+// Unmarshal therefore aliases its input: the []byte fields of the result
+// and the cached encodings of its blocks are sub-slices of data (capacity
+// clipped to length), so the caller hands the buffer over and must never
+// write to it again. Strings and fixed-size digests are copied.
 package wire
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"fabricgossip/internal/crypto"
+	"fabricgossip/internal/ledger"
 )
 
 // NodeID identifies a node (peer or orderer) within a deployment. IDs are
@@ -105,21 +128,47 @@ type Message interface {
 	encode(s sink)
 }
 
+// AppendMessage encodes m — a type byte followed by the body — for
+// scatter-gather output. Everything up to the blocks m carries is appended
+// to head; each block contributes its cached encoding (see the package
+// comment), appended to bodies and not copied. The message's wire form is
+// head followed by every body in order: the messages that carry blocks
+// (Data, PullData, DeliverBlock, StateResponse) all end with them. The
+// bodies are shared and immutable; bodies may be nil.
+func AppendMessage(head []byte, bodies [][]byte, m Message) ([]byte, [][]byte) {
+	s := &encSink{buf: head, bodies: bodies}
+	if bodies == nil {
+		s.bodies = s.one[:0]
+	}
+	s.byte(byte(m.Type()))
+	m.encode(s)
+	return s.buf, s.bodies
+}
+
+// AppendMarshal appends m's whole encoding to dst.
+func AppendMarshal(dst []byte, m Message) []byte {
+	dst, bodies := AppendMessage(dst, nil, m)
+	for _, b := range bodies {
+		dst = append(dst, b...)
+	}
+	return dst
+}
+
 // Marshal encodes m as a type byte followed by the body.
 func Marshal(m Message) []byte {
-	b := &bufSink{buf: make([]byte, 0, m.EncodedSize())}
-	b.byte(byte(m.Type()))
-	m.encode(b)
-	return b.buf
+	return AppendMarshal(make([]byte, 0, m.EncodedSize()), m)
 }
 
 // Decode errors.
 var (
-	ErrTruncated   = errors.New("wire: truncated message")
-	ErrUnknownType = errors.New("wire: unknown message type")
+	ErrTruncated    = errors.New("wire: truncated message")
+	ErrUnknownType  = errors.New("wire: unknown message type")
+	ErrNonCanonical = errors.New("wire: non-canonical encoding")
 )
 
-// Unmarshal decodes a message produced by Marshal.
+// Unmarshal decodes a message produced by Marshal. The result aliases data
+// (see the package comment): the caller must not write to data afterwards.
+// Only the canonical encoding of a message is accepted.
 func Unmarshal(data []byte) (Message, error) {
 	if len(data) == 0 {
 		return nil, ErrTruncated
@@ -183,26 +232,37 @@ func Unmarshal(data []byte) (Message, error) {
 }
 
 // sink abstracts "write bytes" vs "count bytes" so EncodedSize shares the
-// field-walking logic with Marshal.
+// field-walking logic with the encoder.
 type sink interface {
 	byte(b byte)
 	bytes(b []byte)
 	uvarint(v uint64)
+	// block writes a whole block from its cache; only blockEncoding walks a
+	// block's fields (encodeBlock).
+	block(b *ledger.Block)
 }
 
-type bufSink struct{ buf []byte }
+// encSink is the one writing sink: plain fields go into buf, blocks are
+// referenced, not copied.
+type encSink struct {
+	buf    []byte
+	bodies [][]byte
+	// one backs bodies when the caller brings no slice: Marshal of a
+	// one-block message then allocates nothing beyond the sink and buf.
+	one [1][]byte
+}
 
-func (s *bufSink) byte(b byte)      { s.buf = append(s.buf, b) }
-func (s *bufSink) bytes(b []byte)   { s.buf = append(s.buf, b...) }
-func (s *bufSink) uvarint(v uint64) { s.buf = binary.AppendUvarint(s.buf, v) }
+func (s *encSink) byte(b byte)           { s.buf = append(s.buf, b) }
+func (s *encSink) bytes(b []byte)        { s.buf = append(s.buf, b...) }
+func (s *encSink) uvarint(v uint64)      { s.buf = binary.AppendUvarint(s.buf, v) }
+func (s *encSink) block(b *ledger.Block) { s.bodies = append(s.bodies, blockEncoding(b)) }
 
 type countSink struct{ n int }
 
-func (s *countSink) byte(byte)      { s.n++ }
-func (s *countSink) bytes(b []byte) { s.n += len(b) }
-func (s *countSink) uvarint(v uint64) {
-	s.n += uvarintLen(v)
-}
+func (s *countSink) byte(byte)             { s.n++ }
+func (s *countSink) bytes(b []byte)        { s.n += len(b) }
+func (s *countSink) uvarint(v uint64)      { s.n += uvarintLen(v) }
+func (s *countSink) block(b *ledger.Block) { s.n += BlockEncodedSize(b) }
 
 func uvarintLen(v uint64) int {
 	n := 1
@@ -249,16 +309,20 @@ func putBool(s sink, v bool) {
 	}
 }
 
-// decoder reads fields, latching the first error.
+// decoder reads fields, latching the first error. Byte fields it hands out
+// alias buf. The what labels are constants and reach a string only inside
+// fail: the success path formats nothing.
 type decoder struct {
 	buf []byte
 	off int
 	err error
 }
 
-func (d *decoder) fail(what string) {
+func (d *decoder) fail(what string) { d.failWith(ErrTruncated, what) }
+
+func (d *decoder) failWith(cause error, what string) {
 	if d.err == nil {
-		d.err = fmt.Errorf("%w: reading %s at offset %d", ErrTruncated, what, d.off)
+		d.err = fmt.Errorf("%w: reading %s at offset %d", cause, what, d.off)
 	}
 }
 
@@ -275,16 +339,19 @@ func (d *decoder) byte() byte {
 	return b
 }
 
-func (d *decoder) take(n int, what string) []byte {
+// take returns the next n bytes as a sub-slice of the input whose capacity
+// ends where it does, so an append by the holder cannot reach a neighbour.
+func (d *decoder) take(n uint64, what string) []byte {
 	if d.err != nil {
 		return nil
 	}
-	if n < 0 || d.off+n > len(d.buf) {
+	if n > uint64(len(d.buf)-d.off) {
 		d.fail(what)
 		return nil
 	}
-	b := d.buf[d.off : d.off+n]
-	d.off += n
+	end := d.off + int(n)
+	b := d.buf[d.off:end:end]
+	d.off = end
 	return b
 }
 
@@ -292,54 +359,80 @@ func (d *decoder) uvarint(what string) uint64 {
 	if d.err != nil {
 		return 0
 	}
+	if d.off < len(d.buf) && d.buf[d.off] < 0x80 { // one byte: the common case
+		d.off++
+		return uint64(d.buf[d.off-1])
+	}
 	v, n := binary.Uvarint(d.buf[d.off:])
 	if n <= 0 {
 		d.fail(what)
+		return 0
+	}
+	if d.buf[d.off+n-1] == 0 { // a trailing zero group: the shorter form exists
+		d.failWith(ErrNonCanonical, what)
 		return 0
 	}
 	d.off += n
 	return v
 }
 
+// uint32 reads a varint that must fit 32 bits: a wider value would be
+// silently truncated and re-encode differently.
+func (d *decoder) uint32(what string) uint32 {
+	v := d.uvarint(what)
+	if v > math.MaxUint32 {
+		d.failWith(ErrNonCanonical, what)
+		return 0
+	}
+	return uint32(v)
+}
+
 func (d *decoder) str(what string) string {
-	n := d.uvarint(what + " length")
-	return string(d.take(int(n), what))
+	return string(d.take(d.uvarint(what), what))
 }
 
 func (d *decoder) bytesField(what string) []byte {
-	n := d.uvarint(what + " length")
-	b := d.take(int(n), what)
+	b := d.take(d.uvarint(what), what)
 	if len(b) == 0 {
 		return nil // canonical form: empty and nil encode identically
 	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
+	return b
 }
 
 func (d *decoder) digest(what string) crypto.Digest {
 	var dg crypto.Digest
-	b := d.take(len(dg), what)
-	if b != nil {
-		copy(dg[:], b)
-	}
+	copy(dg[:], d.take(uint64(len(dg)), what))
 	return dg
 }
 
-func (d *decoder) uint64s(what string) []uint64 {
-	n := d.uvarint(what + " count")
+// count reads an element count, bounded by the bytes that remain: every
+// element of every list takes at least minBytes, so a larger count is a
+// lie and must fail before anything is allocated for it.
+func (d *decoder) count(minBytes int, what string) int {
+	n := d.uvarint(what)
 	if d.err != nil {
-		return nil
+		return 0
 	}
-	if n > uint64(len(d.buf)) { // cheap sanity bound: each element is >= 1 byte
+	if n > uint64(len(d.buf)-d.off)/uint64(minBytes) {
 		d.fail(what)
-		return nil
+		return 0
 	}
-	out := make([]uint64, n)
+	return int(n)
+}
+
+func (d *decoder) uint64s(what string) []uint64 {
+	out := make([]uint64, d.count(1, what))
 	for i := range out {
 		out[i] = d.uvarint(what)
 	}
 	return out
 }
 
-func (d *decoder) bool(what string) bool { return d.byte() != 0 }
+// bool accepts only the two bytes putBool writes.
+func (d *decoder) bool(what string) bool {
+	b := d.byte()
+	if b > 1 {
+		d.failWith(ErrNonCanonical, what)
+	}
+	return b == 1
+}

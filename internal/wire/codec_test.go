@@ -1,10 +1,14 @@
 package wire
 
 import (
+	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"fabricgossip/internal/crypto"
 	"fabricgossip/internal/ledger"
@@ -93,6 +97,45 @@ func TestAllMessageTypesCovered(t *testing.T) {
 	}
 }
 
+// blocksOf returns the blocks a message carries.
+func blocksOf(m Message) []*ledger.Block {
+	switch m := m.(type) {
+	case *Data:
+		return []*ledger.Block{m.Block}
+	case *PullData:
+		return []*ledger.Block{m.Block}
+	case *DeliverBlock:
+		return []*ledger.Block{m.Block}
+	case *StateResponse:
+		return m.Blocks()
+	}
+	return nil
+}
+
+// bare returns m with every block replaced by a copy of its exported
+// fields: the encoding cached on a block is not part of its value, and a
+// decoded block carries one where a hand-built block may not.
+func bare(m Message) Message {
+	strip := func(b *ledger.Block) *ledger.Block {
+		return &ledger.Block{Num: b.Num, PrevHash: b.PrevHash, DataHash: b.DataHash, Txs: b.Txs, Sig: b.Sig}
+	}
+	switch m := m.(type) {
+	case *Data:
+		return &Data{Block: strip(m.Block), Counter: m.Counter}
+	case *PullData:
+		return &PullData{Nonce: m.Nonce, Block: strip(m.Block)}
+	case *DeliverBlock:
+		return &DeliverBlock{Block: strip(m.Block)}
+	case *StateResponse:
+		out := &StateResponse{Batch: &BlockBatch{}}
+		for _, b := range m.Blocks() {
+			out.Batch.Blocks = append(out.Batch.Blocks, strip(b))
+		}
+		return out
+	}
+	return m
+}
+
 func TestRoundTripAllTypes(t *testing.T) {
 	for _, m := range allMessages() {
 		m := m
@@ -102,11 +145,181 @@ func TestRoundTripAllTypes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Unmarshal: %v", err)
 			}
-			if !reflect.DeepEqual(got, m) {
+			if !reflect.DeepEqual(bare(got), bare(m)) {
 				t.Fatalf("round trip mismatch:\n got %#v\nwant %#v", got, m)
+			}
+			if again := Marshal(got); !bytes.Equal(again, data) {
+				t.Fatalf("re-marshal differs (%d vs %d bytes)", len(again), len(data))
 			}
 		})
 	}
+}
+
+// AppendMessage's head and bodies concatenate to exactly Marshal's bytes,
+// and the bodies are the blocks' cached encodings, not copies.
+func TestAppendMessageSplitsAtTheBlocks(t *testing.T) {
+	for _, m := range allMessages() {
+		prefix := []byte{0xAB, 0xCD}
+		head, bodies := AppendMessage(prefix, nil, m)
+		blocks := blocksOf(m)
+		if len(bodies) != len(blocks) {
+			t.Fatalf("%v: %d bodies for %d blocks", m.Type(), len(bodies), len(blocks))
+		}
+		whole := append([]byte{}, head...)
+		for i, b := range bodies {
+			if &b[0] != &blocks[i].WireEncoding()[0] {
+				t.Fatalf("%v: body %d is not the block's cached encoding", m.Type(), i)
+			}
+			whole = append(whole, b...)
+		}
+		if want := append(prefix, Marshal(m)...); !bytes.Equal(whole, want) {
+			t.Fatalf("%v: head+bodies differ from Marshal", m.Type())
+		}
+		if got := AppendMarshal([]byte{0xAB, 0xCD}, m); !bytes.Equal(got, whole) {
+			t.Fatalf("%v: AppendMarshal differs from head+bodies", m.Type())
+		}
+	}
+}
+
+// within reports whether b lies inside buf (same backing array).
+func within(b, buf []byte) bool {
+	for i := range buf {
+		if &buf[i] == &b[0] {
+			return i+len(b) <= len(buf)
+		}
+	}
+	return false
+}
+
+// Unmarshal hands out byte fields and block encodings as sub-slices of its
+// input, each with its capacity clipped to its length so that an append by
+// the holder reallocates instead of writing over the neighbouring field.
+func TestUnmarshalAliasesInput(t *testing.T) {
+	data := Marshal(&StateResponse{Batch: NewBlockBatch([]*ledger.Block{testBlock(1, 2), testBlock(2, 3)})})
+	orig := append([]byte{}, data...)
+	m, err := Unmarshal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields [][]byte
+	for _, b := range m.(*StateResponse).Blocks() {
+		fields = append(fields, b.WireEncoding(), b.Sig)
+		for _, tx := range b.Txs {
+			fields = append(fields, tx.Payload)
+			for _, w := range tx.RWSet.Writes {
+				fields = append(fields, w.Value)
+			}
+			for _, e := range tx.Endorsements {
+				fields = append(fields, e.Sig)
+			}
+		}
+	}
+	for i, f := range fields {
+		if len(f) == 0 {
+			continue
+		}
+		if !within(f, data) {
+			t.Fatalf("field %d was copied out of the input", i)
+		}
+		if cap(f) != len(f) {
+			t.Fatalf("field %d has cap %d > len %d: an append would overwrite its neighbour", i, cap(f), len(f))
+		}
+		_ = append(f, 0xFF)
+	}
+	if !bytes.Equal(data, orig) {
+		t.Fatal("appending to decoded fields wrote into the input")
+	}
+	raft, err := Unmarshal(Marshal(&RaftAppend{Entries: []RaftEntry{{Term: 1, Data: []byte("abc")}}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := raft.(*RaftAppend).Entries[0].Data; cap(d) != len(d) {
+		t.Fatalf("raft entry data has cap %d > len %d", cap(d), len(d))
+	}
+}
+
+// Sizing, marshalling and decoding a block must leave nothing in package
+// wire that keeps it alive: the cache is on the block. (With a process-wide
+// cache keyed by the block the finalizers below never run.)
+func TestWireRetainsNoBlock(t *testing.T) {
+	const n = 8
+	collected := make(chan struct{}, 2*n)
+	func() {
+		for i := 0; i < n; i++ {
+			b := testBlock(uint64(i), 4)
+			_ = BlockEncodedSize(b)
+			m, err := Unmarshal(Marshal(&Data{Block: b, Counter: 1}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.SetFinalizer(b, func(*ledger.Block) { collected <- struct{}{} })
+			runtime.SetFinalizer(m.(*Data).Block, func(*ledger.Block) { collected <- struct{}{} })
+		}
+	}()
+	// Finalizers run on their own goroutine some time after the collection
+	// that found the block unreachable.
+	for deadline := time.Now().Add(5 * time.Second); len(collected) < 2*n && time.Now().Before(deadline); {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if got := len(collected); got != 2*n {
+		t.Fatalf("%d of %d blocks were collected after their last use", got, 2*n)
+	}
+}
+
+// Only the canonical encoding of a value is accepted: a non-minimal varint
+// or a 32-bit field that overflows would decode to a tree whose walk differs
+// from the bytes recorded as its encoding.
+func TestUnmarshalRejectsNonCanonical(t *testing.T) {
+	good := Marshal(&PullHello{Nonce: 5})
+	if _, err := Unmarshal(good); err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string][]byte{
+		"padded one-byte varint":   {byte(TypePullHello), 0x85, 0x00},
+		"padded zero":              {byte(TypePullHello), 0x80, 0x00},
+		"padded two-byte varint":   {byte(TypePullHello), 0x80, 0x81, 0x00},
+		"counter over 32 bits":     append([]byte{byte(TypePushDigest), 1, 7}, 0x80, 0x80, 0x80, 0x80, 0x10),
+		"node id over 32 bits":     append([]byte{byte(TypeMemberEvents), 1}, 0x80, 0x80, 0x80, 0x80, 0x10, 1, 1),
+		"bool that is not 0 or 1":  {byte(TypeRaftVoteResponse), 3, 2},
+		"tx num over 32 bits":      overflowingTxNum(t),
+		"padded varint in a block": paddedBlockNum(t),
+	}
+	for name, data := range cases {
+		if _, err := Unmarshal(data); !errors.Is(err, ErrNonCanonical) {
+			t.Errorf("%s: err = %v, want ErrNonCanonical", name, err)
+		}
+	}
+	// The largest values that do fit are fine.
+	if _, err := Unmarshal([]byte{byte(TypePushDigest), 1, 7, 0xff, 0xff, 0xff, 0xff, 0x0f}); err != nil {
+		t.Errorf("counter of exactly 32 bits rejected: %v", err)
+	}
+}
+
+// overflowingTxNum is a Data message whose single read carries TxNum 1<<32.
+func overflowingTxNum(t testing.TB) []byte {
+	t.Helper()
+	tx := &ledger.Transaction{RWSet: ledger.RWSet{Reads: []ledger.KVRead{{Key: "k", Version: ledger.Version{TxNum: 1}}}}}
+	data := Marshal(&Data{Block: &ledger.Block{Txs: []*ledger.Transaction{tx}}})
+	// type, counter, block num, two digests, sig length, tx count; then tx
+	// id, client, chaincode, read count, key length, key, block num.
+	at := 1 + 1 + 1 + 64 + 1 + 1 + 32 + 1 + 1 + 1 + 1 + 1 + 1
+	if data[at] != 1 {
+		t.Fatalf("byte %d is %d, not the TxNum", at, data[at])
+	}
+	out := append([]byte{}, data[:at]...)
+	out = append(out, 0x80, 0x80, 0x80, 0x80, 0x10)
+	return append(out, data[at+1:]...)
+}
+
+// paddedBlockNum is a DeliverBlock whose block number 1 is spelled 0x81 0x00.
+func paddedBlockNum(t testing.TB) []byte {
+	t.Helper()
+	data := Marshal(&DeliverBlock{Block: &ledger.Block{Num: 1}})
+	if data[1] != 1 {
+		t.Fatalf("byte 1 is %d, not the block number", data[1])
+	}
+	return append([]byte{data[0], 0x81, 0x00}, data[2:]...)
 }
 
 func TestRoundTripByteEquality(t *testing.T) {

@@ -63,21 +63,12 @@ func putMemberEvents(s sink, evs []MemberEvent) {
 }
 
 func decodeMemberEventList(d *decoder, what string) []MemberEvent {
-	n := d.uvarint(what + " count")
-	if d.err != nil {
-		return nil
-	}
-	// Sanity bound before pre-allocating: each entry is at least 3 bytes
-	// (peer varint + seq varint + kind byte), so an honest count never
-	// exceeds a third of the remaining buffer.
-	if remaining := len(d.buf) - d.off; n > uint64(remaining)/3 {
-		d.fail(what + " count")
-		return nil
-	}
+	// Each entry is at least 3 bytes (peer varint + seq varint + kind byte).
+	n := d.count(3, what)
 	out := make([]MemberEvent, 0, n)
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		e := MemberEvent{Peer: NodeID(d.uvarint(what + " peer"))}
-		e.Seq = d.uvarint(what + " seq")
+	for i := 0; i < n && d.err == nil; i++ {
+		e := MemberEvent{Peer: NodeID(d.uint32(what))}
+		e.Seq = d.uvarint(what)
 		e.Kind = MemberEventKind(d.byte())
 		out = append(out, e)
 	}

@@ -46,12 +46,12 @@ func (m *Data) EncodedSize() int {
 
 func (m *Data) encode(s sink) {
 	s.uvarint(uint64(m.Counter))
-	encodeBlock(s, m.Block)
+	s.block(m.Block)
 }
 
 func decodeData(d *decoder) *Data {
 	m := &Data{}
-	m.Counter = uint32(d.uvarint("counter"))
+	m.Counter = d.uint32("counter")
 	m.Block = decodeBlock(d)
 	return m
 }
@@ -103,18 +103,11 @@ func (m *PushDigest) encode(s sink) {
 
 func decodePushDigest(d *decoder) *PushDigest {
 	m := &PushDigest{}
-	n := d.uvarint("offer count")
-	if d.err != nil {
-		return m
-	}
-	if n > uint64(len(d.buf)) {
-		d.fail("offer count")
-		return m
-	}
+	n := d.count(2, "offer count")
 	m.Offers = make([]BlockOffer, 0, n)
-	for i := uint64(0); i < n && d.err == nil; i++ {
+	for i := 0; i < n && d.err == nil; i++ {
 		o := BlockOffer{Num: d.uvarint("offer num")}
-		o.Counter = uint32(d.uvarint("offer counter"))
+		o.Counter = d.uint32("offer counter")
 		m.Offers = append(m.Offers, o)
 	}
 	return m
@@ -221,7 +214,7 @@ func (m *PullData) EncodedSize() int {
 
 func (m *PullData) encode(s sink) {
 	s.uvarint(m.Nonce)
-	encodeBlock(s, m.Block)
+	s.block(m.Block)
 }
 
 func decodePullData(d *decoder) *PullData {
@@ -281,80 +274,22 @@ func decodeStateRequest(d *decoder) *StateRequest {
 }
 
 // BlockBatch is the payload of a StateResponse: an immutable run of
-// consecutive blocks together with (optionally) its cached encoding — the
-// length-prefixed batch framing, a uvarint block count followed by the
-// concatenated canonical block bodies. Blocks are immutable once cut, so a
-// serving peer freezes the batch once and every later transmission of the
-// same range reuses the cached bytes: the simulated transport sizes the
-// message from the cached length and the TCP transport appends the bytes
-// with one copy, with no per-request re-walk of the block trees.
+// consecutive blocks, framed as a uvarint block count followed by the
+// concatenated canonical block bodies. A batch owns no bytes: each body is
+// the encoding cached on its block, shared by every batch (and every serving
+// peer) that covers the block, so a repeated transmission of the same range
+// neither re-walks the block trees nor copies them — the simulated transport
+// sums the cached lengths, the TCP transport writes the cached slices.
 type BlockBatch struct {
 	Blocks []*ledger.Block
-
-	// encs holds each block's cached canonical encoding, nil until Freeze.
-	// The byte slices come from the process-wide per-block cache and are
-	// shared by every batch (and every serving peer) that covers the same
-	// block — a batch owns only this slice of pointers, never a flat copy
-	// of the bodies. At the 100k tier, per-provider flat copies were the
-	// largest single term of the peak heap.
-	encs [][]byte
 }
 
-// NewBlockBatch wraps blocks in an unfrozen batch.
+// NewBlockBatch wraps blocks in a batch.
 func NewBlockBatch(blocks []*ledger.Block) *BlockBatch {
 	return &BlockBatch{Blocks: blocks}
 }
 
-// Freeze caches the batch's encoding so subsequent transmissions reuse it.
-// It is idempotent and returns the batch for chaining. The batch must not
-// be mutated after freezing.
-func (bb *BlockBatch) Freeze() *BlockBatch {
-	if bb.encs == nil {
-		bb.encs = make([][]byte, len(bb.Blocks))
-		for i, b := range bb.Blocks {
-			bb.encs[i] = blockEncoding(b)
-		}
-	}
-	return bb
-}
-
-// Frozen reports whether the batch's encoding is cached.
-func (bb *BlockBatch) Frozen() bool { return bb.encs != nil }
-
-// encodedLen returns the batch framing's length in bytes without encoding:
-// from the cache when frozen, otherwise from the per-block size cache.
-func (bb *BlockBatch) encodedLen() int {
-	n := uvarintLen(uint64(len(bb.Blocks)))
-	if bb.encs != nil {
-		for _, e := range bb.encs {
-			n += len(e)
-		}
-		return n
-	}
-	for _, b := range bb.Blocks {
-		n += BlockEncodedSize(b)
-	}
-	return n
-}
-
-// encodeTo writes the batch framing: the frozen bytes verbatim, or a fresh
-// walk of the block trees when unfrozen. Both produce identical bytes.
-func (bb *BlockBatch) encodeTo(s sink) {
-	s.uvarint(uint64(len(bb.Blocks)))
-	if bb.encs != nil {
-		for _, e := range bb.encs {
-			s.bytes(e)
-		}
-		return
-	}
-	for _, b := range bb.Blocks {
-		encodeBlock(s, b)
-	}
-}
-
-// StateResponse returns a batch of consecutive blocks for recovery. The
-// batch representation lets serving peers answer repeated requests for the
-// same range from a frozen encoding (see BlockBatch).
+// StateResponse returns a batch of consecutive blocks for recovery.
 type StateResponse struct {
 	Batch *BlockBatch
 }
@@ -370,34 +305,30 @@ func (m *StateResponse) Blocks() []*ledger.Block {
 // Type implements Message.
 func (*StateResponse) Type() MsgType { return TypeStateResponse }
 
-// EncodedSize implements Message.
+// EncodedSize implements Message. Hand-computed from the cached block
+// sizes: responses are sized on every recovery round trip.
 func (m *StateResponse) EncodedSize() int {
-	if m.Batch == nil {
-		return 1 + uvarintLen(0)
+	blocks := m.Blocks()
+	n := 1 + uvarintLen(uint64(len(blocks)))
+	for _, b := range blocks {
+		n += BlockEncodedSize(b)
 	}
-	return 1 + m.Batch.encodedLen()
+	return n
 }
 
 func (m *StateResponse) encode(s sink) {
-	if m.Batch == nil {
-		s.uvarint(0)
-		return
+	blocks := m.Blocks()
+	s.uvarint(uint64(len(blocks)))
+	for _, b := range blocks {
+		s.block(b)
 	}
-	m.Batch.encodeTo(s)
 }
 
 func decodeStateResponse(d *decoder) *StateResponse {
 	m := &StateResponse{Batch: &BlockBatch{}}
-	n := d.uvarint("block count")
-	if d.err != nil {
-		return m
-	}
-	if n > uint64(len(d.buf)) {
-		d.fail("block count")
-		return m
-	}
+	n := d.count(minBlockBytes, "block count")
 	m.Batch.Blocks = make([]*ledger.Block, 0, n)
-	for i := uint64(0); i < n && d.err == nil; i++ {
+	for i := 0; i < n && d.err == nil; i++ {
 		m.Batch.Blocks = append(m.Batch.Blocks, decodeBlock(d))
 	}
 	return m
@@ -461,7 +392,7 @@ func (*DeliverBlock) Type() MsgType { return TypeDeliverBlock }
 // EncodedSize implements Message.
 func (m *DeliverBlock) EncodedSize() int { return 1 + BlockEncodedSize(m.Block) }
 
-func (m *DeliverBlock) encode(s sink) { encodeBlock(s, m.Block) }
+func (m *DeliverBlock) encode(s sink) { s.block(m.Block) }
 
 func decodeDeliverBlock(d *decoder) *DeliverBlock {
 	return &DeliverBlock{Block: decodeBlock(d)}

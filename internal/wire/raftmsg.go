@@ -33,7 +33,7 @@ func (m *RaftVoteRequest) encode(s sink) {
 
 func decodeRaftVoteRequest(d *decoder) *RaftVoteRequest {
 	m := &RaftVoteRequest{Term: d.uvarint("term")}
-	m.Candidate = NodeID(d.uvarint("candidate"))
+	m.Candidate = NodeID(d.uint32("candidate"))
 	m.LastLogIndex = d.uvarint("last log index")
 	m.LastLogTerm = d.uvarint("last log term")
 	return m
@@ -94,19 +94,12 @@ func (m *RaftAppend) encode(s sink) {
 
 func decodeRaftAppend(d *decoder) *RaftAppend {
 	m := &RaftAppend{Term: d.uvarint("term")}
-	m.Leader = NodeID(d.uvarint("leader"))
+	m.Leader = NodeID(d.uint32("leader"))
 	m.PrevLogIndex = d.uvarint("prev log index")
 	m.PrevLogTerm = d.uvarint("prev log term")
-	n := d.uvarint("entry count")
-	if d.err != nil {
-		return m
-	}
-	if n > uint64(len(d.buf)) {
-		d.fail("entry count")
-		return m
-	}
+	n := d.count(2, "entry count")
 	m.Entries = make([]RaftEntry, 0, n)
-	for i := uint64(0); i < n && d.err == nil; i++ {
+	for i := 0; i < n && d.err == nil; i++ {
 		e := RaftEntry{Term: d.uvarint("entry term")}
 		e.Data = d.bytesField("entry data")
 		m.Entries = append(m.Entries, e)
