@@ -186,6 +186,10 @@ func printStats(rep *scenario.Report) {
 	fmt.Printf("  sync: %.2f MB in %.0f msgs; pool outstanding at end: %.0f data, %.0f push-digest\n",
 		stat("state_sync_bytes_total")/1e6, stat("state_sync_msgs_total"),
 		stat("pool_outstanding", "pool", "data"), stat("pool_outstanding", "pool", "push_digest"))
+	fmt.Printf("  membership: %.0f rumors queued, %.0f sent, %.0f applied; %.0f refutations, %.0f declared dead\n",
+		stat("membership_events_total", "kind", "queued"), stat("membership_events_total", "kind", "sent"),
+		stat("membership_events_total", "kind", "applied"),
+		stat("membership_refutations_total"), stat("membership_dead_declared_total"))
 	fmt.Printf("  raft: %.0f entries shipped, %.0f redundant\n",
 		stat("raft_entries_total", "kind", "shipped"), stat("raft_entries_total", "kind", "redundant"))
 	if ev := stat("trace_events_total"); ev > 0 {

@@ -19,10 +19,10 @@
 // failover, slow links, staggered joins — against both protocols at up to
 // thousands of peers (cmd/scenarios runs the built-in catalog).
 //
-// Entry points: cmd/figures regenerates the paper's artifacts, cmd/ttlcalc
-// computes protocol parameters, cmd/gossipnet runs a live TCP demo,
-// cmd/scenarios runs the fault-scenario catalog, and examples/ holds four
-// runnable walkthroughs. bench_test.go benchmarks one workload per
-// figure/table plus the scenario engine. See README.md for the full paper
-// mapping and usage guide.
+// Entry points: cmd/figures regenerates the paper's artifacts (-exp
+// analytics prints the protocol-parameter tables), cmd/gossipnet runs a
+// live TCP demo, cmd/scenarios runs the fault-scenario catalog, and
+// examples/ holds four self-checking walkthroughs. bench_test.go benchmarks
+// one workload per figure/table plus the scenario engine. See README.md for
+// the full paper mapping and usage guide.
 package fabricgossip

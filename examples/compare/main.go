@@ -41,4 +41,9 @@ func main() {
 		oAll.Max(), eAll.Max(), float64(oAll.Max())/float64(eAll.Max()))
 
 	fmt.Println(harness.CompareBandwidth(orig, enh))
+
+	// The example's claim, checked: CI runs it.
+	if e99 >= o99 {
+		log.Fatalf("enhanced p99.9 tail %v is not below the original's %v", e99, o99)
+	}
 }

@@ -22,11 +22,12 @@ import (
 )
 
 func main() {
-	const nPeers = 25
+	const nPeers, nBlocks = 25, 20
 
-	// 1. Pick protocol parameters analytically: fan-out 3 and the TTL
-	//    that makes the probability of imperfect dissemination <= 1e-6.
-	cfg, err := enhanced.ConfigFor(nPeers, 3, 1e-6, 2)
+	// 1. Pick protocol parameters analytically: the paper's primary
+	//    configuration — fan-out floor(ln n) = 3 and the TTL that makes
+	//    the probability of imperfect dissemination <= 1e-6.
+	cfg, err := enhanced.DefaultConfig(nPeers)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func main() {
 	// 3. Inject 20 blocks at the leader peer, one every 100 ms, as the
 	//    ordering service would.
 	orderer := net.AddNode()
-	for i, b := range harness.BuildChain(20, 10, 1000, 42) {
+	for i, b := range harness.BuildChain(nBlocks, 10, 1000, 42) {
 		b := b
 		engine.At(time.Duration(i)*100*time.Millisecond, func() {
 			_ = orderer.Send(0, &wire.DeliverBlock{Block: b})
@@ -72,4 +73,9 @@ func main() {
 	fmt.Printf("observations: %d blocks x %d peers = %d receptions\n",
 		rec.Blocks(), rec.Peers(), rec.Count())
 	fmt.Printf("dissemination latency: %v\n", metrics.Summarize(rec.All()))
+	// The example's claim, checked (CI runs it): every non-leader peer got
+	// every block.
+	if want := nBlocks * (nPeers - 1); rec.Count() != want {
+		log.Fatalf("%d receptions, want %d: some peer missed a block", rec.Count(), want)
+	}
 }

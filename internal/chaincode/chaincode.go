@@ -1,8 +1,8 @@
 // Package chaincode defines the deterministic smart-contract interface of
 // the execute-order-validate pipeline and the simulator that produces
-// versioned read/write sets (paper §II-B), together with the two contracts
-// the evaluation uses: the high-throughput asset workload (§V-A) and the
-// counter-increment workload behind Table II (§V-D).
+// versioned read/write sets (paper §II-B), together with the contract the
+// evaluation executes: the counter-increment workload behind Table II
+// (§V-D).
 package chaincode
 
 import (

@@ -115,58 +115,6 @@ func TestDecodeUint64(t *testing.T) {
 	}
 }
 
-func TestHighThroughputUpdateAndAggregate(t *testing.T) {
-	state := ledger.NewStateDB()
-	ht := HighThroughput{}
-	// Apply three delta rows: +10, +5, -3.
-	deltas := []struct {
-		delta, sign, row string
-	}{{"10", "+", "0"}, {"5", "+", "1"}, {"3", "-", "2"}}
-	for i, d := range deltas {
-		rw, err := Simulate(ht, state, []string{"update", "acct", d.delta, d.sign, d.row})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rw.Reads) != 0 {
-			t.Fatalf("update %d produced reads %+v: accumulator rows must be conflict-free", i, rw.Reads)
-		}
-		state.ApplyBlockWrites(uint64(i), []uint32{0}, []ledger.RWSet{rw})
-	}
-	got := AggregateAsset(func(key string) []byte {
-		vv, _ := state.Get(key)
-		return vv.Value
-	}, "acct", 3)
-	if got != 12 {
-		t.Fatalf("aggregate = %d, want 12", got)
-	}
-	// Read path exercises GetState over all rows.
-	rw, err := Simulate(ht, state, []string{"get", "acct", "3"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rw.Reads) != 3 {
-		t.Fatalf("get recorded %d reads, want 3", len(rw.Reads))
-	}
-}
-
-func TestHighThroughputBadArgs(t *testing.T) {
-	state := ledger.NewStateDB()
-	cases := [][]string{
-		{"update", "a"},
-		{"update", "a", "x", "+", "0"},
-		{"update", "a", "5", "*", "0"},
-		{"get", "a"},
-		{"get", "a", "x"},
-		{"nope", "a"},
-		{"update"},
-	}
-	for _, args := range cases {
-		if _, err := Simulate(HighThroughput{}, state, args); err == nil {
-			t.Errorf("args %v accepted", args)
-		}
-	}
-}
-
 // Property: counter increments compose — simulating and committing n
 // increments yields counter value n, regardless of interleaving with other
 // keys.

@@ -1,9 +1,6 @@
 package chaincode
 
-import (
-	"fmt"
-	"strconv"
-)
+import "fmt"
 
 // Counter is the Table II workload (paper §V-D): "a simple chaincode that
 // increments one of 100 integer values initialized to 0". Incrementing
@@ -42,95 +39,3 @@ func (Counter) Invoke(stub Stub, args []string) error {
 		return fmt.Errorf("%w: unknown op %q", ErrBadArgs, op)
 	}
 }
-
-// HighThroughput models the Fabric high-throughput sample (paper §V-A
-// reference [1]): an asset whose value is modified at a high rate. To avoid
-// read/write contention on the hot key, each update appends an independent
-// delta row under a composite key; reads aggregate all rows. This is the
-// classic accumulator pattern the sample demonstrates.
-type HighThroughput struct{}
-
-// Name implements Chaincode.
-func (HighThroughput) Name() string { return "high-throughput" }
-
-// Invoke implements Chaincode. Operations:
-//
-//	update <asset> <delta> <op(+|-)> <rowid>   append one delta row
-//	get    <asset> <rows>                      fold rows 0..rows-1
-func (HighThroughput) Invoke(stub Stub, args []string) error {
-	if len(args) < 2 {
-		return fmt.Errorf("%w: want op and asset", ErrBadArgs)
-	}
-	switch args[0] {
-	case "update":
-		if len(args) != 5 {
-			return fmt.Errorf("%w: update wants asset, delta, op, rowid", ErrBadArgs)
-		}
-		asset, deltaStr, sign, row := args[1], args[2], args[3], args[4]
-		if sign != "+" && sign != "-" {
-			return fmt.Errorf("%w: op must be + or -", ErrBadArgs)
-		}
-		delta, err := strconv.ParseUint(deltaStr, 10, 64)
-		if err != nil {
-			return fmt.Errorf("%w: delta %q: %v", ErrBadArgs, deltaStr, err)
-		}
-		key := compositeKey(asset, row)
-		return stub.PutState(key, append([]byte(sign), EncodeUint64(delta)...))
-	case "get":
-		if len(args) != 3 {
-			return fmt.Errorf("%w: get wants asset and row count", ErrBadArgs)
-		}
-		rows, err := strconv.Atoi(args[2])
-		if err != nil {
-			return fmt.Errorf("%w: rows %q: %v", ErrBadArgs, args[2], err)
-		}
-		var total int64
-		for i := 0; i < rows; i++ {
-			raw, err := stub.GetState(compositeKey(args[1], strconv.Itoa(i)))
-			if err != nil {
-				return err
-			}
-			if raw == nil {
-				continue
-			}
-			v, err := DecodeUint64(raw[1:])
-			if err != nil {
-				return err
-			}
-			if raw[0] == '-' {
-				total -= int64(v)
-			} else {
-				total += int64(v)
-			}
-		}
-		// The aggregate is returned to the client out of band; state is
-		// untouched by a read-only invocation.
-		return nil
-	default:
-		return fmt.Errorf("%w: unknown op %q", ErrBadArgs, args[0])
-	}
-}
-
-// AggregateAsset folds all delta rows of an asset directly against a state
-// snapshot — the client-side helper matching HighThroughput "get".
-func AggregateAsset(get func(key string) []byte, asset string, rows int) int64 {
-	var total int64
-	for i := 0; i < rows; i++ {
-		raw := get(compositeKey(asset, strconv.Itoa(i)))
-		if len(raw) != 9 {
-			continue
-		}
-		v, err := DecodeUint64(raw[1:])
-		if err != nil {
-			continue
-		}
-		if raw[0] == '-' {
-			total -= int64(v)
-		} else {
-			total += int64(v)
-		}
-	}
-	return total
-}
-
-func compositeKey(asset, row string) string { return asset + "\x00" + row }

@@ -68,9 +68,6 @@ func NewWithSource(name string, source EndorserSource, submit Submitter) (*Clien
 	return &Client{name: name, endorsers: source, submit: submit}, nil
 }
 
-// Name returns the client's identity string.
-func (c *Client) Name() string { return c.name }
-
 // Stats returns a copy of the counters.
 func (c *Client) Stats() Stats {
 	c.mu.Lock()

@@ -12,8 +12,8 @@
 package enhanced
 
 import (
+	"fmt"
 	"math"
-	"math/bits"
 	"sync"
 	"time"
 
@@ -61,26 +61,16 @@ type Config struct {
 	Retention uint64
 }
 
+// maxTTL is the largest stopping counter a configuration may carry: a
+// block's observed counters are one 64-bit word (blockState.seen). Analytic
+// TTLs are single-digit up to a million peers.
+const maxTTL = 63
+
 // DefaultConfig returns the paper's primary configuration for a network of
 // n peers: fout = floor(ln n) (minimum 2), TTL from the analytic lookup at
 // pe = 1e-6, TTLdirect = 2, fleaderout = 1.
 func DefaultConfig(n int) (Config, error) {
-	fout := lnFloor(n)
-	if fout < 2 {
-		fout = 2
-	}
-	ttl, err := analysis.TTLFor(n, fout, 1e-6)
-	if err != nil {
-		return Config{}, err
-	}
-	return Config{
-		Fout:           fout,
-		TTL:            uint32(ttl),
-		TTLDirect:      2,
-		FLeaderOut:     1,
-		UseDigests:     true,
-		RequestTimeout: 500 * time.Millisecond,
-	}, nil
+	return ConfigFor(n, max(2, int(math.Log(float64(n)))), 1e-6, 2)
 }
 
 // ConfigFor returns a configuration with an explicit fan-out and the TTL
@@ -90,6 +80,10 @@ func ConfigFor(n, fout int, peTarget float64, ttlDirect uint32) (Config, error) 
 	if err != nil {
 		return Config{}, err
 	}
+	if ttl > maxTTL {
+		return Config{}, fmt.Errorf("enhanced: TTL %d for n=%d fout=%d pe=%g exceeds the supported maximum %d",
+			ttl, n, fout, peTarget, maxTTL)
+	}
 	return Config{
 		Fout:           fout,
 		TTL:            uint32(ttl),
@@ -98,10 +92,6 @@ func ConfigFor(n, fout int, peTarget float64, ttlDirect uint32) (Config, error) 
 		UseDigests:     true,
 		RequestTimeout: 500 * time.Millisecond,
 	}, nil
-}
-
-func lnFloor(n int) int {
-	return int(math.Log(float64(n)))
 }
 
 // pendingServe is a body request we could not answer yet because we
@@ -117,9 +107,8 @@ type pendingServe struct {
 // replaces what used to be an entry in each of four parallel maps — the
 // largest remaining heap term across a 10k-peer organization.
 type blockState struct {
-	// seen is the bitset of observed counters 0..63. TTL is single-digit
-	// for every analytic configuration, so one word covers the whole
-	// epidemic; counters >= 64 spill into the seenHigh side map.
+	// seen is the bitset of observed counters 0..maxTTL: one word covers
+	// the whole epidemic.
 	seen uint64
 	// requested is when we last asked someone for the body, plus 1ns so
 	// zero means "never asked".
@@ -141,9 +130,6 @@ type Protocol struct {
 	// slice, keeping at most Retention (plus in-flight) slots live.
 	blocks    []blockState
 	blockBase uint64
-	// seenHigh spills counters >= 64 (configs with TTL >= 64 only); nil
-	// until such a counter arrives.
-	seenHigh map[uint64][]uint64
 	// serves queues body requests that arrived before the body; nil until
 	// a request outruns its body.
 	serves map[uint64][]pendingServe
@@ -185,8 +171,12 @@ type Protocol struct {
 // simTimer narrows sim.Timer for the one optional timer this protocol owns.
 type simTimer interface{ Stop() bool }
 
-// New returns an unstarted protocol instance.
+// New returns an unstarted protocol instance. A TTL above 63 is a
+// programming error (ConfigFor never returns one) and panics.
 func New(cfg Config) *Protocol {
+	if cfg.TTL > maxTTL {
+		panic(fmt.Sprintf("enhanced.New: Config.TTL %d exceeds the supported maximum %d", cfg.TTL, maxTTL))
+	}
 	return &Protocol{cfg: cfg}
 }
 
@@ -342,7 +332,7 @@ func (p *Protocol) pruneBelow(height uint64) {
 	// block never seen here (possible after a peer re-requests across our
 	// earlier prune) stays queued, exactly as the map layout behaved.
 	for num := range p.serves {
-		if num < floor && p.trackedLocked(num) {
+		if st := p.peek(num); num < floor && st != nil && st.seen != 0 {
 			delete(p.serves, num)
 		}
 	}
@@ -356,52 +346,11 @@ func (p *Protocol) pruneBelow(height uint64) {
 		}
 		p.blockBase = floor
 	}
-	for num := range p.seenHigh {
-		if num < floor {
-			delete(p.seenHigh, num)
-		}
-	}
 	for num := range p.stale {
 		if num < floor {
 			delete(p.stale, num)
 		}
 	}
-}
-
-// trackedLocked reports whether block num has recorded any (block, counter)
-// pair. Callers hold mu.
-func (p *Protocol) trackedLocked(num uint64) bool {
-	if st := p.peek(num); st != nil && st.seen != 0 {
-		return true
-	}
-	return len(p.seenHigh[num]) > 0
-}
-
-// TrackedBlocks reports how many blocks have live epidemic state
-// (test/diagnostic hook).
-func (p *Protocol) TrackedBlocks() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for i := range p.blocks {
-		if p.blocks[i].seen != 0 {
-			n++
-		}
-	}
-	for num, st := range p.stale {
-		if st.seen != 0 || len(p.seenHigh[num]) > 0 {
-			n++
-		}
-	}
-	// Dense slots whose only pairs are spilled counters still count.
-	for num := range p.seenHigh {
-		if num >= p.blockBase {
-			if st := p.peek(num); st != nil && st.seen == 0 {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 func (p *Protocol) handleData(m *wire.Data) {
@@ -472,36 +421,19 @@ func (p *Protocol) handleRequest(from wire.NodeID, m *wire.PushRequest) {
 	}
 }
 
-// markSeen records the pair and reports whether it was new. Callers hold mu.
+// markSeen records the pair and reports whether it was new. A counter
+// beyond maxTTL can only come off the wire from a peer outside this
+// program's configurations; it is ignored. Callers hold mu.
 func (p *Protocol) markSeen(num uint64, counter uint32) bool {
-	if p.stopped {
+	if p.stopped || counter > maxTTL {
 		return false
 	}
 	st := p.state(num)
-	if counter < 64 {
-		bit := uint64(1) << counter
-		if st.seen&bit != 0 {
-			return false
-		}
-		st.seen |= bit
-		return true
-	}
-	// Counters beyond the inline word (TTL >= 64 configurations only).
-	word, bit := int(counter/64)-1, counter%64
-	if p.seenHigh == nil {
-		p.seenHigh = make(map[uint64][]uint64)
-	}
-	set := p.seenHigh[num]
-	if word >= len(set) {
-		grown := make([]uint64, word+1)
-		copy(grown, set)
-		set = grown
-		p.seenHigh[num] = set
-	}
-	if set[word]&(1<<bit) != 0 {
+	bit := uint64(1) << counter
+	if st.seen&bit != 0 {
 		return false
 	}
-	set[word] |= 1 << bit
+	st.seen |= bit
 	return true
 }
 
@@ -593,19 +525,4 @@ func (p *Protocol) forward(o wire.BlockOffer, targets []wire.NodeID) {
 	for _, t := range targets {
 		p.c.Send(t, msg)
 	}
-}
-
-// SeenPairs returns how many (block, counter) pairs have been observed for
-// block num (test/diagnostic hook).
-func (p *Protocol) SeenPairs(num uint64) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	if st := p.peek(num); st != nil {
-		n += bits.OnesCount64(st.seen)
-	}
-	for _, w := range p.seenHigh[num] {
-		n += bits.OnesCount64(w)
-	}
-	return n
 }

@@ -1,6 +1,7 @@
 package enhanced
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -86,6 +87,22 @@ func TestDefaultConfigDerivesPaperParameters(t *testing.T) {
 	if New(cfg).Name() != "enhanced" {
 		t.Fatal("protocol name wrong")
 	}
+}
+
+// One 64-bit word tracks a block's counters, so a TTL above 63 is refused
+// at construction: an error from ConfigFor (its arguments can be user
+// input; pe = 1e-60 at fan-out 2 asks for 96 hops), a panic from New.
+func TestTTLAbove63Rejected(t *testing.T) {
+	if _, err := ConfigFor(100, 2, 1e-60, 2); err == nil || !strings.Contains(err.Error(), "exceeds the supported maximum") {
+		t.Fatalf("ConfigFor with a TTL beyond 63: err = %v", err)
+	}
+	New(Config{TTL: 63})
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "Config.TTL 64") {
+			t.Fatalf("New(Config{TTL: 64}) did not panic naming the field (recovered %q)", msg)
+		}
+	}()
+	New(Config{TTL: 64})
 }
 
 func TestLeaderDelegatesToSingleInitialGossiper(t *testing.T) {

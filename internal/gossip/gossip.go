@@ -52,7 +52,8 @@ type Protocol interface {
 type Config struct {
 	// Self is this peer's node id; Peers lists every peer of the
 	// organization including Self (gossip operates on a complete graph,
-	// paper §III-A).
+	// paper §III-A). Peers must be a contiguous ascending id range — the
+	// harness's dense-id contract, which New enforces.
 	Self  wire.NodeID
 	Peers []wire.NodeID
 
@@ -170,43 +171,26 @@ type Core struct {
 	fetcher  *statesync.Fetcher
 	provider *statesync.Provider
 
-	// members is the organization's member set, built only when
-	// piggybacking is enabled AND the peer list is not a contiguous id
-	// range: membership digests ride exclusively on intra-org traffic.
-	// Cross-org sends exist (anchor-recovery statesync probes and their
-	// replies), and a digest attached to one would plant this
-	// organization's members in the remote organization's view —
-	// corrupting its leader election with foreign lower ids.
-	members map[wire.NodeID]struct{}
-
-	// rangeMode marks that cfg.Peers is a contiguous ascending id range
-	// [rangeLo, rangeHi] (the harness's dense-id contract). The member
-	// check is then a pair of comparisons and peer sampling draws against
-	// a virtual candidate list, so the core holds no O(org-size) state at
-	// all — the term that dominated the heap at 10k-peer organizations
-	// (others + swapIdx + members was ~60 KB per core, ~600 MB per such
-	// org). Non-contiguous peer lists keep the materialized slices below.
-	rangeMode   bool
+	// cfg.Peers is a contiguous ascending id range [rangeLo, rangeHi] (the
+	// contract New enforces). The member check is then a pair of comparisons
+	// and peer sampling draws against a virtual candidate list, so the core
+	// holds no O(org-size) state at all — the term that dominated the heap
+	// at 10k-peer organizations. The member check matters because
+	// membership digests ride exclusively on intra-org traffic: cross-org
+	// sends exist (anchor-recovery statesync probes and their replies), and
+	// a digest attached to one would plant this organization's members in
+	// the remote organization's view — corrupting its leader election with
+	// foreign lower ids.
 	rangeLo     wire.NodeID
 	rangeHi     wire.NodeID
 	selfInRange bool
 	nOthers     int
-	// ovIdx/ovVal are range mode's sampling overlay: the ≤k positions of
-	// the virtual candidate list displaced mid-draw by the partial
-	// Fisher-Yates walk (see RandomPeersInto). Cleared after every draw;
-	// capacity is retained so steady-state draws allocate nothing. Guarded
-	// by mu.
+	// ovIdx/ovVal are the sampling overlay: the ≤k positions of the virtual
+	// candidate list displaced mid-draw by the partial Fisher-Yates walk
+	// (see RandomPeersInto). Cleared after every draw; capacity is retained
+	// so steady-state draws allocate nothing. Guarded by mu.
 	ovIdx []int
 	ovVal []wire.NodeID
-
-	// others is cfg.Peers minus self, precomputed once (non-contiguous
-	// peer lists only): RandomPeers samples in place with k swaps that are
-	// undone after the draw, so every call sees the same canonical order
-	// (the determinism contract) without rebuilding an O(n) candidate
-	// slice per tick. swapIdx records the swap targets to undo; both are
-	// guarded by mu.
-	others  []wire.NodeID
-	swapIdx []int
 
 	// stateInfoPeers/alivePeers are the periodic ticks' reusable sampling
 	// buffers: each is owned exclusively by its tick (periodic timers never
@@ -272,41 +256,21 @@ func New(cfg Config, ep transport.Endpoint, sched sim.Scheduler, rng *sim.Rand, 
 			fn(p, alive, c.sched.Now())
 		}
 	})
-	// Detect the dense-id contract: a contiguous ascending peer list needs
-	// no materialized member set or candidate slice (the harness always
-	// builds organizations this way; hand-built topologies may not).
-	c.rangeMode = len(cfg.Peers) > 0
+	contiguous := len(cfg.Peers) > 0
 	for i, p := range cfg.Peers {
-		if i > 0 && p != cfg.Peers[i-1]+1 {
-			c.rangeMode = false
-			break
-		}
+		contiguous = contiguous && p == cfg.Peers[0]+wire.NodeID(i)
 	}
-	if c.rangeMode {
-		c.rangeLo = cfg.Peers[0]
-		c.rangeHi = cfg.Peers[len(cfg.Peers)-1]
-		// An orderer or observer core lists only remote peers, so self may
-		// be absent from cfg.Peers; the candidate count then equals the
-		// whole range.
-		c.selfInRange = cfg.Self >= c.rangeLo && cfg.Self <= c.rangeHi
-		c.nOthers = len(cfg.Peers)
-		if c.selfInRange {
-			c.nOthers--
-		}
-	} else {
-		if cfg.PiggybackMax > 0 {
-			c.members = make(map[wire.NodeID]struct{}, len(cfg.Peers))
-			for _, p := range cfg.Peers {
-				c.members[p] = struct{}{}
-			}
-		}
-		c.others = make([]wire.NodeID, 0, len(cfg.Peers))
-		for _, p := range cfg.Peers {
-			if p != cfg.Self {
-				c.others = append(c.others, p)
-			}
-		}
-		c.swapIdx = make([]int, 0, len(c.others))
+	if !contiguous {
+		panic("gossip.New: Config.Peers must be a non-empty contiguous ascending id range (the harness's dense-id contract)")
+	}
+	c.rangeLo = cfg.Peers[0]
+	c.rangeHi = cfg.Peers[len(cfg.Peers)-1]
+	// An orderer or observer core lists only remote peers, so self may be
+	// absent from cfg.Peers; the candidate count then equals the whole range.
+	c.selfInRange = cfg.Self >= c.rangeLo && cfg.Self <= c.rangeHi
+	c.nOthers = len(cfg.Peers)
+	if c.selfInRange {
+		c.nOthers--
 	}
 	ssCfg := statesync.Config{
 		Batch:        cfg.RecoveryBatch,
@@ -348,9 +312,6 @@ func (c *Core) Scheduler() sim.Scheduler { return c.sched }
 
 // Rand returns the core's random stream.
 func (c *Core) Rand() *sim.Rand { return c.rng }
-
-// Config returns the shared configuration.
-func (c *Core) Config() Config { return c.cfg }
 
 // Proto returns the dissemination protocol instance the core runs, for
 // audits that reach through the core (e.g. the scenario runner's pooled-
@@ -480,14 +441,9 @@ func (c *Core) Send(to wire.NodeID, msg wire.Message) {
 	}
 }
 
-// isMember reports whether p belongs to this organization's peer list. In
-// range mode it is two comparisons; otherwise a set probe.
+// isMember reports whether p belongs to this organization's peer range.
 func (c *Core) isMember(p wire.NodeID) bool {
-	if c.rangeMode {
-		return p >= c.rangeLo && p <= c.rangeHi
-	}
-	_, ok := c.members[p]
-	return ok
+	return p >= c.rangeLo && p <= c.rangeHi
 }
 
 // sharedZeroMeta returns a zero-filled buffer of at least n bytes, shared
@@ -540,23 +496,14 @@ func (c *Core) SingleThreaded() bool {
 // exclusively: the returned slice aliases it and is valid until the owner's
 // next call.
 //
-// This sits on the push hot path, so the candidate slice (peers minus self)
-// is precomputed once at construction: a draw is k partial-Fisher-Yates
-// swaps followed by k undo-swaps in reverse, restoring the canonical order
-// so the next call — and therefore the whole run — consumes random values
-// identically to a per-call rebuild. That replaces the old O(n) rebuild per
-// tick with O(k) work.
-// In range mode the candidate list is never materialized at all: position
-// pos of the canonical list maps to id rangeLo+pos (skipping self), and the
-// ≤k positions a draw displaces live in a small overlay that is cleared
-// afterwards. The Intn argument sequence and the produced ids are
-// bit-identical to the slice walk, so switching a topology between modes
-// never shifts the random stream.
+// This sits on the push hot path. A draw is a k-step partial Fisher-Yates
+// walk over the canonical candidate list (the peer range minus self), which
+// is never materialized: position pos maps to id rangeLo+pos (skipping
+// self), and the ≤k positions a draw displaces live in a small overlay that
+// is cleared afterwards, so every call — and therefore the whole run —
+// consumes random values exactly as a per-call rebuild of the list would.
 func (c *Core) RandomPeersInto(k int, buf []wire.NodeID) []wire.NodeID {
-	n := len(c.others)
-	if c.rangeMode {
-		n = c.nOthers
-	}
+	n := c.nOthers
 	if k > n {
 		k = n
 	}
@@ -570,35 +517,18 @@ func (c *Core) RandomPeersInto(k int, buf []wire.NodeID) []wire.NodeID {
 		out = out[:k]
 	}
 	c.mu.Lock()
-	if c.rangeMode {
-		for i := 0; i < k; i++ {
-			j := i + c.rng.Intn(n-i)
-			out[i] = c.overlayGet(j)
-			if j != i {
-				// The swap's only observable half: position j now holds
-				// what position i held (position i itself is never read
-				// again this draw, and the undo is the overlay reset).
-				c.overlaySet(j, c.overlayGet(i))
-			}
-		}
-		c.ovIdx = c.ovIdx[:0]
-		c.ovVal = c.ovVal[:0]
-		c.mu.Unlock()
-		return out
-	}
-	cand := c.others
-	sw := c.swapIdx[:k]
 	for i := 0; i < k; i++ {
-		j := i + c.rng.Intn(len(cand)-i)
-		cand[i], cand[j] = cand[j], cand[i]
-		out[i] = cand[i]
-		sw[i] = j
+		j := i + c.rng.Intn(n-i)
+		out[i] = c.overlayGet(j)
+		if j != i {
+			// The swap's only observable half: position j now holds what
+			// position i held (position i itself is never read again this
+			// draw, and the undo is the overlay reset).
+			c.overlaySet(j, c.overlayGet(i))
+		}
 	}
-	// Undo in reverse so cand returns to its canonical order.
-	for i := k - 1; i >= 0; i-- {
-		j := sw[i]
-		cand[i], cand[j] = cand[j], cand[i]
-	}
+	c.ovIdx = c.ovIdx[:0]
+	c.ovVal = c.ovVal[:0]
 	c.mu.Unlock()
 	return out
 }

@@ -1,6 +1,7 @@
 package gossip
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -49,56 +50,25 @@ func (noopProtocol) OnOrdererBlock(*ledger.Block)          {}
 func (noopProtocol) Handle(wire.NodeID, wire.Message) bool { return false }
 func (noopProtocol) OnBlockStored(*ledger.Block)           {}
 
-// newGappyCore builds a core over a non-contiguous peer list (every other
-// id), forcing the materialized-slice sampling path: contiguous lists take
-// the virtual range path and hold no candidate slice at all.
-func newGappyCore(t *testing.T, self wire.NodeID, n int) *Core {
-	t.Helper()
-	peers := make([]wire.NodeID, n)
-	for i := range peers {
-		peers[i] = wire.NodeID(2 * i)
-	}
-	cfg := DefaultConfig(self, peers)
-	engine := sim.NewEngine(1)
-	return New(cfg, &sinkEndpoint{id: self}, engine, engine.Rand("gossip"), noopProtocol{})
-}
-
-// RandomPeers samples in place with undo-swaps; after every call the
-// candidate slice must be back in canonical order (peers minus self, in
-// cfg.Peers order), or the next call's draw — and the whole run's
-// determinism — would depend on call history.
-func TestRandomPeersRestoresCanonicalOrder(t *testing.T) {
-	c := newGappyCore(t, 6, 10)
-	if c.rangeMode {
-		t.Fatal("gappy peer list must not take the range path")
-	}
-	canonical := append([]wire.NodeID(nil), c.others...)
-	for call := 0; call < 50; call++ {
-		k := 1 + call%len(canonical)
-		got := c.RandomPeers(k)
-		if len(got) != k {
-			t.Fatalf("call %d: got %d peers, want %d", call, len(got), k)
-		}
-		seen := map[wire.NodeID]bool{}
-		for _, p := range got {
-			if p == c.cfg.Self {
-				t.Fatalf("call %d: sampled self", call)
-			}
-			if seen[p] {
-				t.Fatalf("call %d: duplicate peer %v", call, p)
-			}
-			seen[p] = true
-		}
-		for i, p := range c.others {
-			if p != canonical[i] {
-				t.Fatalf("call %d: candidate order not restored at %d: %v vs %v",
-					call, i, c.others, canonical)
-			}
-		}
+// The core holds one peer-set representation, the id range, so New rejects
+// a peer list that is not one — naming the contract — instead of silently
+// sampling from something else.
+func TestNewRejectsNonContiguousPeers(t *testing.T) {
+	for _, peers := range [][]wire.NodeID{{1, 2, 4}, {3, 2, 1}, {}} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "contiguous ascending id range") {
+					t.Fatalf("peers %v: New did not panic naming the contract (recovered %q)", peers, msg)
+				}
+			}()
+			engine := sim.NewEngine(1)
+			New(DefaultConfig(1, peers), &sinkEndpoint{id: 1}, engine, engine.Rand("gossip"), noopProtocol{})
+		}()
 	}
 }
 
-// The undo-swap sampler must consume the random stream and produce results
+// The range sampler must consume the random stream and produce results
 // exactly like the per-call rebuild it replaced, or every checked-in
 // fingerprint would move.
 func TestRandomPeersMatchesPerCallRebuildReference(t *testing.T) {
@@ -144,9 +114,9 @@ func TestRandomPeersMatchesPerCallRebuildReference(t *testing.T) {
 	}
 }
 
-// An orderer or observer core lists only remote peers: range mode must
-// then draw from the whole range (no self to skip), matching the old
-// slice walk on an identical stream.
+// An orderer or observer core lists only remote peers: the sampler must
+// then draw from the whole range (no self to skip), matching a slice walk
+// on an identical stream.
 func TestRandomPeersRangeModeSelfOutsideRange(t *testing.T) {
 	const n = 11
 	peers := make([]wire.NodeID, n)
@@ -156,9 +126,8 @@ func TestRandomPeersRangeModeSelfOutsideRange(t *testing.T) {
 	cfg := DefaultConfig(100, peers)
 	engine := sim.NewEngine(1)
 	c := New(cfg, &sinkEndpoint{id: 100}, engine, engine.Rand("gossip"), noopProtocol{})
-	if !c.rangeMode || c.selfInRange || c.nOthers != n {
-		t.Fatalf("rangeMode=%v selfInRange=%v nOthers=%d, want true/false/%d",
-			c.rangeMode, c.selfInRange, c.nOthers, n)
+	if c.selfInRange || c.nOthers != n {
+		t.Fatalf("selfInRange=%v nOthers=%d, want false/%d", c.selfInRange, c.nOthers, n)
 	}
 
 	ref := sim.NewEngine(1).Rand("gossip")

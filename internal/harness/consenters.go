@@ -235,9 +235,6 @@ func (n *Network) ConsenterNode(i int) *raft.Node { return n.cluster.nodes[i] }
 // lead, or -1 during elections and quorum loss.
 func (n *Network) ConsenterLeader() int { return n.cluster.leader }
 
-// ConsenterDown reports whether consenter i is crashed.
-func (n *Network) ConsenterDown(i int) bool { return n.cluster.down[i] }
-
 // OrderingNodeIDs returns every consenter's transport id, for callers
 // building partition groups.
 func (n *Network) OrderingNodeIDs() []wire.NodeID {

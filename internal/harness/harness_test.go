@@ -174,6 +174,42 @@ func TestRunDisseminationDeterminism(t *testing.T) {
 	}
 }
 
+// The repository benchmark re-drives RunDissemination's schedule on an Org
+// it builds itself (bench/sim.go's paperEngineCounts: NewOrg, the background
+// floor, DeliverBlock per block, RunUntil) to read the engine's event count,
+// and fails its run if the byte total differs. Pin that equivalence here,
+// where a change to Org or RunDissemination is made.
+func TestOrgRedriveMatchesRunDissemination(t *testing.T) {
+	for _, v := range []Variant{VariantOriginal, VariantEnhanced} {
+		p := quickParams(v, 1)
+		res, err := RunDissemination(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		org, err := NewOrg(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		org.StartAll()
+		half := int(p.BackgroundBytesPerSec / 2)
+		for _, id := range org.Peers {
+			id := id
+			org.Engine.Every(time.Second, func() {
+				org.Traffic.Record(id, id, wire.TypeAlive, half, org.Engine.Now())
+			})
+		}
+		for i, b := range BuildChain(p.NumBlocks, p.TxPerBlock, p.TxPayload, p.Seed) {
+			b := b
+			org.Engine.At(time.Duration(i)*p.BlockInterval, func() { org.DeliverBlock(b) })
+		}
+		org.Engine.RunUntil(time.Duration(p.NumBlocks-1)*p.BlockInterval + p.Tail)
+		org.StopAll()
+		if got, want := org.Traffic.TotalBytes(), res.Traffic.TotalBytes(); got != want {
+			t.Fatalf("%s: re-driven Org moved %d bytes, RunDissemination %d", v, got, want)
+		}
+	}
+}
+
 func TestConflictExperimentEnhancedWins(t *testing.T) {
 	mk := func(v Variant) ConflictParams {
 		p := DefaultConflictParams(v, time.Second, 22)

@@ -333,13 +333,7 @@ func NewNetwork(p NetworkParams, opts ...NetworkOption) (*Network, error) {
 		if variant == VariantEnhanced {
 			cfg, err := enhanced.ConfigFor(spec.Peers, enhancedFout, 1e-6, enhancedTTLDirect)
 			if err != nil {
-				// Tiny organizations can fall below the analytic table's
-				// domain for the requested fan-out; fall back to the
-				// size-derived default.
-				cfg, err = enhanced.DefaultConfig(spec.Peers)
-				if err != nil {
-					return nil, fmt.Errorf("harness: org %d: %w", i, err)
-				}
+				return nil, fmt.Errorf("harness: org %d: %w", i, err)
 			}
 			d.enhanced = cfg
 		}
@@ -452,19 +446,6 @@ func (n *Network) applyWAN(d time.Duration) {
 		n.Net.SetNodeSite(ep.ID(), site)
 	}
 	n.Net.SetSiteDelay(d)
-}
-
-// SetInterOrgDelay adds (or, with d <= 0, removes) extra one-way latency on
-// every directed link between two organizations — a single WAN segment,
-// finer-grained than NetworkParams.WANDelay.
-func (n *Network) SetInterOrgDelay(orgA, orgB int, d time.Duration) {
-	da, db := n.Orgs[orgA], n.Orgs[orgB]
-	for a := da.Lo; a < da.Hi; a++ {
-		for b := db.Lo; b < db.Hi; b++ {
-			n.Net.SetLinkExtraDelay(wire.NodeID(a), wire.NodeID(b), d)
-			n.Net.SetLinkExtraDelay(wire.NodeID(b), wire.NodeID(a), d)
-		}
-	}
 }
 
 // TotalPeers returns the peer count across all organizations.

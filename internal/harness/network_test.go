@@ -176,3 +176,92 @@ func TestNetworkRejectsBadSpecs(t *testing.T) {
 		t.Fatal("unknown variant accepted")
 	}
 }
+
+// A peer that restarts after a long uptime must be detected as live again
+// within a few heartbeat intervals: its fresh core's Alive sequences start
+// above the previous incarnation's, so survivors do not discard them as
+// replays.
+func TestRestartedPeerRejoinsMembershipPromptly(t *testing.T) {
+	n := buildNetwork(t, NetworkParams{Seed: 13, Orgs: []OrgSpec{{Peers: 6}}},
+		WithNetworkGossipTune(func(_ wire.NodeID, cfg *gossip.Config) {
+			cfg.AliveInterval = time.Second
+			cfg.AliveExpiration = 3 * time.Second
+			cfg.AliveFanout = 5 // broadcast: fast-converging views for the test
+		}))
+	n.StartAll()
+	// Long uptime: the old incarnation racks up ~60 heartbeat sequences.
+	n.RunUntil(60 * time.Second)
+	if !n.Cores[3].PeerAlive(5) {
+		t.Fatal("peer 5 not live before the crash")
+	}
+	n.Crash(5)
+	n.RunUntil(70 * time.Second)
+	if n.Cores[3].PeerAlive(5) {
+		t.Fatal("crashed peer still in the live view")
+	}
+	n.Restart(5)
+	// Within a few alive intervals — not another 60 s — the rejoin shows.
+	n.RunUntil(75 * time.Second)
+	if !n.Cores[3].PeerAlive(5) {
+		t.Fatal("restarted peer not re-detected within a few heartbeats")
+	}
+}
+
+// The ordering service delivers to a peer it can reach: with the elected
+// leader on the far side of a partition, delivery goes to the orderer-side
+// leader instead of silently vanishing into the cut.
+func TestDeliverBlockRespectsPartition(t *testing.T) {
+	var targets []int
+	n := buildNetwork(t, NetworkParams{Seed: 13, Orgs: []OrgSpec{{Peers: 6}}},
+		WithDeliverHook(func(_, peer int, _ *ledger.Block, _ bool) { targets = append(targets, peer) }))
+	n.StartAll()
+	// Crash peers 0-2; the elected leader is now peer 3.
+	for g := 0; g < 3; g++ {
+		n.Crash(g)
+	}
+	if n.OrgLeader(0) != 3 {
+		t.Fatalf("leader = %d, want 3", n.OrgLeader(0))
+	}
+	// Peers 2-3 are cut off from the ordering service and from {4, 5}.
+	n.Net.Partition(nil, []wire.NodeID{2, 3})
+	n.Append(BuildChain(1, 2, 64, 1)[0])
+	n.RunUntil(5 * time.Second)
+	if len(targets) == 0 || targets[0] != 4 {
+		t.Fatalf("delivered to %v, want peer 4 (lowest live peer the orderer reaches)", targets)
+	}
+	if n.Cores[4].Height() != 1 {
+		t.Fatal("reachable peer never received the block")
+	}
+	// Cut off entirely: nothing is delivered.
+	n.Net.Partition(nil, []wire.NodeID{0, 1, 2, 3, 4, 5})
+	targets = nil
+	n.Append(BuildChain(2, 2, 64, 1)[1])
+	n.RunUntil(10 * time.Second)
+	if len(targets) != 0 {
+		t.Fatalf("delivery into a total cut targeted %v", targets)
+	}
+}
+
+func TestCrashRestartLifecycle(t *testing.T) {
+	n := buildNetwork(t, NetworkParams{Seed: 13, Orgs: []OrgSpec{{Peers: 4}}})
+	n.StartAll()
+	if n.LiveCount() != 4 || n.Crashed(2) {
+		t.Fatal("fresh network in wrong state")
+	}
+	n.Crash(2)
+	n.Crash(2) // idempotent
+	if n.LiveCount() != 3 || !n.Crashed(2) {
+		t.Fatal("crash not reflected")
+	}
+	old := n.Cores[2]
+	fresh := n.Restart(2)
+	if fresh == old {
+		t.Fatal("restart did not build a fresh core")
+	}
+	if n.Restart(2) != fresh {
+		t.Fatal("restart of a live peer must be a no-op")
+	}
+	if n.LiveCount() != 4 {
+		t.Fatal("restart not reflected in live count")
+	}
+}

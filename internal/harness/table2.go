@@ -13,11 +13,8 @@ import (
 	"fabricgossip/internal/gossip/original"
 	"fabricgossip/internal/ledger"
 	"fabricgossip/internal/msp"
-	"fabricgossip/internal/netmodel"
 	"fabricgossip/internal/order"
 	"fabricgossip/internal/peer"
-	"fabricgossip/internal/sim"
-	"fabricgossip/internal/transport"
 	"fabricgossip/internal/wire"
 )
 
@@ -87,14 +84,10 @@ type ConflictResult struct {
 }
 
 // RunConflictExperiment runs one full EOV pipeline experiment and counts
-// validation-time conflicts.
+// validation-time conflicts. The deployment is an Org whose every core is
+// wrapped in a committing peer, its Orderer endpoint fronting the ordering
+// service, plus one client node.
 func RunConflictExperiment(p ConflictParams) (*ConflictResult, error) {
-	if p.NumPeers < 2 {
-		return nil, fmt.Errorf("harness: need at least 2 peers")
-	}
-	engine := sim.NewEngine(p.Seed)
-	net := transport.NewSimNetwork(engine, netmodel.LAN(), netmodel.NewSimTraffic(10*time.Second))
-
 	// Identities: an MSP certifies the orderer and the endorsing peer.
 	idRng := rand.New(rand.NewSource(p.Seed + 1))
 	provider, err := msp.NewProvider(idRng)
@@ -109,52 +102,37 @@ func RunConflictExperiment(p ConflictParams) (*ConflictResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	policy := endorse.NewPolicy(1, endorserID)
 	// One shared checker: its verification cache is what lets 100 peers
 	// validate the same 10,000 transactions without 1M Ed25519 verifies.
-	checker := policy.Checker()
-
-	peerIDs := make([]wire.NodeID, p.NumPeers)
-	for i := range peerIDs {
-		peerIDs[i] = wire.NodeID(i)
-	}
+	checker := endorse.NewPolicy(1, endorserID).Checker()
 
 	peers := make([]*peer.Peer, p.NumPeers)
-	for i := 0; i < p.NumPeers; i++ {
-		ep := net.AddNode()
-		gcfg := gossip.DefaultConfig(ep.ID(), peerIDs)
-		var proto gossip.Protocol
-		switch p.Variant {
-		case VariantOriginal:
-			proto = original.New(p.Original)
-		case VariantEnhanced:
-			proto = enhanced.New(p.Enhanced)
-		default:
-			return nil, fmt.Errorf("harness: unknown variant %q", p.Variant)
-		}
-		core := gossip.New(gcfg, ep, engine, engine.Rand("gossip"), proto)
-		peers[i] = peer.New(core, checker, engine, peer.Config{
+	org, err := NewOrg(Params{
+		Seed: p.Seed, NumPeers: p.NumPeers, Variant: p.Variant,
+		Original: p.Original, Enhanced: p.Enhanced,
+	}, WithCoreHook(func(i int, c *gossip.Core) {
+		peers[i] = peer.New(c, checker, c.Scheduler(), peer.Config{
 			ValidationPerTx: p.ValidationPerTx,
 			OrdererKey:      ordererID.Key,
 		})
+	}))
+	if err != nil {
+		return nil, err
 	}
+	engine := org.Engine
 
-	// Ordering service: the paper-calibrated solo consenter behind one
-	// delivery endpoint on the same network; cut blocks go to the leader
-	// peer (peer 0). The Raft-ordered pipeline is Network + workload's.
-	ordererEp := net.AddNode()
+	// Ordering service: the paper-calibrated solo consenter behind the
+	// organization's orderer endpoint; cut blocks go to the leader peer
+	// (peer 0). The Raft-ordered pipeline is Network + workload's.
 	oCfg := order.Config{MaxTxPerBlock: p.MaxTxPerBlock, BatchTimeout: p.BlockPeriod}
-	deliver := func(b *ledger.Block) { _ = ordererEp.Send(0, &wire.DeliverBlock{Block: b}) }
-	service := order.NewService(oCfg, engine, order.NewSolo(engine, 5*time.Millisecond), ordererSigner, deliver)
-	ordererEp.SetHandler(func(_ wire.NodeID, msg wire.Message) {
+	service := order.NewService(oCfg, engine, order.NewSolo(engine, 5*time.Millisecond), ordererSigner,
+		func(b *ledger.Block) { org.DeliverBlock(b) })
+	org.Orderer.SetHandler(func(_ wire.NodeID, msg wire.Message) {
 		if st, ok := msg.(*wire.SubmitTx); ok {
 			_ = service.Broadcast(st.Tx)
 		}
 	})
-
-	for _, pr := range peers {
-		pr.Gossip().Start()
-	}
+	org.StartAll()
 
 	// The single endorsing peer (paper: "we focus on validation-time
 	// conflicts and therefore use a single endorsing peer"). Peer 1 is a
@@ -165,9 +143,9 @@ func RunConflictExperiment(p ConflictParams) (*ConflictResult, error) {
 
 	// The client submits proposals through the endorser and broadcasts
 	// the assembled transaction to the ordering node over the network.
-	clientEp := net.AddNode()
+	clientEp := org.Net.AddNode()
 	cl, err := client.New("client0", []*endorse.Endorser{endorser}, func(tx *ledger.Transaction) error {
-		return clientEp.Send(ordererEp.ID(), &wire.SubmitTx{Tx: tx})
+		return clientEp.Send(org.Orderer.ID(), &wire.SubmitTx{Tx: tx})
 	})
 	if err != nil {
 		return nil, err
@@ -199,9 +177,7 @@ func RunConflictExperiment(p ConflictParams) (*ConflictResult, error) {
 	// through ordering, dissemination and validation everywhere.
 	end := time.Duration(total)*interval + p.BlockPeriod + 60*time.Second
 	engine.RunUntil(end)
-	for _, pr := range peers {
-		pr.Gossip().Stop()
-	}
+	org.StopAll()
 
 	// Paper accounting: conflicts = total - sum of the final counters.
 	var sum uint64

@@ -42,9 +42,6 @@ func (l *Ledger) Height() uint64 { return l.store.Height() }
 // writes are owned by Commit.
 func (l *Ledger) State() *StateDB { return l.state }
 
-// Store returns the underlying block store.
-func (l *Ledger) Store() *BlockStore { return l.store }
-
 // Commit validates b, appends it to the chain and applies the write sets of
 // its valid transactions. Blocks must arrive in order; out-of-order commits
 // return an error (gossip buffers and reorders ahead of this call).

@@ -116,9 +116,13 @@ func TestTrafficPerTypeAccounting(t *testing.T) {
 }
 
 func TestTrafficZeroBucketDefaults(t *testing.T) {
+	// 10 s buckets: sends at 9 s and 11 s land in buckets 0 and 1, each
+	// 10 MB over 10 s = 1 MB/s at the sender.
 	tr := NewTraffic(0)
-	if tr.Bucket() != 10*time.Second {
-		t.Fatalf("default bucket = %v", tr.Bucket())
+	tr.Record(0, 1, wire.TypeData, 10e6, 9*time.Second)
+	tr.Record(0, 1, wire.TypeData, 10e6, 11*time.Second)
+	if s := tr.NodeSeries(0, 3); s[0] != 1 || s[1] != 1 || s[2] != 0 {
+		t.Fatalf("default-bucket series = %v, want [1 1 0]", s)
 	}
 }
 

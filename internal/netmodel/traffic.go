@@ -176,9 +176,6 @@ func (t *Traffic) unlock() {
 	}
 }
 
-// Bucket returns the aggregation width.
-func (t *Traffic) Bucket() time.Duration { return t.bucket }
-
 // Merge folds other's accounting into t. The sharded runtime keeps one
 // accountant per shard (so Record stays lock-free inside windows) and merges
 // them into a single view for reporting. other must be quiescent.

@@ -92,15 +92,6 @@ func (g *Gauge) Set(v int64) {
 	g.v = v
 }
 
-// Add moves the gauge by delta (negative to decrease).
-func (g *Gauge) Add(delta int64) {
-	if g.concurrent {
-		atomic.AddInt64(&g.v, delta)
-		return
-	}
-	g.v += delta
-}
-
 // SetMax raises the gauge to v if v is larger (high-water tracking).
 func (g *Gauge) SetMax(v int64) {
 	if g.concurrent {
@@ -151,24 +142,6 @@ func (h *Histogram) Observe(v float64) {
 	h.counts[i]++
 	h.sum += v
 	h.count++
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	if h.concurrent {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-	}
-	return h.count
-}
-
-// Sum returns the total of all observations.
-func (h *Histogram) Sum() float64 {
-	if h.concurrent {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-	}
-	return h.sum
 }
 
 // SizeBuckets is the default bucket layout for message-size histograms

@@ -87,8 +87,8 @@ func TestHistogramBuckets(t *testing.T) {
 			t.Fatalf("bucket %d = %d, want %d (counts %v)", i, h.counts[i], w, h.counts)
 		}
 	}
-	if h.Count() != 6 || h.Sum() != 5+10+11+20+21+1000 {
-		t.Fatalf("count=%d sum=%g", h.Count(), h.Sum())
+	if h.count != 6 || h.sum != 5+10+11+20+21+1000 {
+		t.Fatalf("count=%d sum=%g", h.count, h.sum)
 	}
 }
 
@@ -131,8 +131,8 @@ func TestConcurrentRegistry(t *testing.T) {
 	if c.Value() != 4000 {
 		t.Fatalf("counter = %d, want 4000", c.Value())
 	}
-	if h.Count() != 4000 {
-		t.Fatalf("histogram count = %d, want 4000", h.Count())
+	if h.count != 4000 { // every writer's done-send precedes this read
+		t.Fatalf("histogram count = %d, want 4000", h.count)
 	}
 }
 

@@ -168,10 +168,8 @@ func (t *ShardTrace) Emit(e Event) {
 	t.next = (t.next + 1) % t.cap
 }
 
-// Len returns the number of buffered events.
-func (t *ShardTrace) Len() int { return len(t.events) }
-
-// Total returns the lifetime emission count (>= Len in ring mode).
+// Total returns the lifetime emission count (at least the buffered count
+// in ring mode).
 func (t *ShardTrace) Total() uint64 { return t.total }
 
 // Last copies up to n of the most recent events, oldest first.

@@ -18,8 +18,8 @@ func TestRingSemantics(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.Emit(ev(i, EvGossipSend, uint64(i)))
 	}
-	if s.Len() != 4 || s.Total() != 10 {
-		t.Fatalf("len=%d total=%d", s.Len(), s.Total())
+	if len(s.events) != 4 || s.Total() != 10 {
+		t.Fatalf("len=%d total=%d", len(s.events), s.Total())
 	}
 	last := s.Last(4)
 	for i, e := range last {

@@ -13,7 +13,6 @@ import (
 	"fabricgossip/internal/gossip"
 	"fabricgossip/internal/ledger"
 	"fabricgossip/internal/sim"
-	"fabricgossip/internal/wire"
 )
 
 // Config parameterizes the peer's validation pipeline.
@@ -25,11 +24,6 @@ type Config struct {
 	// OrdererKey, when set, verifies every block's ordering-service
 	// signature before validation; blocks failing it are dropped.
 	OrdererKey crypto.PublicKey
-}
-
-// DefaultConfig returns the paper-calibrated validation cost.
-func DefaultConfig() Config {
-	return Config{ValidationPerTx: 50 * time.Millisecond}
 }
 
 // Peer is one validating peer.
@@ -73,9 +67,6 @@ func New(core *gossip.Core, policy ledger.PolicyChecker, sched sim.Scheduler, cf
 	return p
 }
 
-// ID returns the peer's node id.
-func (p *Peer) ID() wire.NodeID { return p.core.ID() }
-
 // Ledger returns the peer's ledger.
 func (p *Peer) Ledger() *ledger.Ledger { return p.led }
 
@@ -112,13 +103,6 @@ func (p *Peer) Conflicts() int {
 		n += r.Invalid
 	}
 	return n
-}
-
-// Dropped returns how many blocks failed orderer-signature verification.
-func (p *Peer) Dropped() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.dropped
 }
 
 // Stats returns a snapshot of the pipeline counters.

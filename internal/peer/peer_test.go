@@ -150,8 +150,8 @@ func TestOrdererSignatureEnforcement(t *testing.T) {
 	if f.peers[0].Ledger().Height() != 0 {
 		t.Fatal("forged block committed")
 	}
-	if f.peers[0].Dropped() != 1 {
-		t.Fatalf("dropped = %d, want 1", f.peers[0].Dropped())
+	if d := f.peers[0].Stats().Dropped; d != 1 {
+		t.Fatalf("dropped = %d, want 1", d)
 	}
 }
 

@@ -752,82 +752,51 @@ func (r *runner) restart(i int) {
 	r.net.Restart(i)
 }
 
-// partition cuts peers [0, split) plus the ordering service (every
-// consenter) from peers [split, n). Range validation happened in
-// Run. Workload clients are not listed, so they land in group 0 with the
-// ordering service (transport semantics): submissions keep flowing, but
-// endorsement against peers on the far side fails.
-func (r *runner) partition(split int) {
-	sideA := make([]wire.NodeID, 0, split+1)
-	for i := 0; i < split; i++ {
-		sideA = append(sideA, wire.NodeID(i))
+// nodeIDs converts global peer indices to transport ids (they coincide).
+func nodeIDs(peers []int) []wire.NodeID {
+	ids := make([]wire.NodeID, len(peers))
+	for i, p := range peers {
+		ids[i] = wire.NodeID(p)
 	}
-	sideA = append(sideA, r.net.OrderingNodeIDs()...)
-	sideB := make([]wire.NodeID, 0, r.top.Total()-split)
-	for i := split; i < r.top.Total(); i++ {
-		sideB = append(sideB, wire.NodeID(i))
-	}
-	r.net.Net.Partition(sideA, sideB)
+	return ids
 }
 
-// isolateOrgs partitions each listed organization into its own group; the
-// remaining organizations and the consenters form the main group. With a
-// workload plane, an organization's clients are cut off with it (they sit
+// The partition helpers list only the cut side: the transport puts every
+// node absent from all groups into group 0, which is where the ordering
+// service, the remaining peers and their workload clients belong.
+
+// partition cuts peers [split, n) from peers [0, split) and the ordering
+// service. Range validation happened in Run. Workload clients stay with
+// the ordering service: submissions keep flowing, but endorsement against
+// peers on the far side fails.
+func (r *runner) partition(split int) {
+	r.net.Net.Partition(nil, nodeIDs(span(split, r.top.Total())))
+}
+
+// isolateOrgs partitions each listed organization into its own group. With
+// a workload plane, an organization's clients are cut off with it (they sit
 // on the organization's site), so an isolated organization's submissions
 // fail as SubmitErrors instead of silently reaching the consenters.
 func (r *runner) isolateOrgs(orgs []int) {
-	cut := make(map[int]bool, len(orgs))
-	for _, o := range orgs {
-		cut[o] = true
-	}
-	main := make([]wire.NodeID, 0, r.top.Total()+1)
 	groups := make([][]wire.NodeID, 1, len(orgs)+1)
-	for o := 0; o < r.top.Orgs(); o++ {
-		ids := make([]wire.NodeID, 0, r.top.Size(o))
-		for _, i := range r.top.OrgSpan(o) {
-			ids = append(ids, wire.NodeID(i))
-		}
+	for _, o := range orgs {
+		ids := nodeIDs(r.top.OrgSpan(o))
 		if r.plane != nil {
 			ids = append(ids, r.plane.ClientNodes(o)...)
 		}
-		if cut[o] {
-			groups = append(groups, ids)
-		} else {
-			main = append(main, ids...)
-		}
+		groups = append(groups, ids)
 	}
-	main = append(main, r.net.OrderingNodeIDs()...)
-	groups[0] = main
 	r.net.Net.Partition(groups...)
 }
 
 // isolateConsenters cuts the listed consenters (one group, together) from
-// everything else: the remaining consenters, every peer, and every
-// workload client stay in the main group.
+// everything else.
 func (r *runner) isolateConsenters(idxs []int) {
-	cut := make(map[int]bool, len(idxs))
-	isolated := make([]wire.NodeID, 0, len(idxs))
-	for _, c := range idxs {
-		if !cut[c] {
-			cut[c] = true
-			isolated = append(isolated, r.net.ConsenterID(c))
-		}
+	isolated := make([]wire.NodeID, len(idxs))
+	for i, c := range idxs {
+		isolated[i] = r.net.ConsenterID(c)
 	}
-	main := make([]wire.NodeID, 0, r.top.Total())
-	for i := 0; i < r.top.Total(); i++ {
-		main = append(main, wire.NodeID(i))
-	}
-	for c := 0; c < r.net.Consenters(); c++ {
-		if !cut[c] {
-			main = append(main, r.net.ConsenterID(c))
-		}
-	}
-	if r.plane != nil {
-		for o := 0; o < r.top.Orgs(); o++ {
-			main = append(main, r.plane.ClientNodes(o)...)
-		}
-	}
-	r.net.Net.Partition(main, isolated)
+	r.net.Net.Partition(nil, isolated)
 }
 
 // viewSampleInterval is the membership sampler's period.
@@ -1042,6 +1011,22 @@ func (r *runner) snapshot(rep *Report) *obs.Snapshot {
 	reg.Counter("state_sync_msgs_total").Add(rep.SyncMessages)
 	reg.Counter("blocks_injected_total").Add(uint64(rep.BlocksInjected))
 	reg.Counter("membership_transitions_total").Add(uint64(rep.Transitions))
+	// The views' own counters, summed over every peer's current core (a
+	// restarted peer's earlier incarnation took its counts with it).
+	var queued, sent, applied, refutations, deadDeclared uint64
+	for _, c := range r.net.Cores {
+		s := c.MembershipStats()
+		queued += s.EventsQueued
+		sent += s.EventsSent
+		applied += s.EventsApplied
+		refutations += s.Refutations
+		deadDeclared += s.DeadDeclared
+	}
+	reg.Counter("membership_events_total", "kind", "queued").Add(queued)
+	reg.Counter("membership_events_total", "kind", "sent").Add(sent)
+	reg.Counter("membership_events_total", "kind", "applied").Add(applied)
+	reg.Counter("membership_refutations_total").Add(refutations)
+	reg.Counter("membership_dead_declared_total").Add(deadDeclared)
 	reg.Counter("order_violations_total").Add(uint64(rep.OrderViolations))
 	// Pool leak canaries: pooled envelopes still outstanding at End —
 	// in-flight deliveries the post-report drain settles and then asserts

@@ -1,10 +1,5 @@
 package scenario
 
-import (
-	"fmt"
-	"strings"
-)
-
 // Topology describes the organization layout a scenario runs on: Sizes[o]
 // is organization o's peer count, and global peer indices are dense in org
 // order (org 0 owns [0, Sizes[0]), org 1 the next Sizes[1] indices, ...).
@@ -64,29 +59,3 @@ func (t Topology) OrgHi(org int) int { return t.OrgLo(org) + t.Sizes[org] }
 
 // OrgSpan returns the organization's global peer indices.
 func (t Topology) OrgSpan(org int) []int { return span(t.OrgLo(org), t.OrgHi(org)) }
-
-// Uniform reports whether every organization has the same size.
-func (t Topology) IsUniform() bool {
-	for _, s := range t.Sizes[1:] {
-		if s != t.Sizes[0] {
-			return false
-		}
-	}
-	return true
-}
-
-// String renders the layout, e.g. "4 orgs x 250 peers" or
-// "3 orgs (10+6+4 peers)".
-func (t Topology) String() string {
-	if t.Orgs() == 1 {
-		return fmt.Sprintf("%d peers", t.Sizes[0])
-	}
-	if t.IsUniform() {
-		return fmt.Sprintf("%d orgs x %d peers", t.Orgs(), t.Sizes[0])
-	}
-	parts := make([]string, len(t.Sizes))
-	for i, s := range t.Sizes {
-		parts[i] = fmt.Sprintf("%d", s)
-	}
-	return fmt.Sprintf("%d orgs (%s peers)", t.Orgs(), strings.Join(parts, "+"))
-}

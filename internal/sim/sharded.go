@@ -141,9 +141,6 @@ func (se *ShardedEngine) SetParallel(p bool) { se.parallel = p }
 // the fixed mode exists for the equivalence property test and debugging.
 func (se *ShardedEngine) SetAdaptive(a bool) { se.adaptive = a }
 
-// Adaptive reports whether idle-edge barrier elision is enabled.
-func (se *ShardedEngine) Adaptive() bool { return se.adaptive }
-
 // RequestBarrier guarantees the next window edge runs the full barrier
 // ceremony. Barrier hooks whose work is fed mid-window (a pump flush
 // request, a block record queued for fan-out) must call this when they
@@ -197,20 +194,6 @@ func (se *ShardedEngine) Executed() uint64 {
 	n := se.control.Executed()
 	for _, s := range se.shards {
 		n += s.Executed()
-	}
-	return n
-}
-
-// Pending returns the total events waiting across all engines and inboxes.
-func (se *ShardedEngine) Pending() int {
-	n := se.control.Pending()
-	for _, s := range se.shards {
-		n += s.Pending()
-	}
-	for _, row := range se.inbox {
-		for _, box := range row {
-			n += len(box)
-		}
 	}
 	return n
 }

@@ -121,9 +121,6 @@ func (n *SimNetwork) AddNode() *SimEndpoint {
 	return ep
 }
 
-// Size returns the number of attached endpoints.
-func (n *SimNetwork) Size() int { return len(n.nodes) }
-
 // SetObs attaches one wire observer per shard (entries may be nil).
 func (n *SimNetwork) SetObs(wobs []*WireObs) {
 	if len(wobs) != len(n.shards) {

@@ -18,8 +18,8 @@ func TestSimNetworkDeliversWithModelDelay(t *testing.T) {
 	e := sim.NewEngine(1)
 	n := NewSimNetwork(e, fixedModel(5*time.Millisecond), nil)
 	a, b := n.AddNode(), n.AddNode()
-	if a.ID() != 0 || b.ID() != 1 || n.Size() != 2 {
-		t.Fatalf("ids = %v, %v; size = %d", a.ID(), b.ID(), n.Size())
+	if a.ID() != 0 || b.ID() != 1 {
+		t.Fatalf("ids = %v, %v", a.ID(), b.ID())
 	}
 
 	var gotFrom wire.NodeID

@@ -49,9 +49,6 @@ func (p *DataPool) put(m *Data) {
 	p.outstanding--
 }
 
-// FreeLen reports the free-list size (test hook).
-func (p *DataPool) FreeLen() int { return len(p.free) }
-
 // Outstanding reports how many envelopes are checked out with unreleased
 // references. A drained run must report zero; anything else is a refcount
 // leak (a send issued without a matching release, or refs set too high).
@@ -86,9 +83,6 @@ func (p *PushDigestPool) put(m *PushDigest) {
 	p.free = append(p.free, m)
 	p.outstanding--
 }
-
-// FreeLen reports the free-list size (test hook).
-func (p *PushDigestPool) FreeLen() int { return len(p.free) }
 
 // Outstanding reports how many digest envelopes are checked out with
 // unreleased references; zero once a run drains.
