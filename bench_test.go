@@ -783,6 +783,62 @@ func BenchmarkRandomPeersReuse(b *testing.B) {
 	}
 }
 
+// BenchmarkOriginalPullRound is one pull exchange of the stock protocol
+// between two cores at height 1 000 with the default 100-number digest
+// window: hello, digest (the window plus two strays the responder holds
+// above a 3-block gap), request for the two strays. The bodies sent in reply
+// are dropped on the wire, so every round asks again and the steady state
+// repeats. Each handler reads the block store under one lock and the
+// digest's number list is sized once; allocs_op — the messages, the two
+// lists, the tick's timer — is gated by cmd/benchdiff, so a digest grown
+// number by number (seven more allocations at this shape) fails CI.
+func BenchmarkOriginalPullRound(b *testing.B) {
+	engine := sim.NewEngine(1)
+	// Constant delay: rounds are exactly TPull apart, so the once-per-round
+	// request filter passes every time.
+	model := netmodel.Model{PropMin: time.Millisecond, PropMax: time.Millisecond}
+	traffic := netmodel.NewSimTraffic(time.Hour)
+	net := transport.NewSimNetwork(engine, model, traffic)
+	net.SetDropRate(1)
+	for _, mt := range []wire.MsgType{wire.TypePullHello, wire.TypePullDigest, wire.TypePullRequest} {
+		net.SetLossExempt(mt, true)
+	}
+	cfg := original.DefaultConfig()
+	silent := cfg
+	silent.TPull = 0 // the responder opens no rounds of its own
+	peers := []wire.NodeID{0, 1}
+	var cores [2]*gossip.Core
+	for i, pc := range []original.Config{cfg, silent} {
+		ep := net.AddNode()
+		gcfg := gossip.DefaultConfig(ep.ID(), peers)
+		gcfg.AliveInterval, gcfg.StateInfoInterval, gcfg.RecoveryInterval = 0, 0, 0
+		cores[i] = gossip.New(gcfg, ep, engine, engine.Rand(fmt.Sprint("gossip", i)), original.New(pc))
+		cores[i].Start()
+	}
+	for _, blk := range harness.BuildChain(1005, 1, 16, 1) {
+		if blk.Num < 1000 {
+			cores[0].AddBlock(blk)
+		}
+		if blk.Num < 1000 || blk.Num >= 1003 {
+			cores[1].AddBlock(blk)
+		}
+	}
+	cycle := func() { engine.RunFor(cfg.TPull) }
+	for i := 0; i < 10; i++ {
+		cycle() // past the random first-round phase; warm the event pool
+	}
+	reportMetric(b, testing.AllocsPerRun(500, cycle), "allocs_op")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
+	}
+	rounds := traffic.CountOf(wire.TypePullHello)
+	if got := traffic.CountOf(wire.TypePullData); rounds < uint64(b.N) || got != 2*rounds {
+		b.Fatalf("%d rounds served %d bodies, want two strays requested every round", rounds, got)
+	}
+}
+
 // BenchmarkMembershipLeader locks the leader-query contract: Leader walks
 // the sorted tracked slice and answers from the first live probe — no
 // allocation and no per-call sort, even over a thousand-peer view (the old
@@ -891,6 +947,33 @@ func BenchmarkStateSyncServe(b *testing.B) {
 	}
 	if stats := core.StateSyncStats(); stats.ServedCached == 0 {
 		b.Fatal("serve path never hit the frozen-batch cache")
+	}
+}
+
+// BenchmarkBuildChain builds the paper's chain (1000 blocks x 50 tx x 3 KB,
+// 160 MB): what every RunDissemination pays inside its timed call. One
+// sequential pass draws the payloads, the hashing is spread over GOMAXPROCS;
+// procs=1 spawns nothing, and its allocs_op — one payload slab per block in
+// place of fifty payloads — is gated by cmd/benchdiff.
+func BenchmarkBuildChain(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		procs int
+	}{{"procs=1", 1}, {"procs=all", runtime.GOMAXPROCS(0)}} {
+		b.Run(bc.name, func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(bc.procs))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < b.N; i++ {
+				if len(harness.BuildChain(1000, 50, 3000, 1)) != 1000 {
+					b.Fatal("short chain")
+				}
+			}
+			runtime.ReadMemStats(&after)
+			if bc.procs == 1 {
+				reportMetric(b, float64(after.Mallocs-before.Mallocs)/float64(b.N), "allocs_op")
+			}
+		})
 	}
 }
 

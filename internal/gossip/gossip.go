@@ -579,6 +579,57 @@ func (c *Core) HasBlock(num uint64) bool {
 	return c.blockLocked(num) != nil
 }
 
+// HeldWindow answers a pull hello in one critical section: the stored block
+// numbers from window below the in-order height (from 0 when window is 0 or
+// the ledger is shorter) up to the first gap, then the stored numbers among
+// the probe-1 above that gap — blocks received out of order — ascending.
+// Being one read of the store, the list is a consistent snapshot even while
+// AddBlock runs on other goroutines. The caller owns the result.
+func (c *Core) HeldWindow(window, probe uint64) []uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var lo uint64
+	if window > 0 && c.height > window {
+		lo = c.height - window
+	}
+	// [lo, height) is stored by the in-order-prefix invariant and block
+	// height is not, so the first gap is found without probing.
+	gap := c.height
+	end := min(gap+probe, uint64(len(c.blocks)))
+	held := gap - lo
+	for num := gap + 1; num < end; num++ {
+		if c.blocks[num] != nil {
+			held++
+		}
+	}
+	nums := make([]uint64, 0, held)
+	for num := lo; num < gap; num++ {
+		nums = append(nums, num)
+	}
+	for num := gap + 1; num < end; num++ {
+		if c.blocks[num] != nil {
+			nums = append(nums, num)
+		}
+	}
+	return nums
+}
+
+// Missing returns the numbers among nums whose body is not stored, in the
+// order given, read in one critical section (what a pull digest's receiver
+// asks of its store). The result — nil when nothing is missing, the usual
+// answer — is the caller's to modify.
+func (c *Core) Missing(nums []uint64) []uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var missing []uint64
+	for _, num := range nums {
+		if c.blockLocked(num) == nil {
+			missing = append(missing, num)
+		}
+	}
+	return missing
+}
+
 // Block returns the stored body of block num, or nil.
 func (c *Core) Block(num uint64) *ledger.Block {
 	c.mu.Lock()

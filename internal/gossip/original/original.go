@@ -63,8 +63,11 @@ type Protocol struct {
 	// Pull state.
 	pullTimer sim.Timer
 	nextNonce uint64
-	// pending maps an outstanding nonce to the peer it was sent to.
-	pending map[uint64]wire.NodeID
+	// pending maps an outstanding nonce to the peer it was sent to. It holds
+	// two rounds at most: nonces up to prevRound were issued before the
+	// previous round, and pullTick forgets them.
+	pending   map[uint64]wire.NodeID
+	prevRound uint64
 	// requested records when a block body was last requested via pull, to
 	// avoid fetching the same body from several responders in one round.
 	requested map[uint64]time.Duration
@@ -227,6 +230,24 @@ func (p *Protocol) pullTick() {
 		return
 	}
 	p.pullTimer = p.c.Scheduler().After(p.cfg.TPull, p.pullTick)
+	// Pull state lasts as long as the round it belongs to. A hello whose
+	// responder crashed is never answered, and a digest more than TPull late
+	// answers a round that is over: forget nonces issued before the previous
+	// round. A held block is never asked about again: forget its request.
+	for nonce := range p.pending {
+		if nonce <= p.prevRound {
+			delete(p.pending, nonce)
+		}
+	}
+	p.prevRound = p.nextNonce
+	if len(p.requested) > 0 {
+		height := p.c.Height()
+		for num := range p.requested {
+			if num < height {
+				delete(p.requested, num)
+			}
+		}
+	}
 	p.pullPeers = p.c.RandomPeersInto(p.cfg.Fin, p.pullPeers)
 	// Hellos go out in sampling order (a map here would randomize send
 	// order and with it the transport's delay draws, breaking run-to-run
@@ -244,28 +265,16 @@ func (p *Protocol) pullTick() {
 	}
 }
 
-// servePullHello answers with the numbers of recent blocks we hold.
+// pullProbe bounds how far above its first gap a hello's responder looks
+// for blocks received out of order: the gap itself and the 63 numbers above.
+const pullProbe = 64
+
+// servePullHello answers with the numbers of recent blocks we hold: the
+// consecutive prefix we can serve from DigestWindow below our height, plus
+// any blocks received out of order just above it. Nums is sized once and
+// belongs to the message in flight.
 func (p *Protocol) servePullHello(from wire.NodeID, m *wire.PullHello) {
-	height := p.c.Height()
-	var lo uint64
-	if w := uint64(p.cfg.DigestWindow); p.cfg.DigestWindow > 0 && height > w {
-		lo = height - w
-	}
-	var nums []uint64
-	// Advertise the consecutive prefix we can serve, plus any blocks
-	// received out of order above it.
-	for num := lo; ; num++ {
-		if !p.c.HasBlock(num) {
-			// Probe a bounded window above the gap for stray blocks.
-			for extra := num + 1; extra < num+64; extra++ {
-				if p.c.HasBlock(extra) {
-					nums = append(nums, extra)
-				}
-			}
-			break
-		}
-		nums = append(nums, num)
-	}
+	nums := p.c.HeldWindow(uint64(max(p.cfg.DigestWindow, 0)), pullProbe)
 	p.c.Send(from, &wire.PullDigest{Nonce: m.Nonce, Nums: nums})
 }
 
@@ -279,11 +288,11 @@ func (p *Protocol) handlePullDigest(from wire.NodeID, m *wire.PullDigest) {
 	}
 	delete(p.pending, m.Nonce)
 	now := p.c.Scheduler().Now()
-	var want []uint64
-	for _, num := range m.Nums {
-		if p.c.HasBlock(num) {
-			continue
-		}
+	// Missing's result is ours, so the per-round filter runs in place over
+	// the few numbers we lack instead of over the whole digest.
+	missing := p.c.Missing(m.Nums)
+	want := missing[:0]
+	for _, num := range missing {
 		if last, ok := p.requested[num]; ok && now-last < p.cfg.TPull {
 			continue // outstanding request from this round
 		}

@@ -19,6 +19,21 @@ type net struct {
 	cores   []*gossip.Core
 	protos  []*Protocol
 	orderer *transport.SimEndpoint
+	// tap, when set, sees every message a peer sends, in send order.
+	tap func(from, to wire.NodeID, msg wire.Message)
+}
+
+// tappedEndpoint shows the net's tap each outbound message.
+type tappedEndpoint struct {
+	transport.Endpoint
+	w *net
+}
+
+func (e tappedEndpoint) Send(to wire.NodeID, msg wire.Message) error {
+	if e.w.tap != nil {
+		e.w.tap(e.ID(), to, msg)
+	}
+	return e.Endpoint.Send(to, msg)
 }
 
 func build(t *testing.T, n int, cfg Config, seed int64) *net {
@@ -38,7 +53,7 @@ func build(t *testing.T, n int, cfg Config, seed int64) *net {
 		gcfg.AliveInterval = 0
 		gcfg.StateInfoInterval = 0
 		gcfg.RecoveryInterval = 0
-		c := gossip.New(gcfg, ep, e, e.Rand("g"), p)
+		c := gossip.New(gcfg, tappedEndpoint{ep, w}, e, e.Rand("g"), p)
 		w.cores = append(w.cores, c)
 		w.protos = append(w.protos, p)
 	}

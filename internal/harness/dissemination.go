@@ -2,6 +2,8 @@ package harness
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 	"time"
 
 	"fabricgossip/internal/gossip"
@@ -122,41 +124,62 @@ func RunDissemination(p Params) (*DisseminationResult, error) {
 }
 
 // BuildChain constructs a hash-linked chain of blocks with the workload's
-// transaction shape. Payload bytes are deterministic from the seed.
+// transaction shape. Payload bytes are deterministic from the seed: the
+// "chain" stream is drawn by one sequential pass, and only the hashing —
+// most of the cost at the paper's 160 KB blocks — is spread over GOMAXPROCS
+// goroutines, so the chain is the same bytes at any parallelism.
 func BuildChain(n, txPerBlock, payloadSize int, seed int64) []*ledger.Block {
 	rng := sim.NewRand(sim.StreamSeed(seed, "chain"))
 	blocks := make([]*ledger.Block, n)
-	var prev *ledger.Block
-	for i := 0; i < n; i++ {
+	for i := range blocks {
+		// One payload slab per block, each transaction a cap-clipped slice.
+		slab := make([]byte, txPerBlock*payloadSize)
 		txs := make([]*ledger.Transaction, txPerBlock)
 		for j := range txs {
-			payload := make([]byte, payloadSize)
+			payload := slab[j*payloadSize : (j+1)*payloadSize : (j+1)*payloadSize]
 			for k := 0; k < len(payload); k += 64 {
 				payload[k] = byte(rng.Intn(256))
 			}
 			key := fmt.Sprintf("asset-%d", rng.Intn(1000))
-			rw := ledger.RWSet{
-				Reads:  []ledger.KVRead{{Key: key, Version: ledger.Version{BlockNum: uint64(i)}}},
-				Writes: []ledger.KVWrite{{Key: key, Value: payload[:16]}},
-			}
 			txs[j] = &ledger.Transaction{
-				ID:        ledger.ProposalDigest(fmt.Sprintf("client-%d", j), "high-throughput", rw, payload),
-				Client:    fmt.Sprintf("client-%d", j),
-				Chaincode: "high-throughput",
-				RWSet:     rw,
-				Endorsements: []ledger.Endorsement{
-					{Org: "orgA", Name: "endorser0", Sig: make([]byte, 64)},
+				RWSet: ledger.RWSet{
+					Reads:  []ledger.KVRead{{Key: key, Version: ledger.Version{BlockNum: uint64(i)}}},
+					Writes: []ledger.KVWrite{{Key: key, Value: payload[:16]}},
 				},
 				Payload: payload,
 			}
 		}
-		b := &ledger.Block{Num: uint64(i), Txs: txs, DataHash: ledger.ComputeDataHash(txs)}
-		if prev != nil {
-			b.PrevHash = prev.Hash()
+		blocks[i] = &ledger.Block{Num: uint64(i), Txs: txs, Sig: make([]byte, 64)}
+	}
+
+	// Everything that depends on no other block and draws nothing, worker w
+	// taking every workers-th block.
+	workers := min(runtime.GOMAXPROCS(0), n)
+	stripe := func(w int) {
+		for i := w; i < n; i += workers {
+			b := blocks[i]
+			for j, tx := range b.Txs {
+				tx.Client = fmt.Sprintf("client-%d", j)
+				tx.Chaincode = "high-throughput"
+				tx.ID = ledger.ProposalDigest(tx.Client, tx.Chaincode, tx.RWSet, tx.Payload)
+				tx.Endorsements = []ledger.Endorsement{{Org: "orgA", Name: "endorser0", Sig: make([]byte, 64)}}
+			}
+			b.DataHash = ledger.ComputeDataHash(b.Txs)
 		}
-		b.Sig = make([]byte, 64)
-		blocks[i] = b
-		prev = b
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			stripe(w)
+		}()
+	}
+	stripe(0) // the caller is worker 0: no goroutine at GOMAXPROCS=1
+	wg.Wait()
+
+	for i := 1; i < n; i++ {
+		blocks[i].PrevHash = blocks[i-1].Hash()
 	}
 	return blocks
 }

@@ -1,6 +1,9 @@
 package harness
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -34,6 +37,30 @@ func TestBuildChainLinkageAndSize(t *testing.T) {
 	}
 	if BuildChain(5, 50, 3000, 2)[4].Hash() == blocks[4].Hash() {
 		t.Fatal("different seeds produced identical chains")
+	}
+}
+
+// TestBuildChainPinned pins the chain byte for byte: the sha256 over every
+// block's wire encoding, recorded while BuildChain was one sequential loop.
+// However the work is split across passes or goroutines, the "chain" stream
+// must be drawn in the same order and every hash must come out the same —
+// at any GOMAXPROCS.
+func TestBuildChainPinned(t *testing.T) {
+	for _, tc := range []struct {
+		seed int64
+		want string
+	}{{1, "1c9f49128eaf04e4"}, {7, "7f816a227d53e985"}} {
+		for _, procs := range []int{1, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			h := sha256.New()
+			for _, b := range BuildChain(200, 50, 3000, tc.seed) {
+				h.Write(wire.Marshal(&wire.Data{Block: b}))
+			}
+			runtime.GOMAXPROCS(prev)
+			if got := hex.EncodeToString(h.Sum(nil))[:16]; got != tc.want {
+				t.Errorf("seed %d, GOMAXPROCS %d: chain hash %s, want %s", tc.seed, procs, got, tc.want)
+			}
+		}
 	}
 }
 
