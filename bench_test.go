@@ -1104,6 +1104,36 @@ func BenchmarkLedgerCommit(b *testing.B) {
 	}
 }
 
+// BenchmarkLedgerCommitShared measures what a chain costs a network: 200
+// ledgers on one chain commit 32 blocks of sim-txload's shape (100
+// transactions of 64 B), each block validated and applied once and handed
+// to the other 199 as the recorded result. The allocs_op metric is gated by
+// cmd/benchdiff.
+func BenchmarkLedgerCommitShared(b *testing.B) {
+	const peers = 200
+	blocks := harness.BuildChain(32, 100, 64, 1)
+	commitAll := func() {
+		chain := ledger.NewChain(nil)
+		leds := make([]*ledger.Ledger, peers)
+		for i := range leds {
+			leds[i] = chain.NewLedger()
+		}
+		for _, blk := range blocks {
+			for _, l := range leds {
+				if _, err := l.Commit(blk); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	reportMetric(b, testing.AllocsPerRun(3, commitAll), "allocs_op")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		commitAll()
+	}
+}
+
 // BenchmarkRaftOrdering measures end-to-end ordered-entry throughput of a
 // three-node Raft cluster under the simulated LAN.
 func BenchmarkRaftOrdering(b *testing.B) {

@@ -2,7 +2,7 @@
 // network — MSP-certified identities, a client collecting endorsements, a
 // three-node Raft ordering cluster cutting and signing blocks, enhanced
 // gossip disseminating them to every peer, and MVCC validation committing
-// them to each peer's ledger.
+// them to the channel's chain, each peer's ledger a height on it.
 //
 //	go run ./examples/endtoend
 package main
@@ -52,7 +52,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	policy := endorse.NewPolicy(1, endorserID)
+	// One validated chain for the channel; each peer's ledger is a height on it.
+	chain := ledger.NewChain(endorse.NewPolicy(1, endorserID).Checker())
 
 	// Peers 0..nPeers-1 run enhanced gossip + validation.
 	gossipCfg, err := enhanced.ConfigFor(nPeers, 3, 1e-6, 2)
@@ -68,7 +69,7 @@ func main() {
 		ep := net.AddNode()
 		core := gossip.New(gossip.DefaultConfig(ep.ID(), peerIDs), ep, engine,
 			engine.Rand("gossip"), enhanced.New(gossipCfg))
-		peers[i] = peer.New(core, policy.Checker(), engine, peer.Config{
+		peers[i] = peer.New(core, chain, engine, peer.Config{
 			ValidationPerTx: 5 * time.Millisecond,
 			OrdererKey:      ordererID.Key,
 		})

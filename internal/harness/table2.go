@@ -102,16 +102,16 @@ func RunConflictExperiment(p ConflictParams) (*ConflictResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// One shared checker: its verification cache is what lets 100 peers
-	// validate the same 10,000 transactions without 1M Ed25519 verifies.
-	checker := endorse.NewPolicy(1, endorserID).Checker()
+	// One chain for the channel: each block is validated once, and every
+	// peer's ledger is a height on it.
+	chain := ledger.NewChain(endorse.NewPolicy(1, endorserID).Checker())
 
 	peers := make([]*peer.Peer, p.NumPeers)
 	org, err := NewOrg(Params{
 		Seed: p.Seed, NumPeers: p.NumPeers, Variant: p.Variant,
 		Original: p.Original, Enhanced: p.Enhanced,
 	}, WithCoreHook(func(i int, c *gossip.Core) {
-		peers[i] = peer.New(c, checker, c.Scheduler(), peer.Config{
+		peers[i] = peer.New(c, chain, c.Scheduler(), peer.Config{
 			ValidationPerTx: p.ValidationPerTx,
 			OrdererKey:      ordererID.Key,
 		})

@@ -1,7 +1,8 @@
 // Package ledger implements the replicated ledger substrate of the
 // execute-order-validate pipeline (paper §II): hash-chained blocks of
 // endorsed transactions, a versioned key/value state database with MVCC
-// read-set checks, and an append-only block store.
+// read-set checks, and an append-only block store — held once per network
+// as a Chain, with each peer's Ledger a height on it.
 package ledger
 
 import (

@@ -1,7 +1,8 @@
 // Package peer assembles a full Fabric peer: gossip delivery feeds a
-// sequential validation pipeline that checks endorsement policies and MVCC
-// read sets, models the measured validation latency (≈50 ms per transaction
-// in the paper's deployment, §V-D), and commits blocks to the local ledger.
+// sequential validation pipeline that models the measured validation
+// latency (≈50 ms per transaction in the paper's deployment, §V-D) and
+// commits blocks to the peer's ledger — its height on the network's one
+// validated chain, which checks endorsement policies and MVCC read sets.
 // Endorsing peers additionally expose the committed state to an Endorser.
 package peer
 
@@ -44,23 +45,24 @@ type Peer struct {
 
 // Stats is a snapshot of the peer's validation-pipeline counters.
 type Stats struct {
-	// Committed is the number of blocks committed to the local ledger.
+	// Committed is the number of blocks committed to the peer's ledger.
 	Committed uint64
-	// CommitErrors counts blocks the ledger rejected at commit time (e.g.
-	// a hash-chain mismatch or an out-of-order block number). Each one
-	// drops the block and all its transactions.
+	// CommitErrors counts blocks the ledger rejected at commit time (a
+	// hash-chain mismatch, an out-of-order block number, or a block that
+	// differs from the chain's block at that height). Each one drops the
+	// block and all its transactions.
 	CommitErrors uint64
 	// Dropped counts blocks that failed orderer-signature verification.
 	Dropped uint64
 }
 
-// New wires a peer on top of a gossip core. policy validates endorsements
-// (nil skips the check). The peer takes over the core's OnCommit hook.
-func New(core *gossip.Core, policy ledger.PolicyChecker, sched sim.Scheduler, cfg Config) *Peer {
+// New wires a peer on top of a gossip core, with a ledger at height 0 on
+// the network's chain. The peer takes over the core's OnCommit hook.
+func New(core *gossip.Core, chain *ledger.Chain, sched sim.Scheduler, cfg Config) *Peer {
 	p := &Peer{
 		cfg:   cfg,
 		core:  core,
-		led:   ledger.NewLedger(policy),
+		led:   chain.NewLedger(),
 		sched: sched,
 	}
 	core.OnCommit(p.enqueue)
@@ -70,8 +72,8 @@ func New(core *gossip.Core, policy ledger.PolicyChecker, sched sim.Scheduler, cf
 // Ledger returns the peer's ledger.
 func (p *Peer) Ledger() *ledger.Ledger { return p.led }
 
-// State returns the peer's committed state database (what an endorser
-// simulates against).
+// State returns the peer's view of the committed state, at its ledger's
+// height (what an endorser simulates against).
 func (p *Peer) State() *ledger.StateDB { return p.led.State() }
 
 // Gossip returns the underlying gossip core.

@@ -18,6 +18,7 @@ import (
 type fixture struct {
 	engine *sim.Engine
 	net    *transport.SimNetwork
+	chain  *ledger.Chain
 	peers  []*Peer
 	order  *transport.SimEndpoint
 	signer *crypto.Signer
@@ -25,7 +26,7 @@ type fixture struct {
 
 func newFixture(t *testing.T, n int, cfg Config) *fixture {
 	t.Helper()
-	f := &fixture{engine: sim.NewEngine(1)}
+	f := &fixture{engine: sim.NewEngine(1), chain: ledger.NewChain(nil)}
 	f.net = transport.NewSimNetwork(f.engine, netmodel.Model{PropMin: time.Millisecond, PropMax: time.Millisecond}, nil)
 	signer, err := crypto.NewSigner(rand.New(rand.NewSource(7)))
 	if err != nil {
@@ -43,7 +44,7 @@ func newFixture(t *testing.T, n int, cfg Config) *fixture {
 	for i := 0; i < n; i++ {
 		ep := f.net.AddNode()
 		core := gossip.New(gossip.DefaultConfig(ep.ID(), ids), ep, f.engine, f.engine.Rand("g"), enhanced.New(ecfg))
-		f.peers = append(f.peers, New(core, nil, f.engine, cfg))
+		f.peers = append(f.peers, New(core, f.chain, f.engine, cfg))
 	}
 	f.order = f.net.AddNode()
 	for _, p := range f.peers {
@@ -218,5 +219,73 @@ func TestBlocksPropagateToAllPeersAndCommit(t *testing.T) {
 		if p.Ledger().Height() != 2 {
 			t.Fatalf("peer %d height = %d, want 2", i, p.Ledger().Height())
 		}
+	}
+}
+
+// copyOf is a content-equal block at another address, as a second
+// consenter replica cuts it.
+func copyOf(b *ledger.Block) *ledger.Block {
+	return &ledger.Block{Num: b.Num, PrevHash: b.PrevHash, DataHash: b.DataHash, Txs: b.Txs, Sig: b.Sig}
+}
+
+// TestDivergentBlockCountsACommitError hands peer 1 a block 1 that links to
+// block 0 but is not the block 1 peer 0 committed: the chain refuses to
+// fork, peer 1 counts a commit error, and nothing else moves.
+func TestDivergentBlockCountsACommitError(t *testing.T) {
+	f := newFixture(t, 3, Config{ValidationPerTx: time.Millisecond})
+	b0 := f.block(0, nil, 1, false)
+	b1 := f.block(1, b0, 2, false)
+	fork := f.block(1, b0, 3, false)
+	f.peers[0].enqueue(b0)
+	f.peers[0].enqueue(b1)
+	f.peers[1].enqueue(b0)
+	f.peers[2].enqueue(b0)
+	f.engine.RunUntil(time.Second)
+	f.peers[1].enqueue(fork)
+	f.engine.RunUntil(2 * time.Second)
+
+	if st := f.peers[1].Stats(); st.CommitErrors != 1 || st.Committed != 1 {
+		t.Fatalf("peer 1 stats %+v, want 1 committed and 1 commit error", st)
+	}
+	for i, want := range []uint64{2, 1, 1} {
+		if h := f.peers[i].Ledger().Height(); h != want {
+			t.Fatalf("peer %d height %d, want %d", i, h, want)
+		}
+	}
+	if r := f.peers[0].Results(); len(r) != 2 || len(r[1].Codes) != 2 {
+		t.Fatalf("peer 0 results %+v, want block 1's two codes", r)
+	}
+	if vv, _ := f.peers[0].State().Get("k"); vv.Version != (ledger.Version{BlockNum: 1, TxNum: 1}) {
+		t.Fatalf("chain head read %+v after the fork attempt, want block 1's last write", vv)
+	}
+	if vv, _ := f.peers[2].State().Get("k"); vv.Version != (ledger.Version{}) {
+		t.Fatalf("peer 2's view moved to %v", vv.Version)
+	}
+	// The chain still hands peer 2 block 1's recorded result.
+	f.peers[2].enqueue(b1)
+	f.engine.RunUntil(3 * time.Second)
+	if r := f.peers[2].Results(); len(r) != 2 || r[1].Valid != 2 {
+		t.Fatalf("peer 2 results %+v, want block 1 with 2 valid", r)
+	}
+}
+
+// TestContentEqualCopyCommits hands peer 1 the chain's block 1 at another
+// address, as a second consenter replica cuts it: it commits normally.
+func TestContentEqualCopyCommits(t *testing.T) {
+	f := newFixture(t, 2, Config{ValidationPerTx: time.Millisecond})
+	b0 := f.block(0, nil, 1, false)
+	b1 := f.block(1, b0, 2, false)
+	f.peers[0].enqueue(b0)
+	f.peers[0].enqueue(b1)
+	f.engine.RunUntil(time.Second)
+	f.peers[1].enqueue(copyOf(b0))
+	f.peers[1].enqueue(copyOf(b1))
+	f.engine.RunUntil(2 * time.Second)
+	st := f.peers[1].Stats()
+	if st.CommitErrors != 0 || st.Committed != 2 {
+		t.Fatalf("peer 1 stats %+v, want 2 committed and no commit error", st)
+	}
+	if r := f.peers[1].Results(); r[1].Valid != 2 {
+		t.Fatalf("peer 1 results %+v", r)
 	}
 }

@@ -179,12 +179,12 @@ type Plane struct {
 	// fed by its consenter's identical Raft apply stream, so all cut
 	// identical blocks. They run on the network's ordering engine.
 	services []*order.Service
-	// checker is the one policy checker every peer validates through, so
-	// a transaction's endorsements are verified once per run, not once per
-	// organization. Its verdict cache is mutex-guarded pure memoization
-	// over immutable transaction bytes: sharing it across shards changes
-	// no outcome, whichever shard's peer reaches a transaction first.
-	checker ledger.PolicyChecker
+	// chain is the network's one validated chain: every peer's ledger is a
+	// height on it, so a block is validated and applied once per run, by
+	// whichever peer reaches it first, whatever shard that peer is on.
+	// Validation is deterministic over the hash-linked chain, so who goes
+	// first changes no outcome.
+	chain *ledger.Chain
 
 	// peers is the validation pipeline per global peer index, rebuilt on
 	// restart via the network's core hook. endorsers maps an endorsing
@@ -330,10 +330,7 @@ func Install(n *harness.Network, cfg Config) (*Plane, error) {
 			policyIDs = append(policyIDs, id)
 		}
 	}
-	// The verdict cache (keyed by transaction ID, bounded) is what lets N
-	// peers validate the same transactions without N times the Ed25519
-	// cost.
-	p.checker = endorse.NewPolicy(cfg.PolicyRequired, policyIDs...).Checker()
+	p.chain = ledger.NewChain(endorse.NewPolicy(cfg.PolicyRequired, policyIDs...).Checker())
 
 	// Validation pipelines over the existing cores, and again for every
 	// core a Restart rebuilds. Orderer-signature verification runs on
@@ -420,14 +417,15 @@ func Install(n *harness.Network, cfg Config) (*Plane, error) {
 }
 
 // buildPeer (re)builds the validation pipeline for one global peer index
-// over the given core, and — for endorsing peers — a fresh endorser bound
-// to the new pipeline's state database.
+// over the given core — a restarted peer's ledger starts at height 0 on the
+// chain — and, for endorsing peers, a fresh endorser bound to the new
+// ledger's view of the state.
 func (p *Plane) buildPeer(global int, core *gossip.Core, ordererKey crypto.PublicKey) {
 	cfg := peer.Config{ValidationPerTx: p.cfg.ValidationPerTx}
 	if _, isEndorser := p.endorserIDs[global]; isEndorser {
 		cfg.OrdererKey = ordererKey
 	}
-	pr := peer.New(core, p.checker, p.net.EngineFor(global), cfg)
+	pr := peer.New(core, p.chain, p.net.EngineFor(global), cfg)
 	pr.OnCommitResult(p.resolver(global))
 	p.peers[global] = pr
 	if id, ok := p.endorserIDs[global]; ok {
