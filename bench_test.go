@@ -753,6 +753,78 @@ func BenchmarkEnhancedPushEnvelopeAllocs(b *testing.B) {
 	}
 }
 
+// BenchmarkEnhancedDigestDelivery is the paper workload's dominant event: a
+// one-offer PushDigest sent through SimNetwork and handled by an enhanced
+// core that already holds the body. "duplicate" re-offers a pair the core
+// has seen, so the delivery ends in the dedup check; "spread" offers a new
+// pair each time, which the core forwards as a pooled digest to Fout = 4
+// peers. TTL is the largest the protocol takes (63) so every held block has
+// 61 digest hops to offer fresh; the receiver is rebuilt, off the clock,
+// when they run out. Both allocs_op rows are gated by cmd/benchdiff.
+func BenchmarkEnhancedDigestDelivery(b *testing.B) {
+	const held = 200 // below the default Retention: no state is pruned
+	ecfg := enhanced.Config{Fout: 4, TTL: 63, TTLDirect: 2, FLeaderOut: 1,
+		UseDigests: true, RequestTimeout: 500 * time.Millisecond}
+	for _, spread := range []bool{false, true} {
+		name := "duplicate"
+		if spread {
+			name = "spread"
+		}
+		b.Run(name, func(b *testing.B) {
+			eng := sim.NewEngine(1)
+			model := netmodel.Model{PropMin: time.Microsecond, PropMax: 2 * time.Microsecond}
+			net := transport.NewSimNetwork(eng, model, netmodel.NewSimTraffic(time.Hour))
+			eps := make([]*transport.SimEndpoint, 6) // 0 sends, 1 receives, the rest are spread targets
+			peers := make([]wire.NodeID, len(eps))
+			for i := range eps {
+				eps[i] = net.AddNode()
+				peers[i] = eps[i].ID()
+			}
+			chain := harness.BuildChain(held, 1, 16, 1)
+			receiver := func() {
+				cfg := gossip.DefaultConfig(eps[1].ID(), peers)
+				cfg.StateInfoInterval, cfg.AliveInterval, cfg.RecoveryInterval = 0, 0, 0
+				core := gossip.New(cfg, eps[1], eng, eng.Rand("gossip"), enhanced.New(ecfg))
+				core.Start()
+				for _, blk := range chain {
+					core.AddBlock(blk)
+				}
+				// Counter 63 has no hop left: it only sizes the tracking
+				// state for every held block before the clock runs.
+				_ = eps[0].Send(eps[1].ID(), &wire.PushDigest{Offers: []wire.BlockOffer{{Num: held - 1, Counter: 63}}})
+				eng.RunFor(10 * time.Microsecond)
+			}
+			receiver()
+			msg := &wire.PushDigest{Offers: []wire.BlockOffer{{Num: 0, Counter: ecfg.TTLDirect}}}
+			next := 0 // index of the next fresh pair: block next/61, counter TTLDirect+next%61
+			const fresh = held * 61
+			cycle := func() {
+				if spread {
+					msg.Offers[0] = wire.BlockOffer{Num: uint64(next / 61), Counter: ecfg.TTLDirect + uint32(next%61)}
+					next++
+				}
+				_ = eps[0].Send(eps[1].ID(), msg)
+				eng.RunFor(10 * time.Microsecond)
+			}
+			for i := 0; i < 500; i++ {
+				cycle() // warm the event pool, the digest free list and the scratch buffers
+			}
+			reportMetric(b, testing.AllocsPerRun(5000, cycle), "allocs_op")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if next == fresh {
+					b.StopTimer()
+					receiver()
+					next = 0
+					b.StartTimer()
+				}
+				cycle()
+			}
+		})
+	}
+}
+
 // BenchmarkRandomPeersReuse locks the per-tick sampling contract: a draw
 // through RandomPeersInto with an owned buffer is allocation-free, so the
 // periodic state-info/alive/push ticks allocate nothing for peer sampling.
@@ -951,10 +1023,11 @@ func BenchmarkStateSyncServe(b *testing.B) {
 }
 
 // BenchmarkBuildChain builds the paper's chain (1000 blocks x 50 tx x 3 KB,
-// 160 MB): what every RunDissemination pays inside its timed call. One
-// sequential pass draws the payloads, the hashing is spread over GOMAXPROCS;
-// procs=1 spawns nothing, and its allocs_op — one payload slab per block in
-// place of fifty payloads — is gated by cmd/benchdiff.
+// 160 MB), the set-up the repository benchmark times; RunDissemination
+// streams the same chain beside its engine. One drawer goroutine draws the
+// payloads while GOMAXPROCS hashers hash the blocks already drawn (at
+// procs=1 the drawer hashes too), and procs=1's allocs_op — one payload slab
+// per block in place of fifty payloads — is gated by cmd/benchdiff.
 func BenchmarkBuildChain(b *testing.B) {
 	for _, bc := range []struct {
 		name  string

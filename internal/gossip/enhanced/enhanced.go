@@ -357,12 +357,18 @@ func (p *Protocol) handleData(m *wire.Data) {
 	p.c.AddBlock(m.Block)
 	p.mu.Lock()
 	first := p.markSeen(m.Block.Num, m.Counter)
+	if first {
+		p.noteSpread(m.Block.Num, m.Counter)
+	}
 	p.mu.Unlock()
 	if first {
 		p.spread(m.Block.Num, m.Counter)
 	}
 }
 
+// handleDigest takes the protocol's lock once and, inside it, the core's
+// once per offer (HasBlock); a spread adds the core's lock once more to draw
+// its targets. Nothing else on a digest delivery locks.
 func (p *Protocol) handleDigest(from wire.NodeID, m *wire.PushDigest) {
 	now := p.c.Scheduler().Now()
 	var wantNums []uint64 // becomes the PushRequest payload: never reused
@@ -374,6 +380,7 @@ func (p *Protocol) handleDigest(from wire.NodeID, m *wire.PushDigest) {
 	for _, o := range m.Offers {
 		if p.markSeen(o.Num, o.Counter) {
 			spreads = append(spreads, o)
+			p.noteSpread(o.Num, o.Counter)
 		}
 		if !p.c.HasBlock(o.Num) {
 			st := p.state(o.Num)
@@ -437,6 +444,23 @@ func (p *Protocol) markSeen(num uint64, counter uint32) bool {
 	return true
 }
 
+// digestHop reports whether a hop carrying counter next travels as a digest.
+func (p *Protocol) digestHop(next uint32) bool {
+	return p.cfg.UseDigests && next > p.cfg.TTLDirect
+}
+
+// noteSpread records the counter this peer is about to offer for block num
+// when the new pair (num, received) spreads at once as a digest: a body
+// request the offer provokes is answered at that counter (handleRequest).
+// Callers hold mu — the critical section that found the pair new — so
+// forward takes no lock of its own. The tpush ablation records its offers
+// at flush time instead (flushSpread).
+func (p *Protocol) noteSpread(num uint64, received uint32) {
+	if next := received + 1; p.cfg.TPush == 0 && next <= p.cfg.TTL && p.digestHop(next) {
+		p.state(num).lastOffered = next + 1
+	}
+}
+
 // spread forwards pair (num, received counter) to Fout random peers with
 // the counter incremented, stopping at TTL. This is the
 // infect-upon-contagion step: it runs on *every* first reception of a pair,
@@ -487,6 +511,11 @@ func (p *Protocol) flushSpread() {
 	buf := p.pushBuf
 	p.pushBuf = nil
 	p.pushTimer = nil
+	for _, o := range buf {
+		if p.digestHop(o.Counter) {
+			p.state(o.Num).lastOffered = o.Counter + 1
+		}
+	}
 	p.mu.Unlock()
 	if len(buf) == 0 {
 		return
@@ -498,18 +527,16 @@ func (p *Protocol) flushSpread() {
 	}
 }
 
-// forward ships one pair to the given targets, directly or as a digest.
+// forward ships one pair to the given targets, directly or as a digest. The
+// caller has recorded a digest's offered counter (noteSpread, flushSpread).
 func (p *Protocol) forward(o wire.BlockOffer, targets []wire.NodeID) {
 	if len(targets) == 0 {
 		return
 	}
 	num, next := o.Num, o.Counter
-	if p.cfg.UseDigests && next > p.cfg.TTLDirect {
-		p.mu.Lock()
-		p.state(num).lastOffered = next + 1
-		p.mu.Unlock()
+	if p.digestHop(next) {
 		msg := p.newDigest(len(targets))
-		msg.Offers = append(msg.Offers, wire.BlockOffer{Num: num, Counter: next})
+		msg.Offers = append(msg.Offers, o)
 		for _, t := range targets {
 			p.c.Send(t, msg)
 		}

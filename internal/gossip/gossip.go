@@ -16,6 +16,7 @@ package gossip
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fabricgossip/internal/ledger"
@@ -146,7 +147,9 @@ type Core struct {
 	aliveSeq uint64
 	timers   []sim.Timer
 	started  bool
-	stopped  bool
+	// stopped is written under mu but read without it by handleMessage,
+	// which runs on every delivery.
+	stopped atomic.Bool
 
 	// view is the membership plane (internal/membership): the live/dead
 	// state machine behind LivePeers, LeaderPeer and the statesync dead
@@ -349,7 +352,7 @@ func (c *Core) Start() {
 // Stop cancels all timers (core and protocol).
 func (c *Core) Stop() {
 	c.mu.Lock()
-	c.stopped = true
+	c.stopped.Store(true)
 	timers := c.timers
 	c.timers = nil
 	c.mu.Unlock()
@@ -649,7 +652,7 @@ func (c *Core) Height() uint64 {
 // to OnCommit in order. The protocol's OnBlockStored runs for new bodies.
 func (c *Core) AddBlock(b *ledger.Block) bool {
 	c.mu.Lock()
-	if c.stopped {
+	if c.stopped.Load() {
 		c.mu.Unlock()
 		return false
 	}
@@ -694,12 +697,9 @@ func (c *Core) AddBlock(b *ledger.Block) bool {
 // handleMessage dispatches inbound messages: shared types here, everything
 // else to the protocol.
 func (c *Core) handleMessage(from wire.NodeID, msg wire.Message) {
-	c.mu.Lock()
-	if c.stopped {
-		c.mu.Unlock()
+	if c.stopped.Load() {
 		return
 	}
-	c.mu.Unlock()
 	switch m := msg.(type) {
 	case *wire.StateInfo:
 		c.fetcher.Observe(from, m.Height)

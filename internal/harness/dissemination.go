@@ -2,15 +2,12 @@ package harness
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"fabricgossip/internal/gossip"
 	"fabricgossip/internal/ledger"
 	"fabricgossip/internal/metrics"
 	"fabricgossip/internal/netmodel"
-	"fabricgossip/internal/sim"
 	"fabricgossip/internal/wire"
 )
 
@@ -43,7 +40,20 @@ type DisseminationResult struct {
 // calibrated LAN model, injects Params.NumBlocks blocks at the leader peer
 // on the block interval, and measures per-peer/per-block dissemination
 // latency and per-peer bandwidth.
+//
+// The input chain is built on one goroutine beside the engine, from before
+// the organization is built: block i's injection takes block i from the
+// stream, which on a machine with a second core is long since ready.
 func RunDissemination(p Params) (*DisseminationResult, error) {
+	if p.NumPeers < 2 {
+		return nil, fmt.Errorf("harness: need at least 2 peers, got %d", p.NumPeers)
+	}
+	if p.NumBlocks < 1 {
+		return nil, fmt.Errorf("harness: need at least 1 block, got %d", p.NumBlocks)
+	}
+	chain := streamChain(p.NumBlocks, p.TxPerBlock, p.TxPayload, p.Seed, 0)
+	defer chain.Close()
+
 	rec := metrics.NewLatencyRecorder()
 	// leaderSeen[num] is the dissemination start: the leader's reception
 	// of the block from the ordering service.
@@ -79,23 +89,28 @@ func RunDissemination(p Params) (*DisseminationResult, error) {
 	org.StartAll()
 
 	// Background floor: the paper's ≈0.4 MB/s of non-dissemination system
-	// traffic per peer, accounted once per simulated second.
+	// traffic per peer, accounted for every peer once per simulated second.
 	if p.BackgroundBytesPerSec > 0 {
 		half := int(p.BackgroundBytesPerSec / 2)
-		for _, id := range org.Peers {
-			id := id
-			engine.Every(time.Second, func() {
-				traffic.Record(id, id, wire.TypeAlive, half, engine.Now())
-			})
-		}
+		engine.Every(time.Second, func() {
+			now := engine.Now()
+			for _, id := range org.Peers {
+				traffic.Record(id, id, wire.TypeAlive, half, now)
+			}
+		})
 	}
 
-	blocks := BuildChain(p.NumBlocks, p.TxPerBlock, p.TxPayload, p.Seed)
-	for i, b := range blocks {
-		b := b
-		engine.At(time.Duration(i)*p.BlockInterval, func() {
-			org.DeliverBlock(b)
-		})
+	// Injections fire in block order, so the i-th to fire takes block i.
+	var first *ledger.Block
+	inject := func() {
+		b := chain.Next()
+		if first == nil {
+			first = b
+		}
+		org.DeliverBlock(b)
+	}
+	for i := 0; i < p.NumBlocks; i++ {
+		engine.At(time.Duration(i)*p.BlockInterval, inject)
 	}
 
 	end := time.Duration(p.NumBlocks-1)*p.BlockInterval + p.Tail
@@ -113,9 +128,9 @@ func RunDissemination(p Params) (*DisseminationResult, error) {
 		Latencies:         rec,
 		Traffic:           traffic,
 		LeaderID:          0,
-		RegularID:         wire.NodeID(1 + p.Seed%int64(p.NumPeers-1)),
+		RegularID:         regularPeer(p.Seed, p.NumPeers),
 		NumBuckets:        int(end/p.Bucket) + 1,
-		BlockBytes:        wire.BlockEncodedSize(blocks[0]),
+		BlockBytes:        wire.BlockEncodedSize(first),
 		BodyTransmissions: traffic.CountOf(wire.TypeData) + traffic.CountOf(wire.TypePullData),
 		RecoveryServed:    traffic.CountOf(wire.TypeStateResponse),
 		WallBlocks:        complete,
@@ -123,63 +138,9 @@ func RunDissemination(p Params) (*DisseminationResult, error) {
 	return res, nil
 }
 
-// BuildChain constructs a hash-linked chain of blocks with the workload's
-// transaction shape. Payload bytes are deterministic from the seed: the
-// "chain" stream is drawn by one sequential pass, and only the hashing —
-// most of the cost at the paper's 160 KB blocks — is spread over GOMAXPROCS
-// goroutines, so the chain is the same bytes at any parallelism.
-func BuildChain(n, txPerBlock, payloadSize int, seed int64) []*ledger.Block {
-	rng := sim.NewRand(sim.StreamSeed(seed, "chain"))
-	blocks := make([]*ledger.Block, n)
-	for i := range blocks {
-		// One payload slab per block, each transaction a cap-clipped slice.
-		slab := make([]byte, txPerBlock*payloadSize)
-		txs := make([]*ledger.Transaction, txPerBlock)
-		for j := range txs {
-			payload := slab[j*payloadSize : (j+1)*payloadSize : (j+1)*payloadSize]
-			for k := 0; k < len(payload); k += 64 {
-				payload[k] = byte(rng.Intn(256))
-			}
-			key := fmt.Sprintf("asset-%d", rng.Intn(1000))
-			txs[j] = &ledger.Transaction{
-				RWSet: ledger.RWSet{
-					Reads:  []ledger.KVRead{{Key: key, Version: ledger.Version{BlockNum: uint64(i)}}},
-					Writes: []ledger.KVWrite{{Key: key, Value: payload[:16]}},
-				},
-				Payload: payload,
-			}
-		}
-		blocks[i] = &ledger.Block{Num: uint64(i), Txs: txs, Sig: make([]byte, 64)}
-	}
-
-	// Everything that depends on no other block and draws nothing, worker w
-	// taking every workers-th block.
-	workers := min(runtime.GOMAXPROCS(0), n)
-	stripe := func(w int) {
-		for i := w; i < n; i += workers {
-			b := blocks[i]
-			for j, tx := range b.Txs {
-				tx.Client = fmt.Sprintf("client-%d", j)
-				tx.Chaincode = "high-throughput"
-				tx.ID = ledger.ProposalDigest(tx.Client, tx.Chaincode, tx.RWSet, tx.Payload)
-				tx.Endorsements = []ledger.Endorsement{{Org: "orgA", Name: "endorser0", Sig: make([]byte, 64)}}
-			}
-			b.DataHash = ledger.ComputeDataHash(b.Txs)
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			stripe(w)
-		}()
-	}
-	stripe(0) // the caller is worker 0: no goroutine at GOMAXPROCS=1
-	wg.Wait()
-
-	for i := 1; i < n; i++ {
-		blocks[i].PrevHash = blocks[i-1].Hash()
-	}
-	return blocks
+// regularPeer is the "regular peer" of the bandwidth figures: a non-leader
+// peer picked by the seed, for negative seeds too.
+func regularPeer(seed int64, peers int) wire.NodeID {
+	others := int64(peers - 1)
+	return wire.NodeID(1 + (seed%others+others)%others)
 }

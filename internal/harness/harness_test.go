@@ -205,7 +205,9 @@ func TestRunDisseminationDeterminism(t *testing.T) {
 // it builds itself (bench/sim.go's paperEngineCounts: NewOrg, the background
 // floor, DeliverBlock per block, RunUntil) to read the engine's event count,
 // and fails its run if the byte total differs. Pin that equivalence here,
-// where a change to Org or RunDissemination is made.
+// where a change to Org or RunDissemination is made. The re-drive keeps a
+// background timer per peer where RunDissemination has one for all, so its
+// bytes match and its event count exceeds RunDissemination's.
 func TestOrgRedriveMatchesRunDissemination(t *testing.T) {
 	for _, v := range []Variant{VariantOriginal, VariantEnhanced} {
 		p := quickParams(v, 1)

@@ -252,7 +252,11 @@ func (n *SimNetwork) Reachable(from, to wire.NodeID) bool {
 	if int(to) >= len(n.nodes) {
 		return false
 	}
-	if n.downNode[from] || n.downNode[to] || n.downLink[[2]wire.NodeID{from, to}] {
+	// The length checks keep a fault-free run off the map lookups.
+	if len(n.downNode) > 0 && (n.downNode[from] || n.downNode[to]) {
+		return false
+	}
+	if len(n.downLink) > 0 && n.downLink[[2]wire.NodeID{from, to}] {
 		return false
 	}
 	if n.partition != nil && n.partition[from] != n.partition[to] {
@@ -267,8 +271,8 @@ func (n *SimNetwork) Reachable(from, to wire.NodeID) bool {
 // window barrier (the network model is the same either way, so a cross-shard
 // hop costs the same simulated latency). The steady-state path is
 // allocation-free: delivery goes through the engine's pooled AfterMsg
-// events via the pre-bound deliverFn, and the common no-overrides case
-// skips the linkExtra/nodeExtra lookups entirely.
+// events via the pre-bound deliverFn, and the common fault-free,
+// no-overrides case skips every fault and latency-override map lookup.
 func (n *SimNetwork) send(from, to wire.NodeID, msg wire.Message) error {
 	src := n.shardOfNode(from)
 	sh := &n.shards[src]
@@ -317,7 +321,7 @@ func (n *SimNetwork) send(from, to wire.NodeID, msg wire.Message) error {
 func (n *SimNetwork) deliver(from, to uint64, msg any) {
 	dst := n.nodes[to]
 	m := msg.(wire.Message)
-	if h := dst.handler; h != nil && !n.downNode[dst.id] {
+	if h := dst.handler; h != nil && (len(n.downNode) == 0 || !n.downNode[dst.id]) {
 		// The receive lands on the receiver's shard, on whose engine
 		// goroutine this handler is already running.
 		if sh := &n.shards[n.shardOf[dst.id]]; sh.wobs != nil {

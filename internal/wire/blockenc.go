@@ -1,14 +1,11 @@
 package wire
 
-import (
-	"fabricgossip/internal/crypto"
-	"fabricgossip/internal/ledger"
-)
+import "fabricgossip/internal/ledger"
 
 // encodeBlock walks a block's fields into s: the one definition of the
 // canonical block encoding. Messages never call it — they write a block
-// with sink.block, which goes through the cache on the block.
-func encodeBlock(s sink, b *ledger.Block) {
+// with encSink.block, which goes through the cache on the block.
+func encodeBlock(s *encSink, b *ledger.Block) {
 	s.uvarint(b.Num)
 	putDigest(s, b.PrevHash)
 	putDigest(s, b.DataHash)
@@ -19,7 +16,16 @@ func encodeBlock(s sink, b *ledger.Block) {
 	}
 }
 
-func encodeTx(s sink, tx *ledger.Transaction) {
+// blockLen is the length encodeBlock writes.
+func blockLen(b *ledger.Block) int {
+	n := uvarintLen(b.Num) + 2*digestLen + bytesLen(b.Sig) + uvarintLen(uint64(len(b.Txs)))
+	for _, tx := range b.Txs {
+		n += txLen(tx)
+	}
+	return n
+}
+
+func encodeTx(s *encSink, tx *ledger.Transaction) {
 	putDigest(s, tx.ID)
 	putString(s, tx.Client)
 	putString(s, tx.Chaincode)
@@ -43,12 +49,30 @@ func encodeTx(s sink, tx *ledger.Transaction) {
 	putBytes(s, tx.Payload)
 }
 
+// txLen is the length encodeTx writes.
+func txLen(tx *ledger.Transaction) int {
+	n := digestLen + stringLen(tx.Client) + stringLen(tx.Chaincode)
+	n += uvarintLen(uint64(len(tx.RWSet.Reads)))
+	for _, r := range tx.RWSet.Reads {
+		n += stringLen(r.Key) + uvarintLen(r.Version.BlockNum) + uvarintLen(uint64(r.Version.TxNum))
+	}
+	n += uvarintLen(uint64(len(tx.RWSet.Writes)))
+	for _, w := range tx.RWSet.Writes {
+		n += stringLen(w.Key) + bytesLen(w.Value)
+	}
+	n += uvarintLen(uint64(len(tx.Endorsements)))
+	for _, e := range tx.Endorsements {
+		n += stringLen(e.Org) + stringLen(e.Name) + bytesLen(e.Sig)
+	}
+	return n + bytesLen(tx.Payload)
+}
+
 // Minimum encoded sizes, the divisors of decoder.count: a block is a number,
 // two digests, a signature length and a transaction count; a transaction an
 // id and six lengths or counts.
 const (
-	minBlockBytes = 1 + 2*len(crypto.Digest{}) + 1 + 1
-	minTxBytes    = len(crypto.Digest{}) + 6
+	minBlockBytes = 1 + 2*digestLen + 1 + 1
+	minTxBytes    = digestLen + 6
 )
 
 // decodeBlock reads one block and records the bytes it was read from as the
@@ -106,10 +130,9 @@ func BlockEncodedSize(b *ledger.Block) int {
 	if n := b.WireSize(); n != 0 {
 		return n
 	}
-	c := &countSink{}
-	encodeBlock(c, b)
-	b.SetWireSize(c.n)
-	return c.n
+	n := blockLen(b)
+	b.SetWireSize(n)
+	return n
 }
 
 // blockEncoding returns b's canonical encoding from the cache on the block,

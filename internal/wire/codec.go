@@ -7,6 +7,10 @@
 //     transport accounts bandwidth and store-and-forward transmission time
 //     from EncodedSize without serializing (serializing every one of the
 //     ~300k block transmissions of an experiment would dominate run time).
+//     Every EncodedSize is arithmetic over the fields, written beside the
+//     type's encode: it runs on every simulated send and delivery, millions
+//     of times a run, so it allocates nothing and calls through no
+//     interface.
 //   - Marshal/Unmarshal must round-trip exactly, because the TCP transport
 //     ships real bytes.
 //   - The encoding is canonical: a value has exactly one encoding and
@@ -125,7 +129,7 @@ type Message interface {
 	// EncodedSize returns the exact length of Marshal(m) in bytes.
 	EncodedSize() int
 	// encode writes the message body (everything after the type byte).
-	encode(s sink)
+	encode(s *encSink)
 }
 
 // AppendMessage encodes m — a type byte followed by the body — for
@@ -231,19 +235,8 @@ func Unmarshal(data []byte) (Message, error) {
 	return m, nil
 }
 
-// sink abstracts "write bytes" vs "count bytes" so EncodedSize shares the
-// field-walking logic with the encoder.
-type sink interface {
-	byte(b byte)
-	bytes(b []byte)
-	uvarint(v uint64)
-	// block writes a whole block from its cache; only blockEncoding walks a
-	// block's fields (encodeBlock).
-	block(b *ledger.Block)
-}
-
-// encSink is the one writing sink: plain fields go into buf, blocks are
-// referenced, not copied.
+// encSink is what every encode writes to: plain fields go into buf, blocks
+// are referenced, not copied.
 type encSink struct {
 	buf    []byte
 	bodies [][]byte
@@ -252,17 +245,13 @@ type encSink struct {
 	one [1][]byte
 }
 
-func (s *encSink) byte(b byte)           { s.buf = append(s.buf, b) }
-func (s *encSink) bytes(b []byte)        { s.buf = append(s.buf, b...) }
-func (s *encSink) uvarint(v uint64)      { s.buf = binary.AppendUvarint(s.buf, v) }
+func (s *encSink) byte(b byte)      { s.buf = append(s.buf, b) }
+func (s *encSink) bytes(b []byte)   { s.buf = append(s.buf, b...) }
+func (s *encSink) uvarint(v uint64) { s.buf = binary.AppendUvarint(s.buf, v) }
+
+// block writes a whole block from its cache; only blockEncoding walks a
+// block's fields (encodeBlock).
 func (s *encSink) block(b *ledger.Block) { s.bodies = append(s.bodies, blockEncoding(b)) }
-
-type countSink struct{ n int }
-
-func (s *countSink) byte(byte)             { s.n++ }
-func (s *countSink) bytes(b []byte)        { s.n += len(b) }
-func (s *countSink) uvarint(v uint64)      { s.n += uvarintLen(v) }
-func (s *countSink) block(b *ledger.Block) { s.n += BlockEncodedSize(b) }
 
 func uvarintLen(v uint64) int {
 	n := 1
@@ -273,35 +262,42 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// encodedSize runs m.encode against a counting sink, plus the type byte.
-func encodedSize(m Message) int {
-	c := &countSink{n: 1}
-	m.encode(c)
-	return c.n
-}
+// Shared field helpers, each with the size of what it writes.
 
-// Shared field helpers.
-
-func putString(s sink, v string) {
+func putString(s *encSink, v string) {
 	s.uvarint(uint64(len(v)))
-	s.bytes([]byte(v))
+	s.buf = append(s.buf, v...)
 }
 
-func putBytes(s sink, v []byte) {
+func stringLen(v string) int { return uvarintLen(uint64(len(v))) + len(v) }
+
+func putBytes(s *encSink, v []byte) {
 	s.uvarint(uint64(len(v)))
 	s.bytes(v)
 }
 
-func putDigest(s sink, d crypto.Digest) { s.bytes(d[:]) }
+func bytesLen(v []byte) int { return uvarintLen(uint64(len(v))) + len(v) }
 
-func putUint64s(s sink, vs []uint64) {
+func putDigest(s *encSink, d crypto.Digest) { s.bytes(d[:]) }
+
+const digestLen = len(crypto.Digest{})
+
+func putUint64s(s *encSink, vs []uint64) {
 	s.uvarint(uint64(len(vs)))
 	for _, v := range vs {
 		s.uvarint(v)
 	}
 }
 
-func putBool(s sink, v bool) {
+func uint64sLen(vs []uint64) int {
+	n := uvarintLen(uint64(len(vs)))
+	for _, v := range vs {
+		n += uvarintLen(v)
+	}
+	return n
+}
+
+func putBool(s *encSink, v bool) {
 	if v {
 		s.byte(1)
 	} else {

@@ -3,9 +3,7 @@ package wire
 // Membership dissemination payloads (SWIM-style piggybacking and view
 // shuffling, internal/membership). All three carry flat lists of
 // MemberEvent entries; the encodings are frozen — see the byte-identity
-// tests — and EncodedSize is hand-computed because membership payloads ride
-// on the allocation-free simulated send path (the generic counting sink
-// escapes to the heap through the sink interface).
+// tests.
 
 // MemberEventKind discriminates membership event entries. Values start at 1;
 // 0 is reserved as invalid. Unknown kinds round-trip through the codec
@@ -53,7 +51,7 @@ func memberEventsSize(evs []MemberEvent) int {
 	return n
 }
 
-func putMemberEvents(s sink, evs []MemberEvent) {
+func putMemberEvents(s *encSink, evs []MemberEvent) {
 	s.uvarint(uint64(len(evs)))
 	for _, e := range evs {
 		s.uvarint(uint64(e.Peer))
@@ -87,11 +85,10 @@ type MemberEvents struct {
 // Type implements Message.
 func (*MemberEvents) Type() MsgType { return TypeMemberEvents }
 
-// EncodedSize implements Message. Hand-computed: piggyback payloads are
-// sized on every simulated send.
+// EncodedSize implements Message.
 func (m *MemberEvents) EncodedSize() int { return 1 + memberEventsSize(m.Events) }
 
-func (m *MemberEvents) encode(s sink) { putMemberEvents(s, m.Events) }
+func (m *MemberEvents) encode(s *encSink) { putMemberEvents(s, m.Events) }
 
 func decodeMemberEvents(d *decoder) *MemberEvents {
 	return &MemberEvents{Events: decodeMemberEventList(d, "member event")}
@@ -110,10 +107,10 @@ type ShuffleRequest struct {
 // Type implements Message.
 func (*ShuffleRequest) Type() MsgType { return TypeShuffleRequest }
 
-// EncodedSize implements Message. Hand-computed like MemberEvents.
+// EncodedSize implements Message.
 func (m *ShuffleRequest) EncodedSize() int { return 1 + memberEventsSize(m.Entries) }
 
-func (m *ShuffleRequest) encode(s sink) { putMemberEvents(s, m.Entries) }
+func (m *ShuffleRequest) encode(s *encSink) { putMemberEvents(s, m.Entries) }
 
 func decodeShuffleRequest(d *decoder) *ShuffleRequest {
 	return &ShuffleRequest{Entries: decodeMemberEventList(d, "shuffle entry")}
@@ -128,10 +125,10 @@ type ShuffleResponse struct {
 // Type implements Message.
 func (*ShuffleResponse) Type() MsgType { return TypeShuffleResponse }
 
-// EncodedSize implements Message. Hand-computed like MemberEvents.
+// EncodedSize implements Message.
 func (m *ShuffleResponse) EncodedSize() int { return 1 + memberEventsSize(m.Entries) }
 
-func (m *ShuffleResponse) encode(s sink) { putMemberEvents(s, m.Entries) }
+func (m *ShuffleResponse) encode(s *encSink) { putMemberEvents(s, m.Entries) }
 
 func decodeShuffleResponse(d *decoder) *ShuffleResponse {
 	return &ShuffleResponse{Entries: decodeMemberEventList(d, "shuffle entry")}

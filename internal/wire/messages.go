@@ -44,7 +44,7 @@ func (m *Data) EncodedSize() int {
 	return 1 + uvarintLen(uint64(m.Counter)) + BlockEncodedSize(m.Block)
 }
 
-func (m *Data) encode(s sink) {
+func (m *Data) encode(s *encSink) {
 	s.uvarint(uint64(m.Counter))
 	s.block(m.Block)
 }
@@ -91,9 +91,15 @@ func (m *PushDigest) Release() {
 func (*PushDigest) Type() MsgType { return TypePushDigest }
 
 // EncodedSize implements Message.
-func (m *PushDigest) EncodedSize() int { return encodedSize(m) }
+func (m *PushDigest) EncodedSize() int {
+	n := 1 + uvarintLen(uint64(len(m.Offers)))
+	for _, o := range m.Offers {
+		n += uvarintLen(o.Num) + uvarintLen(uint64(o.Counter))
+	}
+	return n
+}
 
-func (m *PushDigest) encode(s sink) {
+func (m *PushDigest) encode(s *encSink) {
 	s.uvarint(uint64(len(m.Offers)))
 	for _, o := range m.Offers {
 		s.uvarint(o.Num)
@@ -122,9 +128,9 @@ type PushRequest struct {
 func (*PushRequest) Type() MsgType { return TypePushRequest }
 
 // EncodedSize implements Message.
-func (m *PushRequest) EncodedSize() int { return encodedSize(m) }
+func (m *PushRequest) EncodedSize() int { return 1 + uint64sLen(m.Nums) }
 
-func (m *PushRequest) encode(s sink) { putUint64s(s, m.Nums) }
+func (m *PushRequest) encode(s *encSink) { putUint64s(s, m.Nums) }
 
 func decodePushRequest(d *decoder) *PushRequest {
 	return &PushRequest{Nums: d.uint64s("request nums")}
@@ -142,9 +148,9 @@ type PullHello struct {
 func (*PullHello) Type() MsgType { return TypePullHello }
 
 // EncodedSize implements Message.
-func (m *PullHello) EncodedSize() int { return encodedSize(m) }
+func (m *PullHello) EncodedSize() int { return 1 + uvarintLen(m.Nonce) }
 
-func (m *PullHello) encode(s sink) { s.uvarint(m.Nonce) }
+func (m *PullHello) encode(s *encSink) { s.uvarint(m.Nonce) }
 
 func decodePullHello(d *decoder) *PullHello {
 	return &PullHello{Nonce: d.uvarint("nonce")}
@@ -160,9 +166,9 @@ type PullDigest struct {
 func (*PullDigest) Type() MsgType { return TypePullDigest }
 
 // EncodedSize implements Message.
-func (m *PullDigest) EncodedSize() int { return encodedSize(m) }
+func (m *PullDigest) EncodedSize() int { return 1 + uvarintLen(m.Nonce) + uint64sLen(m.Nums) }
 
-func (m *PullDigest) encode(s sink) {
+func (m *PullDigest) encode(s *encSink) {
 	s.uvarint(m.Nonce)
 	putUint64s(s, m.Nums)
 }
@@ -183,9 +189,9 @@ type PullRequest struct {
 func (*PullRequest) Type() MsgType { return TypePullRequest }
 
 // EncodedSize implements Message.
-func (m *PullRequest) EncodedSize() int { return encodedSize(m) }
+func (m *PullRequest) EncodedSize() int { return 1 + uvarintLen(m.Nonce) + uint64sLen(m.Nums) }
 
-func (m *PullRequest) encode(s sink) {
+func (m *PullRequest) encode(s *encSink) {
 	s.uvarint(m.Nonce)
 	putUint64s(s, m.Nums)
 }
@@ -212,7 +218,7 @@ func (m *PullData) EncodedSize() int {
 	return 1 + uvarintLen(m.Nonce) + BlockEncodedSize(m.Block)
 }
 
-func (m *PullData) encode(s sink) {
+func (m *PullData) encode(s *encSink) {
 	s.uvarint(m.Nonce)
 	s.block(m.Block)
 }
@@ -235,12 +241,10 @@ type StateInfo struct {
 // Type implements Message.
 func (*StateInfo) Type() MsgType { return TypeStateInfo }
 
-// EncodedSize implements Message. Hand-computed: the generic counting sink
-// escapes to the heap through the sink interface, and state metadata sits
-// on the allocation-free recovery hot path.
+// EncodedSize implements Message.
 func (m *StateInfo) EncodedSize() int { return 1 + uvarintLen(m.Height) }
 
-func (m *StateInfo) encode(s sink) { s.uvarint(m.Height) }
+func (m *StateInfo) encode(s *encSink) { s.uvarint(m.Height) }
 
 func decodeStateInfo(d *decoder) *StateInfo {
 	return &StateInfo{Height: d.uvarint("height")}
@@ -256,13 +260,12 @@ type StateRequest struct {
 // Type implements Message.
 func (*StateRequest) Type() MsgType { return TypeStateRequest }
 
-// EncodedSize implements Message. Hand-computed for the same reason as
-// StateInfo: requests are sized on every recovery round trip.
+// EncodedSize implements Message.
 func (m *StateRequest) EncodedSize() int {
 	return 1 + uvarintLen(m.From) + uvarintLen(m.To)
 }
 
-func (m *StateRequest) encode(s sink) {
+func (m *StateRequest) encode(s *encSink) {
 	s.uvarint(m.From)
 	s.uvarint(m.To)
 }
@@ -305,8 +308,7 @@ func (m *StateResponse) Blocks() []*ledger.Block {
 // Type implements Message.
 func (*StateResponse) Type() MsgType { return TypeStateResponse }
 
-// EncodedSize implements Message. Hand-computed from the cached block
-// sizes: responses are sized on every recovery round trip.
+// EncodedSize implements Message, from the cached block sizes.
 func (m *StateResponse) EncodedSize() int {
 	blocks := m.Blocks()
 	n := 1 + uvarintLen(uint64(len(blocks)))
@@ -316,7 +318,7 @@ func (m *StateResponse) EncodedSize() int {
 	return n
 }
 
-func (m *StateResponse) encode(s sink) {
+func (m *StateResponse) encode(s *encSink) {
 	blocks := m.Blocks()
 	s.uvarint(uint64(len(blocks)))
 	for _, b := range blocks {
@@ -347,9 +349,9 @@ type Alive struct {
 func (*Alive) Type() MsgType { return TypeAlive }
 
 // EncodedSize implements Message.
-func (m *Alive) EncodedSize() int { return encodedSize(m) }
+func (m *Alive) EncodedSize() int { return 1 + uvarintLen(m.Seq) + bytesLen(m.Meta) }
 
-func (m *Alive) encode(s sink) {
+func (m *Alive) encode(s *encSink) {
 	s.uvarint(m.Seq)
 	putBytes(s, m.Meta)
 }
@@ -372,9 +374,9 @@ type SubmitTx struct {
 func (*SubmitTx) Type() MsgType { return TypeSubmitTx }
 
 // EncodedSize implements Message.
-func (m *SubmitTx) EncodedSize() int { return encodedSize(m) }
+func (m *SubmitTx) EncodedSize() int { return 1 + txLen(m.Tx) }
 
-func (m *SubmitTx) encode(s sink) { encodeTx(s, m.Tx) }
+func (m *SubmitTx) encode(s *encSink) { encodeTx(s, m.Tx) }
 
 func decodeSubmitTx(d *decoder) *SubmitTx {
 	return &SubmitTx{Tx: decodeTx(d)}
@@ -392,7 +394,7 @@ func (*DeliverBlock) Type() MsgType { return TypeDeliverBlock }
 // EncodedSize implements Message.
 func (m *DeliverBlock) EncodedSize() int { return 1 + BlockEncodedSize(m.Block) }
 
-func (m *DeliverBlock) encode(s sink) { s.block(m.Block) }
+func (m *DeliverBlock) encode(s *encSink) { s.block(m.Block) }
 
 func decodeDeliverBlock(d *decoder) *DeliverBlock {
 	return &DeliverBlock{Block: decodeBlock(d)}

@@ -22,9 +22,11 @@ type RaftVoteRequest struct {
 func (*RaftVoteRequest) Type() MsgType { return TypeRaftVoteRequest }
 
 // EncodedSize implements Message.
-func (m *RaftVoteRequest) EncodedSize() int { return encodedSize(m) }
+func (m *RaftVoteRequest) EncodedSize() int {
+	return 1 + uvarintLen(m.Term) + uvarintLen(uint64(m.Candidate)) + uvarintLen(m.LastLogIndex) + uvarintLen(m.LastLogTerm)
+}
 
-func (m *RaftVoteRequest) encode(s sink) {
+func (m *RaftVoteRequest) encode(s *encSink) {
 	s.uvarint(m.Term)
 	s.uvarint(uint64(m.Candidate))
 	s.uvarint(m.LastLogIndex)
@@ -49,9 +51,9 @@ type RaftVoteResponse struct {
 func (*RaftVoteResponse) Type() MsgType { return TypeRaftVoteResponse }
 
 // EncodedSize implements Message.
-func (m *RaftVoteResponse) EncodedSize() int { return encodedSize(m) }
+func (m *RaftVoteResponse) EncodedSize() int { return 1 + uvarintLen(m.Term) + 1 }
 
-func (m *RaftVoteResponse) encode(s sink) {
+func (m *RaftVoteResponse) encode(s *encSink) {
 	s.uvarint(m.Term)
 	putBool(s, m.Granted)
 }
@@ -77,9 +79,16 @@ type RaftAppend struct {
 func (*RaftAppend) Type() MsgType { return TypeRaftAppend }
 
 // EncodedSize implements Message.
-func (m *RaftAppend) EncodedSize() int { return encodedSize(m) }
+func (m *RaftAppend) EncodedSize() int {
+	n := 1 + uvarintLen(m.Term) + uvarintLen(uint64(m.Leader)) + uvarintLen(m.PrevLogIndex) + uvarintLen(m.PrevLogTerm)
+	n += uvarintLen(uint64(len(m.Entries)))
+	for _, e := range m.Entries {
+		n += uvarintLen(e.Term) + bytesLen(e.Data)
+	}
+	return n + uvarintLen(m.LeaderCommit)
+}
 
-func (m *RaftAppend) encode(s sink) {
+func (m *RaftAppend) encode(s *encSink) {
 	s.uvarint(m.Term)
 	s.uvarint(uint64(m.Leader))
 	s.uvarint(m.PrevLogIndex)
@@ -118,9 +127,9 @@ type RaftForward struct {
 func (*RaftForward) Type() MsgType { return TypeRaftForward }
 
 // EncodedSize implements Message.
-func (m *RaftForward) EncodedSize() int { return encodedSize(m) }
+func (m *RaftForward) EncodedSize() int { return 1 + bytesLen(m.Data) }
 
-func (m *RaftForward) encode(s sink) { putBytes(s, m.Data) }
+func (m *RaftForward) encode(s *encSink) { putBytes(s, m.Data) }
 
 func decodeRaftForward(d *decoder) *RaftForward {
 	return &RaftForward{Data: d.bytesField("forward data")}
@@ -139,9 +148,11 @@ type RaftAppendResponse struct {
 func (*RaftAppendResponse) Type() MsgType { return TypeRaftAppendResponse }
 
 // EncodedSize implements Message.
-func (m *RaftAppendResponse) EncodedSize() int { return encodedSize(m) }
+func (m *RaftAppendResponse) EncodedSize() int {
+	return 1 + uvarintLen(m.Term) + 1 + uvarintLen(m.MatchIndex)
+}
 
-func (m *RaftAppendResponse) encode(s sink) {
+func (m *RaftAppendResponse) encode(s *encSink) {
 	s.uvarint(m.Term)
 	putBool(s, m.Success)
 	s.uvarint(m.MatchIndex)
