@@ -22,6 +22,7 @@ package fabricgossip
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net"
 	"os"
 	"runtime"
@@ -31,6 +32,8 @@ import (
 	"time"
 
 	"fabricgossip/internal/analysis"
+	"fabricgossip/internal/chaincode"
+	"fabricgossip/internal/endorse"
 	"fabricgossip/internal/gossip"
 	"fabricgossip/internal/gossip/enhanced"
 	"fabricgossip/internal/gossip/original"
@@ -38,6 +41,7 @@ import (
 	"fabricgossip/internal/ledger"
 	"fabricgossip/internal/membership"
 	"fabricgossip/internal/metrics"
+	"fabricgossip/internal/msp"
 	"fabricgossip/internal/netmodel"
 	"fabricgossip/internal/obs"
 	"fabricgossip/internal/order"
@@ -1204,6 +1208,74 @@ func BenchmarkLedgerCommitShared(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		commitAll()
+	}
+}
+
+// BenchmarkValidateBlock measures the validation phase of one sim-txload
+// block: 100 counter increments, each endorsed by two ed25519 endorsers
+// under the workload's 1-of-2 policy, checked through a one-entry verdict
+// cache so every check verifies a signature. The policy pass runs on one
+// worker (procs=1) or GOMAXPROCS (procs=all), then the MVCC pass; procs=1's
+// allocs_op is gated by cmd/benchdiff.
+func BenchmarkValidateBlock(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	provider, err := msp.NewProvider(rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var ids []*msp.Identity
+	var endorsers []*endorse.Endorser
+	for i := 0; i < 2; i++ {
+		id, signer, err := provider.Enroll(msp.RolePeer, "org0", fmt.Sprintf("peer%d", i), rng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		e := endorse.NewEndorser(id, signer, ledger.NewStateDB())
+		e.Install(chaincode.Counter{})
+		ids, endorsers = append(ids, id), append(endorsers, e)
+	}
+	blk := &ledger.Block{}
+	for i := 0; i < 100; i++ {
+		args, nonce := []string{"incr", fmt.Sprintf("key-%d", i)}, []byte{byte(i)}
+		var rs []*endorse.Response
+		for _, e := range endorsers {
+			r, err := e.Endorse("client", "counter", args, nonce)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rs = append(rs, r)
+		}
+		tx, err := endorse.AssembleTransaction("client", "counter", nonce, rs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		blk.Txs = append(blk.Txs, tx)
+	}
+	blk.DataHash = ledger.ComputeDataHash(blk.Txs)
+	check := endorse.NewPolicy(1, ids...).CheckerN(1)
+	state := ledger.NewStateDB()
+	validate := func() {
+		for _, code := range ledger.ValidateBlock(state, blk, check) {
+			if code != ledger.CodeValid {
+				b.Fatalf("transaction validated %v", code)
+			}
+		}
+	}
+	for _, bc := range []struct {
+		name  string
+		procs int
+	}{{"procs=1", 1}, {"procs=all", runtime.GOMAXPROCS(0)}} {
+		b.Run(bc.name, func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(bc.procs))
+			if bc.procs == 1 {
+				reportMetric(b, testing.AllocsPerRun(5, validate), "allocs_op")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				validate()
+			}
+		})
 	}
 }
 

@@ -142,7 +142,7 @@ func main() {
 		sum += v
 	}
 	st := cl.Stats()
-	conflicts := peers[1].Conflicts()
+	conflicts := peers[1].Ledger().Conflicts()
 	fmt.Printf("submitted %d, committed %d, validation-time conflicts %d\n",
 		st.Submitted, sum, conflicts)
 	// The Raft consenter is at-least-once: proposals resubmitted across a

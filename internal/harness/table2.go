@@ -194,7 +194,7 @@ func RunConflictExperiment(p ConflictParams) (*ConflictResult, error) {
 		Params:                p,
 		TotalTx:               total,
 		Conflicts:             total - int(sum),
-		PeerReportedConflicts: peers[endorserIdx].Conflicts(),
+		PeerReportedConflicts: peers[endorserIdx].Ledger().Conflicts(),
 		Blocks:                service.Height(),
 	}
 	if res.Blocks > 0 {

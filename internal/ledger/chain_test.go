@@ -162,12 +162,16 @@ func checkView(t *testing.T, step, who int, view *StateDB, ref *refPeer) {
 // ledgers in a random interleaving — one fast, one lagging far behind, and
 // now and then one restarted at height 0 or handed a content-equal copy —
 // and checks every commit result and every ledger's view of every key, at
-// every step, against independent per-peer replicas.
+// every step, against independent per-peer replicas. Ledgers are told of
+// blocks ahead of their commits: the chain's own, content-equal copies, and
+// strays at the same heights that no ledger commits. Once every ledger is at
+// the head, no policy pass is pending.
 func TestLedgersEqualIndependentReplicas(t *testing.T) {
 	const nBlocks, nLedgers = 300, 6
 	for _, seed := range []int64{1, 2, 3} {
 		rng := rand.New(rand.NewSource(seed))
 		blocks := randomChain(rng, nBlocks)
+		strays := randomChain(rand.New(rand.NewSource(-seed)), nBlocks)
 		newLedger := newCursors(refPolicy)
 		leds := make([]*Ledger, nLedgers)
 		views := make([]*StateDB, nLedgers)
@@ -199,6 +203,16 @@ func TestLedgersEqualIndependentReplicas(t *testing.T) {
 				leds[i], refs[i] = newLedger(), newRefPeer()
 				views[i] = leds[i].State()
 			}
+			if ahead := refs[i].height + uint64(rng.Intn(4)); ahead < nBlocks && rng.Intn(3) == 0 {
+				switch p := blocks[ahead]; rng.Intn(4) {
+				case 0:
+					leds[i].Prepare(copyOf(p))
+				case 1:
+					leds[i].Prepare(strays[ahead])
+				default:
+					leds[i].Prepare(p)
+				}
+			}
 			b := blocks[refs[i].height]
 			if rng.Intn(5) == 0 {
 				b = copyOf(b)
@@ -217,6 +231,44 @@ func TestLedgersEqualIndependentReplicas(t *testing.T) {
 				checkView(t, step, j, views[j], refs[j])
 			}
 		}
+		if n := pending(leds[0].chain); n != 0 {
+			t.Fatalf("seed %d: %d policy passes pending with every ledger at the head", seed, n)
+		}
+	}
+}
+
+func pending(c *Chain) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.ahead)
+}
+
+// TestPreparedDivergentBlockLendsNoVerdicts prepares a divergent block 1,
+// whose only transaction fails the policy, and then commits the chain's own
+// block 1: the commit must use the verdicts of the block it is handed, not
+// those of another block at its height, and the divergent block must still
+// fail to commit.
+func TestPreparedDivergentBlockLendsNoVerdicts(t *testing.T) {
+	c := NewChain(refPolicy)
+	a, b := c.NewLedger(), c.NewLedger()
+	g := mkBlock(0, nil, mkTx("c", "k", Version{}, 1))
+	b1 := mkBlock(1, g, mkTx("c", "k", Version{0, 0}, 2))
+	fork := mkBlock(1, g, mkTx("bad", "k", Version{0, 0}, 3))
+	for _, l := range []*Ledger{a, b} {
+		if _, err := l.Commit(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b.Prepare(fork)
+	res, err := a.Commit(b1)
+	if err != nil || res.Valid != 1 || res.Codes[0] != CodeValid {
+		t.Fatalf("chain's block 1 after a divergent block 1 was prepared: %+v, %v", res, err)
+	}
+	if _, err := b.Commit(fork); err == nil {
+		t.Fatal("a prepared block diverging from the chain at height 1 committed")
+	}
+	if n := pending(c); n != 0 {
+		t.Fatalf("%d policy passes pending past the head", n)
 	}
 }
 
@@ -301,7 +353,8 @@ func TestDeepHistoryReadIsLogarithmic(t *testing.T) {
 
 // TestChainConcurrentCommitsAndLaggingView commits one chain from two
 // goroutines, as two shards do, while a third reads through a lagging
-// ledger's view and checks it against the reference at its height (run
+// ledger's view and checks it against the reference at its height, and a
+// fourth prepares the blocks just ahead of the head and copies of them (run
 // under -race in CI).
 func TestChainConcurrentCommitsAndLaggingView(t *testing.T) {
 	const nBlocks = 200
@@ -321,6 +374,18 @@ func TestChainConcurrentCommitsAndLaggingView(t *testing.T) {
 	c := NewChain(refPolicy)
 	var wg sync.WaitGroup
 	errs := make(chan error, 3)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		l := c.NewLedger()
+		for _, b := range blocks {
+			for b.Num > c.store.Height()+3 {
+				runtime.Gosched() // prepare a few blocks ahead of the head
+			}
+			l.Prepare(b)
+			l.Prepare(copyOf(b))
+		}
+	}()
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
 		go func() {
@@ -362,5 +427,8 @@ func TestChainConcurrentCommitsAndLaggingView(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+	if n := pending(c); n != 0 {
+		t.Fatalf("%d policy passes pending past the head", n)
 	}
 }

@@ -25,18 +25,75 @@ type CommitResult struct {
 // so every other ledger's commit of that block would compute the same.
 // It is safe for concurrent use (organizations on different shards commit
 // through one chain).
+//
+// Validation is split as Fabric's committer splits it. The policy pass
+// (endorsement signatures) starts when a ledger is told a block has arrived
+// (Prepare) and runs in the background while the block waits its turn; the
+// commit then runs only the sequential MVCC pass over those verdicts.
 type Chain struct {
 	mu      sync.Mutex
 	store   *BlockStore
 	state   *StateDB
 	results []CommitResult
 	policy  PolicyChecker
+	// ahead holds the policy passes Prepare started, keyed by block
+	// identity: a divergent block, or a content-equal copy, at some height
+	// never lends its verdicts to the chain's block there. An entry leaves
+	// when its block commits at the head or the head passes its number.
+	ahead map[*Block]*verdicts
+}
+
+// verdicts is one block's policy pass running in the background: codes
+// belongs to the pass until done is closed.
+type verdicts struct {
+	done  chan struct{}
+	codes []ValidationCode
 }
 
 // NewChain returns an empty chain validating endorsements with policy (nil
 // policy skips endorsement checks).
 func NewChain(policy PolicyChecker) *Chain {
 	return &Chain{store: NewBlockStore(), state: NewStateDB(), policy: policy}
+}
+
+// prepare starts b's policy pass in the background, unless there is no
+// policy, the chain has already validated block b.Num, or a pass for b is
+// under way. The pass's goroutine ends when the pass does; the head commit
+// waits for it, and nobody does once its entry is pruned.
+func (c *Chain) prepare(b *Block) {
+	if c.policy == nil || len(b.Txs) == 0 {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if b.Num < c.store.Height() || c.ahead[b] != nil {
+		return
+	}
+	if c.ahead == nil {
+		c.ahead = make(map[*Block]*verdicts)
+	}
+	v := &verdicts{done: make(chan struct{}), codes: make([]ValidationCode, len(b.Txs))}
+	c.ahead[b] = v
+	go func() {
+		checkPolicy(v.codes, b.Txs, c.policy)
+		close(v.done)
+	}()
+}
+
+// policyPass returns b's policy-pass codes: those of the pass prepare
+// started for this very block, waiting for it if need be, else a pass run
+// now. Callers hold c.mu, and the wait keeps it, as validating did: the
+// head commit stays one step no other ledger can interleave with, and a
+// pass takes no lock of the chain's, so it always ends.
+func (c *Chain) policyPass(b *Block) []ValidationCode {
+	if v := c.ahead[b]; v != nil {
+		delete(c.ahead, b)
+		<-v.done
+		return v.codes
+	}
+	codes := make([]ValidationCode, len(b.Txs))
+	checkPolicy(codes, b.Txs, c.policy)
+	return codes
 }
 
 // commit validates and applies b at the chain's height, or checks that b is
@@ -49,9 +106,15 @@ func (c *Chain) commit(b *Block) (CommitResult, error) {
 		}
 		return c.results[b.Num], nil
 	}
-	codes := ValidateBlock(c.state, b, c.policy)
+	codes := c.policyPass(b)
+	checkMVCC(codes, c.state, b)
 	if err := c.store.Append(b); err != nil {
 		return CommitResult{}, err
+	}
+	for pb := range c.ahead {
+		if pb.Num <= b.Num {
+			delete(c.ahead, pb) // a block the chain will never take
+		}
 	}
 	res := CommitResult{BlockNum: b.Num, Codes: codes}
 	var txNums []uint32
@@ -120,6 +183,32 @@ func (l *Ledger) Height() uint64 { return l.height.Load() }
 // its committed blocks. Reads are safe at any time; writes are owned by
 // Commit.
 func (l *Ledger) State() *StateDB { return &l.view }
+
+// Results returns a copy of the chain's recorded results for the ledger's
+// committed blocks, in block order.
+func (l *Ledger) Results() []CommitResult {
+	l.chain.mu.Lock()
+	defer l.chain.mu.Unlock()
+	return append([]CommitResult(nil), l.chain.results[:l.height.Load()]...)
+}
+
+// Conflicts returns the number of invalidated transactions in the ledger's
+// committed blocks.
+func (l *Ledger) Conflicts() int {
+	n := 0
+	for _, r := range l.Results() {
+		n += r.Invalid
+	}
+	return n
+}
+
+// Prepare tells the ledger that b has arrived and will be committed. If the
+// chain has not yet validated block b.Num, b's policy pass starts in the
+// background, so the commit finds its endorsement verdicts ready and runs
+// only the MVCC pass. It changes no outcome: a verdict is a pure function of
+// the transaction and the chain's policy, and a commit uses only the
+// verdicts of the very block it is handed.
+func (l *Ledger) Prepare(b *Block) { l.chain.prepare(b) }
 
 // Commit commits b, which must be the ledger's next block; out-of-order
 // commits return an error (gossip buffers and reorders ahead of this

@@ -1,5 +1,10 @@
 package ledger
 
+import (
+	"runtime"
+	"sync"
+)
+
 // ValidationCode classifies the outcome of validating one transaction
 // within a block.
 type ValidationCode uint8
@@ -36,8 +41,8 @@ func (c ValidationCode) String() string {
 type PolicyChecker func(tx *Transaction) error
 
 // ValidateBlock runs Fabric's validation phase for one block against the
-// current state database: endorsement-policy check, then MVCC read-set
-// check. As in Fabric, a transaction also conflicts with earlier valid
+// current state database: the policy pass (checkPolicy), then the MVCC pass
+// (checkMVCC). As in Fabric, a transaction also conflicts with earlier valid
 // transactions of the same block that wrote any key it read.
 //
 // It returns one code per transaction. It does not mutate the state
@@ -45,14 +50,54 @@ type PolicyChecker func(tx *Transaction) error
 // (see Ledger.Commit).
 func ValidateBlock(state *StateDB, b *Block, policy PolicyChecker) []ValidationCode {
 	codes := make([]ValidationCode, len(b.Txs))
+	checkPolicy(codes, b.Txs, policy)
+	checkMVCC(codes, state, b)
+	return codes
+}
+
+// checkPolicy is the policy pass: it sets codes[i] to CodeEndorsementFailure
+// for every transaction whose endorsements fail policy and leaves the other
+// codes alone. A verdict is a pure function of the transaction and the
+// policy, so, as Fabric's committer does, the pass runs on GOMAXPROCS
+// workers, each taking a stride of txs; a nil policy or a single transaction
+// costs no goroutine.
+func checkPolicy(codes []ValidationCode, txs []*Transaction, policy PolicyChecker) {
+	if policy == nil {
+		return
+	}
+	workers := min(runtime.GOMAXPROCS(0), len(txs))
+	if workers <= 1 {
+		checkStride(codes, txs, policy, 0, 1)
+		return
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			checkStride(codes, txs, policy, w, workers)
+		}()
+	}
+	checkStride(codes, txs, policy, 0, workers)
+	wg.Wait()
+}
+
+func checkStride(codes []ValidationCode, txs []*Transaction, policy PolicyChecker, first, stride int) {
+	for i := first; i < len(txs); i += stride {
+		if policy(txs[i]) != nil {
+			codes[i] = CodeEndorsementFailure
+		}
+	}
+}
+
+// checkMVCC is the MVCC pass, sequential in block order: every code the
+// policy pass left zero becomes CodeValid or CodeMVCCConflict.
+func checkMVCC(codes []ValidationCode, state *StateDB, b *Block) {
 	// Keys written by earlier VALID transactions in this block.
 	wroteInBlock := make(map[string]bool)
 	for i, tx := range b.Txs {
-		if policy != nil {
-			if err := policy(tx); err != nil {
-				codes[i] = CodeEndorsementFailure
-				continue
-			}
+		if codes[i] == CodeEndorsementFailure {
+			continue
 		}
 		conflict := false
 		for _, r := range tx.RWSet.Reads {
@@ -70,5 +115,4 @@ func ValidateBlock(state *StateDB, b *Block, policy PolicyChecker) []ValidationC
 			wroteInBlock[w.Key] = true
 		}
 	}
-	return codes
 }

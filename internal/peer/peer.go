@@ -37,7 +37,6 @@ type Peer struct {
 	mu           sync.Mutex
 	queue        []*ledger.Block
 	busy         bool
-	results      []ledger.CommitResult
 	onCommit     func(ledger.CommitResult)
 	dropped      uint64
 	commitErrors uint64
@@ -87,32 +86,12 @@ func (p *Peer) OnCommitResult(fn func(ledger.CommitResult)) {
 	p.onCommit = fn
 }
 
-// Results returns a copy of all commit results so far.
-func (p *Peer) Results() []ledger.CommitResult {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]ledger.CommitResult, len(p.results))
-	copy(out, p.results)
-	return out
-}
-
-// Conflicts returns the total number of invalidated transactions observed.
-func (p *Peer) Conflicts() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, r := range p.results {
-		n += r.Invalid
-	}
-	return n
-}
-
 // Stats returns a snapshot of the pipeline counters.
 func (p *Peer) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return Stats{
-		Committed:    uint64(len(p.results)),
+		Committed:    p.led.Height(),
 		CommitErrors: p.commitErrors,
 		Dropped:      p.dropped,
 	}
@@ -122,7 +101,8 @@ func (p *Peer) Stats() Stats {
 // validation pipeline: each block occupies the validator for
 // ValidationPerTx * len(Txs) before committing, and the next block starts
 // only after the previous one committed (validation is single-threaded per
-// peer, as in Fabric v1.2).
+// peer, as in Fabric v1.2). The ledger hears of the block on arrival, so its
+// endorsement signatures are checked while it waits.
 func (p *Peer) enqueue(b *ledger.Block) {
 	if len(p.cfg.OrdererKey) > 0 {
 		if crypto.Verify(p.cfg.OrdererKey, b.HeaderBytes(), b.Sig) != nil {
@@ -132,6 +112,7 @@ func (p *Peer) enqueue(b *ledger.Block) {
 			return
 		}
 	}
+	p.led.Prepare(b)
 	p.mu.Lock()
 	p.queue = append(p.queue, b)
 	start := !p.busy
@@ -168,7 +149,6 @@ func (p *Peer) validateNext() {
 			return
 		}
 		p.mu.Lock()
-		p.results = append(p.results, res)
 		fn := p.onCommit
 		p.mu.Unlock()
 		if fn != nil {

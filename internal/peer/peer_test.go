@@ -1,7 +1,9 @@
 package peer
 
 import (
+	"errors"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,7 +28,13 @@ type fixture struct {
 
 func newFixture(t *testing.T, n int, cfg Config) *fixture {
 	t.Helper()
-	f := &fixture{engine: sim.NewEngine(1), chain: ledger.NewChain(nil)}
+	return newFixtureOn(t, ledger.NewChain(nil), n, cfg)
+}
+
+// newFixtureOn is newFixture with the peers' ledgers on the given chain.
+func newFixtureOn(t *testing.T, chain *ledger.Chain, n int, cfg Config) *fixture {
+	t.Helper()
+	f := &fixture{engine: sim.NewEngine(1), chain: chain}
 	f.net = transport.NewSimNetwork(f.engine, netmodel.Model{PropMin: time.Millisecond, PropMax: time.Millisecond}, nil)
 	signer, err := crypto.NewSigner(rand.New(rand.NewSource(7)))
 	if err != nil {
@@ -130,10 +138,10 @@ func TestCommitResultsSurfaceMVCCConflicts(t *testing.T) {
 	b.DataHash = ledger.ComputeDataHash(b.Txs)
 	_ = f.order.Send(0, &wire.DeliverBlock{Block: b})
 	f.engine.RunUntil(time.Second)
-	if got := f.peers[0].Conflicts(); got != 1 {
+	if got := f.peers[0].Ledger().Conflicts(); got != 1 {
 		t.Fatalf("conflicts = %d, want 1 (earliest writer wins)", got)
 	}
-	results := f.peers[0].Results()
+	results := f.peers[0].Ledger().Results()
 	if len(results) != 1 || results[0].Valid != 1 || results[0].Invalid != 1 {
 		t.Fatalf("results = %+v", results)
 	}
@@ -252,7 +260,7 @@ func TestDivergentBlockCountsACommitError(t *testing.T) {
 			t.Fatalf("peer %d height %d, want %d", i, h, want)
 		}
 	}
-	if r := f.peers[0].Results(); len(r) != 2 || len(r[1].Codes) != 2 {
+	if r := f.peers[0].Ledger().Results(); len(r) != 2 || len(r[1].Codes) != 2 {
 		t.Fatalf("peer 0 results %+v, want block 1's two codes", r)
 	}
 	if vv, _ := f.peers[0].State().Get("k"); vv.Version != (ledger.Version{BlockNum: 1, TxNum: 1}) {
@@ -264,7 +272,7 @@ func TestDivergentBlockCountsACommitError(t *testing.T) {
 	// The chain still hands peer 2 block 1's recorded result.
 	f.peers[2].enqueue(b1)
 	f.engine.RunUntil(3 * time.Second)
-	if r := f.peers[2].Results(); len(r) != 2 || r[1].Valid != 2 {
+	if r := f.peers[2].Ledger().Results(); len(r) != 2 || r[1].Valid != 2 {
 		t.Fatalf("peer 2 results %+v, want block 1 with 2 valid", r)
 	}
 }
@@ -285,7 +293,44 @@ func TestContentEqualCopyCommits(t *testing.T) {
 	if st.CommitErrors != 0 || st.Committed != 2 {
 		t.Fatalf("peer 1 stats %+v, want 2 committed and no commit error", st)
 	}
-	if r := f.peers[1].Results(); r[1].Valid != 2 {
+	if r := f.peers[1].Ledger().Results(); r[1].Valid != 2 {
 		t.Fatalf("peer 1 results %+v", r)
+	}
+}
+
+// TestPreparedPolicyPassRunsAheadOfCommit delivers a block whose commit the
+// modelled validation delay puts 400 ms out: every endorsement check is done
+// long before then, once for the three peers that receive the block, and the
+// commit uses those verdicts without checking again.
+func TestPreparedPolicyPassRunsAheadOfCommit(t *testing.T) {
+	var checked atomic.Int64
+	chain := ledger.NewChain(func(tx *ledger.Transaction) error {
+		checked.Add(1)
+		if tx.Payload[1] == 1 {
+			return errors.New("bad endorsement")
+		}
+		return nil
+	})
+	f := newFixtureOn(t, chain, 3, Config{ValidationPerTx: 100 * time.Millisecond})
+	b := f.block(0, nil, 4, false)
+	_ = f.order.Send(0, &wire.DeliverBlock{Block: b})
+	f.engine.RunUntil(50 * time.Millisecond)
+	for deadline := time.Now().Add(10 * time.Second); checked.Load() < 4; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of 4 transactions checked before the commit", checked.Load())
+		}
+	}
+	if h := f.peers[0].Ledger().Height(); h != 0 {
+		t.Fatalf("height %d before the validation delay ran out", h)
+	}
+	f.engine.RunUntil(time.Second)
+	for i, p := range f.peers {
+		r := p.Ledger().Results()
+		if len(r) != 1 || r[0].Valid != 3 || r[0].Codes[1] != ledger.CodeEndorsementFailure {
+			t.Fatalf("peer %d results %+v, want transaction 1 rejected", i, r)
+		}
+	}
+	if n := checked.Load(); n != 4 {
+		t.Fatalf("%d endorsement checks for 4 transactions", n)
 	}
 }
