@@ -69,15 +69,15 @@ func main() {
 		return
 	}
 
+	sizes, err := parseOrgSizes(*orgSizes)
+	if err != nil {
+		fatal(err)
+	}
 	var names []string
 	if *name == "all" {
-		// Entries needing more organizations than requested are skipped
-		// (RunNamed would silently bump the org count, which is surprising
-		// in a sweep over an explicit topology).
 		for _, d := range scenario.Catalog() {
-			if d.MinOrgs > max(*orgs, 1) {
-				fmt.Printf("skipping %s: needs >= %d orgs (run with -orgs %d)\n\n",
-					d.Name, d.MinOrgs, d.MinOrgs)
+			if why := skipReason(d, *orgs, sizes); why != "" {
+				fmt.Printf("skipping %s: %s\n\n", d.Name, why)
 				continue
 			}
 			names = append(names, d.Name)
@@ -88,10 +88,6 @@ func main() {
 		}
 	}
 	variants, err := parseVariants(*variant)
-	if err != nil {
-		fatal(err)
-	}
-	sizes, err := parseOrgSizes(*orgSizes)
 	if err != nil {
 		fatal(err)
 	}
@@ -240,6 +236,24 @@ func writeArtifacts(rep *scenario.Report, traceJSONL, metricsOut string, timeser
 		fmt.Printf("  flight dump: %s\n", rep.FlightDump)
 	}
 	return nil
+}
+
+// skipReason says why -scenario all leaves d out, or "" when it runs: the
+// entry needs more organizations than the requested topology has — -org-sizes'
+// entry count when given, else -orgs. RunNamed would silently bump -orgs (and
+// reject a short -org-sizes), which is surprising in a sweep over an explicit
+// topology.
+func skipReason(d scenario.Def, orgs int, sizes []int) string {
+	if len(sizes) > 0 {
+		if d.MinOrgs <= len(sizes) {
+			return ""
+		}
+		return fmt.Sprintf("needs >= %d orgs (give -org-sizes %d entries)", d.MinOrgs, d.MinOrgs)
+	}
+	if d.MinOrgs <= max(orgs, 1) {
+		return ""
+	}
+	return fmt.Sprintf("needs >= %d orgs (run with -orgs %d)", d.MinOrgs, d.MinOrgs)
 }
 
 func parseOrgSizes(s string) ([]int, error) {

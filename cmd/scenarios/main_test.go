@@ -1,0 +1,48 @@
+package main
+
+import (
+	"reflect"
+	"strings"
+	"testing"
+
+	"fabricgossip/internal/scenario"
+)
+
+// TestSkipReasonCountsOrgSizes pins which catalog entries -scenario all
+// skips: an -org-sizes layout counts its entries as the org count, so four
+// sizes run every entry and two skip only the three-org consortium.
+func TestSkipReasonCountsOrgSizes(t *testing.T) {
+	var multiOrg []string
+	for _, d := range scenario.Catalog() {
+		if d.MinOrgs > 1 {
+			multiOrg = append(multiOrg, d.Name)
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		orgs  int
+		sizes []int
+		want  []string
+		hint  string
+	}{
+		{"-orgs 1", 1, nil, multiOrg, "-orgs"},
+		{"-orgs 4", 4, nil, nil, ""},
+		{"-org-sizes 8,8,8,8", 1, []int{8, 8, 8, 8}, nil, ""},
+		{"-org-sizes 8,8", 1, []int{8, 8}, []string{"org-asym-consortium"}, "-org-sizes"},
+	} {
+		var skipped []string
+		for _, d := range scenario.Catalog() {
+			why := skipReason(d, c.orgs, c.sizes)
+			if why == "" {
+				continue
+			}
+			skipped = append(skipped, d.Name)
+			if !strings.Contains(why, c.hint) {
+				t.Errorf("%s: %s skipped with %q, want a hint naming %s", c.name, d.Name, why, c.hint)
+			}
+		}
+		if !reflect.DeepEqual(skipped, c.want) {
+			t.Errorf("%s: skipped %v, want %v", c.name, skipped, c.want)
+		}
+	}
+}

@@ -9,7 +9,6 @@ package crypto
 import (
 	"crypto/ed25519"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -35,14 +34,6 @@ func Hash(chunks ...[]byte) Digest {
 	var d Digest
 	copy(d[:], h.Sum(nil))
 	return d
-}
-
-// HashUint64 returns the digest of the 8-byte big-endian encoding of v
-// prepended to data. It gives cheap domain separation for numbered items.
-func HashUint64(v uint64, data []byte) Digest {
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], v)
-	return Hash(buf[:], data)
 }
 
 // Signature is an Ed25519 signature.

@@ -71,15 +71,6 @@ func TestHashProperties(t *testing.T) {
 	}
 }
 
-func TestHashUint64DomainSeparation(t *testing.T) {
-	if HashUint64(1, []byte("x")) == HashUint64(2, []byte("x")) {
-		t.Fatal("different numbers produced same digest")
-	}
-	if HashUint64(1, []byte("x")) != HashUint64(1, []byte("x")) {
-		t.Fatal("hash not deterministic")
-	}
-}
-
 // Property: signatures over arbitrary byte strings always verify under the
 // signing key.
 func TestPropertySignVerifyRoundTrip(t *testing.T) {

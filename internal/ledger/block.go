@@ -21,14 +21,6 @@ type Version struct {
 	TxNum    uint32
 }
 
-// Less reports whether v precedes o in the total order.
-func (v Version) Less(o Version) bool {
-	if v.BlockNum != o.BlockNum {
-		return v.BlockNum < o.BlockNum
-	}
-	return v.TxNum < o.TxNum
-}
-
 // String formats the version as "block.tx".
 func (v Version) String() string { return fmt.Sprintf("%d.%d", v.BlockNum, v.TxNum) }
 

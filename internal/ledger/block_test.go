@@ -107,13 +107,8 @@ func TestVerifyLinkage(t *testing.T) {
 	})
 }
 
-func TestVersionLessAndString(t *testing.T) {
+func TestVersionString(t *testing.T) {
 	a := Version{BlockNum: 1, TxNum: 2}
-	b := Version{BlockNum: 1, TxNum: 3}
-	c := Version{BlockNum: 2, TxNum: 0}
-	if !a.Less(b) || !b.Less(c) || c.Less(a) || a.Less(a) {
-		t.Error("Less ordering wrong")
-	}
 	if a.String() != "1.2" {
 		t.Errorf("String() = %q, want 1.2", a.String())
 	}

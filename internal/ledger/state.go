@@ -92,21 +92,3 @@ func (s *StateDB) ApplyBlockWrites(num uint64, txNums []uint32, writeSets []RWSe
 		}
 	}
 }
-
-// Len returns the number of keys with a committed value in the view.
-func (s *StateDB) Len() int {
-	return len(s.Snapshot())
-}
-
-// Snapshot returns a copy of the view's state, for tests and inspection.
-func (s *StateDB) Snapshot() map[string]VersionedValue {
-	s.h.mu.RLock()
-	defer s.h.mu.RUnlock()
-	out := make(map[string]VersionedValue, len(s.h.vers))
-	for k, vs := range s.h.vers {
-		if vv, ok := s.visible(vs); ok {
-			out[k] = VersionedValue{Value: append([]byte(nil), vv.Value...), Version: vv.Version}
-		}
-	}
-	return out
-}

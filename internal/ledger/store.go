@@ -47,30 +47,3 @@ func (s *BlockStore) Get(num uint64) (*Block, error) {
 	}
 	return s.blocks[num], nil
 }
-
-// Range returns blocks [from, to) that are present, clamped to the chain;
-// it is the batch primitive used by the recovery component.
-func (s *BlockStore) Range(from, to uint64) []*Block {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	h := uint64(len(s.blocks))
-	if from >= h || from >= to {
-		return nil
-	}
-	if to > h {
-		to = h
-	}
-	out := make([]*Block, to-from)
-	copy(out, s.blocks[from:to])
-	return out
-}
-
-// Last returns the most recent block, or nil for an empty chain.
-func (s *BlockStore) Last() *Block {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if len(s.blocks) == 0 {
-		return nil
-	}
-	return s.blocks[len(s.blocks)-1]
-}

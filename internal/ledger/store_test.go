@@ -34,9 +34,6 @@ func TestBlockStoreAppendGet(t *testing.T) {
 	if _, err := s.Get(5); err == nil {
 		t.Fatal("Get past height succeeded")
 	}
-	if s.Last() != blocks[4] {
-		t.Fatal("Last() wrong")
-	}
 }
 
 func TestBlockStoreRejectsBrokenChain(t *testing.T) {
@@ -50,36 +47,5 @@ func TestBlockStoreRejectsBrokenChain(t *testing.T) {
 	}
 	if s.Height() != 2 {
 		t.Fatalf("failed appends changed height to %d", s.Height())
-	}
-}
-
-func TestBlockStoreRange(t *testing.T) {
-	s, blocks := chainOf(t, 10)
-	cases := []struct {
-		from, to uint64
-		want     int
-		first    uint64
-	}{
-		{0, 10, 10, 0},
-		{3, 7, 4, 3},
-		{8, 100, 2, 8}, // clamped to height
-		{10, 12, 0, 0}, // beyond chain
-		{5, 5, 0, 0},   // empty interval
-		{6, 2, 0, 0},   // inverted interval
-	}
-	for _, c := range cases {
-		got := s.Range(c.from, c.to)
-		if len(got) != c.want {
-			t.Fatalf("Range(%d,%d) len = %d, want %d", c.from, c.to, len(got), c.want)
-		}
-		if c.want > 0 && got[0] != blocks[c.first] {
-			t.Fatalf("Range(%d,%d)[0] = block %d, want %d", c.from, c.to, got[0].Num, c.first)
-		}
-	}
-}
-
-func TestBlockStoreEmptyLast(t *testing.T) {
-	if NewBlockStore().Last() != nil {
-		t.Fatal("Last on empty store should be nil")
 	}
 }

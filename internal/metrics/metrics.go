@@ -27,9 +27,6 @@ func NewDistribution(samples []time.Duration) *Distribution {
 	return &Distribution{sorted: s}
 }
 
-// N returns the sample count.
-func (d *Distribution) N() int { return len(d.sorted) }
-
 // Quantile returns the p-th order statistic (0 < p <= 1). Out-of-range p
 // clamps to the extremes; an empty distribution returns 0.
 func (d *Distribution) Quantile(p float64) time.Duration { return quantile(d.sorted, p) }
@@ -69,23 +66,6 @@ func (d *Distribution) Max() time.Duration {
 		return 0
 	}
 	return d.sorted[len(d.sorted)-1]
-}
-
-// Min returns the smallest sample.
-func (d *Distribution) Min() time.Duration {
-	if len(d.sorted) == 0 {
-		return 0
-	}
-	return d.sorted[0]
-}
-
-// FractionBelow returns the empirical CDF at x.
-func (d *Distribution) FractionBelow(x time.Duration) float64 {
-	if len(d.sorted) == 0 {
-		return 0
-	}
-	i := sort.Search(len(d.sorted), func(i int) bool { return d.sorted[i] > x })
-	return float64(i) / float64(len(d.sorted))
 }
 
 // Logit returns ln(p / (1-p)), the logistic quantile transform the paper

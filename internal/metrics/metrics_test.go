@@ -28,18 +28,15 @@ func TestDistributionQuantiles(t *testing.T) {
 			t.Errorf("Quantile(%g) = %v, want %v", c.p, got, c.want)
 		}
 	}
-	if d.Min() != ms(10) || d.Max() != ms(50) || d.Mean() != ms(30) {
-		t.Errorf("min/max/mean = %v/%v/%v", d.Min(), d.Max(), d.Mean())
+	if s := Summarize(d); s.Min != ms(10) || d.Max() != ms(50) || d.Mean() != ms(30) {
+		t.Errorf("min/max/mean = %v/%v/%v", s.Min, d.Max(), d.Mean())
 	}
 }
 
 func TestDistributionEmpty(t *testing.T) {
 	d := NewDistribution(nil)
-	if d.Quantile(0.5) != 0 || d.Mean() != 0 || d.Min() != 0 || d.Max() != 0 || d.N() != 0 {
+	if d.Quantile(0.5) != 0 || d.Mean() != 0 || d.Max() != 0 || Summarize(d) != (Summary{}) {
 		t.Fatal("empty distribution should return zeros")
-	}
-	if d.FractionBelow(time.Second) != 0 {
-		t.Fatal("empty FractionBelow should be 0")
 	}
 }
 
@@ -49,21 +46,6 @@ func TestDistributionDoesNotAliasInput(t *testing.T) {
 	in[0] = ms(999)
 	if d.Max() != ms(3) {
 		t.Fatal("distribution aliases caller slice")
-	}
-}
-
-func TestFractionBelow(t *testing.T) {
-	d := NewDistribution([]time.Duration{ms(10), ms(20), ms(30), ms(40)})
-	cases := []struct {
-		x    time.Duration
-		want float64
-	}{
-		{ms(5), 0}, {ms(10), 0.25}, {ms(25), 0.5}, {ms(40), 1}, {ms(100), 1},
-	}
-	for _, c := range cases {
-		if got := d.FractionBelow(c.x); got != c.want {
-			t.Errorf("FractionBelow(%v) = %g, want %g", c.x, got, c.want)
-		}
 	}
 }
 
@@ -163,9 +145,8 @@ func TestAllPoolsEverything(t *testing.T) {
 	r.Record(0, 0, ms(1))
 	r.Record(0, 1, ms(2))
 	r.Record(1, 0, ms(3))
-	d := r.All()
-	if d.N() != 3 || d.Max() != ms(3) {
-		t.Fatalf("All() n=%d max=%v", d.N(), d.Max())
+	if s := Summarize(r.All()); s.N != 3 || s.Max != ms(3) {
+		t.Fatalf("All() n=%d max=%v", s.N, s.Max)
 	}
 }
 
@@ -202,7 +183,7 @@ func TestPropertyQuantileMonotone(t *testing.T) {
 			}
 			prev = q
 		}
-		return d.Quantile(1.0) == d.Max() && d.Min() <= d.Mean() && d.Mean() <= d.Max()
+		return d.Quantile(1.0) == d.Max() && d.Quantile(0) <= d.Mean() && d.Mean() <= d.Max()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -61,12 +61,3 @@ func (m Model) Delay(rng *sim.Rand, size int) time.Duration {
 	}
 	return d
 }
-
-// TransmitTime returns only the serialization component for size bytes,
-// used by tests and capacity estimates.
-func (m Model) TransmitTime(size int) time.Duration {
-	if m.BandwidthBytesPerSec <= 0 {
-		return 0
-	}
-	return time.Duration(float64(size) / m.BandwidthBytesPerSec * float64(time.Second))
-}

@@ -66,16 +66,6 @@ func TestLANModelSane(t *testing.T) {
 	}
 }
 
-func TestTransmitTime(t *testing.T) {
-	m := Model{BandwidthBytesPerSec: 125e6}
-	if got := m.TransmitTime(125e6); got != time.Second {
-		t.Fatalf("TransmitTime(1s worth) = %v", got)
-	}
-	if got := (Model{}).TransmitTime(1000); got != 0 {
-		t.Fatalf("zero-bandwidth TransmitTime = %v, want 0", got)
-	}
-}
-
 func TestTrafficBucketsAndSeries(t *testing.T) {
 	tr := NewTraffic(10 * time.Second)
 	// 1 MB from node 0 to node 1 in bucket 0, 2 MB in bucket 2.

@@ -73,7 +73,6 @@ sweep() {
 	fi
 
 	"$bin/figures" -exp all -quick -seed 1 >"$log/figures.txt"
-	"$bin/benchdiff" "$root/BENCH_baseline.json" "$root/BENCH_baseline.json" >"$log/benchdiff.txt"
 	for d in "$root"/examples/*; do
 		"$bin/$(basename "$d")" >"$log/example-$(basename "$d").txt"
 	done
