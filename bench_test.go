@@ -634,7 +634,7 @@ func BenchmarkEnhancedPushEnvelopeAllocs(b *testing.B) {
 // 61 digest hops to offer fresh; the receiver is rebuilt, off the clock,
 // when they run out. Both allocs_op figures must stay 0.
 func BenchmarkEnhancedDigestDelivery(b *testing.B) {
-	const held = 200 // below the default Retention: no state is pruned
+	const held = 200 // below the retention window: no state is pruned
 	ecfg := enhanced.Config{Fout: 4, TTL: 63, TTLDirect: 2, FLeaderOut: 1,
 		UseDigests: true, RequestTimeout: 500 * time.Millisecond}
 	for _, spread := range []bool{false, true} {
@@ -852,11 +852,11 @@ func BenchmarkMembershipPiggybackIdle(b *testing.B) {
 	}
 }
 
-// BenchmarkStateSyncServe locks the zero-copy serve contract end to end: a
-// StateRequest for an already-frozen range travels through the simulated
-// transport, hits the provider's batch cache and is answered by re-sending
-// the cached pre-encoded StateResponse — zero allocations and zero
-// re-encoding of the block trees at steady state; allocs_op must stay 0.
+// BenchmarkStateSyncServe times the serve path end to end: a StateRequest
+// for a 32-block range travels through the simulated transport and is
+// answered by a fresh StateResponse whose batch references the encodings
+// cached on the blocks — a slice of block pointers and two small structs,
+// no re-encoding of the block trees. allocs_op has a ceiling (8 measured).
 func BenchmarkStateSyncServe(b *testing.B) {
 	engine := sim.NewEngine(1)
 	model := netmodel.Model{PropMin: time.Microsecond, PropMax: 2 * time.Microsecond}
@@ -882,20 +882,17 @@ func BenchmarkStateSyncServe(b *testing.B) {
 		engine.RunFor(10 * time.Microsecond)
 	}
 	for i := 0; i < 200; i++ {
-		cycle() // freeze + cache the batch, warm the event pool
+		cycle() // warm the event pool
 	}
 	allocs := testing.AllocsPerRun(2000, cycle)
 	b.ReportAllocs()
 	b.ResetTimer()
-	atMost(b, "allocs_op", allocs, 0)
+	atMost(b, "allocs_op", allocs, 8)
 	for i := 0; i < b.N; i++ {
 		cycle()
 	}
 	if responses == 0 {
 		b.Fatal("no responses served")
-	}
-	if stats := core.StateSyncStats(); stats.ServedCached == 0 {
-		b.Fatal("serve path never hit the frozen-batch cache")
 	}
 }
 

@@ -123,6 +123,22 @@ func TestAddBlockInOrderDelivery(t *testing.T) {
 	}
 }
 
+// A body far above the in-order height can only come from outside input: it
+// is ignored instead of growing the dense store up to its number.
+func TestAddBlockIgnoresBodiesFarAhead(t *testing.T) {
+	core, ep, _, _ := coreFixture(t, nil)
+	core.AddBlock(blockN(0))
+	for _, num := range []uint64{2 + MaxAhead, 1 << 20} {
+		ep.deliver(1, &wire.StateResponse{Batch: wire.NewBlockBatch([]*ledger.Block{blockN(num)})})
+		if core.HasBlock(num) || len(core.blocks) > 1 {
+			t.Fatalf("block %d stored: the store grew to %d entries", num, len(core.blocks))
+		}
+	}
+	if !core.AddBlock(blockN(1 + MaxAhead)) {
+		t.Fatal("a block MaxAhead above the height was rejected")
+	}
+}
+
 func TestServeStateRequestRespectsBatchAndGaps(t *testing.T) {
 	core, ep, _, _ := coreFixture(t, func(c *Config) { c.RecoveryBatch = 3 })
 	for _, n := range []uint64{0, 1, 2, 3, 4, 6} { // gap at 5

@@ -62,13 +62,12 @@ func TestTPushAblationStillDisseminates(t *testing.T) {
 	}
 }
 
-// TestStatePruningBoundsMemory drives many blocks through a small network
-// with a tiny retention and checks old epidemic state is discarded.
+// TestStatePruningBoundsMemory drives more blocks than the retention window
+// through a small network and checks old epidemic state is discarded.
 func TestStatePruningBoundsMemory(t *testing.T) {
 	cfg, _ := ConfigFor(10, 3, 1e-3, 2)
-	cfg.Retention = 8
 	w := build(t, 10, cfg, 25)
-	const blocks = 40
+	const blocks = retention + 64
 	for i := uint64(0); i < blocks; i++ {
 		b := block(i)
 		w.engine.After(0, func() { _ = w.orderer.Send(0, &wire.DeliverBlock{Block: b}) })
@@ -81,9 +80,9 @@ func TestStatePruningBoundsMemory(t *testing.T) {
 		}
 	}
 	for i, p := range w.protos {
-		if got := p.TrackedBlocks(); got > int(cfg.Retention)+2 {
+		if got := p.TrackedBlocks(); got > retention+2 {
 			t.Fatalf("peer %d tracks %d blocks, want <= retention %d (+slack)",
-				i, got, cfg.Retention)
+				i, got, retention)
 		}
 	}
 }

@@ -54,17 +54,18 @@ type Config struct {
 	// timer... to ensure unbiased randomness"). Non-zero values exist to
 	// reproduce that ablation.
 	TPush time.Duration
-	// Retention bounds per-block epidemic state: tracking for blocks more
-	// than Retention below the in-order ledger height is pruned (their
-	// epidemics ended long ago; stragglers fall through to recovery).
-	// Zero defaults to 256 blocks.
-	Retention uint64
 }
 
-// maxTTL is the largest stopping counter a configuration may carry: a
-// block's observed counters are one 64-bit word (blockState.seen). Analytic
-// TTLs are single-digit up to a million peers.
-const maxTTL = 63
+const (
+	// maxTTL is the largest stopping counter a configuration may carry: a
+	// block's observed counters are one 64-bit word (blockState.seen).
+	// Analytic TTLs are single-digit up to a million peers.
+	maxTTL = 63
+	// retention bounds per-block epidemic state: tracking for blocks more
+	// than retention below the in-order ledger height is pruned (their
+	// epidemics ended long ago; stragglers fall through to recovery).
+	retention = 256
+)
 
 // DefaultConfig returns the paper's primary configuration for a network of
 // n peers: fout = floor(ln n) (minimum 2), TTL from the analytic lookup at
@@ -103,7 +104,7 @@ type pendingServe struct {
 
 // blockState is one block's epidemic tracking state, stored dense by block
 // number (blocks[i] tracks blockBase+i). Block numbers are small dense
-// integers and Retention bounds how many stay live, so a flat 24-byte slot
+// integers and retention bounds how many stay live, so a flat 24-byte slot
 // replaces what used to be an entry in each of four parallel maps — the
 // largest remaining heap term across a 10k-peer organization.
 type blockState struct {
@@ -127,7 +128,7 @@ type Protocol struct {
 
 	// blocks is the dense per-block tracking state: blocks[i] tracks block
 	// number blockBase+i. pruneBelow advances blockBase and shifts the
-	// slice, keeping at most Retention (plus in-flight) slots live.
+	// slice, keeping at most retention (plus in-flight) slots live.
 	blocks    []blockState
 	blockBase uint64
 	// serves queues body requests that arrived before the body; nil until
@@ -180,9 +181,10 @@ func New(cfg Config) *Protocol {
 	return &Protocol{cfg: cfg}
 }
 
-// state returns block num's tracking slot, creating it if needed. Callers
-// hold mu; the pointer must not outlive the critical section (growing the
-// dense slice moves it).
+// state returns block num's tracking slot, creating it if needed, or nil
+// for a number more than gossip.MaxAhead above blockBase (outside input:
+// the dense slice would grow to it). Callers hold mu; the pointer must not
+// outlive the critical section (growing the dense slice moves it).
 func (p *Protocol) state(num uint64) *blockState {
 	if num < p.blockBase {
 		st := p.stale[num]
@@ -196,6 +198,9 @@ func (p *Protocol) state(num uint64) *blockState {
 		return st
 	}
 	i := num - p.blockBase
+	if i > gossip.MaxAhead {
+		return nil
+	}
 	for uint64(len(p.blocks)) <= i {
 		p.blocks = append(p.blocks, blockState{})
 	}
@@ -318,10 +323,6 @@ func (p *Protocol) OnBlockStored(b *ledger.Block) {
 // pruneBelow drops per-block tracking state for blocks far below the
 // in-order height, keeping memory bounded on long-running peers.
 func (p *Protocol) pruneBelow(height uint64) {
-	retention := p.cfg.Retention
-	if retention == 0 {
-		retention = 256
-	}
 	if height <= retention {
 		return
 	}
@@ -384,7 +385,7 @@ func (p *Protocol) handleDigest(from wire.NodeID, m *wire.PushDigest) {
 		}
 		if !p.c.HasBlock(o.Num) {
 			st := p.state(o.Num)
-			if st.requested == 0 || now-(st.requested-1) >= p.cfg.RequestTimeout {
+			if st != nil && (st.requested == 0 || now-(st.requested-1) >= p.cfg.RequestTimeout) {
 				st.requested = now + 1
 				wantNums = append(wantNums, o.Num)
 			}
@@ -437,7 +438,7 @@ func (p *Protocol) markSeen(num uint64, counter uint32) bool {
 	}
 	st := p.state(num)
 	bit := uint64(1) << counter
-	if st.seen&bit != 0 {
+	if st == nil || st.seen&bit != 0 {
 		return false
 	}
 	st.seen |= bit

@@ -233,6 +233,25 @@ func TestDigestBeforeBodyIsServedOnArrival(t *testing.T) {
 	}
 }
 
+// An offer or body far above the tracked window can only come from outside
+// input: it is ignored instead of growing the dense per-block state up to its
+// number, and no body request goes out for it.
+func TestFarAheadOffersAreIgnored(t *testing.T) {
+	cfg, _ := ConfigFor(10, 2, 1e-3, 0)
+	w := build(t, 2, cfg, 8)
+	for _, num := range []uint64{1 + gossip.MaxAhead, 1 << 20} {
+		_ = w.orderer.Send(0, &wire.PushDigest{Offers: []wire.BlockOffer{{Num: num, Counter: 1}}})
+		_ = w.orderer.Send(0, &wire.Data{Block: block(num), Counter: 1})
+	}
+	w.engine.RunUntil(time.Second)
+	if n := len(w.protos[0].blocks); n != 0 {
+		t.Fatalf("per-block state grew to %d slots", n)
+	}
+	if got := w.traffic.CountOf(wire.TypePushRequest); got != 0 {
+		t.Fatalf("%d body requests for far-ahead offers", got)
+	}
+}
+
 func TestRequestTimeoutAllowsReRequest(t *testing.T) {
 	cfg, _ := ConfigFor(10, 2, 1e-3, 0)
 	cfg.RequestTimeout = 50 * time.Millisecond

@@ -68,8 +68,6 @@ type Config struct {
 	// floor of the paper's bandwidth figures.
 	AliveInterval time.Duration
 	AliveFanout   int
-	// AliveMetaSize pads heartbeats to a realistic encoded size.
-	AliveMetaSize int
 	// AliveExpiration is how long a peer stays in the live view after its
 	// last heartbeat. Zero defaults to 3x AliveInterval.
 	AliveExpiration time.Duration
@@ -97,16 +95,10 @@ type Config struct {
 
 	// AnchorPeers lists remote-organization anchor peers this peer's
 	// leader may fetch missing blocks from when the ordering service goes
-	// silent (cross-org state transfer through the statesync engine).
-	// Empty — the default — disables the path entirely.
+	// silent (cross-org state transfer through the statesync engine, on
+	// its statesync.AnchorInterval and statesync.OrdererStall). Empty — the
+	// default — disables the path entirely.
 	AnchorPeers []wire.NodeID
-	// AnchorInterval is how often the leader runs an anchor probe round
-	// while the orderer is silent. Zero disables probing even with
-	// anchors configured.
-	AnchorInterval time.Duration
-	// OrdererStall is how long without an orderer delivery before the
-	// leader considers the orderer unreachable. Zero defaults to 5s.
-	OrdererStall time.Duration
 }
 
 // DefaultConfig returns the Fabric-default shared parameters for the given
@@ -119,7 +111,6 @@ func DefaultConfig(self wire.NodeID, peers []wire.NodeID) Config {
 		StateInfoFanout:   3,
 		AliveInterval:     5 * time.Second,
 		AliveFanout:       3,
-		AliveMetaSize:     256,
 		RecoveryInterval:  10 * time.Second,
 		RecoveryBatch:     32,
 	}
@@ -202,11 +193,6 @@ type Core struct {
 	stateInfoPeers []wire.NodeID
 	alivePeers     []wire.NodeID
 
-	// aliveMeta is the zero-filled heartbeat padding, aliasing the shared
-	// process-wide zero buffer (see sharedZeroMeta): Alive messages are
-	// read-only on both runtimes, so every tick of every core reuses it.
-	aliveMeta []byte
-
 	onFirstReception func(b *ledger.Block, at time.Duration)
 	onCommit         []func(b *ledger.Block)
 	onPeerState      func(peer wire.NodeID, alive bool, at time.Duration)
@@ -231,8 +217,7 @@ func New(cfg Config, ep transport.Endpoint, sched sim.Scheduler, rng *sim.Rand, 
 		// would discard the rejoined peer's heartbeats as stale until it
 		// out-counted its pre-crash uptime (Fabric ships a boot timestamp
 		// in AliveMessage for the same reason).
-		aliveSeq:  uint64(sched.Now() / time.Millisecond),
-		aliveMeta: sharedZeroMeta(cfg.AliveMetaSize),
+		aliveSeq: uint64(sched.Now() / time.Millisecond),
 	}
 	if cfg.ShuffleInterval > 0 {
 		c.shuffleRng = sim.NewRand(rng.Int63())
@@ -275,11 +260,7 @@ func New(cfg Config, ep transport.Endpoint, sched sim.Scheduler, rng *sim.Rand, 
 	if c.selfInRange {
 		c.nOthers--
 	}
-	ssCfg := statesync.Config{
-		Batch:        cfg.RecoveryBatch,
-		Anchors:      cfg.AnchorPeers,
-		OrdererStall: cfg.OrdererStall,
-	}
+	ssCfg := statesync.Config{Batch: cfg.RecoveryBatch, Anchors: cfg.AnchorPeers}
 	c.fetcher = statesync.NewFetcher(c, ssCfg)
 	c.provider = statesync.NewProvider(c, ssCfg)
 	ep.SetHandler(c.handleMessage)
@@ -339,8 +320,8 @@ func (c *Core) Start() {
 	if c.cfg.RecoveryInterval > 0 {
 		c.timers = append(c.timers, everyTimer(c.sched, c.cfg.RecoveryInterval, c.fetcher.Tick))
 	}
-	if c.cfg.AnchorInterval > 0 && len(c.cfg.AnchorPeers) > 0 {
-		c.timers = append(c.timers, everyTimer(c.sched, c.cfg.AnchorInterval, c.fetcher.AnchorTick))
+	if len(c.cfg.AnchorPeers) > 0 {
+		c.timers = append(c.timers, everyTimer(c.sched, statesync.AnchorInterval, c.fetcher.AnchorTick))
 	}
 	if c.cfg.ShuffleInterval > 0 {
 		c.timers = append(c.timers, everyTimer(c.sched, c.cfg.ShuffleInterval, c.shuffleTick))
@@ -449,23 +430,11 @@ func (c *Core) isMember(p wire.NodeID) bool {
 	return p >= c.rangeLo && p <= c.rangeHi
 }
 
-// sharedZeroMeta returns a zero-filled buffer of at least n bytes, shared
+// aliveMeta pads every heartbeat to a realistic encoded size. It is shared
 // across every core: heartbeat padding is read-only on both runtimes (the
 // sim path shares the message value, the TCP path marshals it), so there
 // is no reason for each of 100k cores to hold its own copy.
-var (
-	zeroMetaMu sync.Mutex
-	zeroMeta   []byte
-)
-
-func sharedZeroMeta(n int) []byte {
-	zeroMetaMu.Lock()
-	defer zeroMetaMu.Unlock()
-	if len(zeroMeta) < n {
-		zeroMeta = make([]byte, n)
-	}
-	return zeroMeta[:n]
-}
+var aliveMeta = make([]byte, 256)
 
 // memberHost adapts Core to membership.Host: membership payloads go
 // straight to the endpoint (bypassing the piggybacking Send) and share the
@@ -647,16 +616,19 @@ func (c *Core) Height() uint64 {
 	return c.height
 }
 
+// MaxAhead is how far above the in-order height a block number may lie
+// and still be tracked. Per-block state is dense up to the highest number
+// held, so a frame from outside naming block 2^40 would otherwise make the
+// peer allocate terabytes; no run is ever this far behind.
+const MaxAhead = 1 << 16
+
 // AddBlock stores a block body. It returns true if the body is new. First
 // receptions fire the OnFirstReception hook; completed prefixes are handed
 // to OnCommit in order. The protocol's OnBlockStored runs for new bodies.
+// A body more than MaxAhead above the in-order height is ignored.
 func (c *Core) AddBlock(b *ledger.Block) bool {
 	c.mu.Lock()
-	if c.stopped.Load() {
-		c.mu.Unlock()
-		return false
-	}
-	if c.blockLocked(b.Num) != nil {
+	if c.stopped.Load() || b.Num > c.height+MaxAhead || c.blockLocked(b.Num) != nil {
 		c.mu.Unlock()
 		return false
 	}
@@ -765,10 +737,9 @@ func (c *Core) aliveTick() {
 			fn(p, false, now)
 		}
 	}
-	// The heartbeat padding is the shared per-core zero buffer: Alive
-	// messages are read-only on every delivery path, so no tick needs a
-	// fresh allocation.
-	msg := &wire.Alive{Seq: seq, Meta: c.aliveMeta}
+	// The heartbeat padding is the shared zero buffer: Alive messages are
+	// read-only on every delivery path, so no tick needs a fresh allocation.
+	msg := &wire.Alive{Seq: seq, Meta: aliveMeta}
 	c.alivePeers = c.RandomPeersInto(c.cfg.AliveFanout, c.alivePeers)
 	for _, p := range c.alivePeers {
 		c.Send(p, msg)
@@ -795,7 +766,7 @@ func (c *Core) refuteIfAccused() {
 	seq := c.aliveSeq
 	c.mu.Unlock()
 	c.view.QueueSelfAlive(seq)
-	msg := &wire.Alive{Seq: seq, Meta: c.aliveMeta}
+	msg := &wire.Alive{Seq: seq, Meta: aliveMeta}
 	for _, p := range c.RandomPeers(c.cfg.AliveFanout) {
 		c.Send(p, msg)
 	}
@@ -848,7 +819,7 @@ func (c *Core) Now() time.Duration { return c.sched.Now() }
 func (c *Core) PeerHeights() map[wire.NodeID]uint64 { return c.fetcher.Heights() }
 
 // StateSyncStats snapshots the statesync engine's counters (bytes and
-// blocks fetched, responses served, cache hits, anchor probes).
+// blocks fetched, responses served, anchor probes).
 func (c *Core) StateSyncStats() statesync.Stats {
 	return statesync.CollectStats(c.fetcher, c.provider)
 }

@@ -212,9 +212,9 @@ func TestRecoveryTickNoopWhenCaughtUp(t *testing.T) {
 }
 
 // Every aliveTick must reuse the one zero-filled metadata buffer instead of
-// allocating AliveMetaSize bytes per heartbeat round.
+// allocating its 256 bytes per heartbeat round.
 func TestAliveTickReusesMetaBuffer(t *testing.T) {
-	c, ep, _ := newTestCore(t, 0, 4, func(cfg *Config) { cfg.AliveMetaSize = 64 })
+	c, ep, _ := newTestCore(t, 0, 4, nil)
 	c.aliveTick()
 	c.aliveTick()
 	var metas [][]byte
@@ -227,8 +227,8 @@ func TestAliveTickReusesMetaBuffer(t *testing.T) {
 		t.Fatalf("captured %d Alive messages, want >= 2", len(metas))
 	}
 	for i, meta := range metas {
-		if len(meta) != 64 {
-			t.Fatalf("heartbeat %d meta is %d bytes, want 64", i, len(meta))
+		if len(meta) != 256 {
+			t.Fatalf("heartbeat %d meta is %d bytes, want 256", i, len(meta))
 		}
 		if &meta[0] != &metas[0][0] {
 			t.Fatalf("heartbeat %d holds a fresh meta buffer; want the shared one", i)

@@ -86,6 +86,7 @@ func TestRunDisseminationLeavesNoGoroutine(t *testing.T) {
 		{"normal", func(*Params) {}, false},
 		{"one peer", func(p *Params) { p.NumPeers = 1 }, true},
 		{"no blocks", func(p *Params) { p.NumBlocks = 0 }, true},
+		{"no bandwidth bucket", func(p *Params) { p.Bucket = 0 }, true},
 		{"unknown variant", func(p *Params) { p.Variant = "flooding" }, true},
 		{"unknown variant, builder stopped mid-chain", func(p *Params) {
 			p.Variant = "flooding"

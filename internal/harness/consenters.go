@@ -27,8 +27,8 @@ const clusterEntryBlock = 3
 //
 // Peers' stall detection follows for free: statesync keys its
 // orderer-stall clock to DeliverBlock receipt, which is exactly the
-// current leader's silence — an election longer than OrdererStall trips
-// anchor probing, a shorter one does not.
+// current leader's silence — an election longer than
+// statesync.OrdererStall trips anchor probing, a shorter one does not.
 type consenterCluster struct {
 	eps   []*transport.SimEndpoint
 	nodes []*raft.Node
@@ -96,10 +96,6 @@ func (n *Network) buildCluster(k int) {
 		node := raft.New(raft.DefaultConfig(ids[i], ids), c.eps[i], eng,
 			eng.Rand(fmt.Sprintf("raft/consenter%d", i)))
 		shim := raft.NewConsenter(node, eng)
-		// Never age out: a dropped premade block would wedge the chain,
-		// and workload accounting requires every accepted envelope to
-		// eventually resolve.
-		shim.SetRetry(0, 0)
 		// Exactly-once delivery: clients broadcast each envelope to every
 		// live consenter (SubmitTargets) and the shims re-propose through
 		// elections, so the log carries duplicates by design. Harness

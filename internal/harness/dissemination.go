@@ -51,6 +51,9 @@ func RunDissemination(p Params) (*DisseminationResult, error) {
 	if p.NumBlocks < 1 {
 		return nil, fmt.Errorf("harness: need at least 1 block, got %d", p.NumBlocks)
 	}
+	if p.Bucket <= 0 {
+		return nil, fmt.Errorf("harness: need a positive bandwidth bucket, got %v", p.Bucket)
+	}
 	chain := streamChain(p.NumBlocks, p.TxPerBlock, p.TxPayload, p.Seed, 0)
 	defer chain.Close()
 

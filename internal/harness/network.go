@@ -44,11 +44,6 @@ const (
 	// anchorsPerOrg is how many anchor peers each organization publishes
 	// (capped at the organization's size).
 	anchorsPerOrg = 1
-	// anchorInterval is each leader's anchor probe period while the orderer
-	// is silent; ordererStall how long without an orderer delivery before a
-	// leader starts probing.
-	anchorInterval = 2 * time.Second
-	ordererStall   = 5 * time.Second
 )
 
 // NetworkParams configures a multi-organization network: the paper's
@@ -382,8 +377,6 @@ func (n *Network) buildCore(global int) *gossip.Core {
 	cfg := gossip.DefaultConfig(ep.ID(), d.Peers)
 	if n.Params.AnchorRecovery {
 		cfg.AnchorPeers = n.remoteAnchors(d.Index)
-		cfg.AnchorInterval = anchorInterval
-		cfg.OrdererStall = ordererStall
 	}
 	if n.tune != nil {
 		n.tune(ep.ID(), &cfg)

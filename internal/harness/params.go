@@ -49,8 +49,8 @@ type Params struct {
 	Bucket time.Duration
 	// BackgroundBytesPerSec models the paper's measured ≈0.4 MB/s of
 	// idle background traffic per peer (monitoring, membership, runtime
-	// chatter of "all the tasks"); see DESIGN.md substitutions. The value
-	// is the combined in+out rate accounted to each peer.
+	// chatter of "all the tasks"). The value is the combined in+out rate
+	// accounted to each peer.
 	BackgroundBytesPerSec float64
 }
 

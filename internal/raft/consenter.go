@@ -19,7 +19,9 @@ import (
 //     redelivery: pending payloads are re-proposed the moment a leader
 //     becomes known (Node.OnLeaderChange) and again on a periodic sweep
 //     (covering a leader that crashed after accepting but before
-//     committing).
+//     committing), until they commit — a dropped harness block would wedge
+//     the chain, and workload accounting requires every accepted envelope
+//     to resolve.
 //   - Re-proposal can place a payload in the log twice. By default the
 //     duplicates are delivered as-is — at-least-once, absorbed by MVCC
 //     validation downstream. SetDedup opts into exactly-once delivery over
@@ -52,25 +54,19 @@ type Consenter struct {
 	seen        map[string]struct{}
 	seenQ       []string
 	dedupWindow int
-
-	// sweepInterval is how often unacknowledged payloads are re-proposed.
-	sweepInterval time.Duration
-	// maxAge drops payloads that failed to commit for this long (clients
-	// resubmit at their level). Zero or negative retries forever — the
-	// harness's mode, where a lost entry would wedge the chain.
-	maxAge time.Duration
 }
+
+// sweepInterval is how often unacknowledged payloads are re-proposed.
+const sweepInterval = 250 * time.Millisecond
 
 // NewConsenter wraps a node. OnCommit must be called (by the ordering
 // service) before Submit.
 func NewConsenter(node *Node, sched sim.Scheduler) *Consenter {
 	c := &Consenter{
-		node:          node,
-		sched:         sched,
-		pending:       make(map[string]time.Duration),
-		seen:          make(map[string]struct{}),
-		sweepInterval: 250 * time.Millisecond,
-		maxAge:        30 * time.Second,
+		node:    node,
+		sched:   sched,
+		pending: make(map[string]time.Duration),
+		seen:    make(map[string]struct{}),
 	}
 	node.OnLeaderChange(func(_ wire.NodeID, known bool) {
 		if known {
@@ -82,19 +78,6 @@ func NewConsenter(node *Node, sched sim.Scheduler) *Consenter {
 
 // Node returns the wrapped Raft node.
 func (c *Consenter) Node() *Node { return c.node }
-
-// SetRetry tunes the redelivery sweep: interval between re-proposals and
-// the age past which an uncommitted payload is dropped (maxAge <= 0 never
-// drops — required when the payloads are harness chain blocks that must
-// eventually commit).
-func (c *Consenter) SetRetry(interval, maxAge time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if interval > 0 {
-		c.sweepInterval = interval
-	}
-	c.maxAge = maxAge
-}
 
 // SetDedup opts into exactly-once delivery: committed payloads seen within
 // the last window applies are suppressed as duplicates. Only valid when
@@ -186,7 +169,7 @@ func (c *Consenter) flush() {
 }
 
 func (c *Consenter) armSweepLocked() {
-	c.sched.After(c.sweepInterval, c.sweep)
+	c.sched.After(sweepInterval, c.sweep)
 }
 
 func (c *Consenter) sweep() {
@@ -209,11 +192,10 @@ func (c *Consenter) sweep() {
 }
 
 // collectPendingLocked walks the submission-ordered pending queue,
-// compacting entries that have committed, expiring those past maxAge
-// (sweeps only), and returning the payloads due for re-proposal. Age
-// gating applies on sweeps only: a flush re-proposes everything — its
-// trigger (a new leader) is exactly the moment in-flight proposals may
-// have died.
+// compacting entries that have committed and returning the payloads due
+// for re-proposal. Age gating applies on sweeps only: a flush re-proposes
+// everything — its trigger (a new leader) is exactly the moment in-flight
+// proposals may have died.
 func (c *Consenter) collectPendingLocked(now time.Duration, ageGate bool) [][]byte {
 	var retry [][]byte
 	kept := c.order[:0]
@@ -222,12 +204,7 @@ func (c *Consenter) collectPendingLocked(now time.Duration, ageGate bool) [][]by
 		if !ok {
 			continue // committed since: compact
 		}
-		age := now - at
-		if ageGate && c.maxAge > 0 && age > c.maxAge {
-			delete(c.pending, key)
-			continue
-		}
-		if ageGate && age < c.sweepInterval {
+		if ageGate && now-at < sweepInterval {
 			kept = append(kept, key)
 			continue // freshly proposed: give the in-flight copy time
 		}

@@ -1,8 +1,8 @@
 // Package raft implements the crash-fault-tolerant replicated log backing
 // the ordering service: leader election, log replication and commit, per
 // the Raft protocol (Ongaro & Ousterhout). It substitutes for the paper's
-// Kafka/ZooKeeper CFT ordering cluster (see DESIGN.md) — Fabric itself made
-// the same substitution in v1.4.1.
+// Kafka/ZooKeeper CFT ordering cluster — Fabric itself made the same
+// substitution in v1.4.1.
 //
 // The implementation covers the consensus core used by the ordering
 // service: elections with randomized timeouts, AppendEntries consistency

@@ -173,7 +173,7 @@ type Report struct {
 	// Obs is the run's unified metrics inventory: the transport's
 	// wire-level instruments merged across emission contexts plus every
 	// report counter re-registered under one namespace (see
-	// runner.buildObs). Always populated. Like the other wall-side
+	// runner.snapshot). Always populated. Like the other wall-side
 	// diagnostics it is excluded from String — and therefore from
 	// Fingerprint — so its growth never moves checked-in fingerprints.
 	Obs *obs.Snapshot

@@ -2,7 +2,8 @@
 // layer, carved out of the core so both dissemination protocols share one
 // engine: a Fetcher that owns request targeting, batch sizing and the
 // in-flight/backoff state of catch-up, and a Provider that serves block
-// ranges from cached zero-copy batches (paper §III-A, "recovery").
+// ranges as batches of the encodings cached on the blocks themselves
+// (paper §III-A, "recovery").
 //
 // The pair talks to its peer through the narrow Host interface — ledger
 // height and block access, message sending, the membership view's dead
@@ -22,6 +23,7 @@ package statesync
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fabricgossip/internal/ledger"
@@ -55,18 +57,25 @@ type Host interface {
 // Config parameterizes one peer's state-sync engine.
 type Config struct {
 	// Batch caps how many consecutive blocks one request fetches and one
-	// response serves (gossip.Config.RecoveryBatch).
+	// response serves (gossip.Config.RecoveryBatch). An anchor probe asks
+	// for exactly one batch, so it must be positive when Anchors are set.
 	Batch int
 
 	// Anchors lists remote-organization anchor peers this peer's leader may
 	// fetch from when the ordering service goes silent. Empty disables
 	// cross-org transfer entirely.
 	Anchors []wire.NodeID
+}
+
+const (
 	// OrdererStall is how long without an ordering-service delivery before
 	// the leader considers the orderer unreachable and starts probing
-	// anchors. Zero defaults to 5s when anchors are configured.
-	OrdererStall time.Duration
-}
+	// anchors.
+	OrdererStall = 5 * time.Second
+	// AnchorInterval is how often the leader runs an anchor probe round
+	// (AnchorTick) while the orderer is silent.
+	AnchorInterval = 2 * time.Second
+)
 
 // Stats is a point-in-time snapshot of one peer's state-sync counters, for
 // metrics attribution and tests.
@@ -78,10 +87,8 @@ type Stats struct {
 	BytesIn     uint64
 	// AnchorProbes counts cross-org StateRequests sent to anchor peers.
 	AnchorProbes uint64
-	// Served / ServedCached count responses sent by the Provider and how
-	// many of them were answered from a cached batch.
-	Served       uint64
-	ServedCached uint64
+	// Served counts responses sent by the Provider.
+	Served uint64
 }
 
 // --- Fetcher ---
@@ -130,9 +137,6 @@ type Fetcher struct {
 // NewFetcher builds a fetcher for the host. The orderer is considered
 // healthy as of construction time.
 func NewFetcher(host Host, cfg Config) *Fetcher {
-	if cfg.OrdererStall == 0 {
-		cfg.OrdererStall = 5 * time.Second
-	}
 	return &Fetcher{
 		host:        host,
 		cfg:         cfg,
@@ -303,7 +307,7 @@ func (f *Fetcher) AnchorTick() {
 	now := f.host.Now()
 	myH := f.host.Height()
 	f.mu.Lock()
-	if now-f.lastDeliver < f.cfg.OrdererStall {
+	if now-f.lastDeliver < OrdererStall {
 		f.mu.Unlock()
 		return
 	}
@@ -314,13 +318,9 @@ func (f *Fetcher) AnchorTick() {
 	f.probeHeight = myH
 	target := f.cfg.Anchors[f.cursor]
 	f.anchorProbes++
-	batch := uint64(f.cfg.Batch)
-	if batch == 0 {
-		batch = 32
-	}
 	f.mu.Unlock()
 
-	f.host.Send(target, &wire.StateRequest{From: myH, To: myH + batch})
+	f.host.Send(target, &wire.StateRequest{From: myH, To: myH + uint64(f.cfg.Batch)})
 }
 
 // HandleResponse stores a response's blocks and accounts the transfer.
@@ -338,30 +338,13 @@ func (f *Fetcher) HandleResponse(m *wire.StateResponse) {
 
 // --- Provider ---
 
-// Provider serves StateRequests from the host's block store. Responses are
-// built once per distinct range and cached: at steady state — a wave of
-// recovering peers asking for the same range — a request is answered by
-// re-sending the cached message with zero allocations, and every
-// transmission reuses the encodings cached on the blocks themselves.
+// Provider serves StateRequests from the host's block store. A response
+// owns no bytes: its batch references the encoding cached on each block, so
+// building one per request costs a slice of block pointers.
 type Provider struct {
-	host Host
-	cfg  Config
-
-	mu    sync.Mutex
-	cache [providerCacheSize]cachedBatch
-
-	served       uint64
-	servedCached uint64
-}
-
-// providerCacheSize bounds the response cache. Recovering peers cluster
-// around a handful of distinct ranges at any moment, so a few slots give
-// the steady-state hit rate without holding old batches alive.
-const providerCacheSize = 4
-
-type cachedBatch struct {
-	from, limit uint64
-	resp        *wire.StateResponse
+	host   Host
+	cfg    Config
+	served atomic.Uint64
 }
 
 // NewProvider builds a provider over the host's block store.
@@ -378,10 +361,6 @@ func (p *Provider) Serve(from wire.NodeID, req *wire.StateRequest) {
 	if max := req.From + uint64(p.cfg.Batch); p.cfg.Batch > 0 && limit > max {
 		limit = max
 	}
-	if resp := p.lookup(req.From, limit); resp != nil {
-		p.host.Send(from, resp)
-		return
-	}
 	var blocks []*ledger.Block
 	for num := req.From; num < limit; num++ {
 		b := p.host.Block(num)
@@ -393,69 +372,8 @@ func (p *Provider) Serve(from wire.NodeID, req *wire.StateRequest) {
 	if len(blocks) == 0 {
 		return
 	}
-	resp := &wire.StateResponse{Batch: wire.NewBlockBatch(blocks)}
-	p.store(req.From, limit, resp)
-	p.host.Send(from, resp)
-}
-
-// lookup returns a cached response that is still exactly what a fresh walk
-// of the store would produce for [from, limit): either the cached batch is
-// full (covers the whole range — later arrivals beyond it cannot change
-// it), or it was cut short by a gap that is still open (one O(1) store
-// probe verifies). Blocks are immutable and never removed, so no other
-// invalidation exists.
-func (p *Provider) lookup(from, limit uint64) *wire.StateResponse {
-	p.mu.Lock()
-	var resp *wire.StateResponse
-	for i := range p.cache {
-		e := &p.cache[i]
-		if e.resp == nil || e.from != from || e.limit != limit {
-			continue
-		}
-		n := uint64(len(e.resp.Blocks()))
-		if from+n == limit || p.host.Block(from+n) == nil {
-			resp = e.resp
-			p.served++
-			p.servedCached++
-		}
-		break
-	}
-	p.mu.Unlock()
-	return resp
-}
-
-// store caches a freshly built response: it overwrites a stale entry for
-// the same range (a gap that since filled), then prefers an empty slot,
-// then evicts the lowest range — the one recovering peers have moved past.
-func (p *Provider) store(from, limit uint64, resp *wire.StateResponse) {
-	p.mu.Lock()
-	slot := -1
-	for i := range p.cache {
-		e := &p.cache[i]
-		if e.resp != nil && e.from == from && e.limit == limit {
-			slot = i // exact range: replace the stale entry
-			break
-		}
-	}
-	if slot < 0 {
-		for i := range p.cache {
-			if p.cache[i].resp == nil {
-				slot = i
-				break
-			}
-		}
-	}
-	if slot < 0 {
-		slot = 0
-		for i := 1; i < len(p.cache); i++ {
-			if p.cache[i].from < p.cache[slot].from {
-				slot = i
-			}
-		}
-	}
-	p.cache[slot] = cachedBatch{from: from, limit: limit, resp: resp}
-	p.served++
-	p.mu.Unlock()
+	p.served.Add(1)
+	p.host.Send(from, &wire.StateResponse{Batch: wire.NewBlockBatch(blocks)})
 }
 
 // --- stats ---
@@ -472,10 +390,7 @@ func CollectStats(f *Fetcher, p *Provider) Stats {
 		f.mu.Unlock()
 	}
 	if p != nil {
-		p.mu.Lock()
-		s.Served = p.served
-		s.ServedCached = p.servedCached
-		p.mu.Unlock()
+		s.Served = p.served.Load()
 	}
 	return s
 }

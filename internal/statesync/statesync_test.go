@@ -157,26 +157,9 @@ func TestProviderServesConsecutiveRunRespectingBatch(t *testing.T) {
 	}
 }
 
-// Repeated requests for the same range must re-send the cached response
-// (the zero-copy steady state) — same message value, no rebuild.
-func TestProviderCachesFrozenBatches(t *testing.T) {
-	h := newStubHost()
-	p := NewProvider(h, Config{Batch: 8})
-	storeBlocks(h, 0, 1, 2, 3)
-	p.Serve(7, &wire.StateRequest{From: 0, To: 4})
-	p.Serve(8, &wire.StateRequest{From: 0, To: 4})
-	if h.sentMsg[0] != h.sentMsg[1] {
-		t.Fatal("second serve rebuilt the response instead of reusing the cached one")
-	}
-	s := CollectStats(nil, p)
-	if s.Served != 2 || s.ServedCached != 1 {
-		t.Fatalf("stats = %+v, want 2 served / 1 cached", s)
-	}
-}
-
-// A cached short batch (cut by a gap) must be invalidated once the gap
-// fills: the requester would otherwise never see the longer run.
-func TestProviderCacheInvalidatedWhenGapFills(t *testing.T) {
+// A request repeated after the gap that cut its first answer short has
+// filled must return the longer run.
+func TestProviderRepeatAfterGapFillsReturnsLongerRun(t *testing.T) {
 	h := newStubHost()
 	p := NewProvider(h, Config{Batch: 8})
 	storeBlocks(h, 0, 1, 3)
@@ -188,6 +171,9 @@ func TestProviderCacheInvalidatedWhenGapFills(t *testing.T) {
 	p.Serve(8, &wire.StateRequest{From: 0, To: 4})
 	if got := len(h.sentMsg[1].(*wire.StateResponse).Blocks()); got != 4 {
 		t.Fatalf("post-fill serve = %d blocks, want 4", got)
+	}
+	if s := CollectStats(nil, p); s.Served != 2 {
+		t.Fatalf("stats = %+v, want 2 served", s)
 	}
 }
 
@@ -211,7 +197,7 @@ func TestHandleResponseStoresBlocksAndAccounts(t *testing.T) {
 func TestAnchorProbeGatingAndRotation(t *testing.T) {
 	h := newStubHost()
 	anchors := []wire.NodeID{100, 200}
-	f := NewFetcher(h, Config{Batch: 8, Anchors: anchors, OrdererStall: 5 * time.Second})
+	f := NewFetcher(h, Config{Batch: 8, Anchors: anchors})
 
 	// Orderer healthy (construction counts as a delivery): no probe.
 	h.now = 3 * time.Second

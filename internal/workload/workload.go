@@ -2,12 +2,11 @@
 // drives simulated client transactions through the full
 // execute-order-validate pipeline (endorse → order → gossip → validate →
 // commit) of a harness.Network, on the same discrete-event engine as the
-// dissemination it loads. Arrival models cover open-loop fixed-rate and
-// Poisson processes and a closed loop with think time; key selection is
-// uniform or Zipf-skewed over a configurable keyspace; clients populate
-// each organization and endorse against their own organization's endorsing
-// peers; validation-time conflicts can be retried a bounded number of
-// times. Everything draws from named engine streams, so installing the
+// dissemination it loads. Arrivals are open-loop, at a fixed rate or as a
+// Poisson process; key selection is uniform or Zipf-skewed over a
+// configurable keyspace; clients populate each organization and endorse
+// against their own organization's endorsing peers; validation-time
+// conflicts can be retried a bounded number of times. Everything draws from named engine streams, so installing the
 // plane perturbs no pre-existing random stream and the same seed reproduces
 // the same run byte for byte.
 package workload
@@ -44,9 +43,6 @@ const (
 	// ArrivalPoisson is an open loop with exponential inter-arrival times
 	// at the configured mean rate per client.
 	ArrivalPoisson Arrival = "poisson"
-	// ArrivalClosed is a closed loop: each client keeps one transaction in
-	// flight and thinks for Think between completions.
-	ArrivalClosed Arrival = "closed"
 )
 
 // Config parameterizes the workload plane.
@@ -54,24 +50,19 @@ type Config struct {
 	// ClientsPerOrg is the client population of each organization
 	// (default 2).
 	ClientsPerOrg int
-	// Rate is the per-client transaction rate in tx/s for the open-loop
-	// models (default 5).
+	// Rate is the per-client transaction rate in tx/s (default 5).
 	Rate float64
 	// Arrival selects the arrival model (default ArrivalFixed).
 	Arrival Arrival
-	// Think is the closed-loop think time between a completion and the
-	// next submission (default 200 ms).
-	Think time.Duration
 	// AggregateClients models each organization's ClientsPerOrg clients
 	// as one aggregated arrival process at ClientsPerOrg×Rate instead of
 	// one timer per client: a fixed open loop becomes fixed at the summed
 	// rate, and superposed Poisson processes are exactly a Poisson process
 	// at the summed rate, so the offered load is the same while the timer
-	// and endpoint count stay bounded — the knob that scales the open-loop
+	// and endpoint count stay bounded — the knob that scales the arrival
 	// models to ~10⁶ modeled clients. Arrivals are attributed round-robin
 	// across a small per-org endpoint set (at most aggregateEndpoints real
-	// transport endpoints). Open-loop only: a closed loop is per-client
-	// state by definition and cannot be aggregated.
+	// transport endpoints).
 	AggregateClients bool
 
 	// Keys is the keyspace size clients pick from (default 64).
@@ -87,15 +78,10 @@ type Config struct {
 	RetryMax int
 
 	// EndorsersPerOrg is how many of each organization's lowest-indexed
-	// peers endorse its clients' proposals (default 1). PolicyRequired is
-	// the N of the N-of-M validation policy over all endorsers (default 1).
+	// peers endorse its clients' proposals (default 1); any one of them
+	// satisfies the validation policy.
 	EndorsersPerOrg int
-	PolicyRequired  int
 
-	// ValidationPerTx is the modelled per-transaction validation cost on
-	// every peer (default 2 ms — scaled down from the paper's 50 ms so
-	// thousand-peer runs stay fast; Table II keeps the calibrated value).
-	ValidationPerTx time.Duration
 	// MaxTxPerBlock and BatchTimeout parameterize block cutting (defaults
 	// 50 and 1 s).
 	MaxTxPerBlock int
@@ -112,20 +98,11 @@ func (c Config) withDefaults() Config {
 	if c.Arrival == "" {
 		c.Arrival = ArrivalFixed
 	}
-	if c.Think == 0 {
-		c.Think = 200 * time.Millisecond
-	}
 	if c.Keys == 0 {
 		c.Keys = 64
 	}
 	if c.EndorsersPerOrg == 0 {
 		c.EndorsersPerOrg = 1
-	}
-	if c.PolicyRequired == 0 {
-		c.PolicyRequired = 1
-	}
-	if c.ValidationPerTx == 0 {
-		c.ValidationPerTx = 2 * time.Millisecond
 	}
 	if c.MaxTxPerBlock == 0 {
 		c.MaxTxPerBlock = 50
@@ -138,7 +115,7 @@ func (c Config) withDefaults() Config {
 
 func (c Config) validate() error {
 	switch c.Arrival {
-	case ArrivalFixed, ArrivalPoisson, ArrivalClosed:
+	case ArrivalFixed, ArrivalPoisson:
 	default:
 		return fmt.Errorf("workload: unknown arrival model %q", c.Arrival)
 	}
@@ -148,17 +125,23 @@ func (c Config) validate() error {
 	if c.ZipfS != 0 && c.ZipfS <= 1 {
 		return errors.New("workload: ZipfS must be > 1 (or 0 for uniform)")
 	}
-	if c.AggregateClients && c.Arrival == ArrivalClosed {
-		return errors.New("workload: closed-loop arrivals cannot be aggregated")
-	}
 	return nil
 }
 
-// aggregateEndpoints bounds how many real transport endpoints an aggregated
-// organization pool keeps: enough to exercise multi-endpoint attribution
-// and per-client sequence numbering, few enough that a million modeled
-// clients cost eight endpoints per org.
-const aggregateEndpoints = 8
+const (
+	// aggregateEndpoints bounds how many real transport endpoints an
+	// aggregated organization source keeps: enough to exercise
+	// multi-endpoint attribution and per-client sequence numbering, few
+	// enough that a million modeled clients cost eight endpoints per org.
+	aggregateEndpoints = 8
+	// policyRequired is the N of the N-of-M validation policy over all
+	// endorsers.
+	policyRequired = 1
+	// validationPerTx is the modelled per-transaction validation cost on
+	// every peer — scaled down from the paper's 50 ms so thousand-peer runs
+	// stay fast; Table II keeps the calibrated value.
+	validationPerTx = 2 * time.Millisecond
+)
 
 // pendingTx tracks one submitted transaction until its issuing
 // organization resolves it (first commit of its block by any org member).
@@ -197,11 +180,11 @@ type Plane struct {
 	endorserIdx [][]int
 
 	clients []*planeClient
-	// pools holds one aggregated arrival process per organization when
-	// Config.AggregateClients is set; empty otherwise. Pools drive the
-	// same planeClients, so everything downstream of invoke (pending
-	// tracking, retries, stats) is shared with the per-client mode.
-	pools []*orgPool
+	// sources are the arrival processes: one per client, or with
+	// Config.AggregateClients one per organization over its bounded
+	// endpoint set. Everything downstream of invoke (pending tracking,
+	// retries, stats) is per client either way.
+	sources []*source
 
 	running bool
 	// pending maps a submitted transaction's ID to its tracking record,
@@ -245,9 +228,9 @@ type orgCounters struct {
 	latencies []time.Duration
 }
 
-// planeClient is one simulated client: an identity, its own endpoint, its
-// own random stream and key sampler, driving the shared client.Client
-// state machine.
+// planeClient is one simulated client endpoint: an identity and its own
+// transport endpoint, driving the shared client.Client state machine with
+// the arrivals its source attributes to it.
 type planeClient struct {
 	p   *Plane
 	org int
@@ -256,10 +239,7 @@ type planeClient struct {
 	// eng is the engine the client runs on — its organization's shard
 	// engine, so arrivals and endorsement stay shard-local and only the
 	// submit hop reaches the ordering shard.
-	eng      *sim.Engine
-	rng      *sim.Rand
-	zipf     *rand.Zipf
-	inFlight bool // closed loop only
+	eng *sim.Engine
 	// seq numbers the client's proposals; its encoding rides in the
 	// transaction payload as Fabric's nonce would. Without it, two
 	// in-flight increments of the same key by the same client against the
@@ -330,7 +310,7 @@ func Install(n *harness.Network, cfg Config) (*Plane, error) {
 			policyIDs = append(policyIDs, id)
 		}
 	}
-	p.chain = ledger.NewChain(endorse.NewPolicy(cfg.PolicyRequired, policyIDs...).Checker())
+	p.chain = ledger.NewChain(endorse.NewPolicy(policyRequired, policyIDs...).Checker())
 
 	// Validation pipelines over the existing cores, and again for every
 	// core a Restart rebuilds. Orderer-signature verification runs on
@@ -365,52 +345,33 @@ func Install(n *harness.Network, cfg Config) (*Plane, error) {
 	// Client populations: each client gets its own endpoint (appended
 	// after the consenters — dense ids keep traffic accounting amortized), a
 	// WAN site co-located with its organization when the network is
-	// WAN-separated, and its own named random stream. An aggregated pool
-	// keeps a bounded endpoint set per org and one arrival stream
-	// ("workload/orgN/pool") driving them round-robin.
+	// WAN-separated, and its own named arrival stream
+	// ("workload/orgN/clientJ"). An aggregated organization keeps a bounded
+	// endpoint set and one arrival stream ("workload/orgN/pool") driving
+	// them round-robin.
+	nClients := cfg.ClientsPerOrg
+	if cfg.AggregateClients {
+		nClients = min(nClients, aggregateEndpoints)
+	}
 	for o := range n.Orgs {
-		nClients := cfg.ClientsPerOrg
-		var pool *orgPool
-		if cfg.AggregateClients {
-			if nClients > aggregateEndpoints {
-				nClients = aggregateEndpoints
-			}
-			eng := n.OrgEngine(o)
-			pool = &orgPool{
-				p:    p,
-				org:  o,
-				eng:  eng,
-				rng:  eng.Rand(fmt.Sprintf("workload/org%d/pool", o)),
-				rate: float64(cfg.ClientsPerOrg) * cfg.Rate,
-			}
-			if cfg.ZipfS > 1 {
-				pool.zipf = rand.NewZipf(pool.rng.Rand, cfg.ZipfS, 1, uint64(cfg.Keys-1))
-			}
-			p.pools = append(p.pools, pool)
-		}
+		eng := n.OrgEngine(o)
+		var src *source
 		for j := 0; j < nClients; j++ {
+			switch {
+			case !cfg.AggregateClients:
+				src = p.newSource(eng, fmt.Sprintf("workload/org%d/client%d", o, j), cfg.Rate)
+			case j == 0:
+				src = p.newSource(eng, fmt.Sprintf("workload/org%d/pool", o), float64(cfg.ClientsPerOrg)*cfg.Rate)
+			}
 			ep := n.AddClientNode(o)
-			eng := n.OrgEngine(o)
-			c := &planeClient{
-				p:   p,
-				org: o,
-				ep:  ep.ID(),
-				eng: eng,
-				rng: eng.Rand(fmt.Sprintf("workload/org%d/client%d", o, j)),
-			}
-			if cfg.ZipfS > 1 {
-				c.zipf = rand.NewZipf(c.rng.Rand, cfg.ZipfS, 1, uint64(cfg.Keys-1))
-			}
 			name := fmt.Sprintf("org%d-client%d", o, j)
 			cl, err := client.NewWithSource(name, p.endorserSource(o), p.submitter(ep))
 			if err != nil {
 				return nil, err
 			}
-			c.cl = cl
+			c := &planeClient{p: p, org: o, ep: ep.ID(), cl: cl, eng: eng}
 			p.clients = append(p.clients, c)
-			if pool != nil {
-				pool.clients = append(pool.clients, c)
-			}
+			src.clients = append(src.clients, c)
 		}
 	}
 	return p, nil
@@ -421,7 +382,7 @@ func Install(n *harness.Network, cfg Config) (*Plane, error) {
 // chain — and, for endorsing peers, a fresh endorser bound to the new
 // ledger's view of the state.
 func (p *Plane) buildPeer(global int, core *gossip.Core, ordererKey crypto.PublicKey) {
-	cfg := peer.Config{ValidationPerTx: p.cfg.ValidationPerTx}
+	cfg := peer.Config{ValidationPerTx: validationPerTx}
 	if _, isEndorser := p.endorserIDs[global]; isEndorser {
 		cfg.OrdererKey = ordererKey
 	}
@@ -578,15 +539,11 @@ func (p *Plane) resolve(org int, id crypto.Digest, code ledger.ValidationCode) {
 		if code == ledger.CodeMVCCConflict && pt.retries < p.cfg.RetryMax && p.running {
 			st.retries++
 			pt.client.invoke(pt.key, pt.retries+1)
-			return
 		}
-	}
-	if p.cfg.Arrival == ArrivalClosed {
-		pt.client.completed()
 	}
 }
 
-// Start opens the submission window: every client begins its arrival
+// Start opens the submission window: every source begins its arrival
 // process. It must run from the control engine (scenario actions do),
 // whose events fire at coordinator barriers while every shard is quiescent.
 func (p *Plane) Start() {
@@ -594,19 +551,13 @@ func (p *Plane) Start() {
 		return
 	}
 	p.running = true
-	if len(p.pools) > 0 {
-		for _, op := range p.pools {
-			op.start()
-		}
-		return
-	}
-	for _, c := range p.clients {
-		c.start()
+	for _, s := range p.sources {
+		s.start()
 	}
 }
 
-// Stop closes the submission window: open-loop arrivals cease and closed
-// loops do not re-arm. In-flight transactions still resolve and count.
+// Stop closes the submission window: arrivals cease. In-flight
+// transactions still resolve and count.
 func (p *Plane) Stop() { p.running = false }
 
 // ClientNodes returns the node ids of an organization's client endpoints,
@@ -621,91 +572,63 @@ func (p *Plane) ClientNodes(org int) []wire.NodeID {
 	return out
 }
 
-// orgPool is one organization's aggregated arrival process: a single timer
-// on the org's engine firing at the aggregate rate (ClientsPerOrg×Rate)
-// and attributing each arrival to the org's bounded endpoint set
-// round-robin. It draws inter-arrival times and keys from its own named
-// stream, so the modeled client count changes no other stream.
-type orgPool struct {
+// source is one arrival process: a timer on its organization's engine
+// firing at rate, attributing each arrival to its clients round-robin (one
+// client, or an aggregated organization's endpoint set). It draws
+// inter-arrival times and keys from its own named stream, so the modeled
+// client count changes no other stream.
+type source struct {
 	p    *Plane
-	org  int
 	eng  *sim.Engine
 	rng  *sim.Rand
 	zipf *rand.Zipf
-	rate float64 // aggregate arrivals per second
-	// clients is the org's endpoint set; next indexes the round-robin.
+	rate float64 // arrivals per second
+	// clients is the endpoint set; next indexes the round-robin.
 	clients []*planeClient
 	next    int
 }
 
-// start arms the pool's next arrival at the aggregate rate.
-func (op *orgPool) start() {
-	if op.p.cfg.Arrival == ArrivalPoisson {
-		op.eng.After(time.Duration(op.rng.Exp(float64(time.Second)/op.rate)), op.fire)
+// newSource registers an arrival process drawing from the engine's stream
+// of the given name.
+func (p *Plane) newSource(eng *sim.Engine, stream string, rate float64) *source {
+	s := &source{p: p, eng: eng, rng: eng.Rand(stream), rate: rate}
+	if p.cfg.ZipfS > 1 {
+		s.zipf = rand.NewZipf(s.rng.Rand, p.cfg.ZipfS, 1, uint64(p.cfg.Keys-1))
+	}
+	p.sources = append(p.sources, s)
+	return s
+}
+
+// start arms the source's next arrival.
+func (s *source) start() {
+	if s.p.cfg.Arrival == ArrivalPoisson {
+		s.eng.After(time.Duration(s.rng.Exp(float64(time.Second)/s.rate)), s.fire)
 	} else {
-		op.eng.After(time.Duration(float64(time.Second)/op.rate), op.fire)
+		s.eng.After(time.Duration(float64(time.Second)/s.rate), s.fire)
 	}
 }
 
-// fire is one aggregated arrival: schedule the next, then hand the
-// submission to the next endpoint in the rotation.
-func (op *orgPool) fire() {
-	if !op.p.running {
+// fire is one arrival: schedule the next, then hand the submission to the
+// next client in the rotation. The stop check happens at fire time so a
+// Stop between schedule and fire consumes no random draw.
+func (s *source) fire() {
+	if !s.p.running {
 		return
 	}
-	op.start() // next arrival first: the draw order is fixed per pool
-	c := op.clients[op.next]
-	op.next = (op.next + 1) % len(op.clients)
-	c.invoke(op.key(), 0)
-}
-
-// key draws the next key from the pool's stream: Zipf-skewed when
-// configured, uniform otherwise.
-func (op *orgPool) key() string {
-	var i uint64
-	if op.zipf != nil {
-		i = op.zipf.Uint64()
-	} else {
-		i = uint64(op.rng.Intn(op.p.cfg.Keys))
-	}
-	return fmt.Sprintf("key-%04d", i)
-}
-
-// start arms the client's first arrival.
-func (c *planeClient) start() {
-	switch c.p.cfg.Arrival {
-	case ArrivalClosed:
-		c.fire()
-	case ArrivalPoisson:
-		c.eng.After(time.Duration(c.rng.Exp(float64(time.Second)/c.p.cfg.Rate)), c.fire)
-	default:
-		c.eng.After(time.Duration(float64(time.Second)/c.p.cfg.Rate), c.fire)
-	}
-}
-
-// fire is one arrival: submit a transaction and, for open loops, schedule
-// the next arrival. All stop checks happen at fire time so a Stop between
-// schedule and fire consumes no random draw.
-func (c *planeClient) fire() {
-	if !c.p.running {
-		return
-	}
-	if c.p.cfg.Arrival != ArrivalClosed {
-		c.start() // next arrival first: the draw order is fixed per client
-	} else if c.inFlight {
-		return
-	}
-	c.invoke(c.key(), 0)
+	s.start() // next arrival first: the draw order is fixed per source
+	c := s.clients[s.next]
+	s.next = (s.next + 1) % len(s.clients)
+	c.invoke(s.key(), 0)
 }
 
 // key draws the next key: Zipf-skewed over the keyspace when configured,
 // uniform otherwise.
-func (c *planeClient) key() string {
+func (s *source) key() string {
 	var i uint64
-	if c.zipf != nil {
-		i = c.zipf.Uint64()
+	if s.zipf != nil {
+		i = s.zipf.Uint64()
 	} else {
-		i = uint64(c.rng.Intn(c.p.cfg.Keys))
+		i = uint64(s.rng.Intn(s.p.cfg.Keys))
 	}
 	return fmt.Sprintf("key-%04d", i)
 }
@@ -713,17 +636,12 @@ func (c *planeClient) key() string {
 // invoke endorses and submits one counter increment. retries is how many
 // conflict retries this attempt chain has already consumed.
 func (c *planeClient) invoke(key string, retries int) {
-	if c.p.cfg.Arrival == ArrivalClosed {
-		c.inFlight = true
-	}
 	c.seq++
 	var nonce [8]byte
 	binary.BigEndian.PutUint64(nonce[:], c.seq)
 	tx, err := c.cl.Invoke("counter", []string{"incr", key}, nonce[:])
 	if err != nil {
-		// Counted by the client's own stats (endorse/conflict/submit).
-		c.completed()
-		return
+		return // counted by the client's own stats (endorse/conflict/submit)
 	}
 	c.p.pending[c.org][tx.ID] = &pendingTx{
 		client:   c,
@@ -731,23 +649,6 @@ func (c *planeClient) invoke(key string, retries int) {
 		retries:  retries,
 		key:      key,
 	}
-}
-
-// completed re-arms a closed-loop client after a terminal outcome.
-func (c *planeClient) completed() {
-	if c.p.cfg.Arrival != ArrivalClosed {
-		return
-	}
-	c.inFlight = false
-	if !c.p.running {
-		return
-	}
-	c.eng.After(c.p.cfg.Think, func() {
-		if !c.p.running || c.inFlight {
-			return
-		}
-		c.invoke(c.key(), 0)
-	})
 }
 
 // OrgStats is one organization's workload outcome.

@@ -103,6 +103,31 @@ func TestAccountingCloses(t *testing.T) {
 	})
 }
 
+// An aggregated organization is one fixed-rate source over at most eight
+// endpoints: its offered load is ClientsPerOrg × Rate, Zipf keys included,
+// and the books close on it.
+func TestAggregatedFixedRateZipfOffersTheRate(t *testing.T) {
+	cfg := Config{ClientsPerOrg: 20, Rate: 1, Arrival: ArrivalFixed, ZipfS: 1.5, AggregateClients: true}
+	n, p := testPlane(t, 1, cfg)
+	n.Engine.At(time.Second, p.Start)
+	n.Engine.At(5*time.Second, p.Stop)
+	n.RunUntil(15 * time.Second)
+	n.StopAll()
+
+	s := p.Stats()
+	for _, o := range s.Orgs {
+		if eps := len(p.ClientNodes(o.Org)); eps != aggregateEndpoints {
+			t.Fatalf("org %d has %d client endpoints, want %d", o.Org, eps, aggregateEndpoints)
+		}
+		// 20 arrivals/s over the 4 s window; the last one ties with Stop.
+		offered := o.Submitted + o.ProposalConflicts + o.EndorseErrors + o.SubmitErrors
+		if offered < 79 || offered > 80 {
+			t.Fatalf("org %d offered %d transactions, want 80 (20/s for 4 s): %+v", o.Org, offered, o)
+		}
+	}
+	assertClosed(t, s)
+}
+
 // A Broadcast no consenter can receive is a client-side submit error, not a
 // silently lost transaction: with the whole cluster crashed, or partitioned
 // away from every client, nothing is counted as submitted and the books

@@ -9,8 +9,10 @@
 # in internal/: the unreached share per package, the unreached statements
 # per file, every function no program enters, and the difference between
 # that list and reach.keep (the machine-readable form of README's
-# "Reachability" table). Exit status 1 when a function is unreached and not
-# in reach.keep, or is in reach.keep and reached.
+# "Reachability" table). Every unreached coverage block, as
+# "file:line.col,line.col stmts", goes to $REACH_OUT/unreached.blocks. Exit
+# status 1 when a function is unreached and not in reach.keep, or is in
+# reach.keep and reached.
 #
 #   scripts/reach.sh                 build, sweep, report
 #   scripts/reach.sh build           instrumented binaries into $REACH_OUT/bin
@@ -18,7 +20,8 @@
 #                                    1000-peer and 10k steps (CI runs those
 #                                    itself, on $REACH_OUT/bin/scenarios with
 #                                    GOCOVERDIR=$REACH_OUT/cov/main)
-#   scripts/reach.sh report          textfmt + tables + reach.keep check
+#   scripts/reach.sh report          textfmt + tables + unreached.blocks +
+#                                    reach.keep check
 #
 # REACH_OUT (default .reach, git-ignored) holds binaries, counters and the
 # programs' output. Toolchain only: go build -cover, go tool covdata.
@@ -103,8 +106,8 @@ sweep() {
 }
 
 # report merges the two counter sets block by block (a block is reached when
-# either module's programs executed it) and checks the function list
-# against reach.keep.
+# either module's programs executed it), lists the unreached blocks and
+# checks the function list against reach.keep.
 report() {
 	cd "$root"
 	for m in main bench; do
@@ -120,12 +123,18 @@ report() {
 			f = b; sub(/:.*/, "", f); sub(/^fabricgossip\//, "", f)
 			p = f; sub(/\/[^\/]*$/, "", p)
 			ft[f] += n[b]; pt[p] += n[b]; t += n[b]
-			if (!(b in hit)) { fu[f] += n[b]; pu[p] += n[b]; u += n[b] }
+			if (!(b in hit)) {
+				fu[f] += n[b]; pu[p] += n[b]; u += n[b]
+				k = b; sub(/^fabricgossip\//, "", k)
+				printf "block\t%s %d\n", k, n[b]
+			}
 		}
 		for (p in pt) printf "pkg\t%s\t%d\t%d\t%.1f\n", p, pu[p], pt[p], 100 * pu[p] / pt[p]
 		for (f in fu) printf "file\t%s\t%d\t%d\n", f, fu[f], ft[f]
 		printf "total\t%d\t%d\t%.1f\n", u, t, 100 * u / t
 	}' "$out/main.cov" "$out/bench.cov" >"$out/stmts.tsv"
+	awk -F'\t' '$1 == "block" { print $2 }' "$out/stmts.tsv" |
+		LC_ALL=C sort -t: -k1,1 -k2,2n >"$out/unreached.blocks"
 
 	# covdata func lines: <import path>/<file>:<line>:\t<func>\t<pct>%
 	awk '
@@ -148,6 +157,7 @@ report() {
 	echo "== functions no program enters: $(wc -l <"$out/unreached.txt")"
 	sed 's/^/  /' "$out/unreached.txt"
 	awk -F'\t' '$1 == "total" { printf "== total: %d of %d statements in internal/ unreached (%.1f %%)\n", $2, $3, $4 }' "$out/stmts.tsv"
+	echo "== unreached blocks ($(wc -l <"$out/unreached.blocks")): $out/unreached.blocks"
 
 	# reach.keep: "<file> <func><TAB><class>", # comments and blank lines.
 	grep -v '^\s*\(#\|$\)' "$root/reach.keep" | cut -f1 | sort >"$out/keep.txt"
