@@ -397,9 +397,9 @@ func BenchmarkScenarioConsenterFailover(b *testing.B) {
 // benchmarks: one of the sharded-* catalog entries at 10 organizations,
 // WAN-separated, so one shard engine per organization plus one for the
 // ordering service. sim_events is pinned; events_per_s is the wall-clock
-// trajectory, reported but never checked. Per-shard event queues stay ~10x
-// shallower than one global heap would, which pays even on a single core;
-// multi-core runners add genuine parallelism on top.
+// trajectory, reported but never checked. Per-shard event queues hold ~10x
+// fewer events than one global queue would, which pays even on a single
+// core; multi-core runners add genuine parallelism on top.
 // Beyond the usual event fingerprint it reports bytes_per_peer — the seed-1
 // run's live-heap high-water (Report.HeapHighWater: the largest heap a
 // collection marked live, garbage excluded) divided by the peer count, the
@@ -1023,23 +1023,59 @@ func BenchmarkTCPForwardBlock(b *testing.B) {
 	}
 }
 
-// BenchmarkSimEngine measures raw event throughput of the discrete-event
-// engine (the floor under every experiment's run time).
-func BenchmarkSimEngine(b *testing.B) {
-	e := sim.NewEngine(1)
-	count := 0
-	var tick func()
-	tick = func() {
-		count++
-		e.After(time.Microsecond, tick)
+// BenchmarkEngineQueue gates the engine's queue in steady state: one
+// AfterMsg+Step with the queue held at the paper run's, a 10k-tier shard's
+// and the 100k tier's pending counts, delays drawn from the simulated
+// workloads' mix (README "Hot-path architecture"). allocs_op must stay 0
+// at every size.
+func BenchmarkEngineQueue(b *testing.B) {
+	mix := []struct {
+		permille int
+		lo, hi   time.Duration
+	}{
+		{3, 0, time.Millisecond},
+		{500, time.Millisecond, 10 * time.Millisecond},
+		{370, 10 * time.Millisecond, 150 * time.Millisecond},
+		{2, 150 * time.Millisecond, time.Second},
+		{100, time.Second, 4 * time.Second},
+		{25, 4 * time.Second, 10 * time.Second},
 	}
-	e.After(0, tick)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Step()
+	rng := sim.NewRand(1)
+	delays := make([]time.Duration, 1<<16)
+	for i := range delays {
+		p, k := rng.Intn(1000), 0
+		for ; p >= mix[k].permille; k++ {
+			p -= mix[k].permille
+		}
+		delays[i] = mix[k].lo + time.Duration(rng.Int63n(int64(mix[k].hi-mix[k].lo)))
 	}
-	if count == 0 {
-		b.Fatal("no events ran")
+	for _, pending := range []int{2000, 18000, 200000} {
+		b.Run(fmt.Sprintf("pending=%dk", pending/1000), func(b *testing.B) {
+			e := sim.NewEngine(1)
+			h := func(from, to uint64, msg any) {}
+			var msg any = &wire.StateInfo{Height: 1}
+			k := 0
+			push := func() {
+				k++
+				e.AfterMsg(delays[k%len(delays)], h, 0, 1, msg)
+			}
+			cycle := func() {
+				push()
+				e.Step()
+			}
+			for i := 0; i < pending; i++ {
+				push()
+			}
+			for i := 0; i < 20*pending; i++ {
+				cycle() // past the longest delay: the steady state
+			}
+			allocs := testing.AllocsPerRun(1000, cycle)
+			b.ResetTimer()
+			atMost(b, "allocs_op", allocs, 0)
+			for i := 0; i < b.N; i++ {
+				cycle()
+			}
+		})
 	}
 }
 

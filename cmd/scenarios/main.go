@@ -37,26 +37,36 @@ import (
 )
 
 func main() {
-	name := flag.String("scenario", "all", "scenario name, comma-separated list, or 'all'")
-	peers := flag.Int("peers", 100, "total network size across all orgs (up to thousands)")
-	orgs := flag.Int("orgs", 1, "organization count (peers must divide evenly)")
-	orgSizes := flag.String("org-sizes", "", "explicit per-org peer counts, e.g. 50,30,20 (overrides -peers/-orgs; asymmetric consortiums)")
-	variant := flag.String("variant", "enhanced", "protocol: original, enhanced or both")
-	seed := flag.Int64("seed", 1, "root random seed")
-	consenters := flag.Int("consenters", 0, "ordering-cluster size override: run the scenario with this many Raft consenters (0 keeps the scenario's own size: 1 unless its script sets one; scripts naming a consenter index >= the override are rejected)")
-	tail := flag.Duration("tail", 0, "override the scenario's post-injection tail (0 keeps its own; shortening it changes the fingerprint lineage — reduced-duration determinism smokes only)")
-	check := flag.Bool("check", false, "run each scenario twice and verify identical fingerprints")
-	trace := flag.Bool("trace", false, "print the run's script events (faults, deliveries, elections, catch-ups) as text: a view of the same events -trace-jsonl writes")
-	stats := flag.Bool("stats", false, "print runtime statistics (engine, barriers, wire traffic) from the metrics registry; never part of the fingerprint")
-	traceJSONL := flag.String("trace-jsonl", "", "collect the structured event trace and write it as JSONL to this file ('-' for stdout); fingerprint-neutral")
-	metricsOut := flag.String("metrics-out", "", "write the metrics-registry snapshot as JSON to this file ('-' for stdout)")
-	timeseries := flag.Duration("timeseries", 0, "sample every registry instrument at this simulated period (written as JSON to <metrics-out>.series.json, or stdout); extends the event lineage like -tail")
-	flightRing := flag.Int("flight", 0, "arm the crash flight recorder with a ring of this many recent events per context")
-	flightDir := flag.String("flight-dir", "", "flight-recorder dump directory (default OS temp)")
-	list := flag.Bool("list", false, "list scenario names and exit")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
-	flag.Parse()
+	if err := run(os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, "scenarios:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the command. It returns the first error instead of exiting, so the
+// CPU and heap profiles are written on every path, a failing run included.
+func run(args []string) (err error) {
+	fs := flag.NewFlagSet("scenarios", flag.ExitOnError)
+	name := fs.String("scenario", "all", "scenario name, comma-separated list, or 'all'")
+	peers := fs.Int("peers", 100, "total network size across all orgs (up to thousands)")
+	orgs := fs.Int("orgs", 1, "organization count (peers must divide evenly)")
+	orgSizes := fs.String("org-sizes", "", "explicit per-org peer counts, e.g. 50,30,20 (overrides -peers/-orgs; asymmetric consortiums)")
+	variant := fs.String("variant", "enhanced", "protocol: original, enhanced or both")
+	seed := fs.Int64("seed", 1, "root random seed")
+	consenters := fs.Int("consenters", 0, "ordering-cluster size override: run the scenario with this many Raft consenters (0 keeps the scenario's own size: 1 unless its script sets one; scripts naming a consenter index >= the override are rejected)")
+	tail := fs.Duration("tail", 0, "override the scenario's post-injection tail (0 keeps its own; shortening it changes the fingerprint lineage — reduced-duration determinism smokes only)")
+	check := fs.Bool("check", false, "run each scenario twice and verify identical fingerprints")
+	trace := fs.Bool("trace", false, "print the run's script events (faults, deliveries, elections, catch-ups) as text: a view of the same events -trace-jsonl writes")
+	stats := fs.Bool("stats", false, "print runtime statistics (engine, barriers, wire traffic) from the metrics registry; never part of the fingerprint")
+	traceJSONL := fs.String("trace-jsonl", "", "collect the structured event trace and write it as JSONL to this file ('-' for stdout); fingerprint-neutral")
+	metricsOut := fs.String("metrics-out", "", "write the metrics-registry snapshot as JSON to this file ('-' for stdout)")
+	timeseries := fs.Duration("timeseries", 0, "sample every registry instrument at this simulated period (written as JSON to <metrics-out>.series.json, or stdout); extends the event lineage like -tail")
+	flightRing := fs.Int("flight", 0, "arm the crash flight recorder with a ring of this many recent events per context")
+	flightDir := fs.String("flight-dir", "", "flight-recorder dump directory (default OS temp)")
+	list := fs.Bool("list", false, "list scenario names and exit")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile to this file at exit")
+	fs.Parse(args) // ExitOnError: a bad flag exits with status 2 here
 
 	if *list {
 		for _, d := range scenario.Catalog() {
@@ -66,12 +76,12 @@ func main() {
 			}
 			fmt.Printf("%-20s %s%s\n", d.Name, d.Description, req)
 		}
-		return
+		return nil
 	}
 
 	sizes, err := parseOrgSizes(*orgSizes)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	var names []string
 	if *name == "all" {
@@ -89,30 +99,24 @@ func main() {
 	}
 	variants, err := parseVariants(*variant)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
+			return err
 		}
 		defer pprof.StopCPUProfile()
 	}
 	if *memprofile != "" {
 		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fatal(err)
+			if werr := writeHeapProfile(*memprofile); err == nil {
+				err = werr
 			}
 		}()
 	}
@@ -128,7 +132,7 @@ func main() {
 			start := time.Now()
 			rep, err := scenario.RunNamed(n, opt)
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			wall := time.Since(start).Round(time.Millisecond)
 			fmt.Println(rep)
@@ -137,15 +141,15 @@ func main() {
 			}
 			fmt.Printf("  fingerprint: %s (wall %v)\n", rep.Fingerprint()[:16], wall)
 			if err := writeArtifacts(rep, *traceJSONL, *metricsOut, *timeseries); err != nil {
-				fatal(err)
+				return err
 			}
 			if *check {
 				rep2, err := scenario.RunNamed(n, opt)
 				if err != nil {
-					fatal(err)
+					return err
 				}
 				if rep.Fingerprint() != rep2.Fingerprint() {
-					fatal(fmt.Errorf("scenario %s (%s): repeated run diverged", n, v))
+					return fmt.Errorf("scenario %s (%s): repeated run diverged", n, v)
 				}
 				fmt.Println("  determinism: OK (second run identical)")
 			}
@@ -157,6 +161,21 @@ func main() {
 			fmt.Println()
 		}
 	}
+	return nil
+}
+
+// writeHeapProfile writes the live heap, after a collection, to path.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // printStats renders the runtime-statistics block from the report's
@@ -281,9 +300,4 @@ func parseVariants(s string) ([]harness.Variant, error) {
 		return []harness.Variant{harness.VariantOriginal, harness.VariantEnhanced}, nil
 	}
 	return nil, fmt.Errorf("scenarios: unknown variant %q (want original, enhanced or both)", s)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "scenarios:", err)
-	os.Exit(1)
 }

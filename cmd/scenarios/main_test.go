@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -43,6 +45,22 @@ func TestSkipReasonCountsOrgSizes(t *testing.T) {
 		}
 		if !reflect.DeepEqual(skipped, c.want) {
 			t.Errorf("%s: skipped %v, want %v", c.name, skipped, c.want)
+		}
+	}
+}
+
+// A failing run still writes both profiles: the CPU profile of what ran and
+// the heap profile at exit.
+func TestFailingRunWritesProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	err := run([]string{"-scenario", "crash-restart,nonexistent", "-peers", "20", "-cpuprofile", cpu, "-memprofile", mem})
+	if err == nil || !strings.Contains(err.Error(), "nonexistent") {
+		t.Fatalf("run = %v, want the unknown scenario's error", err)
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s after a failing run: %v, want a non-empty profile", filepath.Base(path), err)
 		}
 	}
 }

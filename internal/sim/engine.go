@@ -12,6 +12,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 )
 
@@ -38,9 +39,9 @@ type Timer interface {
 // determinism.
 //
 // Cancellation is active: Stop removes the event from the queue immediately
-// (O(log n)), so long runs with heavy timer churn — thousand-peer fault
-// scenarios cancel and re-arm millions of timers — never accumulate dead
-// entries in the heap.
+// (from a later tick's bucket, or in O(log k) from a heap of k), so long
+// runs with heavy timer churn — thousand-peer fault scenarios cancel and
+// re-arm millions of timers — never accumulate dead entries in the queue.
 type Engine struct {
 	now      time.Duration
 	seq      uint64
@@ -76,7 +77,7 @@ func (e *Engine) Now() time.Duration { return e.now }
 
 // Pending returns the number of events waiting in the queue. Cancelled
 // events are removed eagerly and never counted.
-func (e *Engine) Pending() int { return len(e.queue) }
+func (e *Engine) Pending() int { return e.queue.n }
 
 // Executed returns the total number of events run since creation.
 func (e *Engine) Executed() uint64 { return e.executed }
@@ -87,7 +88,7 @@ func (e *Engine) PeakPending() int { return e.peakPending }
 
 // notePeak updates the queue high-water mark after a push.
 func (e *Engine) notePeak() {
-	if n := len(e.queue); n > e.peakPending {
+	if n := e.queue.n; n > e.peakPending {
 		e.peakPending = n
 	}
 }
@@ -96,10 +97,10 @@ func (e *Engine) notePeak() {
 // when the queue is empty. The sharded coordinator uses it to clip windows
 // to the next barrier-hosted event and to skip empty windows entirely.
 func (e *Engine) NextEventAt() (time.Duration, bool) {
-	if len(e.queue) == 0 {
+	if e.queue.n == 0 {
 		return 0, false
 	}
-	return e.queue[0].at, true
+	return e.queue.min().at, true
 }
 
 // advanceTo moves the clock forward to t without executing anything (the
@@ -206,7 +207,7 @@ func (e *Engine) Every(interval time.Duration, fn func()) Timer {
 
 // Step executes the single next event and reports whether one was executed.
 func (e *Engine) Step() bool {
-	if len(e.queue) == 0 {
+	if e.queue.n == 0 {
 		return false
 	}
 	ev := e.queue.popMin()
@@ -248,7 +249,7 @@ func (e *Engine) Run() int {
 func (e *Engine) RunUntil(t time.Duration) int {
 	e.stopped = false
 	n := 0
-	for !e.stopped && len(e.queue) > 0 && e.queue[0].at <= t {
+	for !e.stopped && e.queue.n > 0 && e.queue.min().at <= t {
 		e.Step()
 		n++
 	}
@@ -266,12 +267,16 @@ func (e *Engine) RunFor(d time.Duration) int { return e.RunUntil(e.now + d) }
 func (e *Engine) Stop() { e.stopped = true }
 
 // event implements Timer. index is the event's position in the owning
-// engine's heap, or -1 once it has fired or been cancelled.
+// engine's queue — in a heap, or in a bucket — or -1 once it has fired or
+// been cancelled; which of those holds it follows from at (see eventQueue).
 //
 // An event is either a closure event (fn set, scheduled by After/Every) or
 // a pooled delivery event (deliver set, scheduled by AfterMsg, recycled via
 // the engine's free list after firing). Delivery events never escape as
 // Timers, so Stop cannot observe one.
+//
+// The struct is 80 bytes, an exact allocation size class: one more word
+// would put every pending event in the 96-byte class.
 type event struct {
 	e     *Engine
 	at    time.Duration
@@ -289,7 +294,7 @@ func (ev *event) Stop() bool {
 	if ev.index < 0 || ev.fn == nil {
 		return false // already fired or cancelled
 	}
-	ev.e.queue.remove(ev.index)
+	ev.e.queue.remove(ev)
 	ev.fn = nil
 	return true
 }
@@ -330,106 +335,386 @@ func (p *periodic) Stop() bool {
 	}
 	p.stopped = true
 	if p.ev.index >= 0 {
-		p.e.queue.remove(p.ev.index)
+		p.e.queue.remove(p.ev)
 		p.ev.fn = nil
 	}
 	return true
 }
 
-// eventQueue is a hand-rolled min-heap ordered by (time, insertion
-// sequence). It avoids container/heap's interface dispatch on the hottest
-// loop of every simulation and maintains each event's index so cancellation
-// can remove in place.
-type eventQueue []*event
+// The calendar's geometry. A tick is 2^20 ns (≈ 1.05 ms) and a page is 256
+// ticks (≈ 268 ms). Half of all pushes are deliveries 1–10 ms out and
+// another third 10–150 ms out, so most land in a later tick of the current
+// page or in the next page. Periodic timers (1 to 10 s) land in the far
+// pages, 63 of which (≈ 17 s) are kept ahead of the current one.
+const (
+	tickShift = 20
+	nearBits  = 8
+	nearSlots = 1 << nearBits
+	nearMask  = nearSlots - 1
+	pageShift = tickShift + nearBits
+	farSlots  = 64
+	farMask   = farSlots - 1
 
-func (q eventQueue) less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
+	// chunkLen events and a link fill a chunk: 128 bytes, an exact size
+	// class.
+	chunkLen = 15
+	// spareFloor is the fewest event slots the spare chunks may hold: a
+	// block's dissemination wave fills a couple of hundred buckets at once,
+	// and refills them from the spares without allocating.
+	spareFloor = 4096
+)
+
+// eventQueue is a two-level calendar queue (R. Brown, "Calendar Queues",
+// CACM 31(10), 1988, with the levels of a hierarchical timing wheel) that
+// pops in (time, insertion sequence) order. With cur the current tick:
+//
+//   - heap holds every event of tick cur or earlier as a min-heap: the
+//     current tick's events, and any scheduled behind cur, which is ahead of
+//     the clock once a peek has moved it to the next occupied tick;
+//   - near[t&nearMask] holds the events of a later tick t of cur's page,
+//     unsorted;
+//   - far[p&farMask] holds the events of a later page p less than farSlots
+//     pages ahead of cur's, unsorted;
+//   - over holds everything beyond, as a min-heap.
+//
+// A push is a store into a bucket or a sift in a heap of one tick's events,
+// not of everything pending. When heap empties, the next occupied tick's
+// bucket is heapified in its place; when the page is spent, the next
+// occupied far page is spread over near, and the events of over that came
+// within farSlots pages move into far. Where an event is follows from its
+// time and cur alone, so Stop finds its bucket without a search.
+type eventQueue struct {
+	n    int   // events queued
+	cur  int64 // current tick
+	heap eventHeap
+	near [nearSlots]bucket
+	far  [farSlots]bucket
+	over eventHeap
+
+	nearUsed [nearSlots / 64]uint64 // bit t&nearMask set: near[t&nearMask] is non-empty
+	farUsed  uint64                 // bit p&farMask set: far[p&farMask] is non-empty
+
+	spare  *chunk // emptied chunks kept for reuse, linked through next
+	spares int
 }
 
-func (q eventQueue) swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+// bucket is an unsorted set of events kept in a stack of chunks: its event
+// i, whose index is i, is in the chunk i/chunkLen from the bottom, at
+// i%chunkLen. All chunks but the top one are full, so a bucket wastes at
+// most one partly filled chunk however many events it holds.
+type bucket struct {
+	top *chunk
+	n   int
 }
+
+type chunk struct {
+	ev   [chunkLen]*event
+	next *chunk // the chunk below in a bucket, or the next spare
+}
+
+// topLen is how many events the top chunk of a non-empty bucket holds.
+func (b *bucket) topLen() int { return b.n - (b.n-1)/chunkLen*chunkLen }
 
 func (q *eventQueue) push(ev *event) {
-	ev.index = len(*q)
-	*q = append(*q, ev)
-	q.siftUp(ev.index)
+	q.n++
+	q.place(ev)
 }
 
-func (q *eventQueue) popMin() *event {
-	h := *q
-	ev := h[0]
-	n := len(h) - 1
-	h.swap(0, n)
-	h[n] = nil
-	*q = h[:n]
-	if n > 0 {
-		q.siftDown(0)
+// Where an event at a given time belongs, relative to cur.
+const (
+	inHeap = iota
+	inNear
+	inFar
+	inOver
+)
+
+// locate says where an event at time at belongs and, for inNear and inFar,
+// the slot of its bucket.
+func (q *eventQueue) locate(at time.Duration) (where int, slot int64) {
+	t := int64(at) >> tickShift
+	switch page, curPage := t>>nearBits, q.cur>>nearBits; {
+	case t <= q.cur:
+		return inHeap, 0
+	case page == curPage:
+		return inNear, t & nearMask
+	case page-curPage < farSlots:
+		return inFar, page & farMask
+	}
+	return inOver, 0
+}
+
+// place files ev where its time puts it relative to cur.
+func (q *eventQueue) place(ev *event) {
+	switch where, i := q.locate(ev.at); where {
+	case inHeap:
+		q.heap.push(ev)
+	case inNear:
+		q.nearUsed[i>>6] |= 1 << (i & 63)
+		q.add(&q.near[i], ev)
+	case inFar:
+		q.farUsed |= 1 << i
+		q.add(&q.far[i], ev)
+	default:
+		q.over.push(ev)
+	}
+}
+
+func (q *eventQueue) add(b *bucket, ev *event) {
+	if b.n%chunkLen == 0 {
+		c := q.newChunk()
+		c.next = b.top
+		b.top = c
+	}
+	b.top.ev[b.n%chunkLen] = ev
+	ev.index = b.n
+	b.n++
+}
+
+// remove takes a queued event out of the queue.
+func (q *eventQueue) remove(ev *event) {
+	q.n--
+	switch where, i := q.locate(ev.at); where {
+	case inHeap:
+		q.heap.remove(ev.index)
+	case inNear:
+		if q.cut(&q.near[i], ev.index) {
+			q.nearUsed[i>>6] &^= 1 << (i & 63)
+		}
+	case inFar:
+		if q.cut(&q.far[i], ev.index) {
+			q.farUsed &^= 1 << i
+		}
+	default:
+		q.over.remove(ev.index)
+		q.over = shrink(q.over)
 	}
 	ev.index = -1
-	q.maybeShrink()
+}
+
+// cut removes a bucket's event i by moving its last event into the gap, and
+// reports whether the bucket is left empty. Finding event i's chunk walks
+// down from the top, one link per chunkLen events scheduled into the bucket
+// after it.
+func (q *eventQueue) cut(b *bucket, i int) bool {
+	top := b.top
+	b.n--
+	last := top.ev[b.n%chunkLen]
+	top.ev[b.n%chunkLen] = nil
+	if i != b.n {
+		c := top
+		for k := b.n/chunkLen - i/chunkLen; k > 0; k-- {
+			c = c.next
+		}
+		c.ev[i%chunkLen] = last
+		last.index = i
+	}
+	if b.n%chunkLen == 0 {
+		b.top = top.next
+		q.freeChunk(top)
+	}
+	return b.n == 0
+}
+
+// min returns the earliest event. The queue must not be empty.
+func (q *eventQueue) min() *event {
+	if len(q.heap) == 0 {
+		q.advance()
+	}
+	return q.heap[0]
+}
+
+// popMin removes and returns the earliest event. The queue must not be
+// empty.
+func (q *eventQueue) popMin() *event {
+	if len(q.heap) == 0 {
+		q.advance()
+	}
+	q.n--
+	return q.heap.popMin()
+}
+
+// advance moves cur to the next occupied tick and makes that tick's bucket
+// the heap. The heap is empty and the queue is not.
+func (q *eventQueue) advance() {
+	for {
+		for w, word := range q.nearUsed {
+			if word == 0 {
+				continue
+			}
+			i := w<<6 | bits.TrailingZeros64(word)
+			q.nearUsed[w] = word &^ (1 << (i & 63))
+			q.cur = q.cur&^nearMask | int64(i)
+			b := &q.near[i]
+			for c, n := b.top, b.topLen(); c != nil; c, n = c.next, chunkLen {
+				for _, ev := range c.ev[:n] {
+					ev.index = len(q.heap)
+					q.heap = append(q.heap, ev)
+				}
+			}
+			q.empty(b)
+			q.heap = shrink(q.heap) // the array a burst of one tick grew
+			q.heap.init()
+			return
+		}
+		// The page is spent: turn to the next one that holds anything.
+		page := q.cur >> nearBits
+		if q.farUsed != 0 {
+			ahead := bits.RotateLeft64(q.farUsed, -int((page+1)&farMask))
+			page += 1 + int64(bits.TrailingZeros64(ahead))
+		} else {
+			page = int64(q.over[0].at) >> pageShift
+		}
+		q.cur = page << nearBits
+		b := &q.far[page&farMask]
+		q.farUsed &^= 1 << (page & farMask)
+		for c, n := b.top, b.topLen(); c != nil; c, n = c.next, chunkLen {
+			for _, ev := range c.ev[:n] {
+				q.place(ev)
+			}
+		}
+		q.empty(b)
+		for len(q.over) > 0 && int64(q.over[0].at)>>pageShift < page+farSlots {
+			q.place(q.over.popMin())
+		}
+		q.over = shrink(q.over)
+		if len(q.heap) > 0 {
+			return
+		}
+	}
+}
+
+// empty returns the chunks of a bucket whose events have moved out.
+func (q *eventQueue) empty(b *bucket) {
+	for c := b.top; c != nil; {
+		next := c.next
+		q.freeChunk(c)
+		c = next
+	}
+	*b = bucket{}
+}
+
+func (q *eventQueue) newChunk() *chunk {
+	c := q.spare
+	if c == nil {
+		return new(chunk)
+	}
+	q.spare, c.next = c.next, nil
+	q.spares--
+	return c
+}
+
+// freeChunk keeps c for reuse while the spares hold fewer event slots than
+// a quarter of the events pending, or spareFloor. Chunks a drained spike
+// took are let go as they come back, so the queue's storage follows its
+// occupancy down.
+func (q *eventQueue) freeChunk(c *chunk) {
+	keep := max(q.n/4, spareFloor) / chunkLen
+	for q.spares > keep {
+		q.spare = q.spare.next
+		q.spares--
+	}
+	if q.spares < keep {
+		*c = chunk{next: q.spare}
+		q.spare = c
+		q.spares++
+	}
+}
+
+// eventHeap is a min-heap ordered by (time, insertion sequence). It avoids
+// container/heap's interface dispatch and maintains each event's index so
+// cancellation can remove in place.
+type eventHeap []*event
+
+func (h eventHeap) less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
+}
+
+func (h eventHeap) swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].index = i
+	h[j].index = j
+}
+
+func (h *eventHeap) push(ev *event) {
+	ev.index = len(*h)
+	*h = append(*h, ev)
+	h.siftUp(ev.index)
+}
+
+// init restores heap order over events whose indices already match their
+// positions.
+func (h eventHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.siftDown(i)
+	}
+}
+
+func (h *eventHeap) popMin() *event {
+	s := *h
+	ev := s[0]
+	n := len(s) - 1
+	s.swap(0, n)
+	s[n] = nil
+	*h = s[:n]
+	if n > 0 {
+		h.siftDown(0)
+	}
+	ev.index = -1
 	return ev
 }
 
 // remove deletes the event at heap position i.
-func (q *eventQueue) remove(i int) {
-	h := *q
-	n := len(h) - 1
-	ev := h[i]
+func (h *eventHeap) remove(i int) {
+	s := *h
+	n := len(s) - 1
 	if i != n {
-		h.swap(i, n)
+		s.swap(i, n)
 	}
-	h[n] = nil
-	*q = h[:n]
+	s[n] = nil
+	*h = s[:n]
 	if i != n {
-		if !q.siftDown(i) {
-			q.siftUp(i)
+		if !h.siftDown(i) {
+			h.siftUp(i)
 		}
 	}
-	ev.index = -1
-	q.maybeShrink()
 }
 
-// shrinkMinCap is the smallest backing-array capacity maybeShrink bothers
-// reclaiming. Below it the queue costs nothing worth a copy.
+// shrinkMinCap is the smallest backing-array capacity shrink bothers
+// reclaiming. Below it an array costs nothing worth a copy.
 const shrinkMinCap = 1024
 
-// maybeShrink reallocates the backing array when occupancy falls to a
-// quarter of capacity or less, returning the memory of drain spikes: a fault
-// scenario can balloon the queue into the millions of pending deliveries and
-// then idle at a few thousand timers for the rest of the run. The copy
-// preserves slot order, so event indices stay valid, and the new capacity
-// (2x the live count) keeps the shrink amortized — it cannot re-trigger
-// until the queue halves again.
-func (q *eventQueue) maybeShrink() {
-	h := *q
-	if cap(h) < shrinkMinCap || len(h) > cap(h)/4 {
-		return
+// shrink reallocates s when occupancy falls to a quarter of capacity or
+// less, returning the memory of drain spikes: a fault scenario can balloon
+// the queue into the millions of pending deliveries and then idle at a few
+// thousand timers for the rest of the run. The copy preserves slot order,
+// so event indices stay valid, and the new capacity (2x the live count)
+// keeps the shrink amortized — it cannot re-trigger until s halves again.
+func shrink(s eventHeap) eventHeap {
+	if cap(s) < shrinkMinCap || len(s) > cap(s)/4 {
+		return s
 	}
-	ns := make(eventQueue, len(h), 2*len(h))
-	copy(ns, h)
-	*q = ns
+	ns := make(eventHeap, len(s), 2*len(s))
+	copy(ns, s)
+	return ns
 }
 
-func (q eventQueue) siftUp(i int) {
+func (h eventHeap) siftUp(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !q.less(i, parent) {
+		if !h.less(i, parent) {
 			break
 		}
-		q.swap(i, parent)
+		h.swap(i, parent)
 		i = parent
 	}
 }
 
 // siftDown reports whether the element moved.
-func (q eventQueue) siftDown(i int) bool {
-	n := len(q)
+func (h eventHeap) siftDown(i int) bool {
+	n := len(h)
 	start := i
 	for {
 		left := 2*i + 1
@@ -437,13 +722,13 @@ func (q eventQueue) siftDown(i int) bool {
 			break
 		}
 		smallest := left
-		if right := left + 1; right < n && q.less(right, left) {
+		if right := left + 1; right < n && h.less(right, left) {
 			smallest = right
 		}
-		if !q.less(smallest, i) {
+		if !h.less(smallest, i) {
 			break
 		}
-		q.swap(i, smallest)
+		h.swap(i, smallest)
 		i = smallest
 	}
 	return i > start

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -308,41 +309,224 @@ func TestStopRemovesEventFromQueueImmediately(t *testing.T) {
 	}
 }
 
-// Property: random interleavings of scheduling and cancellation preserve
-// heap order and never fire a cancelled event.
-func TestPropertyRandomCancellationKeepsHeapOrdered(t *testing.T) {
-	f := func(ops []uint16) bool {
-		e := NewEngine(11)
-		var live []Timer
-		fired := []time.Duration{}
-		expect := 0
-		for _, op := range ops {
-			if op%3 == 0 && len(live) > 0 {
-				idx := int(op/3) % len(live)
-				if live[idx].Stop() {
-					expect--
-				}
-				live = append(live[:idx], live[idx+1:]...)
-				continue
-			}
-			d := time.Duration(op%1000) * time.Millisecond
-			live = append(live, e.After(d, func() { fired = append(fired, e.Now()) }))
-			expect++
+// refModel is the reference the engine is checked against: every scheduled
+// firing with the (time, sequence) key the engine's contract gives it,
+// fired by a linear scan for the least key.
+type refModel struct {
+	t      *testing.T
+	e      *Engine
+	rng    *rand.Rand
+	live   map[int]refEntry
+	seq    uint64
+	nextID int
+	timers []*refTimer
+	budget int    // ops callbacks may still run, so the final drain ends
+	stops  [5]int // Stops of a live event, by where it was (see where)
+}
+
+type refEntry struct {
+	at  time.Duration
+	seq uint64
+}
+
+// refTimer is a Timer handle and the id of its live firing, -1 if none.
+type refTimer struct {
+	tm       Timer
+	ev       *event
+	cur      int
+	periodic bool
+	stopped  bool
+	wasOver  bool // placed in the overflow heap when scheduled
+}
+
+// movedFromOver counts, beside the queue's own inHeap…inOver, a Stop of an
+// event that was placed in the overflow heap and has since moved out of it.
+const movedFromOver = inOver + 1
+
+var whereNames = [...]string{"the current tick's heap", "a near bucket", "a far bucket", "the overflow heap", "a bucket, moved in from the overflow heap"}
+
+// where says which part of the queue holds ev.
+func (q *eventQueue) where(ev *event) int {
+	where, _ := q.locate(ev.at)
+	return where
+}
+
+// add records a firing the engine has just been asked to schedule.
+func (m *refModel) add(at time.Duration) int {
+	id := m.nextID
+	m.nextID++
+	m.live[id] = refEntry{at: at, seq: m.seq}
+	m.seq++
+	return id
+}
+
+// fire checks that the engine fired the reference's least live firing.
+func (m *refModel) fire(id int) {
+	m.t.Helper()
+	want, least := -1, refEntry{}
+	for i, en := range m.live {
+		if want < 0 || en.at < least.at || en.at == least.at && en.seq < least.seq {
+			want, least = i, en
 		}
-		e.Run()
-		if len(fired) != expect {
-			return false
-		}
-		for i := 1; i < len(fired); i++ {
-			if fired[i] < fired[i-1] {
-				return false
-			}
-		}
-		return e.Pending() == 0
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
+	if id != want || m.e.Now() != least.at {
+		m.t.Fatalf("engine fired #%d at %v, reference fires #%d (seq %d) at %v", id, m.e.Now(), want, least.seq, least.at)
 	}
+	delete(m.live, id)
+}
+
+// delay draws a scheduling delay: ties at one instant, tick and page edges
+// (±1 ns), the far horizon and ten times beyond it, negative delays.
+func (m *refModel) delay() time.Duration {
+	now := int64(m.e.Now())
+	edge := func(shift uint, ahead int64) time.Duration {
+		return time.Duration((now>>shift+ahead)<<shift + m.rng.Int63n(3) - 1 - now)
+	}
+	switch m.rng.Intn(10) {
+	case 0:
+		return 0
+	case 1:
+		return -time.Duration(m.rng.Int63n(int64(time.Second)))
+	case 2:
+		return time.Duration(m.rng.Intn(4)) * 250 * time.Microsecond
+	case 3:
+		return edge(tickShift, m.rng.Int63n(4))
+	case 4:
+		return edge(pageShift, m.rng.Int63n(3))
+	case 5:
+		return edge(pageShift, farSlots-1+m.rng.Int63n(3))
+	case 6:
+		return edge(pageShift, 10*farSlots+m.rng.Int63n(3))
+	case 7:
+		return time.Duration(m.rng.Int63n(int64(150 * time.Millisecond)))
+	case 8:
+		return time.Duration(m.rng.Int63n(int64(5 * time.Second)))
+	}
+	return time.Duration(m.rng.Intn(3)) * time.Second
+}
+
+// op schedules or stops one firing.
+func (m *refModel) op() {
+	e := m.e
+	switch m.rng.Intn(8) {
+	case 0, 1:
+		d := m.delay()
+		h := &refTimer{}
+		h.tm = e.After(d, func() {
+			m.fire(h.cur)
+			h.cur = -1
+			m.nested()
+		})
+		h.ev = h.tm.(*event)
+		h.cur = m.add(e.Now() + max(d, 0))
+		h.wasOver = e.queue.where(h.ev) == inOver
+		m.timers = append(m.timers, h)
+	case 2, 3:
+		d := m.delay()
+		id := m.add(e.Now() + max(d, 0))
+		e.AfterMsg(d, func(_, _ uint64, msg any) {
+			m.fire(msg.(int))
+			m.nested()
+		}, 0, 0, id)
+	case 4:
+		// At in the past clamps to now.
+		at := e.Now() - time.Duration(m.rng.Int63n(int64(time.Second)))
+		h := &refTimer{}
+		h.tm = e.At(at, func() {
+			m.fire(h.cur)
+			h.cur = -1
+		})
+		h.ev = h.tm.(*event)
+		h.cur = m.add(max(at, e.Now()))
+		m.timers = append(m.timers, h)
+	case 5:
+		iv := []time.Duration{250 * time.Microsecond, 1 << tickShift, 10 * time.Millisecond, 1 << pageShift, time.Second, 2 * time.Second}[m.rng.Intn(6)]
+		h := &refTimer{periodic: true}
+		fired := 0
+		h.tm = e.Every(iv, func() {
+			m.fire(h.cur)
+			h.cur = -1
+			m.nested()
+			if fired++; fired == 20 && !h.stopped {
+				h.tm.Stop() // from within the callback: no re-arm
+				h.stopped = true
+			}
+			if !h.stopped { // the engine re-arms once the callback returns
+				h.cur = m.add(e.Now() + iv)
+			}
+		})
+		h.ev = h.tm.(*periodic).ev
+		h.cur = m.add(e.Now() + iv)
+		m.timers = append(m.timers, h)
+	default:
+		if len(m.timers) == 0 {
+			return
+		}
+		h := m.timers[m.rng.Intn(len(m.timers))]
+		if h.cur >= 0 {
+			where := e.queue.where(h.ev)
+			if where != inOver && h.wasOver {
+				where = movedFromOver
+			}
+			m.stops[where]++
+		}
+		want := h.cur >= 0 || h.periodic && !h.stopped
+		if got := h.tm.Stop(); got != want {
+			m.t.Fatalf("Stop = %v, want %v", got, want)
+		}
+		delete(m.live, h.cur)
+		h.cur, h.stopped = -1, true
+	}
+	if e.Pending() != len(m.live) {
+		m.t.Fatalf("Pending = %d, reference holds %d", e.Pending(), len(m.live))
+	}
+}
+
+// nested runs a few more ops from inside a firing.
+func (m *refModel) nested() {
+	for k := m.rng.Intn(3); k > 0 && m.budget > 0; k-- {
+		m.budget--
+		m.op()
+	}
+}
+
+// The engine fires exactly what a reference that sorts by (time, sequence)
+// fires, in its order, for random mixes of After, AfterMsg, At and Every,
+// Stop of events wherever they are queued, and RunUntil gaps followed by
+// scheduling earlier than the queue's current tick.
+func TestEngineMatchesSortedReference(t *testing.T) {
+	var stops [5]int
+	for seed := int64(1); seed <= 150; seed++ {
+		m := &refModel{t: t, e: NewEngine(seed), rng: rand.New(rand.NewSource(seed)), live: map[int]refEntry{}, budget: 600}
+		for round := 0; round < 40; round++ {
+			for k := m.rng.Intn(8); k > 0; k-- {
+				m.op()
+			}
+			gaps := []time.Duration{0, 300 * time.Microsecond, 1 << tickShift, 100 * time.Millisecond, 2 * time.Second, 20 * time.Second}
+			m.e.RunUntil(m.e.Now() + gaps[m.rng.Intn(len(gaps))])
+		}
+		for _, h := range m.timers {
+			if h.periodic && !h.stopped {
+				h.tm.Stop()
+				delete(m.live, h.cur)
+				h.stopped = true
+			}
+		}
+		m.budget = 0
+		m.e.Run()
+		if len(m.live) != 0 || m.e.Pending() != 0 {
+			t.Fatalf("seed %d: %d firings left in the reference, %d pending", seed, len(m.live), m.e.Pending())
+		}
+		for i, n := range m.stops {
+			stops[i] += n
+		}
+	}
+	for i, n := range stops {
+		if n == 0 {
+			t.Errorf("no Stop hit an event in %s", whereNames[i])
+		}
+	}
+	t.Logf("Stops of a queued event by where it was: %v", stops)
 }
 
 // Every must not allocate once in steady state: the periodic timer reuses a

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // shardTracer records (time, tag) observations per shard so parallel windows
@@ -244,22 +245,48 @@ func TestShardedSeedsAreIndependent(t *testing.T) {
 	}
 }
 
+// retained counts the bytes the queue's storage holds, filled or not: both
+// heaps' arrays, the buckets' chunks and the spare chunks.
+func (q *eventQueue) retained() int {
+	chunks := q.spares
+	for _, b := range append(q.near[:], q.far[:]...) {
+		chunks += (b.n + chunkLen - 1) / chunkLen
+	}
+	return (cap(q.heap)+cap(q.over))*int(unsafe.Sizeof(&event{})) + chunks*int(unsafe.Sizeof(chunk{}))
+}
+
+// A drain spike must not pin its storage: after 100 000 events — spread over
+// the heap, near buckets, far buckets and the overflow heap — drain, a small
+// working set leaves the queue holding a few tens of kilobytes.
 func TestEventQueueShrinksAfterDrainSpike(t *testing.T) {
+	if size := unsafe.Sizeof(event{}); size != 80 {
+		t.Fatalf("event is %d bytes, want 80 (an exact size class)", size)
+	}
 	e := NewEngine(1)
 	const spike = 100000
 	for i := 0; i < spike; i++ {
-		e.After(time.Duration(i)*time.Microsecond, func() {})
+		// 2 500 events at the start of each of 40 seconds: the heap, near,
+		// far and over all fill.
+		e.After(time.Duration(i%2500)*time.Microsecond+time.Duration(i/2500)*time.Second, func() {})
 	}
 	if e.PeakPending() != spike {
 		t.Fatalf("peak pending %d, want %d", e.PeakPending(), spike)
 	}
-	e.Run()
-	// Steady state after the drain: a small working set again.
-	for i := 0; i < 100; i++ {
-		e.After(time.Duration(i)*time.Microsecond, func() {})
+	peak := e.queue.retained()
+	if peak < spike*8 {
+		t.Fatalf("queue holds %d bytes for %d events", peak, spike)
 	}
-	if c := cap(e.queue); c > 4*shrinkMinCap {
-		t.Fatalf("queue capacity %d after drain spike, want it shrunk", c)
+	e.Run()
+	// Steady state after the drain: a small working set again, one event
+	// per tick for a page and a half.
+	for i := 0; i < 400; i++ {
+		e.After(time.Duration(i)*time.Millisecond, func() {})
+	}
+	e.Run()
+	// The spare chunks may keep spareFloor slots (32 KB); the rest is the
+	// backing arrays of the current tick's heap and the overflow heap.
+	if r, want := e.queue.retained(), 24*spareFloor; r > want || r > peak/8 {
+		t.Fatalf("queue retains %d bytes after the drain spike (%d at its peak), want ≤ %d", r, peak, want)
 	}
 	if e.PeakPending() != spike {
 		t.Fatalf("peak pending %d lost after drain, want %d", e.PeakPending(), spike)
