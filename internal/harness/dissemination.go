@@ -66,7 +66,7 @@ func RunDissemination(p Params) (*DisseminationResult, error) {
 	org, err := NewOrg(p, WithCoreHook(func(i int, core *gossip.Core) {
 		self := core.ID()
 		core.OnFirstReception(func(b *ledger.Block, at time.Duration) {
-			if self == 0 {
+			if self == leaderPeer {
 				// The leader is the dissemination origin: its reception
 				// defines t=0 and is excluded from the latency CDFs.
 				leaderSeen[b.Num] = at
@@ -130,7 +130,7 @@ func RunDissemination(p Params) (*DisseminationResult, error) {
 		Params:            p,
 		Latencies:         rec,
 		Traffic:           traffic,
-		LeaderID:          0,
+		LeaderID:          leaderPeer,
 		RegularID:         regularPeer(p.Seed, p.NumPeers),
 		NumBuckets:        int(end/p.Bucket) + 1,
 		BlockBytes:        wire.BlockEncodedSize(first),

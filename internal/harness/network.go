@@ -54,14 +54,11 @@ type NetworkParams struct {
 	// override. Empty defaults to VariantEnhanced.
 	Variant Variant
 	Orgs    []OrgSpec
-	// Bucket is the traffic-accounting bucket width (default 10 s).
-	Bucket time.Duration
-	// TrafficTotals switches every traffic accountant to per-node running
-	// totals (netmodel.Traffic.TotalsOnly): NodeTotals and the aggregate
-	// counters stay exact, per-bucket series are never allocated. The
-	// scenario runner sets it — its reports only read totals — so the
-	// unread series don't dominate the accountant's footprint at the
-	// 100k-peer tier. Figure runs keep the series.
+	// Bucket and TrafficTotals are read by nothing: a Network's traffic
+	// accountants keep running totals per node and no bucket series (only
+	// the paper experiments' Org plots bandwidth over time). Declared until
+	// bench/ stops setting them.
+	Bucket        time.Duration
 	TrafficTotals bool
 
 	// AnchorRecovery enables cross-organization state transfer: each
@@ -111,9 +108,6 @@ type NetworkParams struct {
 func (p NetworkParams) withDefaults() NetworkParams {
 	if p.Variant == "" {
 		p.Variant = VariantEnhanced
-	}
-	if p.Bucket == 0 {
-		p.Bucket = 10 * time.Second
 	}
 	if p.Consenters == 0 {
 		p.Consenters = 1
@@ -291,16 +285,11 @@ func NewNetwork(p NetworkParams, opts ...NetworkOption) (*Network, error) {
 	base := 0
 	for o, spec := range p.Orgs {
 		if n.orgShard[o] != n.ordShard {
-			n.shardTraffics[n.orgShard[o]] = netmodel.NewSimTrafficWindow(p.Bucket, wire.NodeID(base), spec.Peers)
+			n.shardTraffics[n.orgShard[o]] = netmodel.NewSimTrafficWindow(wire.NodeID(base), spec.Peers)
 		}
 		base += spec.Peers
 	}
-	n.shardTraffics[n.ordShard] = netmodel.NewSimTraffic(p.Bucket)
-	if p.TrafficTotals {
-		for _, tv := range n.shardTraffics {
-			tv.TotalsOnly()
-		}
-	}
+	n.shardTraffics[n.ordShard] = netmodel.NewSimTraffic(0)
 	n.Net = transport.NewShardedSimNetwork(n.se, netmodel.LAN(), n.shardTraffics)
 	// The ordering service delivers over a reliable stream: uniform loss
 	// must not swallow a block before it enters an organization.
@@ -476,10 +465,7 @@ func (n *Network) PeakPending() int { return n.se.PeakPending() }
 // per-shard accountants merged into a fresh one. Call it between RunUntil
 // calls, when no shard is recording.
 func (n *Network) TrafficView() *netmodel.Traffic {
-	t := netmodel.NewSimTraffic(n.Params.Bucket)
-	if n.Params.TrafficTotals {
-		t.TotalsOnly()
-	}
+	t := netmodel.NewSimTraffic(0)
 	for _, st := range n.shardTraffics {
 		t.Merge(st)
 	}

@@ -58,7 +58,9 @@ func NewOrg(p Params, opts ...OrgOption) (*Org, error) {
 	for _, opt := range opts {
 		opt(o)
 	}
-	o.Traffic = netmodel.NewSimTraffic(p.Bucket)
+	// The bandwidth figures plot the leader and one regular peer over time;
+	// every other peer has running totals only.
+	o.Traffic = netmodel.NewSimTraffic(p.Bucket).KeepSeries(leaderPeer, regularPeer(p.Seed, p.NumPeers))
 	o.Net = transport.NewSimNetwork(o.Engine, netmodel.LAN(), o.Traffic)
 	o.Peers = make([]wire.NodeID, p.NumPeers)
 	for i := range o.Peers {
@@ -103,10 +105,14 @@ func (o *Org) StopAll() {
 	}
 }
 
+// leaderPeer is the organization's fixed leader: the ordering service
+// delivers every block to it.
+const leaderPeer = 0
+
 // DeliverBlock sends b from the ordering service to the organization's
-// leader, peer 0, and reports that index (the signature bench/ compiles
-// against; with no faults the target never varies).
+// leader and reports its index (the signature bench/ compiles against; with
+// no faults the target never varies).
 func (o *Org) DeliverBlock(b *ledger.Block) int {
-	_ = o.Orderer.Send(o.Peers[0], &wire.DeliverBlock{Block: b})
-	return 0
+	_ = o.Orderer.Send(o.Peers[leaderPeer], &wire.DeliverBlock{Block: b})
+	return leaderPeer
 }

@@ -67,7 +67,7 @@ func TestLANModelSane(t *testing.T) {
 }
 
 func TestTrafficBucketsAndSeries(t *testing.T) {
-	tr := NewTraffic(10 * time.Second)
+	tr := NewTraffic(10*time.Second).KeepSeries(0, 1)
 	// 1 MB from node 0 to node 1 in bucket 0, 2 MB in bucket 2.
 	tr.Record(0, 1, wire.TypeData, 1_000_000, 5*time.Second)
 	tr.Record(0, 1, wire.TypeData, 2_000_000, 25*time.Second)
@@ -108,7 +108,7 @@ func TestTrafficPerTypeAccounting(t *testing.T) {
 func TestTrafficZeroBucketDefaults(t *testing.T) {
 	// 10 s buckets: sends at 9 s and 11 s land in buckets 0 and 1, each
 	// 10 MB over 10 s = 1 MB/s at the sender.
-	tr := NewTraffic(0)
+	tr := NewTraffic(0).KeepSeries(0)
 	tr.Record(0, 1, wire.TypeData, 10e6, 9*time.Second)
 	tr.Record(0, 1, wire.TypeData, 10e6, 11*time.Second)
 	if s := tr.NodeSeries(0, 3); s[0] != 1 || s[1] != 1 || s[2] != 0 {
@@ -117,7 +117,8 @@ func TestTrafficZeroBucketDefaults(t *testing.T) {
 }
 
 func TestNodeSeriesUnknownNodeIsZero(t *testing.T) {
-	tr := NewTraffic(time.Second)
+	tr := NewTraffic(time.Second).KeepSeries(1)
+	tr.Record(1, 42, wire.TypeData, 100, 0)
 	s := tr.NodeSeries(42, 3)
 	for _, v := range s {
 		if v != 0 {
@@ -131,8 +132,8 @@ func TestTrafficWindowedMergeMatchesFullAccounting(t *testing.T) {
 	// traffic, merged into one full-window view, must agree with a single
 	// accountant that saw every Record directly.
 	full := NewSimTraffic(time.Second)
-	s0 := NewSimTrafficWindow(time.Second, 0, 2)
-	s1 := NewSimTrafficWindow(time.Second, 2, 2)
+	s0 := NewSimTrafficWindow(0, 2)
+	s1 := NewSimTrafficWindow(2, 2)
 	rec := func(tr *Traffic, from, to wire.NodeID, size int) {
 		tr.Record(from, to, wire.TypeData, size, 500*time.Millisecond)
 	}
@@ -159,43 +160,36 @@ func TestTrafficWindowedMergeMatchesFullAccounting(t *testing.T) {
 	}
 }
 
-func TestTrafficTotalsOnlyMatchesSeriesTotals(t *testing.T) {
-	// A totals-only accountant must report the same NodeTotals and
-	// aggregates as a series accountant fed the same records; its series
-	// read as zero (never allocated).
-	series := NewSimTraffic(time.Second)
-	totals := NewSimTrafficWindow(time.Second, 0, 2).TotalsOnly()
+func TestTrafficSeriesKeptOnlyForNamedNodes(t *testing.T) {
+	// Series exist only for the nodes KeepSeries names; every node's totals
+	// are exact either way, and a node sending to itself counts once per
+	// direction in its series, as in its totals.
+	tr := NewSimTraffic(time.Second).KeepSeries(5)
 	for _, r := range []struct {
 		from, to wire.NodeID
 		size     int
-	}{{0, 1, 100}, {1, 0, 30}, {0, 5, 9}, {5, 1, 4}} {
-		series.Record(r.from, r.to, wire.TypeData, r.size, 3*time.Second)
-		totals.Record(r.from, r.to, wire.TypeData, r.size, 3*time.Second)
+		at       time.Duration
+	}{{0, 1, 100, 0}, {1, 0, 30, 0}, {0, 5, 9, 1500 * time.Millisecond}, {5, 1, 4, 0}, {5, 5, 2, 0}} {
+		tr.Record(r.from, r.to, wire.TypeData, r.size, r.at)
 	}
-	for _, id := range []wire.NodeID{0, 1, 5} {
-		wantIn, wantOut := series.NodeTotals(id)
-		gotIn, gotOut := totals.NodeTotals(id)
-		if gotIn != wantIn || gotOut != wantOut {
-			t.Fatalf("node %d totals = %d/%d, want %d/%d", id, gotIn, gotOut, wantIn, wantOut)
+	for _, c := range []struct {
+		id      wire.NodeID
+		in, out uint64
+	}{{0, 30, 109}, {1, 104, 30}, {5, 11, 6}} {
+		if in, out := tr.NodeTotals(c.id); in != c.in || out != c.out {
+			t.Fatalf("node %d totals = %d/%d, want %d/%d", c.id, in, out, c.in, c.out)
 		}
 	}
-	if totals.TotalBytes() != series.TotalBytes() ||
-		totals.CountOf(wire.TypeData) != series.CountOf(wire.TypeData) {
-		t.Fatalf("aggregates diverge: %d/%d vs %d/%d", totals.TotalBytes(),
-			totals.CountOf(wire.TypeData), series.TotalBytes(), series.CountOf(wire.TypeData))
+	if s := tr.NodeSeries(5, 3); s[0] != 8e-6 || s[1] != 9e-6 || s[2] != 0 {
+		t.Fatalf("kept node series = %v, want [8e-06 9e-06 0]", s)
 	}
-	for _, v := range totals.NodeSeries(0, 4) {
+	for _, v := range tr.NodeSeries(0, 3) {
 		if v != 0 {
-			t.Fatalf("totals-only series must read zero, got %v", totals.NodeSeries(0, 4))
+			t.Fatalf("unkept node series must read zero, got %v", tr.NodeSeries(0, 3))
 		}
 	}
-
-	// Merging totals-only shards into a totals-only view preserves totals.
-	merged := NewSimTraffic(time.Second).TotalsOnly()
-	merged.Merge(totals)
-	in, out := merged.NodeTotals(1)
-	wantIn, wantOut := series.NodeTotals(1)
-	if in != wantIn || out != wantOut {
-		t.Fatalf("merged totals = %d/%d, want %d/%d", in, out, wantIn, wantOut)
+	// TotalsOnly leaves the accountant as it was.
+	if tr.TotalsOnly() != tr || tr.NodeSeries(5, 1)[0] != 8e-6 {
+		t.Fatal("TotalsOnly changed the accountant")
 	}
 }

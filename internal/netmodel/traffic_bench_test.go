@@ -10,8 +10,8 @@ import (
 // The locked (TCP) and unlocked (sim) accountants must agree on every
 // figure for the same recorded sequence: they differ only in mutex use.
 func TestTrafficLockedAndSimVariantsAgree(t *testing.T) {
-	locked := NewTraffic(time.Second)
-	simt := NewSimTraffic(time.Second)
+	locked := NewTraffic(time.Second).KeepSeries(2, 5)
+	simt := NewSimTraffic(time.Second).KeepSeries(2, 5)
 	types := []wire.MsgType{wire.TypeData, wire.TypeAlive, wire.TypeStateInfo}
 	for i := 0; i < 500; i++ {
 		from := wire.NodeID(i % 7)
@@ -57,11 +57,11 @@ func TestTrafficLockedAndSimVariantsAgree(t *testing.T) {
 }
 
 // The TCP runtime lets callers pick arbitrary NodeIDs, so a sparse huge id
-// must route through the overflow map instead of growing the dense tables
-// to the id's value.
+// must route through the far map instead of growing the dense table to the
+// id's value.
 func TestTrafficSparseHugeNodeIDs(t *testing.T) {
-	tr := NewTraffic(time.Second)
 	huge := wire.NodeID(4_000_000_000)
+	tr := NewTraffic(time.Second).KeepSeries(huge)
 	tr.Record(huge, 3, wire.TypeData, 500, 0)
 	tr.Record(3, huge, wire.TypeAlive, 200, 1500*time.Millisecond)
 

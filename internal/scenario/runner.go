@@ -408,10 +408,6 @@ func (r *runner) buildNetwork(consenters int) error {
 		Seed:    r.opt.Seed,
 		Variant: r.opt.Variant,
 		Orgs:    specs,
-		Bucket:  time.Second,
-		// Scenario reports only read per-node totals; the per-bucket
-		// series would be the accountants' dominant allocation at 100k.
-		TrafficTotals: true,
 		// The recovery-plane extensions are scenario-scripted: anchors
 		// and WAN separation only exist when the scenario asks for them.
 		AnchorRecovery:  sc.AnchorRecovery,

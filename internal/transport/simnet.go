@@ -19,34 +19,25 @@ import (
 // coordinator is ever consulted.
 type SimNetwork struct {
 	model netmodel.Model
-	// shards is indexed by shard; shardOf maps a dense NodeID to its shard
-	// (-1 = unassigned). coord routes cross-shard deliveries and is nil for
-	// a one-shard network, which has none.
-	shards  []simShard
-	shardOf []int
-	coord   *sim.ShardedEngine
+	// shards is indexed by shard. coord routes cross-shard deliveries and is
+	// nil for a one-shard network, which has none.
+	shards []simShard
+	coord  *sim.ShardedEngine
 
-	// The fault maps below are written only from control code — between
-	// runs, or at window barriers with every shard quiescent — and read
-	// concurrently during windows, which is safe without locks.
-	nodes    []*SimEndpoint
-	downLink map[[2]wire.NodeID]bool
-	dropRate float64
-	// DownNode silences a node entirely (crash-style fault).
-	downNode map[wire.NodeID]bool
-	// partition maps each node to a partition group; messages crossing
-	// group boundaries are dropped. nil means no partition is active.
-	partition map[wire.NodeID]int
-	// linkExtra/nodeExtra add latency on top of the network model
-	// (slow-link and straggler-node faults, single WAN segments).
+	// nodes is indexed by NodeID. It and the fault state below are written
+	// only from control code — between runs, or at window barriers with
+	// every shard quiescent — and read concurrently during windows, which is
+	// safe without locks.
+	nodes []simNode
+	// downLink and linkExtra are the per-link faults (cut links, slow
+	// links), keyed by (from, to); the length checks keep a fault-free send
+	// off the map lookups.
+	downLink  map[[2]wire.NodeID]bool
 	linkExtra map[[2]wire.NodeID]time.Duration
-	nodeExtra map[wire.NodeID]time.Duration
-	// sites/siteDelay model WAN separation without per-link state: every
-	// node belongs to a site (dense-id indexed; default site 0), and a
-	// message crossing a site boundary pays siteDelay extra one-way
-	// latency. An O(1) array compare per send instead of the O(n^2) link
-	// override map a full WAN mesh would need.
-	sites     []int
+	dropRate  float64
+	// siteDelay is the extra one-way latency a message crossing a WAN site
+	// boundary pays: an O(1) compare of the endpoints' sites per send
+	// instead of the O(n^2) link override map a full WAN mesh would need.
 	siteDelay time.Duration
 	// lossExempt message types skip the uniform drop rate: they model
 	// reliable streams (e.g. the ordering service's delivery gRPC) whose
@@ -57,6 +48,22 @@ type SimNetwork struct {
 	// deliverFn is the deliver method bound once at construction so that
 	// per-message scheduling through sim.Engine.AfterMsg captures nothing.
 	deliverFn sim.DeliveryHandler
+}
+
+// simNode is one node's dense record: its endpoint, the shard it runs on,
+// its WAN site, and its node faults.
+type simNode struct {
+	ep *SimEndpoint
+	// extra is latency added to every message entering or leaving the node
+	// (a straggler host or a WAN-attached peer).
+	extra time.Duration
+	shard int32 // -1 = unassigned
+	site  int32 // default 0
+	// group is the node's partition group: messages between different
+	// groups are dropped. Every node is in group 0 when no partition is
+	// active.
+	group int32
+	down  bool // crashed: every inbound and outbound message is dropped
 }
 
 // simShard is one shard's send-side state, touched only by that shard's
@@ -96,9 +103,7 @@ func newSimNetwork(model netmodel.Model, coord *sim.ShardedEngine, engines []*si
 		coord:     coord,
 		shards:    make([]simShard, len(engines)),
 		downLink:  make(map[[2]wire.NodeID]bool),
-		downNode:  make(map[wire.NodeID]bool),
 		linkExtra: make(map[[2]wire.NodeID]time.Duration),
-		nodeExtra: make(map[wire.NodeID]time.Duration),
 	}
 	for i, eng := range engines {
 		n.shards[i] = simShard{eng: eng, rng: eng.Rand("transport"), traffic: traffics[i]}
@@ -112,12 +117,11 @@ func newSimNetwork(model netmodel.Model, coord *sim.ShardedEngine, engines []*si
 // otherwise it starts unassigned (SetNodeShard).
 func (n *SimNetwork) AddNode() *SimEndpoint {
 	ep := &SimEndpoint{net: n, id: wire.NodeID(len(n.nodes))}
-	n.nodes = append(n.nodes, ep)
-	shard := -1
+	shard := int32(-1)
 	if len(n.shards) == 1 {
 		shard = 0
 	}
-	n.shardOf = append(n.shardOf, shard)
+	n.nodes = append(n.nodes, simNode{ep: ep, shard: shard})
 	return ep
 }
 
@@ -133,15 +137,15 @@ func (n *SimNetwork) SetObs(wobs []*WireObs) {
 
 // SetNodeShard assigns the node to a shard.
 func (n *SimNetwork) SetNodeShard(id wire.NodeID, shard int) {
-	n.shardOf[id] = shard
+	n.nodes[id].shard = int32(shard)
 }
 
 // shardOfNode returns the node's shard. Sends from or to an unassigned node
 // panic: silently guessing a shard would let a message bypass the
 // conservative synchronization.
 func (n *SimNetwork) shardOfNode(id wire.NodeID) int {
-	if s := n.shardOf[id]; s >= 0 {
-		return s
+	if s := n.nodes[id].shard; s >= 0 {
+		return int(s)
 	}
 	panic(fmt.Sprintf("transport: node %v has no shard assignment", id))
 }
@@ -158,11 +162,7 @@ func (n *SimNetwork) SetLinkDown(from, to wire.NodeID, down bool) {
 // SetNodeDown crashes (or revives) a node: all its inbound and outbound
 // messages are dropped.
 func (n *SimNetwork) SetNodeDown(id wire.NodeID, down bool) {
-	if down {
-		n.downNode[id] = true
-	} else {
-		delete(n.downNode, id)
-	}
+	n.nodes[id].down = down
 }
 
 // SetDropRate installs a uniform message loss probability in [0, 1).
@@ -182,21 +182,24 @@ func (n *SimNetwork) SetLossExempt(mt wire.MsgType, exempt bool) {
 // itself. Nodes absent from every group join group 0. A nil or single-group
 // argument heals any active partition.
 func (n *SimNetwork) Partition(groups ...[]wire.NodeID) {
+	n.Heal()
 	if len(groups) <= 1 {
-		n.partition = nil
 		return
 	}
-	n.partition = make(map[wire.NodeID]int)
 	for g, ids := range groups {
 		for _, id := range ids {
-			n.partition[id] = g
+			n.nodes[id].group = int32(g)
 		}
 	}
 }
 
 // Heal removes any active partition. Link/node down states and latency
 // overrides are independent and stay in place.
-func (n *SimNetwork) Heal() { n.partition = nil }
+func (n *SimNetwork) Heal() {
+	for i := range n.nodes {
+		n.nodes[i].group = 0
+	}
+}
 
 // SetLinkExtraDelay adds d of one-way latency to the directed link
 // from -> to, on top of the network model. d <= 0 removes the override.
@@ -212,20 +215,13 @@ func (n *SimNetwork) SetLinkExtraDelay(from, to wire.NodeID, d time.Duration) {
 // leaving the node (a straggler host or a WAN-attached peer). d <= 0
 // removes the override.
 func (n *SimNetwork) SetNodeExtraDelay(id wire.NodeID, d time.Duration) {
-	if d <= 0 {
-		delete(n.nodeExtra, id)
-	} else {
-		n.nodeExtra[id] = d
-	}
+	n.nodes[id].extra = max(d, 0)
 }
 
 // SetNodeSite assigns the node to a WAN site. Nodes default to site 0;
 // messages between different sites pay the SetSiteDelay latency.
 func (n *SimNetwork) SetNodeSite(id wire.NodeID, site int) {
-	for len(n.sites) <= int(id) {
-		n.sites = append(n.sites, 0)
-	}
-	n.sites[id] = site
+	n.nodes[id].site = int32(site)
 }
 
 // SetSiteDelay sets the extra one-way latency every message crossing a
@@ -237,14 +233,6 @@ func (n *SimNetwork) SetSiteDelay(d time.Duration) {
 	n.siteDelay = d
 }
 
-// siteOf returns the node's WAN site (default 0).
-func (n *SimNetwork) siteOf(id wire.NodeID) int {
-	if int(id) < len(n.sites) {
-		return n.sites[id]
-	}
-	return 0
-}
-
 // Reachable reports whether a message from -> to would currently be
 // delivered, ignoring probabilistic loss: the destination exists, neither
 // endpoint is down, the link is up and no partition separates them.
@@ -252,17 +240,11 @@ func (n *SimNetwork) Reachable(from, to wire.NodeID) bool {
 	if int(to) >= len(n.nodes) {
 		return false
 	}
-	// The length checks keep a fault-free run off the map lookups.
-	if len(n.downNode) > 0 && (n.downNode[from] || n.downNode[to]) {
+	a, b := &n.nodes[from], &n.nodes[to]
+	if a.down || b.down || a.group != b.group {
 		return false
 	}
-	if len(n.downLink) > 0 && n.downLink[[2]wire.NodeID{from, to}] {
-		return false
-	}
-	if n.partition != nil && n.partition[from] != n.partition[to] {
-		return false
-	}
-	return true
+	return len(n.downLink) == 0 || !n.downLink[[2]wire.NodeID{from, to}]
 }
 
 // send accounts, filters and schedules one message on the sender's shard:
@@ -300,10 +282,9 @@ func (n *SimNetwork) send(from, to wire.NodeID, msg wire.Message) error {
 	if len(n.linkExtra) > 0 {
 		delay += n.linkExtra[[2]wire.NodeID{from, to}]
 	}
-	if len(n.nodeExtra) > 0 {
-		delay += n.nodeExtra[from] + n.nodeExtra[to]
-	}
-	if n.siteDelay > 0 && n.siteOf(from) != n.siteOf(to) {
+	a, b := &n.nodes[from], &n.nodes[to]
+	delay += a.extra + b.extra
+	if a.site != b.site {
 		delay += n.siteDelay
 	}
 	if dst := n.shardOfNode(to); dst != src {
@@ -319,13 +300,13 @@ func (n *SimNetwork) send(from, to wire.NodeID, msg wire.Message) error {
 // to: a node crashed while the message was in flight still swallows it.
 // Delivery is a terminal point for pooled envelopes, handled or not.
 func (n *SimNetwork) deliver(from, to uint64, msg any) {
-	dst := n.nodes[to]
+	dst := &n.nodes[to]
 	m := msg.(wire.Message)
-	if h := dst.handler; h != nil && (len(n.downNode) == 0 || !n.downNode[dst.id]) {
+	if h := dst.ep.handler; h != nil && !dst.down {
 		// The receive lands on the receiver's shard, on whose engine
 		// goroutine this handler is already running.
-		if sh := &n.shards[n.shardOf[dst.id]]; sh.wobs != nil {
-			sh.wobs.Received(sh.eng.Now(), wire.NodeID(from), dst.id, m.Type(), m.EncodedSize())
+		if sh := &n.shards[dst.shard]; sh.wobs != nil {
+			sh.wobs.Received(sh.eng.Now(), wire.NodeID(from), wire.NodeID(to), m.Type(), m.EncodedSize())
 		}
 		h(wire.NodeID(from), m)
 	}

@@ -208,11 +208,17 @@ func TestSimNetworkPartitionAndHeal(t *testing.T) {
 	if got[0] != 0 || got[3] != 0 {
 		t.Fatalf("unexpected deliveries: got = %v", got)
 	}
+	// Healing leaves a crashed node down.
+	n.SetNodeDown(3, true)
 	n.Heal()
 	_ = eps[0].Send(2, &wire.StateInfo{})
+	_ = eps[0].Send(3, &wire.StateInfo{})
 	e.Run()
 	if got[2] != 2 {
 		t.Fatal("healed partition still dropping")
+	}
+	if got[3] != 0 {
+		t.Fatal("heal revived a crashed node")
 	}
 }
 
@@ -230,6 +236,15 @@ func TestSimNetworkPartitionUnlistedNodesJoinGroupZero(t *testing.T) {
 	e.Run()
 	if aGot != 1 || cGot != 0 {
 		t.Fatalf("aGot=%d cGot=%d, want 1 and 0", aGot, cGot)
+	}
+	// A new partition replaces the old one: node 1, unlisted now, is back
+	// in group 0 with node 2, and node 0 is exiled.
+	n.Partition([]wire.NodeID{2}, []wire.NodeID{0})
+	_ = b.Send(c.ID(), &wire.StateInfo{})
+	_ = c.Send(a.ID(), &wire.StateInfo{})
+	e.Run()
+	if aGot != 1 || cGot != 1 {
+		t.Fatalf("after re-partition aGot=%d cGot=%d, want 1 and 1", aGot, cGot)
 	}
 }
 
