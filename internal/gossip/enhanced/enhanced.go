@@ -329,11 +329,10 @@ func (p *Protocol) pruneBelow(height uint64) {
 	floor := height - retention
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	// A queued serve is dropped with its block's tracking state; one for a
-	// block never seen here (possible after a peer re-requests across our
-	// earlier prune) stays queued, exactly as the map layout behaved.
+	// A queued serve is dropped with its block's tracking state (only an
+	// offered block, hence a seen one, has serves queued).
 	for num := range p.serves {
-		if st := p.peek(num); num < floor && st != nil && st.seen != 0 {
+		if num < floor {
 			delete(p.serves, num)
 		}
 	}
@@ -410,17 +409,23 @@ func (p *Protocol) handleRequest(from wire.NodeID, m *wire.PushRequest) {
 	for _, num := range m.Nums {
 		p.mu.Lock()
 		counter := p.cfg.TTL // conservative: do not extend the epidemic
-		if st := p.peek(num); st != nil && st.lastOffered != 0 {
+		st := p.peek(num)
+		offered := st != nil && st.lastOffered != 0
+		if offered {
 			counter = st.lastOffered - 1
 		}
 		b := p.c.Block(num)
 		if b == nil {
 			// We offered a block whose body has not reached us yet:
-			// remember the request and serve it on arrival.
-			if p.serves == nil {
-				p.serves = make(map[uint64][]pendingServe)
+			// remember the request and serve it on arrival. A request for
+			// a block we never offered is outside input and is dropped,
+			// or a peer could grow serves without bound.
+			if offered {
+				if p.serves == nil {
+					p.serves = make(map[uint64][]pendingServe)
+				}
+				p.serves[num] = append(p.serves[num], pendingServe{to: from, counter: counter})
 			}
-			p.serves[num] = append(p.serves[num], pendingServe{to: from, counter: counter})
 			p.mu.Unlock()
 			continue
 		}

@@ -252,6 +252,27 @@ func TestFarAheadOffersAreIgnored(t *testing.T) {
 	}
 }
 
+// A body request for a block this peer never offered is outside input: it is
+// dropped, not parked until the body arrives, however many numbers it names
+// and however far above the peer's height they lie.
+func TestRequestsForUnofferedBlocksAreNotParked(t *testing.T) {
+	cfg, _ := ConfigFor(10, 2, 1e-3, 0)
+	w := build(t, 2, cfg, 9)
+	nums := make([]uint64, 0, 10000)
+	for num := uint64(0); num < 9999; num++ {
+		nums = append(nums, num)
+	}
+	nums = append(nums, 1e9)
+	_ = w.orderer.Send(0, &wire.PushRequest{Nums: nums})
+	w.engine.RunUntil(time.Second)
+	if n := len(w.protos[0].serves); n != 0 {
+		t.Fatalf("%d never-offered blocks have requests parked", n)
+	}
+	if got := w.traffic.CountOf(wire.TypeData); got != 0 {
+		t.Fatalf("%d bodies sent for blocks nobody holds", got)
+	}
+}
+
 func TestRequestTimeoutAllowsReRequest(t *testing.T) {
 	cfg, _ := ConfigFor(10, 2, 1e-3, 0)
 	cfg.RequestTimeout = 50 * time.Millisecond

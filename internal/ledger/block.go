@@ -90,7 +90,9 @@ type Block struct {
 	Num      uint64
 	PrevHash crypto.Digest
 	DataHash crypto.Digest
-	Txs      []*Transaction
+	// Txs is what a block is built from. Readers call Transactions or
+	// NumTxs instead: a block decoded from the wire leaves Txs nil.
+	Txs []*Transaction
 	// Sig is the ordering service's signature over HeaderBytes.
 	Sig crypto.Signature
 
@@ -103,6 +105,49 @@ type Block struct {
 	// immutable block. The simulator fills only the size.
 	wireSize atomic.Int64
 	wireEnc  atomic.Pointer[[]byte]
+
+	// A decoded block keeps its numTxs transactions as bytes of its wire
+	// encoding until a reader asks: buildTxs (package wire's decoder) then
+	// builds them from the encoding, and txs publishes the result, set once
+	// like wireEnc. buildTxs is nil on a block built from Txs.
+	numTxs   int
+	buildTxs func(enc []byte) []*Transaction
+	txs      atomic.Pointer[[]*Transaction]
+}
+
+// DeferTxs records that the block's n transactions are in its cached wire
+// encoding, to be built by build on the first Transactions call. A decoder
+// calls it once, after SetWireEncoding and before the block is shared;
+// build must return exactly n transactions.
+func (b *Block) DeferTxs(n int, build func(enc []byte) []*Transaction) {
+	b.numTxs = n
+	b.buildTxs = build
+}
+
+// Transactions returns the block's transactions. A decoded block builds them
+// on the first call; goroutines that race to be first each build them, and
+// all get the one result kept. The slice is shared and must not be written.
+func (b *Block) Transactions() []*Transaction {
+	if b.buildTxs == nil {
+		return b.Txs
+	}
+	if p := b.txs.Load(); p != nil {
+		return *p
+	}
+	txs := b.buildTxs(b.WireEncoding())
+	if !b.txs.CompareAndSwap(nil, &txs) {
+		return *b.txs.Load()
+	}
+	return txs
+}
+
+// NumTxs returns the number of transactions in the block without building
+// them.
+func (b *Block) NumTxs() int {
+	if b.buildTxs == nil {
+		return len(b.Txs)
+	}
+	return b.numTxs
 }
 
 // WireSize returns the cached length of the block's wire encoding, 0 if
@@ -174,7 +219,7 @@ func (b *Block) VerifyLinkage(prev *Block) error {
 			return fmt.Errorf("ledger: block %d previous hash mismatch", b.Num)
 		}
 	}
-	if got := ComputeDataHash(b.Txs); got != b.DataHash {
+	if got := ComputeDataHash(b.Transactions()); got != b.DataHash {
 		return fmt.Errorf("ledger: block %d data hash mismatch", b.Num)
 	}
 	return nil

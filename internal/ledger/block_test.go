@@ -1,6 +1,12 @@
 package ledger
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -127,5 +133,58 @@ func TestPropertyDigestChangesWithPayload(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A block decoded from the wire leaves Txs nil until Transactions builds it,
+// so code that reads a block reads it through Transactions or NumTxs. The
+// field is read directly only where a block is being built and by the
+// accessors themselves; this lists every such site in the module's non-test
+// code (bench/ is a module of its own and reads only blocks it built).
+func TestTxsFieldReadOnlyWhereAllowed(t *testing.T) {
+	allowed := map[string]bool{
+		"internal/ledger/block.go Transactions": true,
+		"internal/ledger/block.go NumTxs":       true,
+		"internal/harness/chain.go hashBlock":   true,
+	}
+	root := filepath.Join("..", "..")
+	found := map[string]bool{}
+	for _, dir := range []string{"internal", "cmd", "examples"} {
+		err := filepath.WalkDir(filepath.Join(root, dir), func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+			if err != nil {
+				return err
+			}
+			rel, _ := filepath.Rel(root, path)
+			for _, decl := range f.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				ast.Inspect(fn, func(n ast.Node) bool {
+					if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Txs" {
+						found[filepath.ToSlash(rel)+" "+fn.Name.Name] = true
+					}
+					return true
+				})
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for site := range found {
+		if !allowed[site] {
+			t.Errorf("%s reads Block.Txs: read Transactions() or NumTxs() instead", site)
+		}
+	}
+	for site := range allowed {
+		if !found[site] {
+			t.Errorf("%s no longer reads Block.Txs: drop it from the allowed sites", site)
+		}
 	}
 }

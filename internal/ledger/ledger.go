@@ -61,7 +61,7 @@ func NewChain(policy PolicyChecker) *Chain {
 // under way. The pass's goroutine ends when the pass does; the head commit
 // waits for it, and nobody does once its entry is pruned.
 func (c *Chain) prepare(b *Block) {
-	if c.policy == nil || len(b.Txs) == 0 {
+	if c.policy == nil || b.NumTxs() == 0 {
 		return
 	}
 	c.mu.Lock()
@@ -72,10 +72,10 @@ func (c *Chain) prepare(b *Block) {
 	if c.ahead == nil {
 		c.ahead = make(map[*Block]*verdicts)
 	}
-	v := &verdicts{done: make(chan struct{}), codes: make([]ValidationCode, len(b.Txs))}
+	v := &verdicts{done: make(chan struct{}), codes: make([]ValidationCode, b.NumTxs())}
 	c.ahead[b] = v
 	go func() {
-		checkPolicy(v.codes, b.Txs, c.policy)
+		checkPolicy(v.codes, b.Transactions(), c.policy)
 		close(v.done)
 	}()
 }
@@ -91,8 +91,9 @@ func (c *Chain) policyPass(b *Block) []ValidationCode {
 		<-v.done
 		return v.codes
 	}
-	codes := make([]ValidationCode, len(b.Txs))
-	checkPolicy(codes, b.Txs, c.policy)
+	txs := b.Transactions()
+	codes := make([]ValidationCode, len(txs))
+	checkPolicy(codes, txs, c.policy)
 	return codes
 }
 
@@ -119,11 +120,12 @@ func (c *Chain) commit(b *Block) (CommitResult, error) {
 	res := CommitResult{BlockNum: b.Num, Codes: codes}
 	var txNums []uint32
 	var writeSets []RWSet
+	txs := b.Transactions()
 	for i, code := range codes {
 		if code == CodeValid {
 			res.Valid++
 			txNums = append(txNums, uint32(i))
-			writeSets = append(writeSets, b.Txs[i].RWSet)
+			writeSets = append(writeSets, txs[i].RWSet)
 		} else {
 			res.Invalid++
 		}

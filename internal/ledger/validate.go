@@ -49,8 +49,9 @@ type PolicyChecker func(tx *Transaction) error
 // database; callers apply the write sets of valid transactions afterwards
 // (see Ledger.Commit).
 func ValidateBlock(state *StateDB, b *Block, policy PolicyChecker) []ValidationCode {
-	codes := make([]ValidationCode, len(b.Txs))
-	checkPolicy(codes, b.Txs, policy)
+	txs := b.Transactions()
+	codes := make([]ValidationCode, len(txs))
+	checkPolicy(codes, txs, policy)
 	checkMVCC(codes, state, b)
 	return codes
 }
@@ -95,7 +96,7 @@ func checkStride(codes []ValidationCode, txs []*Transaction, policy PolicyChecke
 func checkMVCC(codes []ValidationCode, state *StateDB, b *Block) {
 	// Keys written by earlier VALID transactions in this block.
 	wroteInBlock := make(map[string]bool)
-	for i, tx := range b.Txs {
+	for i, tx := range b.Transactions() {
 		if codes[i] == CodeEndorsementFailure {
 			continue
 		}

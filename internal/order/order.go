@@ -192,7 +192,7 @@ func (s *Service) onCommitted(data []byte) {
 	s.mu.Unlock()
 	if cut != nil {
 		if s.onCut != nil {
-			s.onCut(cut.Num, len(cut.Txs))
+			s.onCut(cut.Num, cut.NumTxs())
 		}
 		s.deliver(cut)
 	}

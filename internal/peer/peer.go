@@ -99,7 +99,7 @@ func (p *Peer) Stats() Stats {
 
 // enqueue receives in-order blocks from gossip and drives the sequential
 // validation pipeline: each block occupies the validator for
-// ValidationPerTx * len(Txs) before committing, and the next block starts
+// ValidationPerTx * NumTxs() before committing, and the next block starts
 // only after the previous one committed (validation is single-threaded per
 // peer, as in Fabric v1.2). The ledger hears of the block on arrival, so its
 // endorsement signatures are checked while it waits.
@@ -136,7 +136,7 @@ func (p *Peer) validateNext() {
 	p.queue = p.queue[1:]
 	p.mu.Unlock()
 
-	delay := time.Duration(len(b.Txs)) * p.cfg.ValidationPerTx
+	delay := time.Duration(b.NumTxs()) * p.cfg.ValidationPerTx
 	p.sched.After(delay, func() {
 		res, err := p.led.Commit(b)
 		if err != nil {

@@ -687,7 +687,7 @@ func (r *runner) instrument(i int, core *gossip.Core) {
 		if r.tracer != nil {
 			r.tracer.Shards[r.net.OrgObsContext(org)].Emit(obs.Event{
 				At: r.net.EngineFor(i).Now(), Kind: obs.EvBlockCommit,
-				Node: int32(i), Peer: -1, Num: b.Num, Aux: uint64(len(b.Txs)),
+				Node: int32(i), Peer: -1, Num: b.Num, Aux: uint64(b.NumTxs()),
 			})
 		}
 		if r.recovering[i] && b.Num+1 >= uint64(r.injected) {

@@ -2,6 +2,8 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"net"
 	"sync"
 	"testing"
@@ -348,6 +350,59 @@ func TestTCPRejectedFramesAreCounted(t *testing.T) {
 		if got := counter(reg, "wire_frames_rejected_total", "reason", reason); got != n {
 			t.Errorf("wire_frames_rejected_total{reason=%q} = %v, want %v", reason, got, n)
 		}
+	}
+}
+
+// A block decodes lazily, but not loosely: a frame whose 37th of 50
+// transactions spells a length with a padded varint is refused whole, as a
+// decode rejection, before the handler sees the message.
+func TestTCPRejectsNonCanonicalTransactionInBlock(t *testing.T) {
+	_, b := startPair(t, nil)
+	reg := obs.NewConcurrentRegistry()
+	b.SetObs(NewWireObs(reg, nil))
+	delivered := make(chan wire.Message, 2)
+	b.SetHandler(func(_ wire.NodeID, m wire.Message) { delivered <- m })
+
+	blk := paperBlockTCP(5)
+	body := wire.Marshal(&wire.Data{Block: blk, Counter: 1})
+	// Transactions are the message's last bytes, each encoded as SubmitTx
+	// encodes one after its type byte.
+	at := len(body)
+	for _, tx := range blk.Txs[36:] {
+		at -= len(wire.Marshal(&wire.SubmitTx{Tx: tx})) - 1
+	}
+	at += 32 // the transaction id; the client's length comes next
+	if n := body[at]; n != byte(len(blk.Txs[36].Client)) {
+		t.Fatalf("offset %d holds %d, not the client length", at, n)
+	}
+	bad := append(append(append([]byte{}, body[:at]...), body[at]|0x80, 0x00), body[at+1:]...)
+	if _, err := wire.Unmarshal(bad); !errors.Is(err, wire.ErrNonCanonical) {
+		t.Fatalf("Unmarshal of the padded block: %v, want ErrNonCanonical", err)
+	}
+	frame := binary.BigEndian.AppendUint32(nil, uint32(4+len(bad)))
+	frame = binary.BigEndian.AppendUint32(frame, 7)
+	frame = append(frame, bad...)
+
+	good := frameOf(7, &wire.StateInfo{Height: 9})
+	conn, err := net.Dial("tcp", b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(append(append(append([]byte{}, good...), frame...), good...)); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.Close()
+	if m := <-delivered; m.(*wire.StateInfo).Height != 9 {
+		t.Fatalf("good frame decoded as %#v", m)
+	}
+	waitFor(t, func() bool {
+		return counter(reg, "wire_frames_rejected_total", "reason", "decode") == 1
+	}, "the decode rejection to be counted")
+	_ = b.Close() // waits for the readers
+	select {
+	case m := <-delivered:
+		t.Fatalf("handler ran after the bad frame: %#v", m)
+	default:
 	}
 }
 

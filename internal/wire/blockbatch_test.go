@@ -58,8 +58,8 @@ func TestStateResponseRoundTrip(t *testing.T) {
 		t.Fatalf("decoded %d blocks, want %d", len(got), len(blocks))
 	}
 	for i, b := range got {
-		if b.Num != blocks[i].Num || len(b.Txs) != len(blocks[i].Txs) {
-			t.Fatalf("block %d decoded as num=%d txs=%d", i, b.Num, len(b.Txs))
+		if b.Num != blocks[i].Num || b.NumTxs() != len(blocks[i].Txs) {
+			t.Fatalf("block %d decoded as num=%d txs=%d", i, b.Num, b.NumTxs())
 		}
 	}
 	// The decoded batch re-encodes canonically, from the bytes it arrived as.

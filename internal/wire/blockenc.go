@@ -1,6 +1,10 @@
 package wire
 
-import "fabricgossip/internal/ledger"
+import (
+	"fmt"
+
+	"fabricgossip/internal/ledger"
+)
 
 // encodeBlock walks a block's fields into s: the one definition of the
 // canonical block encoding. Messages never call it — they write a block
@@ -10,16 +14,18 @@ func encodeBlock(s *encSink, b *ledger.Block) {
 	putDigest(s, b.PrevHash)
 	putDigest(s, b.DataHash)
 	putBytes(s, b.Sig)
-	s.uvarint(uint64(len(b.Txs)))
-	for _, tx := range b.Txs {
+	txs := b.Transactions()
+	s.uvarint(uint64(len(txs)))
+	for _, tx := range txs {
 		encodeTx(s, tx)
 	}
 }
 
 // blockLen is the length encodeBlock writes.
 func blockLen(b *ledger.Block) int {
-	n := uvarintLen(b.Num) + 2*digestLen + bytesLen(b.Sig) + uvarintLen(uint64(len(b.Txs)))
-	for _, tx := range b.Txs {
+	txs := b.Transactions()
+	n := uvarintLen(b.Num) + 2*digestLen + bytesLen(b.Sig) + uvarintLen(uint64(len(txs)))
+	for _, tx := range txs {
 		n += txLen(tx)
 	}
 	return n
@@ -77,7 +83,9 @@ const (
 
 // decodeBlock reads one block and records the bytes it was read from as the
 // block's cached encoding: decode is strict, so they are exactly what a walk
-// of the decoded tree would write.
+// of the decoded tree would write. The transactions are only scanned, which
+// allocates nothing and rejects what decodeTx would; the block builds them
+// from its encoding (buildTxs) when a reader first asks.
 func decodeBlock(d *decoder) *ledger.Block {
 	start := d.off
 	b := &ledger.Block{}
@@ -85,16 +93,36 @@ func decodeBlock(d *decoder) *ledger.Block {
 	b.PrevHash = d.digest("prev hash")
 	b.DataHash = d.digest("data hash")
 	b.Sig = d.bytesField("block sig")
-	if n := d.count(minTxBytes, "tx count"); n > 0 {
-		b.Txs = make([]*ledger.Transaction, 0, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			b.Txs = append(b.Txs, decodeTx(d))
-		}
+	n := d.count(minTxBytes, "tx count")
+	for i := 0; i < n && d.err == nil; i++ {
+		scanTx(d)
 	}
 	if d.err == nil {
 		b.SetWireEncoding(d.buf[start:d.off:d.off])
+		if n > 0 {
+			b.DeferTxs(n, buildTxs)
+		}
 	}
 	return b
+}
+
+// buildTxs builds the transactions of enc, the encoding of a block
+// decodeBlock accepted. The scan leaves nothing for this pass to reject, so
+// an error here is a bug in one of the two.
+func buildTxs(enc []byte) []*ledger.Transaction {
+	d := &decoder{buf: enc}
+	d.uvarint("block num")
+	d.take(uint64(2*digestLen), "block hashes")
+	d.skip("block sig")
+	n := d.count(minTxBytes, "tx count")
+	txs := make([]*ledger.Transaction, 0, n)
+	for i := 0; i < n && d.err == nil; i++ {
+		txs = append(txs, decodeTx(d))
+	}
+	if d.err != nil {
+		panic(fmt.Sprintf("wire: building the transactions of a scanned block: %v", d.err))
+	}
+	return txs
 }
 
 func decodeTx(d *decoder) *ledger.Transaction {
@@ -120,6 +148,29 @@ func decodeTx(d *decoder) *ledger.Transaction {
 	}
 	tx.Payload = d.bytesField("payload")
 	return tx
+}
+
+// scanTx reads what decodeTx reads, field for field and check for check,
+// and keeps none of it.
+func scanTx(d *decoder) {
+	d.take(uint64(digestLen), "tx id")
+	d.skip("client")
+	d.skip("chaincode")
+	for i, n := 0, d.count(3, "read count"); i < n && d.err == nil; i++ {
+		d.skip("read key")
+		d.uvarint("read block")
+		d.uint32("read tx")
+	}
+	for i, n := 0, d.count(2, "write count"); i < n && d.err == nil; i++ {
+		d.skip("write key")
+		d.skip("write value")
+	}
+	for i, n := 0, d.count(3, "endorsement count"); i < n && d.err == nil; i++ {
+		d.skip("endorser org")
+		d.skip("endorser name")
+		d.skip("endorsement sig")
+	}
+	d.skip("payload")
 }
 
 // BlockEncodedSize returns the exact encoded length of b. The first call

@@ -32,6 +32,13 @@
 // any message type, alone or inside a StateResponse batch — sends that one
 // slice. There is no other cache and nothing to evict.
 //
+// A decoded block keeps its transactions as those bytes. Unmarshal scans
+// them, rejecting exactly what building them would, and builds nothing;
+// the first reader of ledger.Block.Transactions (the ledger's validation
+// and commit, the workload's transaction ids) has the block build its tree
+// from its cached encoding, once. Gossip stores, offers and forwards a
+// block by its number and encoding, so a duplicate body is never built.
+//
 // Unmarshal therefore aliases its input: the []byte fields of the result
 // and the cached encodings of its blocks are sub-slices of data (capacity
 // clipped to length), so the caller hands the buffer over and must never
@@ -386,6 +393,9 @@ func (d *decoder) uint32(what string) uint32 {
 func (d *decoder) str(what string) string {
 	return string(d.take(d.uvarint(what), what))
 }
+
+// skip passes over a length-prefixed field: a string or a byte field.
+func (d *decoder) skip(what string) { d.take(d.uvarint(what), what) }
 
 func (d *decoder) bytesField(what string) []byte {
 	b := d.take(d.uvarint(what), what)

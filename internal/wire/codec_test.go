@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -113,11 +114,12 @@ func blocksOf(m Message) []*ledger.Block {
 }
 
 // bare returns m with every block replaced by a copy of its exported
-// fields: the encoding cached on a block is not part of its value, and a
-// decoded block carries one where a hand-built block may not.
+// fields and its transactions: the encoding cached on a block is not part of
+// its value, and a decoded block carries one (and builds its transactions
+// from it) where a hand-built block may not.
 func bare(m Message) Message {
 	strip := func(b *ledger.Block) *ledger.Block {
-		return &ledger.Block{Num: b.Num, PrevHash: b.PrevHash, DataHash: b.DataHash, Txs: b.Txs, Sig: b.Sig}
+		return &ledger.Block{Num: b.Num, PrevHash: b.PrevHash, DataHash: b.DataHash, Txs: b.Transactions(), Sig: b.Sig}
 	}
 	switch m := m.(type) {
 	case *Data:
@@ -204,7 +206,7 @@ func TestUnmarshalAliasesInput(t *testing.T) {
 	var fields [][]byte
 	for _, b := range m.(*StateResponse).Blocks() {
 		fields = append(fields, b.WireEncoding(), b.Sig)
-		for _, tx := range b.Txs {
+		for _, tx := range b.Transactions() {
 			fields = append(fields, tx.Payload)
 			for _, w := range tx.RWSet.Writes {
 				fields = append(fields, w.Value)
@@ -495,5 +497,39 @@ func TestMsgTypeString(t *testing.T) {
 func TestNodeIDString(t *testing.T) {
 	if NodeID(7).String() != "n7" {
 		t.Errorf("NodeID(7) = %q", NodeID(7).String())
+	}
+}
+
+// A decoded block builds its transactions on the first read. Readers that
+// race to be first (run under -race: the publication races with every read)
+// all get the one slice the block keeps, and later readers get it too.
+func TestTransactionsConcurrentReaders(t *testing.T) {
+	const readers = 8
+	m, err := Unmarshal(Marshal(&Data{Block: testBlock(7, 50), Counter: 3}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := m.(*Data).Block
+	if b.Txs != nil || b.NumTxs() != 50 {
+		t.Fatalf("decoded block: Txs %d built, NumTxs %d; want none built, 50", len(b.Txs), b.NumTxs())
+	}
+	got := make([][]*ledger.Transaction, readers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got[i] = b.Transactions()
+		}()
+	}
+	close(start)
+	wg.Wait()
+	got = append(got, b.Transactions())
+	for i, txs := range got {
+		if len(txs) != 50 || &txs[0] != &got[0][0] {
+			t.Fatalf("reader %d got a different slice (%d transactions)", i, len(txs))
+		}
 	}
 }

@@ -66,15 +66,20 @@ func FuzzUnmarshal(f *testing.F) {
 			}
 			return // corrupt input rejected, as required
 		}
-		// Accepted input: each block's cached encoding — the bytes it was
-		// read from — is what a fresh walk of the decoded tree writes, and
-		// the whole input is the one encoding of the decoded message, whose
+		// Accepted input: each block's transactions, only scanned so far,
+		// build (buildTxs panics on anything the scan let through) and
+		// number NumTxs; the block's cached encoding — the bytes it was
+		// read from — is what a fresh walk of the built tree writes; and the
+		// whole input is the one encoding of the decoded message, whose
 		// length EncodedSize predicts exactly.
 		for _, b := range blocksOf(m) {
+			if n := len(b.Transactions()); b.NumTxs() != n {
+				t.Fatalf("block %d: NumTxs %d, built %d transactions", b.Num, b.NumTxs(), n)
+			}
 			s := &encSink{}
 			encodeBlock(s, b)
 			if !bytes.Equal(b.WireEncoding(), s.buf) {
-				t.Fatalf("block %d: cached encoding differs from a walk of the decoded tree:\n%x\n%x", b.Num, b.WireEncoding(), s.buf)
+				t.Fatalf("block %d: cached encoding differs from a walk of the built tree:\n%x\n%x", b.Num, b.WireEncoding(), s.buf)
 			}
 		}
 		out := Marshal(m)

@@ -462,8 +462,9 @@ func (p *Plane) onClusterCut(consenter int, b *ledger.Block) {
 // syncBlockTxs fans them out to every organization's resolvers at the next
 // coordinator barrier.
 func (p *Plane) recordBlock(b *ledger.Block) {
-	ids := make([]crypto.Digest, len(b.Txs))
-	for i, tx := range b.Txs {
+	txs := b.Transactions()
+	ids := make([]crypto.Digest, len(txs))
+	for i, tx := range txs {
 		ids[i] = tx.ID
 	}
 	p.txSync = append(p.txSync, blockRecord{num: b.Num, ids: ids})
