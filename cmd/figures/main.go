@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -36,12 +37,20 @@ func main() {
 	if *exp == "all" {
 		ids = harness.ExperimentIDs()
 	}
-	for _, id := range ids {
-		rep, err := harness.RunExperiment(id, *seed, *quick)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %s: %v\n", id, err)
-			os.Exit(1)
-		}
-		fmt.Println(rep)
+	if err := write(os.Stdout, ids, *seed, *quick); err != nil {
+		fmt.Fprintf(os.Stderr, "figures: %v\n", err)
+		os.Exit(1)
 	}
+}
+
+// write runs the experiments in order and prints each report to w.
+func write(w io.Writer, ids []string, seed int64, quick bool) error {
+	for _, id := range ids {
+		rep, err := harness.RunExperiment(id, seed, quick)
+		if err != nil {
+			return fmt.Errorf("%s: %w", id, err)
+		}
+		fmt.Fprintln(w, rep)
+	}
+	return nil
 }

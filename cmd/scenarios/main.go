@@ -18,6 +18,8 @@
 //	scenarios -scenario crash-restart -stats          # registry-backed runtime stats
 //	scenarios -scenario churn -trace-jsonl churn.jsonl -metrics-out churn.json
 //	                          # structured event trace + metrics snapshot
+//	scenarios -scenario churn -variant both -metrics-out m.json
+//	                          # several runs: m.churn.original.json, m.churn.enhanced.json
 package main
 
 import (
@@ -25,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
@@ -58,8 +61,8 @@ func run(args []string) (err error) {
 	check := fs.Bool("check", false, "run each scenario twice and verify identical fingerprints")
 	trace := fs.Bool("trace", false, "print the run's script events (faults, deliveries, elections, catch-ups) as text: a view of the same events -trace-jsonl writes")
 	stats := fs.Bool("stats", false, "print runtime statistics (engine, barriers, wire traffic) from the metrics registry; never part of the fingerprint")
-	traceJSONL := fs.String("trace-jsonl", "", "collect the structured event trace and write it as JSONL to this file ('-' for stdout); fingerprint-neutral")
-	metricsOut := fs.String("metrics-out", "", "write the metrics-registry snapshot as JSON to this file ('-' for stdout)")
+	traceJSONL := fs.String("trace-jsonl", "", "collect the structured event trace and write it as JSONL to this file ('-' for stdout; several runs write <stem>.<scenario>.<variant><ext> each); fingerprint-neutral")
+	metricsOut := fs.String("metrics-out", "", "write the metrics-registry snapshot as JSON to this file ('-' for stdout; several runs write <stem>.<scenario>.<variant><ext> each)")
 	timeseries := fs.Duration("timeseries", 0, "sample every registry instrument at this simulated period (written as JSON to <metrics-out>.series.json, or stdout); extends the event lineage like -tail")
 	flightRing := fs.Int("flight", 0, "arm the crash flight recorder with a ring of this many recent events per context")
 	flightDir := fs.String("flight-dir", "", "flight-recorder dump directory (default OS temp)")
@@ -121,6 +124,7 @@ func run(args []string) (err error) {
 		}()
 	}
 
+	multi := len(names)*len(variants) > 1
 	for _, n := range names {
 		for _, v := range variants {
 			opt := scenario.Options{
@@ -140,7 +144,7 @@ func run(args []string) (err error) {
 				printStats(rep)
 			}
 			fmt.Printf("  fingerprint: %s (wall %v)\n", rep.Fingerprint()[:16], wall)
-			if err := writeArtifacts(rep, *traceJSONL, *metricsOut, *timeseries); err != nil {
+			if err := writeArtifacts(rep, runPath(*traceJSONL, multi, n, v), runPath(*metricsOut, multi, n, v), *timeseries); err != nil {
 				return err
 			}
 			if *check {
@@ -255,6 +259,17 @@ func writeArtifacts(rep *scenario.Report, traceJSONL, metricsOut string, timeser
 		fmt.Printf("  flight dump: %s\n", rep.FlightDump)
 	}
 	return nil
+}
+
+// runPath is where one run writes an artifact requested at path: path
+// itself for a single run, stdout or no artifact, else
+// <stem>.<scenario>.<variant><ext>, so that no run overwrites another's.
+func runPath(path string, multi bool, name string, v harness.Variant) string {
+	if !multi || path == "" || path == "-" {
+		return path
+	}
+	ext := filepath.Ext(path)
+	return fmt.Sprintf("%s.%s.%s%s", strings.TrimSuffix(path, ext), name, v, ext)
 }
 
 // skipReason says why -scenario all leaves d out, or "" when it runs: the

@@ -64,3 +64,31 @@ func TestFailingRunWritesProfiles(t *testing.T) {
 		}
 	}
 }
+
+// Several runs write one artifact each, named after the run; a single run
+// writes the exact path it was given.
+func TestArtifactsPerRun(t *testing.T) {
+	dir := t.TempDir()
+	if err := run([]string{"-scenario", "crash-restart,churn", "-peers", "20", "-variant", "both",
+		"-metrics-out", filepath.Join(dir, "m.json"), "-trace-jsonl", filepath.Join(dir, "t.jsonl")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-scenario", "churn", "-peers", "20", "-metrics-out", filepath.Join(dir, "one.json")}); err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, name := range []string{"crash-restart", "churn"} {
+		for _, v := range []string{"original", "enhanced"} {
+			want = append(want, "m."+name+"."+v+".json", "t."+name+"."+v+".jsonl")
+		}
+	}
+	want = append(want, "one.json")
+	for _, f := range want {
+		if fi, err := os.Stat(filepath.Join(dir, f)); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: %v, want a non-empty artifact", f, err)
+		}
+	}
+	if got, _ := filepath.Glob(filepath.Join(dir, "*")); len(got) != len(want) {
+		t.Errorf("wrote %d files, want %d: %v", len(got), len(want), got)
+	}
+}

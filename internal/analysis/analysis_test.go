@@ -102,20 +102,6 @@ func TestPsiRecursion(t *testing.T) {
 	}
 }
 
-func TestLogisticLowerBoundsPsi(t *testing.T) {
-	// Appendix: ψ(r) >= X(r) for fout >= 2.
-	for _, fout := range []int{2, 3, 4} {
-		g, _ := CarryingCapacity(100, fout)
-		psi := Psi(100, fout, 25)
-		for r := 0; r <= 25; r++ {
-			x := LogisticLowerBound(g, fout, r)
-			if psi[r] < x-1e-9 {
-				t.Fatalf("fout=%d r=%d: ψ=%g < X=%g", fout, r, psi[r], x)
-			}
-		}
-	}
-}
-
 // The headline parameter claims of §IV: pe(100, fout=4, TTL=9) ≈ 10^-6,
 // pe(100, fout=2, TTL=19) ≈ 10^-6, and pe(100, fout=4, TTL=12) ≈ 10^-12.
 func TestPaperTTLConfigurations(t *testing.T) {
@@ -181,17 +167,6 @@ func TestTTLForInvalidParams(t *testing.T) {
 	}
 }
 
-func TestRoundsEstimateConsistentWithTTL(t *testing.T) {
-	// The closed-form round estimate for the digests needed at pe=1e-6
-	// should land near the scanned TTL.
-	g, _ := CarryingCapacity(100, 4)
-	m := ExpectedDigests(100, 4, 9)
-	r := RoundsEstimate(g, 4, m)
-	if r < 6 || r > 12 {
-		t.Fatalf("RoundsEstimate = %g, want within a few rounds of 9", r)
-	}
-}
-
 func TestTTLTableAndLookup(t *testing.T) {
 	table, err := TTLTable([]int{50, 100, 200, 500, 1000}, 4, 1e-6)
 	if err != nil {
@@ -210,26 +185,6 @@ func TestTTLTableAndLookup(t *testing.T) {
 		if e.Pe > 1e-6 {
 			t.Fatalf("table entry %+v misses pe target", e)
 		}
-	}
-	// Lookup uses the lowest upper bound.
-	ttl, err := LookupTTL(table, 150)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := table[2].TTL; ttl != want { // n=200 row
-		t.Fatalf("LookupTTL(150) = %d, want %d", ttl, want)
-	}
-	if _, err := LookupTTL(table, 5000); err == nil {
-		t.Fatal("lookup beyond table accepted")
-	}
-}
-
-func TestFixpointReach(t *testing.T) {
-	if s := FixpointReach(3); math.Abs(s-0.9405) > 0.001 {
-		t.Errorf("FixpointReach(3) = %g, want ≈ 0.9405", s)
-	}
-	if s := FixpointReach(4); math.Abs(s-0.9802) > 0.001 {
-		t.Errorf("FixpointReach(4) = %g, want ≈ 0.98", s)
 	}
 }
 

@@ -38,13 +38,6 @@ func Psi(n, fout, rounds int) []float64 {
 	return out
 }
 
-// LogisticLowerBound returns X(t), the logistic-growth lower bound on ψ(t)
-// (appendix): X(t) = γ * fout^t / (γ + fout^t - 1).
-func LogisticLowerBound(gamma float64, fout int, t int) float64 {
-	ft := math.Pow(float64(fout), float64(t))
-	return gamma * ft / (gamma + ft - 1)
-}
-
 // ExpectedDigests returns m, the expected number of push digests (or direct
 // pushes) transmitted during ttl rounds: m = fout * Σ_{i=0}^{ttl-1} ψ(i).
 func ExpectedDigests(n, fout, ttl int) float64 {
@@ -87,16 +80,6 @@ func TTLFor(n, fout int, peTarget float64) (int, error) {
 	return 0, fmt.Errorf("analysis: no TTL <= %d reaches pe <= %g for n=%d fout=%d", maxTTL, peTarget, n, fout)
 }
 
-// RoundsEstimate returns the closed-form estimate of the number of rounds
-// needed to transmit m digests (appendix):
-//
-//	r >= log_fout(γ*fout^{m/(γ*fout)} - γ + 1) + 1
-func RoundsEstimate(gamma float64, fout int, m float64) float64 {
-	f := float64(fout)
-	inner := gamma*math.Pow(f, m/(gamma*f)) - gamma + 1
-	return math.Log(inner)/math.Log(f) + 1
-}
-
 // TTLTableEntry is one row of the lookup table peers consult to pick TTL
 // (paper §IV: "TTL varies slowly with n; we can store a small number of TTL
 // values for (n, pe) pairs in a lookup table").
@@ -118,16 +101,4 @@ func TTLTable(sizes []int, fout int, peTarget float64) ([]TTLTableEntry, error) 
 		out = append(out, TTLTableEntry{N: n, TTL: ttl, Pe: ImperfectProb(n, fout, ttl)})
 	}
 	return out, nil
-}
-
-// LookupTTL returns the table TTL for a network of n peers using the lowest
-// upper bound present in the table, as the paper prescribes. The table must
-// be sorted by N ascending.
-func LookupTTL(table []TTLTableEntry, n int) (int, error) {
-	for _, e := range table {
-		if n <= e.N {
-			return e.TTL, nil
-		}
-	}
-	return 0, fmt.Errorf("analysis: network size %d exceeds table", n)
 }

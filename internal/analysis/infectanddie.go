@@ -15,19 +15,6 @@ type InfectAndDieStats struct {
 	ReachAllPercent float64 // fraction of trials where every peer was informed
 }
 
-// FixpointReach returns the large-n fraction of peers reached by
-// infect-and-die push: the non-trivial solution of s = 1 - e^{-fout*s}.
-// With n=100 and fout=3 this is ≈ 0.9405, the paper's "average of 94
-// peers".
-func FixpointReach(fout int) float64 {
-	f := float64(fout)
-	w, err := LambertW0(-f * math.Exp(-f))
-	if err != nil {
-		return 1
-	}
-	return (f + w) / f
-}
-
 // SimulateInfectAndDie Monte-Carlo estimates the reach of infect-and-die
 // push: the source pushes to fout random peers; every peer infected for the
 // first time pushes once to fout random peers (excluding itself) and then

@@ -58,7 +58,6 @@ func (f *fakeEndpoint) sends() []sentMsg {
 // nullProtocol satisfies Protocol without doing anything.
 type nullProtocol struct{ stored []uint64 }
 
-func (*nullProtocol) Name() string                          { return "null" }
 func (*nullProtocol) Start(*Core)                           {}
 func (*nullProtocol) Stop()                                 {}
 func (*nullProtocol) OnOrdererBlock(*ledger.Block)          {}

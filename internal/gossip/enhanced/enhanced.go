@@ -47,13 +47,6 @@ type Config struct {
 	// RequestTimeout is how long a body request may stay outstanding
 	// before a new digest offer triggers a re-request.
 	RequestTimeout time.Duration
-	// TPush re-enables Fabric's push batching timer for data blocks.
-	// The paper sets it to 0: pairs buffered together are forwarded to
-	// the SAME random sample, which biases the epidemic's randomness and
-	// voids the pe guarantee (§IV, "we also remove the tpush=10ms
-	// timer... to ensure unbiased randomness"). Non-zero values exist to
-	// reproduce that ablation.
-	TPush time.Duration
 }
 
 const (
@@ -139,12 +132,6 @@ type Protocol struct {
 	// the map-based layout did; nil until one arrives.
 	stale map[uint64]*blockState
 
-	// pushBuf holds (num, counter) pairs awaiting the TPush flush (only
-	// used in the tpush ablation; the paper's configuration forwards
-	// immediately).
-	pushBuf   []wire.BlockOffer
-	pushTimer simTimer
-
 	// sampleBuf is the spread path's reusable fan-out sample and
 	// digestSpreads handleDigest's staged new-pair scratch. Both are
 	// reused only on the single-threaded simulated runtime (reuse), where
@@ -168,9 +155,6 @@ type Protocol struct {
 
 	stopped bool
 }
-
-// simTimer narrows sim.Timer for the one optional timer this protocol owns.
-type simTimer interface{ Stop() bool }
 
 // New returns an unstarted protocol instance. A TTL above 63 is a
 // programming error (ConfigFor never returns one) and panics.
@@ -219,9 +203,6 @@ func (p *Protocol) peek(num uint64) *blockState {
 	return nil
 }
 
-// Name implements gossip.Protocol.
-func (p *Protocol) Name() string { return "enhanced" }
-
 // PoolOutstanding reports the instance's pooled envelopes still checked
 // out (body, digest). Both must be zero once the engine drains: the
 // transport releases every delivery attempt, so a nonzero residue means a
@@ -246,10 +227,6 @@ func (p *Protocol) Stop() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.stopped = true
-	if p.pushTimer != nil {
-		p.pushTimer.Stop()
-		p.pushTimer = nil
-	}
 }
 
 // OnOrdererBlock implements gossip.Protocol: the leader stores the block
@@ -459,10 +436,9 @@ func (p *Protocol) digestHop(next uint32) bool {
 // when the new pair (num, received) spreads at once as a digest: a body
 // request the offer provokes is answered at that counter (handleRequest).
 // Callers hold mu — the critical section that found the pair new — so
-// forward takes no lock of its own. The tpush ablation records its offers
-// at flush time instead (flushSpread).
+// spread takes no lock of its own.
 func (p *Protocol) noteSpread(num uint64, received uint32) {
-	if next := received + 1; p.cfg.TPush == 0 && next <= p.cfg.TTL && p.digestHop(next) {
+	if next := received + 1; next <= p.cfg.TTL && p.digestHop(next) {
 		p.state(num).lastOffered = next + 1
 	}
 }
@@ -470,79 +446,21 @@ func (p *Protocol) noteSpread(num uint64, received uint32) {
 // spread forwards pair (num, received counter) to Fout random peers with
 // the counter incremented, stopping at TTL. This is the
 // infect-upon-contagion step: it runs on *every* first reception of a pair,
-// not only the first reception of the block.
-//
-// In the tpush ablation (TPush > 0) pairs are buffered and flushed
-// together to one shared random sample — reproducing the bias the paper
-// removes.
+// not only the first reception of the block, and each pair draws its own
+// sample (tpush = 0: no batch of pairs shares one). The caller has recorded
+// a digest's offered counter (noteSpread).
 func (p *Protocol) spread(num uint64, received uint32) {
 	next := received + 1
 	if next > p.cfg.TTL {
 		return
 	}
-	if p.cfg.TPush > 0 {
-		p.bufferSpread(wire.BlockOffer{Num: num, Counter: next})
-		return
-	}
-	p.forward(wire.BlockOffer{Num: num, Counter: next}, p.sample(p.cfg.Fout))
-}
-
-// sample draws the fan-out targets, through the reusable buffer on the
-// single-threaded runtime. The result is consumed (sent to) before any
-// other sample call, so reuse is safe there; concurrent TCP handlers get a
-// fresh slice.
-func (p *Protocol) sample(k int) []wire.NodeID {
-	if !p.reuse {
-		return p.c.RandomPeers(k)
-	}
-	p.sampleBuf = p.c.RandomPeersInto(k, p.sampleBuf)
-	return p.sampleBuf
-}
-
-func (p *Protocol) bufferSpread(o wire.BlockOffer) {
-	p.mu.Lock()
-	if p.stopped {
-		p.mu.Unlock()
-		return
-	}
-	p.pushBuf = append(p.pushBuf, o)
-	if p.pushTimer == nil {
-		p.pushTimer = p.c.Scheduler().After(p.cfg.TPush, p.flushSpread)
-	}
-	p.mu.Unlock()
-}
-
-func (p *Protocol) flushSpread() {
-	p.mu.Lock()
-	buf := p.pushBuf
-	p.pushBuf = nil
-	p.pushTimer = nil
-	for _, o := range buf {
-		if p.digestHop(o.Counter) {
-			p.state(o.Num).lastOffered = o.Counter + 1
-		}
-	}
-	p.mu.Unlock()
-	if len(buf) == 0 {
-		return
-	}
-	// The bias: one sample for every buffered pair.
 	targets := p.sample(p.cfg.Fout)
-	for _, o := range buf {
-		p.forward(o, targets)
-	}
-}
-
-// forward ships one pair to the given targets, directly or as a digest. The
-// caller has recorded a digest's offered counter (noteSpread, flushSpread).
-func (p *Protocol) forward(o wire.BlockOffer, targets []wire.NodeID) {
 	if len(targets) == 0 {
 		return
 	}
-	num, next := o.Num, o.Counter
 	if p.digestHop(next) {
 		msg := p.newDigest(len(targets))
-		msg.Offers = append(msg.Offers, o)
+		msg.Offers = append(msg.Offers, wire.BlockOffer{Num: num, Counter: next})
 		for _, t := range targets {
 			p.c.Send(t, msg)
 		}
@@ -558,4 +476,16 @@ func (p *Protocol) forward(o wire.BlockOffer, targets []wire.NodeID) {
 	for _, t := range targets {
 		p.c.Send(t, msg)
 	}
+}
+
+// sample draws the fan-out targets, through the reusable buffer on the
+// single-threaded runtime. The result is consumed (sent to) before any
+// other sample call, so reuse is safe there; concurrent TCP handlers get a
+// fresh slice.
+func (p *Protocol) sample(k int) []wire.NodeID {
+	if !p.reuse {
+		return p.c.RandomPeers(k)
+	}
+	p.sampleBuf = p.c.RandomPeersInto(k, p.sampleBuf)
+	return p.sampleBuf
 }

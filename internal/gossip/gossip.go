@@ -29,8 +29,6 @@ import (
 
 // Protocol is a pluggable dissemination strategy.
 type Protocol interface {
-	// Name identifies the protocol in logs and reports.
-	Name() string
 	// Start is called once, after the core is wired, so the protocol can
 	// arm its timers.
 	Start(c *Core)

@@ -43,7 +43,6 @@ func newTestCore(t *testing.T, self wire.NodeID, n int, tune func(*Config)) (*Co
 
 type noopProtocol struct{}
 
-func (noopProtocol) Name() string                          { return "noop" }
 func (noopProtocol) Start(*Core)                           {}
 func (noopProtocol) Stop()                                 {}
 func (noopProtocol) OnOrdererBlock(*ledger.Block)          {}

@@ -101,9 +101,6 @@ func New(cfg Config) *Protocol {
 	}
 }
 
-// Name implements gossip.Protocol.
-func (p *Protocol) Name() string { return "original" }
-
 // Start implements gossip.Protocol.
 func (p *Protocol) Start(c *gossip.Core) {
 	p.mu.Lock()

@@ -80,9 +80,6 @@ func TestDefaultConfigMatchesFabric(t *testing.T) {
 	if cfg.Fout != 3 || cfg.TPush != 10*time.Millisecond || cfg.Fin != 3 || cfg.TPull != 4*time.Second {
 		t.Fatalf("defaults = %+v, want Fabric v1.2 values", cfg)
 	}
-	if New(cfg).Name() != "original" {
-		t.Fatal("protocol name wrong")
-	}
 }
 
 func TestInfectAndDiePushesExactlyOnce(t *testing.T) {

@@ -1,8 +1,9 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -117,7 +118,9 @@ func BandwidthReport(id, title string, res *DisseminationResult) Report {
 	for mt, cb := range res.Traffic.Breakdown() {
 		rows = append(rows, row{mt, cb[0], cb[1]})
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].bytes > rows[j].bytes })
+	slices.SortFunc(rows, func(a, b row) int {
+		return cmp.Or(cmp.Compare(b.bytes, a.bytes), cmp.Compare(a.mt, b.mt))
+	})
 	r.addf("%-20s %12s %14s", "message type", "count", "bytes")
 	for _, w := range rows {
 		r.addf("%-20s %12d %14d", w.mt, w.count, w.bytes)
@@ -160,13 +163,16 @@ func AnalyticsReport(seed int64) Report {
 	r.addf("      looser bound needs 19. Experiments pin the paper's TTL=19 (pe = %.2e).",
 		analysis.ImperfectProb(100, 2, 19))
 	r.addf("exact occupancy-chain analysis (the appendix's coupon-collector extension):")
-	for _, fout := range []int{2, 3, 4} {
-		ttl, err := analysis.ExactTTLFor(100, fout, 1e-6)
+	for _, c := range []struct{ fout, paperTTL int }{{2, 19}, {3, 11}, {4, 9}} {
+		ttl, err := analysis.ExactTTLFor(100, c.fout, 1e-6)
 		if err != nil {
-			r.addf("  fout=%d: %v", fout, err)
+			r.addf("  fout=%d: %v", c.fout, err)
 			continue
 		}
-		r.addf("  fout=%d: exact minimal TTL = %d (conservative bound: see above)", fout, ttl)
+		r.addf("  fout=%d: exact minimal TTL = %d (conservative bound: see above)", c.fout, ttl)
+		if pe, err := analysis.ExactPe(100, c.fout, c.paperTTL); err == nil {
+			r.addf("  fout=%d: exact pe at the paper's TTL = %d is %.2e", c.fout, c.paperTTL, pe)
+		}
 	}
 
 	table, err := analysis.TTLTable([]int{25, 50, 100, 200, 500, 1000, 5000}, 4, 1e-6)

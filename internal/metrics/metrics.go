@@ -5,6 +5,7 @@
 package metrics
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -149,50 +150,45 @@ type Extremes struct {
 }
 
 // PeerExtremes ranks peers by mean latency and returns the fastest, median
-// and slowest peers' distributions.
+// and slowest peers' distributions. Peers of equal mean rank by id.
 func (r *LatencyRecorder) PeerExtremes() (Extremes, error) {
 	if len(r.perPeer) == 0 {
 		return Extremes{}, fmt.Errorf("metrics: no peer observations")
 	}
-	type entry struct {
-		d    *Distribution
-		mean time.Duration
-	}
-	entries := make([]entry, 0, len(r.perPeer))
-	for _, samples := range r.perPeer {
-		d := NewDistribution(samples)
-		entries = append(entries, entry{d: d, mean: d.Mean()})
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].mean < entries[j].mean })
-	return Extremes{
-		Fastest: entries[0].d,
-		Median:  entries[len(entries)/2].d,
-		Slowest: entries[len(entries)-1].d,
-	}, nil
+	return extremes(r.perPeer, (*Distribution).Mean), nil
 }
 
 // BlockExtremes ranks blocks by the time to reach their last peer
 // (dissemination completion) and returns the fastest, median and slowest
-// blocks' distributions.
+// blocks' distributions. Blocks of equal completion time rank by number.
 func (r *LatencyRecorder) BlockExtremes() (Extremes, error) {
 	if len(r.perBlock) == 0 {
 		return Extremes{}, fmt.Errorf("metrics: no block observations")
 	}
+	return extremes(r.perBlock, (*Distribution).Max), nil
+}
+
+// extremes ranks a non-empty set of sample series by rank, ties broken by
+// key so the picks do not depend on map order.
+func extremes[K cmp.Ordered](series map[K][]time.Duration, rank func(*Distribution) time.Duration) Extremes {
 	type entry struct {
-		d   *Distribution
-		max time.Duration
+		key  K
+		d    *Distribution
+		rank time.Duration
 	}
-	entries := make([]entry, 0, len(r.perBlock))
-	for _, samples := range r.perBlock {
+	entries := make([]entry, 0, len(series))
+	for k, samples := range series {
 		d := NewDistribution(samples)
-		entries = append(entries, entry{d: d, max: d.Max()})
+		entries = append(entries, entry{key: k, d: d, rank: rank(d)})
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].max < entries[j].max })
+	slices.SortFunc(entries, func(a, b entry) int {
+		return cmp.Or(cmp.Compare(a.rank, b.rank), cmp.Compare(a.key, b.key))
+	})
 	return Extremes{
 		Fastest: entries[0].d,
 		Median:  entries[len(entries)/2].d,
 		Slowest: entries[len(entries)-1].d,
-	}, nil
+	}
 }
 
 // All returns the pooled distribution over every observation.

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"fabricgossip/internal/wire"
 )
 
 func ms(v int) time.Duration { return time.Duration(v) * time.Millisecond }
@@ -127,6 +129,35 @@ func TestLatencyRecorderExtremes(t *testing.T) {
 	}
 	if be.Fastest.Max() != ms(20) {
 		t.Fatalf("fastest block max = %v", be.Fastest.Max())
+	}
+}
+
+// Entries of equal rank pick by peer id and block number, so the fastest,
+// median and slowest picks do not move between calls with map order.
+func TestLatencyRecorderExtremesBreakTiesByKey(t *testing.T) {
+	peers, blocks := NewLatencyRecorder(), NewLatencyRecorder()
+	for i := 0; i < 5; i++ {
+		// Peer i: mean 50ms, max 50+i ms. Block i: max 100ms, min 10+i ms.
+		peers.Record(0, wire.NodeID(i), ms(50-i))
+		peers.Record(1, wire.NodeID(i), ms(50+i))
+		blocks.Record(uint64(i), 0, ms(10+i))
+		blocks.Record(uint64(i), 1, ms(100))
+	}
+	for call := 0; call < 200; call++ {
+		pe, err := peers.PeerExtremes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := [3]time.Duration{pe.Fastest.Max(), pe.Median.Max(), pe.Slowest.Max()}; got != [3]time.Duration{ms(50), ms(52), ms(54)} {
+			t.Fatalf("call %d: peer extremes max = %v, want peers 0, 2, 4", call, got)
+		}
+		be, err := blocks.BlockExtremes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := [3]time.Duration{be.Fastest.Quantile(0), be.Median.Quantile(0), be.Slowest.Quantile(0)}; got != [3]time.Duration{ms(10), ms(12), ms(14)} {
+			t.Fatalf("call %d: block extremes min = %v, want blocks 0, 2, 4", call, got)
+		}
 	}
 }
 

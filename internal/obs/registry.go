@@ -230,9 +230,14 @@ func (r *Registry) register(ins *instrument) {
 // Counter registers (or returns the existing) counter under name with the
 // given alternating key/value label pairs.
 func (r *Registry) Counter(name string, labels ...string) *Counter {
+	return r.counter(name, renderLabels(labels))
+}
+
+// counter is Counter by rendered label set: Merge re-registers other's
+// instruments by the form they were stored under.
+func (r *Registry) counter(name, l string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	l := renderLabels(labels)
 	id := name + l
 	if ins := r.lookup(id, KindCounter); ins != nil {
 		return ins.counter
@@ -244,9 +249,13 @@ func (r *Registry) Counter(name string, labels ...string) *Counter {
 
 // Gauge registers (or returns the existing) gauge.
 func (r *Registry) Gauge(name string, labels ...string) *Gauge {
+	return r.gauge(name, renderLabels(labels))
+}
+
+// gauge is Gauge by rendered label set (see counter).
+func (r *Registry) gauge(name, l string) *Gauge {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	l := renderLabels(labels)
 	id := name + l
 	if ins := r.lookup(id, KindGauge); ins != nil {
 		return ins.gauge
@@ -260,9 +269,13 @@ func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 // inclusive upper bucket bounds (ascending; +Inf is implicit). Re-registering
 // with different bounds panics — the merge contract needs one layout per id.
 func (r *Registry) Histogram(name string, bounds []float64, labels ...string) *Histogram {
+	return r.histogram(name, bounds, renderLabels(labels))
+}
+
+// histogram is Histogram by rendered label set (see counter).
+func (r *Registry) histogram(name string, bounds []float64, l string) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	l := renderLabels(labels)
 	id := name + l
 	if ins := r.lookup(id, KindHistogram); ins != nil {
 		if len(ins.hist.bounds) != len(bounds) {
@@ -302,11 +315,11 @@ func (r *Registry) Merge(other *Registry) {
 	for _, o := range ins {
 		switch o.kind {
 		case KindCounter:
-			r.Counter(o.name, labelPairs(o.labels)...).Add(o.counter.Value())
+			r.counter(o.name, o.labels).Add(o.counter.Value())
 		case KindGauge:
-			r.Gauge(o.name, labelPairs(o.labels)...).SetMax(o.gauge.Value())
+			r.gauge(o.name, o.labels).SetMax(o.gauge.Value())
 		case KindHistogram:
-			h := r.Histogram(o.name, o.hist.bounds, labelPairs(o.labels)...)
+			h := r.histogram(o.name, o.hist.bounds, o.labels)
 			if o.hist.concurrent {
 				o.hist.mu.Lock()
 			}
@@ -326,37 +339,6 @@ func (r *Registry) Merge(other *Registry) {
 			}
 		}
 	}
-}
-
-// labelPairs parses a rendered `{k="v",...}` back to alternating pairs —
-// only Merge needs the reverse mapping, so a small parser beats carrying
-// the pair slice on every instrument.
-func labelPairs(rendered string) []string {
-	if rendered == "" {
-		return nil
-	}
-	body := strings.TrimSuffix(strings.TrimPrefix(rendered, "{"), "}")
-	var pairs []string
-	for _, part := range strings.Split(body, ",") {
-		k, v, ok := strings.Cut(part, "=")
-		if !ok {
-			panic(fmt.Sprintf("obs: malformed label set %q", rendered))
-		}
-		unq, err := unquote(v)
-		if err != nil {
-			panic(fmt.Sprintf("obs: malformed label value %q: %v", v, err))
-		}
-		pairs = append(pairs, k, unq)
-	}
-	return pairs
-}
-
-func unquote(s string) (string, error) {
-	var out string
-	if err := json.Unmarshal([]byte(s), &out); err != nil {
-		return "", err
-	}
-	return out, nil
 }
 
 // Metric is one instrument's snapshot.

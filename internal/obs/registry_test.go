@@ -73,6 +73,21 @@ func TestMergeAssociative(t *testing.T) {
 	snapshotEqual(t, left, right)
 }
 
+// TestMergeKeepsCommaLabels pins that Merge carries a label value holding
+// a comma (or a quote) through unchanged.
+func TestMergeKeepsCommaLabels(t *testing.T) {
+	src := NewRegistry()
+	src.Counter("x", "reason", "length,decode").Add(3)
+	src.Gauge("g", "a", `q"uote`, "b", "2").SetMax(7)
+	src.Histogram("h", []float64{1}, "k", "a=b,c").Observe(2)
+	dst := NewRegistry()
+	dst.Merge(src)
+	snapshotEqual(t, src, dst)
+	if v, ok := dst.Snapshot().Get("x", "reason", "length,decode"); !ok || v != 3 {
+		t.Fatalf("merged comma-labelled counter = %v %v, want 3", v, ok)
+	}
+}
+
 // TestHistogramBuckets pins the inclusive-upper-edge bucketing and the
 // implicit overflow bucket.
 func TestHistogramBuckets(t *testing.T) {

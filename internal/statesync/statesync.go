@@ -22,6 +22,7 @@
 package statesync
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -144,54 +145,23 @@ func NewFetcher(host Host, cfg Config) *Fetcher {
 	}
 }
 
-// idxOf returns from's index in the sorted peers slice, or -1. Caller
-// holds mu.
-func (f *Fetcher) idxOf(from wire.NodeID) int {
-	lo, hi := 0, len(f.peers)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if f.peers[mid] < from {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(f.peers) && f.peers[lo] == from {
-		return lo
-	}
-	return -1
-}
-
 // Observe records a peer's advertised ledger height (from StateInfo).
 // Heights only ever rise; stale advertisements are ignored.
 func (f *Fetcher) Observe(from wire.NodeID, height uint64) {
 	f.mu.Lock()
-	if i := f.idxOf(from); i >= 0 {
-		if height > f.heights[i] {
-			f.heights[i] = height
-			if height > f.maxAdvertised {
-				f.maxAdvertised = height
-			}
-		}
-	} else if height > 0 {
-		lo, hi := 0, len(f.peers)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if f.peers[mid] < from {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		f.peers = append(f.peers, 0)
-		copy(f.peers[lo+1:], f.peers[lo:])
-		f.peers[lo] = from
-		f.heights = append(f.heights, 0)
-		copy(f.heights[lo+1:], f.heights[lo:])
-		f.heights[lo] = height
-		if height > f.maxAdvertised {
-			f.maxAdvertised = height
-		}
+	i, found := slices.BinarySearch(f.peers, from)
+	switch {
+	case found && height > f.heights[i]:
+		f.heights[i] = height
+	case !found && height > 0:
+		f.peers = slices.Insert(f.peers, i, from)
+		f.heights = slices.Insert(f.heights, i, height)
+	default:
+		f.mu.Unlock()
+		return
+	}
+	if height > f.maxAdvertised {
+		f.maxAdvertised = height
 	}
 	f.mu.Unlock()
 }
@@ -203,11 +173,9 @@ func (f *Fetcher) Observe(from wire.NodeID, height uint64) {
 // upper bound is not lowered here; the next scan tightens it.
 func (f *Fetcher) Forget(p wire.NodeID) {
 	f.mu.Lock()
-	if i := f.idxOf(p); i >= 0 {
-		copy(f.peers[i:], f.peers[i+1:])
-		f.peers = f.peers[:len(f.peers)-1]
-		copy(f.heights[i:], f.heights[i+1:])
-		f.heights = f.heights[:len(f.heights)-1]
+	if i, found := slices.BinarySearch(f.peers, p); found {
+		f.peers = slices.Delete(f.peers, i, i+1)
+		f.heights = slices.Delete(f.heights, i, i+1)
 	}
 	f.mu.Unlock()
 }
