@@ -383,11 +383,16 @@ func BenchmarkScenarioTxloadHotkeyContention(b *testing.B) {
 // fingerprint it pins the cluster's health figures: election_ms (total
 // leaderless time) and deliver_gap_ms (the widest pause any organization
 // saw between first-time deliveries — the client-visible cost of a
-// failover).
+// failover) and peak_log, the longest any consenter's Raft log grew: with
+// compaction at the cluster low-water, the crashed consenter's lag rather
+// than the run's length.
 func BenchmarkScenarioConsenterFailover(b *testing.B) {
-	benchScenario(b, "consenter-minority-loss", enhancedAt(40, 2), 19297, func(rep *scenario.Report) {
+	benchScenario(b, "consenter-minority-loss", enhancedAt(40, 2), 19259, func(rep *scenario.Report) {
 		pinMs(b, "election_ms", rep.Leaderless, 173179196)
-		pinMs(b, "deliver_gap_ms", rep.DeliverGap, 1190679864)
+		pinMs(b, "deliver_gap_ms", rep.DeliverGap, 1181602943)
+		peak, _ := rep.Obs.Get("raft_log_peak_entries")
+		b.ReportMetric(peak, "peak_log")
+		pin(b, "peak_log", peak, 192)
 	})
 }
 

@@ -209,8 +209,9 @@ func printStats(rep *scenario.Report) {
 		stat("membership_events_total", "kind", "queued"), stat("membership_events_total", "kind", "sent"),
 		stat("membership_events_total", "kind", "applied"),
 		stat("membership_refutations_total"), stat("membership_dead_declared_total"))
-	fmt.Printf("  raft: %.0f entries shipped, %.0f redundant\n",
-		stat("raft_entries_total", "kind", "shipped"), stat("raft_entries_total", "kind", "redundant"))
+	fmt.Printf("  raft: %.0f entries shipped, %.0f redundant, peak log %.0f entries\n",
+		stat("raft_entries_total", "kind", "shipped"), stat("raft_entries_total", "kind", "redundant"),
+		stat("raft_log_peak_entries"))
 	if ev := stat("trace_events_total"); ev > 0 {
 		fmt.Printf("  trace: %.0f structured events\n", ev)
 	}

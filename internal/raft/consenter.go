@@ -1,9 +1,11 @@
 package raft
 
 import (
+	"crypto/sha256"
 	"sync"
 	"time"
 
+	"fabricgossip/internal/crypto"
 	"fabricgossip/internal/sim"
 	"fabricgossip/internal/wire"
 )
@@ -49,10 +51,13 @@ type Consenter struct {
 	stopped  bool
 
 	// seen is the exactly-once window over applied payloads: a FIFO set of
-	// the last dedupWindow entries. dedupWindow 0 (the default) disables
-	// deduplication.
-	seen        map[string]struct{}
-	seenQ       []string
+	// the last dedupWindow payloads, keyed by SHA-256 digest so the window
+	// holds 32 bytes per payload rather than a copy of it. seenQ is the
+	// insertion ring (evicted oldest-first at seenNext once full).
+	// dedupWindow 0 (the default) disables deduplication.
+	seen        map[crypto.Digest]struct{}
+	seenQ       []crypto.Digest
+	seenNext    int
 	dedupWindow int
 }
 
@@ -66,7 +71,7 @@ func NewConsenter(node *Node, sched sim.Scheduler) *Consenter {
 		node:    node,
 		sched:   sched,
 		pending: make(map[string]time.Duration),
-		seen:    make(map[string]struct{}),
+		seen:    make(map[crypto.Digest]struct{}),
 	}
 	node.OnLeaderChange(func(_ wire.NodeID, known bool) {
 		if known {
@@ -105,20 +110,11 @@ func (c *Consenter) OnCommit(fn func(data []byte)) {
 	c.commitFn = fn
 	c.mu.Unlock()
 	c.node.OnApply(func(data []byte) {
-		key := string(data)
 		c.mu.Lock()
-		delete(c.pending, key)
-		if c.dedupWindow > 0 {
-			if _, dup := c.seen[key]; dup {
-				c.mu.Unlock()
-				return // a re-proposed copy: already delivered downstream
-			}
-			c.seen[key] = struct{}{}
-			c.seenQ = append(c.seenQ, key)
-			if len(c.seenQ) > c.dedupWindow {
-				delete(c.seen, c.seenQ[0])
-				c.seenQ = c.seenQ[1:]
-			}
+		delete(c.pending, string(data))
+		if c.dedupWindow > 0 && !c.firstSightLocked(sha256.Sum256(data)) {
+			c.mu.Unlock()
+			return // a re-proposed copy: already delivered downstream
 		}
 		cb := c.commitFn
 		c.mu.Unlock()
@@ -126,6 +122,24 @@ func (c *Consenter) OnCommit(fn func(data []byte)) {
 			cb(data)
 		}
 	})
+}
+
+// firstSightLocked enters d into the exactly-once window and reports
+// whether it was new there, evicting the oldest digest once the window
+// holds dedupWindow of them.
+func (c *Consenter) firstSightLocked(d crypto.Digest) bool {
+	if _, dup := c.seen[d]; dup {
+		return false
+	}
+	if len(c.seenQ) < c.dedupWindow {
+		c.seenQ = append(c.seenQ, d)
+	} else {
+		delete(c.seen, c.seenQ[c.seenNext])
+		c.seenQ[c.seenNext] = d
+		c.seenNext = (c.seenNext + 1) % len(c.seenQ)
+	}
+	c.seen[d] = struct{}{}
+	return true
 }
 
 // Submit implements order.Consenter.

@@ -6,9 +6,17 @@
 //
 // The implementation covers the consensus core used by the ordering
 // service: elections with randomized timeouts, AppendEntries consistency
-// repair, majority commit, check-quorum leader step-down, and exactly-once
-// in-order application. Log compaction and membership changes are out of
+// repair, majority commit, check-quorum leader step-down, exactly-once
+// in-order application and log compaction. Membership changes are out of
 // scope (the ordering cluster is static, as in the paper's deployment).
+//
+// Compaction needs no snapshot. Every append carries the leader's low-water
+// mark, its lowest match over all followers, and every node drops the
+// entries at or below min(low-water, its applied index). Those entries are
+// committed and held by every node of the cluster, so no leader, present or
+// future, will ever have to ship them. A follower that has not answered the
+// current leader counts as match 0, and a crashed one keeps its last match,
+// so either pins the log until it is repaired by ordinary AppendEntries.
 //
 // Replication ships each log index to each follower once: the leader keeps
 // one progress record per follower (see progress) and sends nothing the
@@ -127,12 +135,17 @@ type Node struct {
 	voted    bool
 	leader   wire.NodeID
 	hasLead  bool
-	// log is 0-indexed internally; Raft indices are 1-based (index 0 is
-	// the empty prefix with term 0).
-	log         []wire.RaftEntry
-	commitIndex uint64
-	lastApplied uint64
-	votes       map[wire.NodeID]bool
+	// log holds Raft indices base+1 .. base+len(log). Raft indices are
+	// 1-based; everything at or below base is compacted, and baseTerm is
+	// base's term (index 0 is the empty prefix with term 0).
+	log            []wire.RaftEntry
+	base, baseTerm uint64
+	// dead counts the compacted entries still in log's backing array;
+	// peakLog is the longest the log has been.
+	dead, peakLog int
+	commitIndex   uint64
+	lastApplied   uint64
+	votes         map[wire.NodeID]bool
 	// progress is the leader's replication state, one record per follower,
 	// rebuilt at every election win.
 	progress map[wire.NodeID]*progress
@@ -257,6 +270,15 @@ func (n *Node) Replication() (shipped, redundant uint64) {
 	return n.shipped, n.redundant
 }
 
+// LogLength reports how many entries the log holds now and the most it has
+// held: with compaction, a figure bounded by what is in flight (or by a
+// crashed node's lag), not by run length.
+func (n *Node) LogLength() (current, peak int) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return len(n.log), n.peakLog
+}
+
 // Propose appends data to the replicated log. On the leader it is accepted
 // locally; on a follower it is forwarded to the known leader. It returns
 // ErrNotLeader when no leader is known yet — callers retry.
@@ -268,10 +290,12 @@ func (n *Node) Propose(data []byte) error {
 	}
 	if n.state == Leader {
 		n.log = append(n.log, wire.RaftEntry{Term: n.term, Data: data})
+		n.peakLog = max(n.peakLog, len(n.log))
 		appended, term := n.lastIndexLocked(), n.term
 		// A single-node cluster commits immediately.
 		n.advanceCommitLocked()
 		apply := n.collectApplyLocked()
+		n.compactLocked(n.lowWaterLocked())
 		n.mu.Unlock()
 		if n.onAppend != nil {
 			n.onAppend(appended, term)
@@ -291,16 +315,57 @@ func (n *Node) Propose(data []byte) error {
 
 // --- helpers (index math; callers hold mu) ---
 
-func (n *Node) lastIndexLocked() uint64 { return uint64(len(n.log)) }
+func (n *Node) lastIndexLocked() uint64 { return n.base + uint64(len(n.log)) }
 
+// entryLocked returns the entry at index, which must lie above base.
+func (n *Node) entryLocked(index uint64) wire.RaftEntry { return n.log[index-n.base-1] }
+
+// termAtLocked returns index's term, 0 past the log's end. Asking for a
+// compacted index is a broken invariant: no rule may need one.
 func (n *Node) termAtLocked(index uint64) uint64 {
-	if index == 0 {
+	switch {
+	case index == n.base:
+		return n.baseTerm
+	case index < n.base:
+		panic(fmt.Sprintf("raft: node %d asked for the term of compacted index %d (base %d)",
+			n.cfg.ID, index, n.base))
+	case index > n.lastIndexLocked():
 		return 0
 	}
-	if index > uint64(len(n.log)) {
-		return 0
+	return n.entryLocked(index).Term
+}
+
+// lowWaterLocked is the leader's lowest match over its followers: the
+// prefix every node holds (the whole log on a one-node cluster). A follower
+// that has not answered this leadership counts as 0 and a crashed one keeps
+// its last match, so either pins the log.
+func (n *Node) lowWaterLocked() uint64 {
+	low := n.lastIndexLocked()
+	for _, p := range n.cfg.Peers {
+		if p != n.cfg.ID {
+			low = min(low, n.progress[p].match)
+		}
 	}
-	return n.log[index-1].Term
+	return low
+}
+
+// compactLocked drops the entries at or below min(lowWater, lastApplied),
+// which every node holds and this one has applied. Appends in flight alias
+// the log's backing array, so entries are never cleared in place: the live
+// suffix moves to a fresh array once at least half of the old one is dead
+// (and at least an append's worth, so that a log emptied by every apply, as
+// on a one-node cluster, is not re-allocated per entry).
+func (n *Node) compactLocked(lowWater uint64) {
+	to := min(lowWater, n.lastApplied)
+	if to <= n.base {
+		return
+	}
+	n.baseTerm = n.termAtLocked(to)
+	drop := int(to - n.base)
+	n.log, n.base, n.dead = n.log[drop:], to, n.dead+drop
+	if n.dead >= len(n.log) && n.dead >= n.cfg.MaxEntriesPerAppend {
+		n.log, n.dead = append([]wire.RaftEntry(nil), n.log...), 0
+	}
 }
 
 func (n *Node) majority() int { return len(n.cfg.Peers)/2 + 1 }
@@ -511,6 +576,10 @@ func (n *Node) nextAppendLocked(pr *progress, heartbeat bool) *wire.RaftAppend {
 	if now < pr.pendingUntil {
 		prev, last = pr.match, pr.match
 	}
+	// Every node holds the compacted prefix, so an append that would
+	// reach below base is anchored there.
+	prev = max(prev, n.base)
+	last = max(last, prev)
 	if last == prev && !heartbeat {
 		return nil
 	}
@@ -526,9 +595,11 @@ func (n *Node) nextAppendLocked(pr *progress, heartbeat bool) *wire.RaftAppend {
 		PrevLogIndex: prev,
 		PrevLogTerm:  n.termAtLocked(prev),
 		// The log's backing array is shared with the message: entries are
-		// never overwritten in place (see handleAppend's truncation).
-		Entries:      n.log[prev:last:last],
+		// never overwritten in place (see handleAppend's truncation and
+		// compactLocked).
+		Entries:      n.log[prev-n.base : last-n.base : last-n.base],
 		LeaderCommit: n.commitIndex,
+		LowWater:     n.lowWaterLocked(),
 	}
 }
 
@@ -620,8 +691,10 @@ func (n *Node) handleAppend(from wire.NodeID, m *wire.RaftAppend) {
 	n.hasLead = true
 	n.noteLeaderLocked()
 
-	// Consistency check.
-	if m.PrevLogIndex > n.lastIndexLocked() || n.termAtLocked(m.PrevLogIndex) != m.PrevLogTerm {
+	// Consistency check. The compacted prefix is committed, so it matches
+	// any leader's log.
+	if m.PrevLogIndex > n.lastIndexLocked() ||
+		m.PrevLogIndex >= n.base && n.termAtLocked(m.PrevLogIndex) != m.PrevLogTerm {
 		// Hint the leader to back up to our log end (or below the
 		// conflicting prefix).
 		hint := n.lastIndexLocked()
@@ -639,18 +712,20 @@ func (n *Node) handleAppend(from wire.NodeID, m *wire.RaftAppend) {
 	for _, e := range m.Entries {
 		idx++
 		if idx <= n.lastIndexLocked() {
-			if n.log[idx-1].Term == e.Term {
+			if idx <= n.base || n.entryLocked(idx).Term == e.Term {
 				n.redundant++
 				continue // already have it
 			}
 			// Conflict: truncate the suffix. Capping the slice makes the
 			// append below copy rather than overwrite, because appends in
 			// flight from this node's own leadership alias the old array.
-			n.log = n.log[: idx-1 : idx-1]
+			keep := idx - n.base - 1
+			n.log = n.log[:keep:keep]
 		}
 		n.log = append(n.log, e)
 		grew = true
 	}
+	n.peakLog = max(n.peakLog, len(n.log))
 	// Only the prefix this append vouches for may commit: what lies past
 	// it (an empty heartbeat is anchored well below the log's end) can be
 	// an old leader's suffix that no append has overwritten yet.
@@ -661,6 +736,7 @@ func (n *Node) handleAppend(from wire.NodeID, m *wire.RaftAppend) {
 	term := n.term
 	appended := n.lastIndexLocked()
 	apply := n.collectApplyLocked()
+	n.compactLocked(m.LowWater)
 	n.mu.Unlock()
 
 	if grew && n.onAppend != nil {
@@ -701,6 +777,7 @@ func (n *Node) handleAppendResponse(from wire.NodeID, m *wire.RaftAppendResponse
 	}
 	msg := n.nextAppendLocked(pr, false)
 	apply := n.collectApplyLocked()
+	n.compactLocked(n.lowWaterLocked())
 	n.mu.Unlock()
 
 	n.runApplies(apply)
@@ -737,7 +814,7 @@ func (n *Node) collectApplyLocked() []wire.RaftEntry {
 	out := make([]wire.RaftEntry, 0, n.commitIndex-n.lastApplied)
 	for n.lastApplied < n.commitIndex {
 		n.lastApplied++
-		out = append(out, n.log[n.lastApplied-1])
+		out = append(out, n.entryLocked(n.lastApplied))
 	}
 	return out
 }

@@ -1035,12 +1035,17 @@ func (r *runner) snapshot(rep *Report) *obs.Snapshot {
 	}
 	reg.Counter("elections_total").Add(uint64(rep.Elections))
 	var shipped, redundant uint64
+	peakLog := 0
 	for i := 0; i < r.net.Consenters(); i++ {
-		s, d := r.net.ConsenterNode(i).Replication()
+		node := r.net.ConsenterNode(i)
+		s, d := node.Replication()
 		shipped, redundant = shipped+s, redundant+d
+		_, peak := node.LogLength()
+		peakLog = max(peakLog, peak)
 	}
 	reg.Counter("raft_entries_total", "kind", "shipped").Add(shipped)
 	reg.Counter("raft_entries_total", "kind", "redundant").Add(redundant)
+	reg.Gauge("raft_log_peak_entries").Set(int64(peakLog))
 	reg.Gauge("leaderless_ns").Set(int64(rep.Leaderless))
 	if w := rep.Workload; w != nil {
 		reg.Counter("workload_tx_total", "outcome", "submitted").Add(uint64(w.Submitted))

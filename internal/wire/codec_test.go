@@ -70,7 +70,7 @@ func allMessages() []Message {
 		&RaftAppend{
 			Term: 4, Leader: 1, PrevLogIndex: 10, PrevLogTerm: 3,
 			Entries:      []RaftEntry{{Term: 4, Data: []byte("tx1")}, {Term: 4, Data: nil}},
-			LeaderCommit: 9,
+			LeaderCommit: 9, LowWater: 6,
 		},
 		&RaftAppendResponse{Term: 4, Success: false, MatchIndex: 7},
 		&RaftForward{Data: []byte("payload")},

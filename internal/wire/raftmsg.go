@@ -73,6 +73,10 @@ type RaftAppend struct {
 	PrevLogTerm  uint64
 	Entries      []RaftEntry
 	LeaderCommit uint64
+	// LowWater is the leader's lowest match over its followers: every node
+	// of the cluster holds the log up to it, so a receiver may drop the
+	// entries at or below min(LowWater, its applied index).
+	LowWater uint64
 }
 
 // Type implements Message.
@@ -85,7 +89,7 @@ func (m *RaftAppend) EncodedSize() int {
 	for _, e := range m.Entries {
 		n += uvarintLen(e.Term) + bytesLen(e.Data)
 	}
-	return n + uvarintLen(m.LeaderCommit)
+	return n + uvarintLen(m.LeaderCommit) + uvarintLen(m.LowWater)
 }
 
 func (m *RaftAppend) encode(s *encSink) {
@@ -99,6 +103,7 @@ func (m *RaftAppend) encode(s *encSink) {
 		putBytes(s, e.Data)
 	}
 	s.uvarint(m.LeaderCommit)
+	s.uvarint(m.LowWater)
 }
 
 func decodeRaftAppend(d *decoder) *RaftAppend {
@@ -114,6 +119,7 @@ func decodeRaftAppend(d *decoder) *RaftAppend {
 		m.Entries = append(m.Entries, e)
 	}
 	m.LeaderCommit = d.uvarint("leader commit")
+	m.LowWater = d.uvarint("low water")
 	return m
 }
 
