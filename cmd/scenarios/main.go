@@ -163,7 +163,21 @@ func run(args []string) (err error) {
 				}
 			}
 			fmt.Println()
+			if err := safety(rep); err != nil {
+				return err
+			}
 		}
+	}
+	return nil
+}
+
+// safety fails a run whose report counts an order violation: a peer that
+// committed a block out of chain order. Catch-up and pending recoveries are
+// liveness, which a shortened tail may legitimately leave unfinished, so
+// they are not gated.
+func safety(rep *scenario.Report) error {
+	if rep.OrderViolations > 0 {
+		return fmt.Errorf("scenario %s (%s): %d order violations", rep.Scenario, rep.Variant, rep.OrderViolations)
 	}
 	return nil
 }

@@ -92,3 +92,32 @@ func TestArtifactsPerRun(t *testing.T) {
 		t.Errorf("wrote %d files, want %d: %v", len(got), len(want), got)
 	}
 }
+
+// A run with an order violation fails the command, naming the run; a clean
+// run passes.
+func TestSafetyGatesOrderViolations(t *testing.T) {
+	for _, c := range []struct {
+		violations int
+		want       []string // substrings of the error; nil for no error
+	}{
+		{0, nil},
+		{1, []string{"crash-restart", "enhanced", "1 order violations"}},
+	} {
+		err := safety(&scenario.Report{Scenario: "crash-restart", Variant: "enhanced", OrderViolations: c.violations})
+		if c.want == nil {
+			if err != nil {
+				t.Errorf("%d violations: %v, want nil", c.violations, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%d violations: nil error, want one naming %v", c.violations, c.want)
+			continue
+		}
+		for _, w := range c.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%d violations: %q does not name %q", c.violations, err, w)
+			}
+		}
+	}
+}

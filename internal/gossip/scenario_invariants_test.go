@@ -12,8 +12,9 @@ import (
 // does to the organization — crashes, churn, partitions, slow links, packet
 // loss, staggered joins — every peer alive at the end must have committed
 // every injected block, in order, with no gaps, with rejoining peers closing
-// their holes through the recovery component. Table-driven over the entire
-// built-in catalog for both protocol variants.
+// their holes through the recovery component; under a transaction workload,
+// every submitted transaction is ordered and resolved exactly once.
+// Table-driven over the entire built-in catalog for both protocol variants.
 func TestAllScenariosPreserveCommitInvariants(t *testing.T) {
 	const peers = 30
 	for _, def := range scenario.Catalog() {
@@ -44,6 +45,21 @@ func TestAllScenariosPreserveCommitInvariants(t *testing.T) {
 				if rep.PendingRecoveries != 0 {
 					t.Fatalf("%d rejoined peers never caught up\ntrace:\n%s",
 						rep.PendingRecoveries, strings.Join(rep.Trace, "\n"))
+				}
+				// The workload's books close: every submitted transaction
+				// was ordered and resolved, from the block its org committed,
+				// as committed or conflicted, and no peer lost a block.
+				if w := rep.Workload; w != nil {
+					if w.Submitted != w.Committed+w.Conflicts {
+						t.Errorf("submitted %d != committed %d + conflicts %d",
+							w.Submitted, w.Committed, w.Conflicts)
+					}
+					if w.OrderedTx != uint64(w.Submitted) {
+						t.Errorf("ordered %d transactions, submitted %d", w.OrderedTx, w.Submitted)
+					}
+					if w.CommitErrors != 0 {
+						t.Errorf("%d commit errors", w.CommitErrors)
+					}
 				}
 			})
 		}

@@ -170,7 +170,7 @@ func (n *Network) resetDeliverSessions() {
 func (n *Network) onClusterCommit(i int, data []byte) {
 	if len(data) > 0 && data[0] == clusterEntryBlock {
 		if b, ok := decodeBlockEntry(data); ok {
-			n.offerBlock(i, b)
+			n.OfferBlock(i, b)
 		}
 		return
 	}
@@ -179,11 +179,14 @@ func (n *Network) onClusterCommit(i int, data []byte) {
 	}
 }
 
-// offerBlock records that consenter i holds block b: the block registers
-// for the shared chain (first applier wins; all consenters apply identical
-// bytes) and i's contiguous height advances. A leader gaining height pumps
+// OfferBlock records that consenter i holds block b — a premade block
+// applied from the Raft log, or one its ordering service cut from the
+// transaction workload's apply stream: the block registers for the shared
+// chain (first applier or cutter wins; every consenter applies identical
+// bytes and cuts identical blocks) and i's contiguous height, which gates
+// what i may serve as leader, advances. A leader gaining height pumps
 // immediately — block commit and block delivery stay one event apart.
-func (n *Network) offerBlock(i int, b *ledger.Block) {
+func (n *Network) OfferBlock(i int, b *ledger.Block) {
 	c := n.cluster
 	if _, ok := c.blockByNum[b.Num]; !ok {
 		c.blockByNum[b.Num] = b
@@ -206,16 +209,6 @@ func (n *Network) offerBlock(i int, b *ledger.Block) {
 	if i == c.leader {
 		n.requestPump()
 	}
-}
-
-// OfferBlock hands a block cut by consenter i's ordering service to the
-// deliver plane — the analogue of Append for blocks that were themselves
-// produced from the replicated log (the transaction workload's path).
-// Every consenter cuts identical blocks from the identical apply stream,
-// so the first to cut registers the chain entry and the leader's own cut
-// gates what it may serve.
-func (n *Network) OfferBlock(consenter int, b *ledger.Block) {
-	n.offerBlock(consenter, b)
 }
 
 // Consenters returns the ordering cluster's size.

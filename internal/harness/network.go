@@ -572,6 +572,11 @@ func (n *Network) Restart(global int) *gossip.Core {
 // Crashed reports whether the peer at the given global index is crashed.
 func (n *Network) Crashed(global int) bool { return n.crashed[global] }
 
+// Delivered returns how many blocks the ordering service has streamed into
+// an organization. The deliver stream sends the chain in order, so these are
+// always the chain's first Delivered blocks; redeliveries do not count.
+func (n *Network) Delivered(org int) int { return n.highWater[org] }
+
 // CrashOrderer fails the whole ordering service: every consenter crashes (a
 // total ordering outage — use CrashConsenter for partial faults). Every
 // organization's deliver stream dies with it, and no blocks reach any

@@ -37,7 +37,7 @@ type Peer struct {
 	mu           sync.Mutex
 	queue        []*ledger.Block
 	busy         bool
-	onCommit     func(ledger.CommitResult)
+	onCommit     func(*ledger.Block, ledger.CommitResult)
 	dropped      uint64
 	commitErrors uint64
 }
@@ -79,8 +79,8 @@ func (p *Peer) State() *ledger.StateDB { return p.led.State() }
 func (p *Peer) Gossip() *gossip.Core { return p.core }
 
 // OnCommitResult installs a hook invoked after every block commit with the
-// per-transaction validation outcome.
-func (p *Peer) OnCommitResult(fn func(ledger.CommitResult)) {
+// committed block and its per-transaction validation outcome.
+func (p *Peer) OnCommitResult(fn func(*ledger.Block, ledger.CommitResult)) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.onCommit = fn
@@ -152,7 +152,7 @@ func (p *Peer) validateNext() {
 		fn := p.onCommit
 		p.mu.Unlock()
 		if fn != nil {
-			fn(res)
+			fn(b, res)
 		}
 		p.validateNext()
 	})

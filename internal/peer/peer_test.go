@@ -91,7 +91,7 @@ func TestValidationDelayIsProportionalToTxCount(t *testing.T) {
 	f := newFixture(t, 3, Config{ValidationPerTx: 50 * time.Millisecond})
 	b := f.block(0, nil, 10, false)
 	var committedAt time.Duration
-	f.peers[0].OnCommitResult(func(ledger.CommitResult) { committedAt = f.engine.Now() })
+	f.peers[0].OnCommitResult(func(*ledger.Block, ledger.CommitResult) { committedAt = f.engine.Now() })
 	_ = f.order.Send(0, &wire.DeliverBlock{Block: b})
 	f.engine.RunUntil(5 * time.Second)
 	// 1 ms delivery + 10 * 50 ms validation.
@@ -108,12 +108,23 @@ func TestValidationIsSequential(t *testing.T) {
 	b0 := f.block(0, nil, 2, false)
 	b1 := f.block(1, b0, 2, false)
 	var times []time.Duration
-	f.peers[0].OnCommitResult(func(ledger.CommitResult) { times = append(times, f.engine.Now()) })
+	var got []*ledger.Block
+	f.peers[0].OnCommitResult(func(b *ledger.Block, res ledger.CommitResult) {
+		times = append(times, f.engine.Now())
+		got = append(got, b)
+		if res.BlockNum != b.Num || len(res.Codes) != b.NumTxs() {
+			t.Errorf("block %d committed with result for block %d (%d codes)", b.Num, res.BlockNum, len(res.Codes))
+		}
+	})
 	_ = f.order.Send(0, &wire.DeliverBlock{Block: b0})
 	_ = f.order.Send(0, &wire.DeliverBlock{Block: b1})
 	f.engine.RunUntil(5 * time.Second)
 	if len(times) != 2 {
 		t.Fatalf("committed %d blocks", len(times))
+	}
+	// The hook hands over the very block gossip delivered, not a copy.
+	if got[0] != b0 || got[1] != b1 {
+		t.Fatalf("hook received blocks %p, %p; want the delivered %p, %p", got[0], got[1], b0, b1)
 	}
 	// Block 1's 200 ms validation must start only after block 0 commits.
 	if gap := times[1] - times[0]; gap < 200*time.Millisecond {

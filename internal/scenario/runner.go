@@ -147,10 +147,7 @@ type runner struct {
 	dissem   [][]time.Duration
 	recovery [][]time.Duration
 
-	blocks   []*ledger.Block   // the premade chain (nil with a workload plane)
-	injected int               // distinct blocks delivered to at least one org
-	seen     map[uint64]bool   // blocks counted in injected
-	orgSeen  []map[uint64]bool // per-org delivered blocks
+	blocks []*ledger.Block // the premade chain (nil with a workload plane)
 	// orgStart[o][num] is the virtual time the block first entered org o
 	// (its leader's reception); later receptions record deltas against it.
 	orgStart []map[uint64]time.Duration
@@ -362,8 +359,6 @@ func build(sc Scenario, opt Options, top Topology, consenters int) (*runner, err
 		top:             top,
 		dissem:          make([][]time.Duration, top.Orgs()),
 		recovery:        make([][]time.Duration, top.Orgs()),
-		seen:            make(map[uint64]bool),
-		orgSeen:         make([]map[uint64]bool, top.Orgs()),
 		orgStart:        make([]map[uint64]time.Duration, top.Orgs()),
 		lastCommit:      make([]int64, top.Total()),
 		restartAt:       make([]time.Duration, top.Total()),
@@ -372,7 +367,6 @@ func build(sc Scenario, opt Options, top Topology, consenters int) (*runner, err
 		orderViolations: make([]int, top.Orgs()),
 	}
 	for o := 0; o < top.Orgs(); o++ {
-		r.orgSeen[o] = make(map[uint64]bool)
 		r.orgStart[o] = make(map[uint64]time.Duration)
 	}
 	for i := range r.lastCommit {
@@ -651,9 +645,8 @@ func (r *runner) onConsenterState(c int, s raft.State, term uint64) {
 }
 
 // onDeliver traces ordering-service deliveries — on the control engine, the
-// pump's timer host — and maintains the injected counters. Redeliveries
-// (leader failover replaying the stream) carry Aux = 1 and are never
-// recounted.
+// pump's timer host. Redeliveries (leader failover replaying the stream)
+// carry Aux = 1.
 func (r *runner) onDeliver(org, peer int, b *ledger.Block, redelivery bool) {
 	var re uint64
 	if redelivery {
@@ -663,13 +656,18 @@ func (r *runner) onDeliver(org, peer int, b *ledger.Block, redelivery bool) {
 		At: r.net.Engine.Now(), Kind: obs.EvDeliver,
 		Node: int32(peer), Peer: int32(org), Num: b.Num, Aux: re,
 	})
-	if !r.orgSeen[org][b.Num] {
-		r.orgSeen[org][b.Num] = true
-		if !r.seen[b.Num] {
-			r.seen[b.Num] = true
-			r.injected++
-		}
+}
+
+// injected is how many distinct blocks reached at least one organization:
+// every deliver stream is a prefix of the one chain, so the longest one. The
+// pump advances the streams at barriers only, so shards may read it
+// mid-window.
+func (r *runner) injected() int {
+	n := 0
+	for o := 0; o < r.top.Orgs(); o++ {
+		n = max(n, r.net.Delivered(o))
 	}
+	return n
 }
 
 // instrument installs the measurement hooks on a (possibly restarted) core.
@@ -690,7 +688,7 @@ func (r *runner) instrument(i int, core *gossip.Core) {
 				Node: int32(i), Peer: -1, Num: b.Num, Aux: uint64(b.NumTxs()),
 			})
 		}
-		if r.recovering[i] && b.Num+1 >= uint64(r.injected) {
+		if r.recovering[i] && b.Num+1 >= uint64(r.injected()) {
 			now := r.net.EngineFor(i).Now()
 			lat := now - r.restartAt[i]
 			r.recovery[org] = append(r.recovery[org], lat)
@@ -744,7 +742,7 @@ func (r *runner) restart(i int) {
 	// and recovery trackers before its hooks fire.
 	r.lastCommit[i] = -1
 	r.restartAt[i] = r.net.Engine.Now()
-	r.recovering[i] = r.injected > 0
+	r.recovering[i] = r.injected() > 0
 	r.net.Restart(i)
 }
 
@@ -889,7 +887,7 @@ func (r *runner) report() *Report {
 		Peers:          r.top.Total(),
 		Orgs:           r.top.Orgs(),
 		Seed:           r.opt.Seed,
-		BlocksInjected: r.injected,
+		BlocksInjected: r.injected(),
 		EngineEvents:   r.net.ExecutedEvents(),
 		PeakPending:    r.net.PeakPending(),
 		HeapHighWater:  r.heapHigh,
@@ -929,7 +927,7 @@ func (r *runner) report() *Report {
 	// leaders included, their copy arrives from the orderer and is in
 	// TotalBytes — receives each injected block exactly once. Zero without
 	// a premade chain (BlockBytes is 0).
-	rep.Overhead = metrics.OverheadRatio(rep.TotalBytes, rep.BlockBytes, r.top.Total(), r.injected)
+	rep.Overhead = metrics.OverheadRatio(rep.TotalBytes, rep.BlockBytes, r.top.Total(), rep.BlocksInjected)
 	rep.Obs = r.snapshot(rep)
 	if r.opt.Trace {
 		rep.Events = r.tracer.Merged()
@@ -963,10 +961,11 @@ func (r *runner) orgReport(o int, tv *netmodel.Traffic, blockBytes int) OrgRepor
 		Org:       o,
 		Variant:   string(r.net.Orgs[o].Variant),
 		Peers:     r.top.Size(o),
-		Delivered: len(r.orgSeen[o]),
+		Delivered: r.net.Delivered(o),
 		Recovery:  metrics.SummarizeSamples(r.recovery[o]),
 		Latency:   metrics.SummarizeSamples(r.dissem[o]),
 	}
+	last := int64(r.injected()) - 1
 	for _, i := range r.top.OrgSpan(o) {
 		in, _ := tv.NodeTotals(wire.NodeID(i))
 		or.InBytes += in
@@ -974,7 +973,7 @@ func (r *runner) orgReport(o int, tv *netmodel.Traffic, blockBytes int) OrgRepor
 			continue
 		}
 		or.Survivors++
-		if r.lastCommit[i] == int64(r.injected)-1 {
+		if r.lastCommit[i] == last {
 			or.CaughtUp++
 		}
 		if r.recovering[i] {

@@ -154,7 +154,10 @@ type pendingTx struct {
 
 // Plane is an installed workload plane over one harness.Network. Install
 // wires it; Start and Stop bound the submission window; Stats snapshots
-// the outcome counters.
+// the outcome counters. Outcomes are resolved where Fabric decides them:
+// an organization member's commit hook reads the transaction ids from the
+// block it committed and the codes from its validation result, so the plane
+// keeps no record of what the ordering service cut.
 type Plane struct {
 	cfg Config
 	net *harness.Network
@@ -193,31 +196,12 @@ type Plane struct {
 	// shard. Looked up only by key — never
 	// iterated — so it cannot perturb determinism.
 	pending []map[crypto.Digest]*pendingTx
-	// blockTxs records each cut block's transaction IDs so a peer's
-	// CommitResult (block number + per-index codes) can be mapped back to
-	// transactions. One map per organization: blocks are cut on the
-	// ordering engine but resolved on each org's, so the cut queues the
-	// record (txSync, ordering-shard-local) and a coordinator barrier
-	// fans it out while every shard is quiescent. Gossip needs at least
-	// one full window to carry the block to any peer, so the fan-out
-	// always lands before the first resolver reads it.
-	blockTxs []map[uint64][]crypto.Digest
-	txSync   []blockRecord
-	// cutSeen dedupes cuts (every consenter replica cuts the identical
-	// block; the first registers it). Ordering-engine-local.
-	cutSeen map[uint64]bool
 	// orgNext is the next block number each organization has yet to
 	// resolve: the first member to commit it processes the outcomes,
 	// later members skip.
 	orgNext []uint64
 
 	stats []orgCounters
-}
-
-// blockRecord is one cut block's transaction ids awaiting barrier fan-out.
-type blockRecord struct {
-	num uint64
-	ids []crypto.Digest
 }
 
 // orgCounters accumulates one organization's resolution outcomes.
@@ -268,16 +252,12 @@ func Install(n *harness.Network, cfg Config) (*Plane, error) {
 		signers:     make(map[int]*crypto.Signer),
 		endorserIdx: make([][]int, len(n.Orgs)),
 		pending:     make([]map[crypto.Digest]*pendingTx, len(n.Orgs)),
-		blockTxs:    make([]map[uint64][]crypto.Digest, len(n.Orgs)),
-		cutSeen:     make(map[uint64]bool),
 		orgNext:     make([]uint64, len(n.Orgs)),
 		stats:       make([]orgCounters, len(n.Orgs)),
 	}
 	for o := range n.Orgs {
 		p.pending[o] = make(map[crypto.Digest]*pendingTx)
-		p.blockTxs[o] = make(map[uint64][]crypto.Digest)
 	}
-	n.Sharded().OnBarrier(p.syncBlockTxs)
 
 	// Identities: one MSP enrolls the orderer and every endorsing peer.
 	// The id stream is private to the plane, so installing it leaves every
@@ -336,7 +316,7 @@ func Install(n *harness.Network, cfg Config) (*Plane, error) {
 		i := i
 		p.services[i] = order.NewService(oCfg, ordEng,
 			&clusterConsenter{net: n, idx: i}, ordererSigner,
-			func(b *ledger.Block) { p.onClusterCut(i, b) })
+			func(b *ledger.Block) { n.OfferBlock(i, b) })
 	}
 	n.SetSubmitHandler(func(consenter int, tx *ledger.Transaction) {
 		_ = p.services[consenter].Broadcast(tx)
@@ -446,44 +426,6 @@ func (p *Plane) OnBlockCut(fn func(consenter int, num uint64, txs int)) {
 	}
 }
 
-// onClusterCut receives a block cut by one consenter's service replica.
-// Every replica cuts the identical block from the identical apply stream,
-// so the tracking record is first-cut-wins; the network's deliver plane
-// gates on the current leader's own cut height.
-func (p *Plane) onClusterCut(consenter int, b *ledger.Block) {
-	if !p.cutSeen[b.Num] {
-		p.cutSeen[b.Num] = true
-		p.recordBlock(b)
-	}
-	p.net.OfferBlock(consenter, b)
-}
-
-// recordBlock queues a cut block's transaction ids on the ordering shard;
-// syncBlockTxs fans them out to every organization's resolvers at the next
-// coordinator barrier.
-func (p *Plane) recordBlock(b *ledger.Block) {
-	txs := b.Transactions()
-	ids := make([]crypto.Digest, len(txs))
-	for i, tx := range txs {
-		ids[i] = tx.ID
-	}
-	p.txSync = append(p.txSync, blockRecord{num: b.Num, ids: ids})
-	// The fan-out hook must not be elided by an adaptive coordinator.
-	p.net.Sharded().RequestBarrier()
-}
-
-// syncBlockTxs is the coordinator barrier hook that publishes
-// ordering-shard block records to every organization's blockTxs map while
-// all shards are quiescent.
-func (p *Plane) syncBlockTxs() {
-	for _, r := range p.txSync {
-		for o := range p.blockTxs {
-			p.blockTxs[o][r.num] = r.ids
-		}
-	}
-	p.txSync = p.txSync[:0]
-}
-
 // clusterConsenter adapts one harness consenter slot to order.Consenter:
 // submissions go through the consenter's reliable Raft shim, the committed
 // stream is the consenter's non-block apply feed.
@@ -502,44 +444,33 @@ func (c *clusterConsenter) OnCommit(fn func(data []byte)) {
 
 // resolver returns the commit-result hook for one peer: the first member
 // of an organization to commit a block resolves its transactions for that
-// organization's issuing clients.
-func (p *Plane) resolver(global int) func(ledger.CommitResult) {
+// organization's issuing clients. Each org resolves every block, but only
+// its own clients' transactions are pending there; the rest are skipped.
+func (p *Plane) resolver(global int) func(*ledger.Block, ledger.CommitResult) {
 	org := p.net.OrgOf(global)
-	return func(res ledger.CommitResult) {
+	st := &p.stats[org]
+	return func(b *ledger.Block, res ledger.CommitResult) {
 		if res.BlockNum != p.orgNext[org] {
 			return // already resolved by a faster member (or a stale peer)
 		}
 		p.orgNext[org]++
-		ids := p.blockTxs[org][res.BlockNum]
-		for i, code := range res.Codes {
-			if i >= len(ids) {
-				break
+		for i, tx := range b.Transactions() {
+			pt, ok := p.pending[org][tx.ID]
+			if !ok {
+				continue
 			}
-			p.resolve(org, ids[i], code)
-		}
-	}
-}
-
-// resolve settles one transaction outcome observed by the given
-// organization. Only the issuing organization's observation counts — each
-// org resolves every block, but a transaction is tracked by exactly one
-// pending record held by its issuing client.
-func (p *Plane) resolve(org int, id crypto.Digest, code ledger.ValidationCode) {
-	pt, ok := p.pending[org][id]
-	if !ok || pt.client.org != org {
-		return
-	}
-	delete(p.pending[org], id)
-	st := &p.stats[org]
-	switch code {
-	case ledger.CodeValid:
-		st.committed++
-		st.latencies = append(st.latencies, pt.client.eng.Now()-pt.submitAt)
-	default: // MVCC conflict or endorsement failure
-		st.conflicts++
-		if code == ledger.CodeMVCCConflict && pt.retries < p.cfg.RetryMax && p.running {
-			st.retries++
-			pt.client.invoke(pt.key, pt.retries+1)
+			delete(p.pending[org], tx.ID)
+			switch code := res.Codes[i]; code {
+			case ledger.CodeValid:
+				st.committed++
+				st.latencies = append(st.latencies, pt.client.eng.Now()-pt.submitAt)
+			default: // MVCC conflict or endorsement failure
+				st.conflicts++
+				if code == ledger.CodeMVCCConflict && pt.retries < p.cfg.RetryMax && p.running {
+					st.retries++
+					pt.client.invoke(pt.key, pt.retries+1)
+				}
+			}
 		}
 	}
 }

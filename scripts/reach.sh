@@ -19,7 +19,11 @@
 #   scripts/reach.sh sweep [noscale] run the programs; noscale leaves out the
 #                                    1000-peer and 10k steps (CI runs those
 #                                    itself, on $REACH_OUT/bin/scenarios with
-#                                    GOCOVERDIR=$REACH_OUT/cov/main)
+#                                    GOCOVERDIR=$REACH_OUT/cov/main). After a
+#                                    noscale sweep alone, report exits 1 on
+#                                    membership.rumorQueue.popFront: only the
+#                                    >= 1000-peer SWIM steps overflow a rumor
+#                                    queue, so run those first, as CI does
 #   scripts/reach.sh report          textfmt + tables + unreached.blocks +
 #                                    reach.keep check
 #
