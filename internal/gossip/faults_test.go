@@ -67,8 +67,9 @@ func TestOriginalSurvivesPacketLoss(t *testing.T) {
 }
 
 func TestEnhancedSurvivesLinkPartitionWithRecovery(t *testing.T) {
-	// Cut every inbound link of one peer during dissemination; after the
-	// partition heals, recovery brings it up to date.
+	// Partition one peer away from the others and the orderer during
+	// dissemination; after the partition heals, recovery brings it up to
+	// date.
 	const n = 20
 	cfg, err := enhanced.ConfigFor(n, 3, 1e-6, 2)
 	if err != nil {
@@ -79,9 +80,7 @@ func TestEnhancedSurvivesLinkPartitionWithRecovery(t *testing.T) {
 		g.StateInfoInterval = time.Second
 	})
 	victim := 9
-	for i := 0; i < n+1; i++ { // +1 covers the orderer endpoint
-		o.net.SetLinkDown(uintID(i), uintID(victim), true)
-	}
+	o.net.Partition(nil, []wire.NodeID{uintID(victim)})
 	blocks := testChain(4)
 	for i, b := range blocks {
 		b := b
@@ -91,9 +90,7 @@ func TestEnhancedSurvivesLinkPartitionWithRecovery(t *testing.T) {
 	if len(o.received[victim]) != 0 {
 		t.Fatal("partitioned peer received blocks")
 	}
-	for i := 0; i < n+1; i++ {
-		o.net.SetLinkDown(uintID(i), uintID(victim), false)
-	}
+	o.net.Heal()
 	o.engine.RunUntil(30 * time.Second)
 	for _, b := range blocks {
 		if _, ok := o.received[victim][b.Num]; !ok {

@@ -95,13 +95,12 @@ func (n *Network) buildCluster(k int) {
 		i := i
 		node := raft.New(raft.DefaultConfig(ids[i], ids), c.eps[i], eng,
 			eng.Rand(fmt.Sprintf("raft/consenter%d", i)))
+		// Clients broadcast each envelope to every live consenter
+		// (SubmitTargets), so the log carries duplicates by design; the
+		// shim delivers each payload once. Harness payloads are
+		// content-unique (blocks by number, workload transactions by
+		// client nonce), as the shim requires.
 		shim := raft.NewConsenter(node, eng)
-		// Exactly-once delivery: clients broadcast each envelope to every
-		// live consenter (SubmitTargets) and the shims re-propose through
-		// elections, so the log carries duplicates by design. Harness
-		// payloads are content-unique (blocks by number, workload
-		// transactions by client nonce), which SetDedup requires.
-		shim.SetDedup(4096)
 		node.OnStateChange(func(s raft.State, term uint64) {
 			n.onConsenterState(i, s, term)
 		})

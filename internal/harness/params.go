@@ -118,8 +118,9 @@ func Fig12Params(seed int64) Params {
 	return p
 }
 
-// QuickScale shrinks a parameter set for fast tests and the quickstart
-// example: fewer peers and blocks, same protocol behaviour.
+// QuickScale shrinks a parameter set for fast tests, the figures' -quick
+// runs and the compare example: fewer peers and blocks, same protocol
+// behaviour.
 func QuickScale(p Params, peers, blocks int) Params {
 	p.NumPeers = peers
 	p.NumBlocks = blocks

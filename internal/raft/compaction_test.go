@@ -46,7 +46,7 @@ func (r *compactionRun) checkBound(when string) {
 	}
 	for i, x := range r.c.nodes {
 		x.mu.Lock()
-		size, last, maxEntries := len(x.log), x.lastIndexLocked(), x.cfg.MaxEntriesPerAppend
+		size, last, maxEntries := len(x.log), x.lastIndexLocked(), maxEntriesPerAppend
 		x.mu.Unlock()
 		excess := size - int(last-min(last, slowest))
 		r.maxExcess = max(r.maxExcess, excess)
@@ -205,7 +205,7 @@ func runCompactionSchedule(t *testing.T, n int, seed int64) *compactionRun {
 //   - a follower down across thousands of commits and a leader change
 //     catches up by AppendEntries alone (there is nothing else);
 //   - once the cluster settles, each log holds at most the entries above
-//     the slowest node's match plus MaxEntriesPerAppend.
+//     the slowest node's match plus maxEntriesPerAppend.
 //
 // Compacting at commitIndex instead of the low-water fails it: the revived
 // follower's missing suffix is gone, and it never catches up.

@@ -24,14 +24,13 @@ import (
 //     committing), until they commit — a dropped harness block would wedge
 //     the chain, and workload accounting requires every accepted envelope
 //     to resolve.
-//   - Re-proposal can place a payload in the log twice. By default the
-//     duplicates are delivered as-is — at-least-once, absorbed by MVCC
-//     validation downstream. SetDedup opts into exactly-once delivery over
-//     a bounded window of recently applied payloads, for callers whose
-//     payloads are content-unique (distinct submissions always differ in
-//     bytes). The window is driven purely by the (identical) apply stream,
-//     so every consenter in the cluster suppresses the same duplicates and
-//     cuts the same blocks.
+//   - Re-proposal can place a payload in the log twice, so delivery runs
+//     through a window of the last dedupWindow applied payloads and a copy
+//     seen there is suppressed. Distinct submissions must therefore differ
+//     in bytes (a client nonce, a block number): an identical
+//     re-submission inside the window is delivered once. The window is
+//     driven purely by the (identical) apply stream, so every consenter in
+//     the cluster suppresses the same duplicates and cuts the same blocks.
 //
 // Retry scanning and re-proposal follow submission order, keeping the
 // shim's behavior a pure function of the schedule — a requirement on the
@@ -51,18 +50,23 @@ type Consenter struct {
 	stopped  bool
 
 	// seen is the exactly-once window over applied payloads: a FIFO set of
-	// the last dedupWindow payloads, keyed by SHA-256 digest so the window
+	// the last window payloads, keyed by SHA-256 digest so the window
 	// holds 32 bytes per payload rather than a copy of it. seenQ is the
-	// insertion ring (evicted oldest-first at seenNext once full).
-	// dedupWindow 0 (the default) disables deduplication.
-	seen        map[crypto.Digest]struct{}
-	seenQ       []crypto.Digest
-	seenNext    int
-	dedupWindow int
+	// insertion ring (evicted oldest-first at seenNext once full). window
+	// is dedupWindow; only the package's tests shrink it.
+	seen     map[crypto.Digest]struct{}
+	seenQ    []crypto.Digest
+	seenNext int
+	window   int
 }
 
-// sweepInterval is how often unacknowledged payloads are re-proposed.
-const sweepInterval = 250 * time.Millisecond
+const (
+	// sweepInterval is how often unacknowledged payloads are re-proposed.
+	sweepInterval = 250 * time.Millisecond
+	// dedupWindow is how many applied payloads the exactly-once window
+	// remembers: far more than a shim re-proposes across an election.
+	dedupWindow = 4096
+)
 
 // NewConsenter wraps a node. OnCommit must be called (by the ordering
 // service) before Submit.
@@ -72,6 +76,7 @@ func NewConsenter(node *Node, sched sim.Scheduler) *Consenter {
 		sched:   sched,
 		pending: make(map[string]time.Duration),
 		seen:    make(map[crypto.Digest]struct{}),
+		window:  dedupWindow,
 	}
 	node.OnLeaderChange(func(_ wire.NodeID, known bool) {
 		if known {
@@ -84,18 +89,6 @@ func NewConsenter(node *Node, sched sim.Scheduler) *Consenter {
 // Node returns the wrapped Raft node.
 func (c *Consenter) Node() *Node { return c.node }
 
-// SetDedup opts into exactly-once delivery: committed payloads seen within
-// the last window applies are suppressed as duplicates. Only valid when
-// distinct submissions are guaranteed distinct bytes (a nonce, a block
-// number); identical re-submissions of the same content — e.g. a client
-// re-endorsing an unchanged transaction after a conflict — would be
-// swallowed. Zero disables (the default).
-func (c *Consenter) SetDedup(window int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.dedupWindow = window
-}
-
 // Stop halts the retry sweep.
 func (c *Consenter) Stop() {
 	c.mu.Lock()
@@ -104,7 +97,7 @@ func (c *Consenter) Stop() {
 }
 
 // OnCommit implements order.Consenter. Committed entries are delivered in
-// log order, exactly once across the dedup window.
+// log order, exactly once across the window.
 func (c *Consenter) OnCommit(fn func(data []byte)) {
 	c.mu.Lock()
 	c.commitFn = fn
@@ -112,7 +105,7 @@ func (c *Consenter) OnCommit(fn func(data []byte)) {
 	c.node.OnApply(func(data []byte) {
 		c.mu.Lock()
 		delete(c.pending, string(data))
-		if c.dedupWindow > 0 && !c.firstSightLocked(sha256.Sum256(data)) {
+		if !c.firstSightLocked(sha256.Sum256(data)) {
 			c.mu.Unlock()
 			return // a re-proposed copy: already delivered downstream
 		}
@@ -126,12 +119,12 @@ func (c *Consenter) OnCommit(fn func(data []byte)) {
 
 // firstSightLocked enters d into the exactly-once window and reports
 // whether it was new there, evicting the oldest digest once the window
-// holds dedupWindow of them.
+// is full.
 func (c *Consenter) firstSightLocked(d crypto.Digest) bool {
 	if _, dup := c.seen[d]; dup {
 		return false
 	}
-	if len(c.seenQ) < c.dedupWindow {
+	if len(c.seenQ) < c.window {
 		c.seenQ = append(c.seenQ, d)
 	} else {
 		delete(c.seen, c.seenQ[c.seenNext])

@@ -35,7 +35,6 @@ func TestConsenterSubmitAcrossForcedElection(t *testing.T) {
 		ep := net.AddNode()
 		nodes[i] = New(DefaultConfig(ep.ID(), ids), ep, engine, engine.Rand("raft"))
 		shims[i] = NewConsenter(nodes[i], engine)
-		shims[i].SetDedup(128) // payloads below are unique strings
 		idx := i
 		shims[i].OnCommit(func(data []byte) {
 			delivered[idx] = append(delivered[idx], string(data))
@@ -127,7 +126,6 @@ func TestConsenterRestartRejoinsByLogReplay(t *testing.T) {
 		ep := net.AddNode()
 		nodes[i] = New(DefaultConfig(ep.ID(), ids), ep, engine, engine.Rand("raft"))
 		shims[i] = NewConsenter(nodes[i], engine)
-		shims[i].SetDedup(128) // payloads below are unique strings
 		idx := i
 		shims[i].OnCommit(func(data []byte) {
 			delivered[idx] = append(delivered[idx], string(data))

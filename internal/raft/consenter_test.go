@@ -14,8 +14,22 @@ import (
 
 // TestOrderingServiceOverRaft integrates the Raft consenter with the block
 // cutter: three ordering nodes, transactions submitted at any of them, and
-// every node cutting the identical chain of blocks.
+// every node cutting the identical chain of blocks. Broadcasting each
+// transaction to all three services, as harness clients do, must still
+// order each one once: the order.Consenter contract is exactly-once.
 func TestOrderingServiceOverRaft(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		targets func(i int) []int // the services transaction i goes to
+	}{
+		{"round-robin", func(i int) []int { return []int{i % 3} }},
+		{"broadcast to every service", func(int) []int { return []int{0, 1, 2} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) { orderOverRaft(t, tc.targets) })
+	}
+}
+
+func orderOverRaft(t *testing.T, targets func(i int) []int) {
 	engine := sim.NewEngine(11)
 	model := netmodel.Model{PropMin: time.Millisecond, PropMax: 2 * time.Millisecond}
 	net := transport.NewSimNetwork(engine, model, nil)
@@ -52,19 +66,20 @@ func TestOrderingServiceOverRaft(t *testing.T) {
 		}
 	}
 
-	// Submit 8 transactions round-robin across the three nodes, starting
-	// before any leader exists (the consenter retries).
+	// Submit 8 transactions, starting before any leader exists (the
+	// consenter retries).
 	for i := 0; i < 8; i++ {
 		i := i
-		svc := services[i%clusterSize]
 		engine.At(time.Duration(i)*50*time.Millisecond, func() {
-			_ = svc.Broadcast(mkTx(i))
+			for _, s := range targets(i) {
+				_ = services[s].Broadcast(mkTx(i))
+			}
 		})
 	}
 	engine.RunUntil(20 * time.Second)
 
 	// All three ordering nodes must have cut identical chains covering
-	// all 8 transactions (2 full blocks of 3, 1 timeout block of 2).
+	// all 8 transactions once each.
 	for i := 1; i < clusterSize; i++ {
 		if len(cut[i]) != len(cut[0]) {
 			t.Fatalf("node %d cut %d blocks, node 0 cut %d", i, len(cut[i]), len(cut[0]))

@@ -12,9 +12,6 @@ import (
 	"fabricgossip/internal/wire"
 )
 
-// dedupWindow is the window the harness's consenters run with.
-const dedupWindow = 4096
-
 // applyStream feeds a scripted apply stream straight into a Consenter's
 // exactly-once window and returns what it delivers downstream.
 func applyStream(t *testing.T, window int, stream []string) []string {
@@ -24,7 +21,7 @@ func applyStream(t *testing.T, window int, stream []string) []string {
 	ep := net.AddNode()
 	node := New(DefaultConfig(ep.ID(), []wire.NodeID{ep.ID()}), ep, engine, engine.Rand("raft"))
 	c := NewConsenter(node, engine)
-	c.SetDedup(window)
+	c.window = window
 	var out []string
 	c.OnCommit(func(data []byte) { out = append(out, string(data)) })
 	for _, s := range stream {
@@ -40,16 +37,14 @@ func stringKeyed(window int, stream []string) []string {
 	seen := map[string]bool{}
 	var q, out []string
 	for _, s := range stream {
-		if window > 0 {
-			if seen[s] {
-				continue
-			}
-			seen[s] = true
-			q = append(q, s)
-			if len(q) > window {
-				delete(seen, q[0])
-				q = q[1:]
-			}
+		if seen[s] {
+			continue
+		}
+		seen[s] = true
+		q = append(q, s)
+		if len(q) > window {
+			delete(seen, q[0])
+			q = q[1:]
 		}
 		out = append(out, s)
 	}
@@ -97,8 +92,6 @@ func TestDedupWindowDeliversEachPayloadOnce(t *testing.T) {
 		{"a suppressed copy does not refresh its slot", dedupWindow,
 			cat([]string{a}, fill("f", 4000), []string{a}, fill("g", 96), []string{a}),
 			cat([]string{a}, fill("f", 4000), fill("g", 96), []string{a})},
-		{"window 0 delivers everything", 0,
-			[]string{a, a, ttc(1), ttc(1)}, []string{a, a, ttc(1), ttc(1)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -58,32 +58,28 @@ func (s State) String() string {
 	}
 }
 
-// Config parameterizes a Raft node.
+// Config names a Raft node and its cluster.
 type Config struct {
 	// ID is this node; Peers lists the whole cluster including ID.
 	ID    wire.NodeID
 	Peers []wire.NodeID
-	// ElectionTimeoutMin/Max bound the randomized election timeout.
-	ElectionTimeoutMin time.Duration
-	ElectionTimeoutMax time.Duration
-	// HeartbeatInterval is the leader's idle AppendEntries period. It
-	// must be well below the election timeout.
-	HeartbeatInterval time.Duration
-	// MaxEntriesPerAppend bounds the entries shipped per AppendEntries.
-	MaxEntriesPerAppend int
 }
 
-// DefaultConfig returns LAN-appropriate timing for the given cluster.
+// DefaultConfig returns the config of node id in the cluster peers.
 func DefaultConfig(id wire.NodeID, peers []wire.NodeID) Config {
-	return Config{
-		ID:                  id,
-		Peers:               peers,
-		ElectionTimeoutMin:  150 * time.Millisecond,
-		ElectionTimeoutMax:  300 * time.Millisecond,
-		HeartbeatInterval:   50 * time.Millisecond,
-		MaxEntriesPerAppend: 64,
-	}
+	return Config{ID: id, Peers: peers}
 }
+
+// Raft timing is the Raft paper's LAN profile (Ongaro & Ousterhout, USENIX
+// ATC 2014): election timeouts drawn from [electionTimeoutMin,
+// electionTimeoutMax), a heartbeat well below them, and at most
+// maxEntriesPerAppend entries shipped per AppendEntries.
+const (
+	electionTimeoutMin  = 150 * time.Millisecond
+	electionTimeoutMax  = 300 * time.Millisecond
+	heartbeatInterval   = 50 * time.Millisecond
+	maxEntriesPerAppend = 64
+)
 
 // ErrNotLeader is returned by Propose on a non-leader that knows no leader
 // to forward to.
@@ -104,7 +100,7 @@ var ErrNotLeader = errors.New("raft: not the leader")
 //     match: they always pass the follower's consistency check, carry the
 //     commit index and feed check-quorum, and their answers (MatchIndex ==
 //     match) change nothing here;
-//   - an append unanswered for ElectionTimeoutMin — the silence check-quorum
+//   - an append unanswered for electionTimeoutMin — the silence check-quorum
 //     counts as absence — is written off, not re-sent: the next append is
 //     anchored at next-1 again, and the follower's verdict on it (success if
 //     only the answer was lost, else a hint) says exactly what to re-ship.
@@ -363,7 +359,7 @@ func (n *Node) compactLocked(lowWater uint64) {
 	n.baseTerm = n.termAtLocked(to)
 	drop := int(to - n.base)
 	n.log, n.base, n.dead = n.log[drop:], to, n.dead+drop
-	if n.dead >= len(n.log) && n.dead >= n.cfg.MaxEntriesPerAppend {
+	if n.dead >= len(n.log) && n.dead >= maxEntriesPerAppend {
 		n.log, n.dead = append([]wire.RaftEntry(nil), n.log...), 0
 	}
 }
@@ -422,11 +418,7 @@ func (n *Node) resetElectionTimerLocked() {
 	if n.electionTimer != nil {
 		n.electionTimer.Stop()
 	}
-	spread := n.cfg.ElectionTimeoutMax - n.cfg.ElectionTimeoutMin
-	d := n.cfg.ElectionTimeoutMin
-	if spread > 0 {
-		d += time.Duration(n.rng.Int63n(int64(spread)))
-	}
+	d := electionTimeoutMin + time.Duration(n.rng.Int63n(int64(electionTimeoutMax-electionTimeoutMin)))
 	n.electionTimer = n.sched.After(d, n.electionTimeout)
 }
 
@@ -500,7 +492,7 @@ func (n *Node) armHeartbeatLocked() {
 	if n.stopped {
 		return
 	}
-	n.heartbeatTimer = n.sched.After(n.cfg.HeartbeatInterval, func() {
+	n.heartbeatTimer = n.sched.After(heartbeatInterval, func() {
 		n.mu.Lock()
 		if n.stopped || n.state != Leader {
 			n.mu.Unlock()
@@ -528,7 +520,7 @@ func (n *Node) quorumActiveLocked() bool {
 	now := n.sched.Now()
 	active := 0
 	for _, p := range n.cfg.Peers {
-		if p == n.cfg.ID || now-n.progress[p].lastAck <= n.cfg.ElectionTimeoutMin {
+		if p == n.cfg.ID || now-n.progress[p].lastAck <= electionTimeoutMin {
 			active++
 		}
 	}
@@ -538,7 +530,7 @@ func (n *Node) quorumActiveLocked() bool {
 // broadcastAppends sends every follower the append it is due: the entries
 // it has not been sent yet if nothing is outstanding to it, and on a
 // heartbeat an empty append to everyone else, so that each follower hears
-// from the leader (and the leader from it) once per HeartbeatInterval.
+// from the leader (and the leader from it) once per heartbeatInterval.
 func (n *Node) broadcastAppends(heartbeat bool) {
 	n.mu.Lock()
 	if n.state != Leader || n.stopped {
@@ -567,7 +559,7 @@ func (n *Node) broadcastAppends(heartbeat bool) {
 // nextAppendLocked builds the append the follower is due, or nil if it is
 // due none. With entries outstanding that is nothing, or on a heartbeat the
 // empty append anchored at match; otherwise it is the unsent suffix from
-// next (up to MaxEntriesPerAppend), and shipping it advances next. An idle
+// next (up to maxEntriesPerAppend), and shipping it advances next. An idle
 // follower's heartbeat is that same append with no entries, anchored at
 // next-1 — which is also how a new leader probes for match.
 func (n *Node) nextAppendLocked(pr *progress, heartbeat bool) *wire.RaftAppend {
@@ -583,10 +575,10 @@ func (n *Node) nextAppendLocked(pr *progress, heartbeat bool) *wire.RaftAppend {
 	if last == prev && !heartbeat {
 		return nil
 	}
-	last = min(last, prev+uint64(n.cfg.MaxEntriesPerAppend))
+	last = min(last, prev+uint64(maxEntriesPerAppend))
 	if last > prev {
 		pr.next = last + 1
-		pr.pendingUntil = now + n.cfg.ElectionTimeoutMin
+		pr.pendingUntil = now + electionTimeoutMin
 		n.shipped += last - prev
 	}
 	return &wire.RaftAppend{

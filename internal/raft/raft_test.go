@@ -237,8 +237,7 @@ func TestLeaderWithoutQuorumStepsDown(t *testing.T) {
 			c.net.SetNodeDown(n.cfg.ID, true)
 		}
 	}
-	cfg := old.cfg
-	c.engine.RunFor(cfg.ElectionTimeoutMin + 2*cfg.HeartbeatInterval)
+	c.engine.RunFor(electionTimeoutMin + 2*heartbeatInterval)
 	if st, _, _, known := old.Status(); st == Leader || known {
 		t.Fatalf("cut-off leader is still %v (leader known: %v) after an election timeout", st, known)
 	}
@@ -378,7 +377,7 @@ func watchReplication(t *testing.T, c *cluster, l *Node, lossFree bool) *watch {
 	w := &watch{receipts: make(map[wire.NodeID]map[uint64]int)}
 	// outstanding[f] is the last index of the entries-bearing append to f
 	// that no success has covered yet (0: none); the leader writes it off
-	// after ElectionTimeoutMin, and so does the watch.
+	// after electionTimeoutMin, and so does the watch.
 	outstanding := make(map[wire.NodeID]uint64)
 	sentAt := make(map[wire.NodeID]time.Duration)
 	type mark struct{ match, next uint64 }
@@ -405,7 +404,7 @@ func watchReplication(t *testing.T, c *cluster, l *Node, lossFree bool) *watch {
 	c.onSend = func(from, to wire.NodeID, msg wire.Message) bool {
 		if m, ok := msg.(*wire.RaftAppend); ok && from == l.cfg.ID {
 			checkProgress()
-			if c.engine.Now()-sentAt[to] >= l.cfg.ElectionTimeoutMin {
+			if c.engine.Now()-sentAt[to] >= electionTimeoutMin {
 				outstanding[to] = 0
 			}
 			switch hi := m.PrevLogIndex + uint64(len(m.Entries)); {
@@ -573,7 +572,7 @@ func TestLateAnswersDoNotRegressProgress(t *testing.T) {
 	}
 	// "x" is written off and "y" leaves anchored behind it; when the answer
 	// to "x" turns up after all, it advances match and leaves "y" alone.
-	c.engine.RunFor(l.cfg.ElectionTimeoutMin + l.cfg.HeartbeatInterval)
+	c.engine.RunFor(electionTimeoutMin + heartbeatInterval)
 	check(10, 13, true)
 	before, _ := l.Replication()
 	l.Handle(f, &wire.RaftAppendResponse{Term: term, Success: true, MatchIndex: 11})
@@ -601,11 +600,11 @@ func (c *cluster) dropFirst(pred func(from, to wire.NodeID, msg wire.Message) bo
 }
 
 // lossBound is how long a lost append or answer may go unrepaired: the
-// append is written off after ElectionTimeoutMin, the next heartbeat (or
+// append is written off after electionTimeoutMin, the next heartbeat (or
 // proposal) probes at next-1, and the follower's verdict and the re-shipped
 // entries each cross the link once more.
-func lossBound(cfg Config, oneWay time.Duration) time.Duration {
-	return cfg.ElectionTimeoutMin + cfg.HeartbeatInterval + 3*oneWay
+func lossBound(oneWay time.Duration) time.Duration {
+	return electionTimeoutMin + heartbeatInterval + 3*oneWay
 }
 
 // A dropped append is repaired within lossBound by hint back-off — the
@@ -620,11 +619,11 @@ func TestDroppedAppendIsRepaired(t *testing.T) {
 		return ok && to == victim.cfg.ID && len(m.Entries) > 0
 	})
 	_ = l.Propose([]byte("lost-once"))
-	c.engine.RunFor(l.cfg.ElectionTimeoutMin - time.Millisecond)
+	c.engine.RunFor(electionTimeoutMin - time.Millisecond)
 	if *droppedAt < 0 || len(w.receipts[victim.cfg.ID]) != 0 {
 		t.Fatalf("dropped at %v, victim received %v before the append was written off", *droppedAt, w.receipts[victim.cfg.ID])
 	}
-	c.engine.RunUntil(*droppedAt + lossBound(l.cfg, 3*time.Millisecond))
+	c.engine.RunUntil(*droppedAt + lossBound(3*time.Millisecond))
 	if n := w.receipts[victim.cfg.ID][1]; n != 1 {
 		t.Fatalf("victim received index 1 %d times within the loss bound, want once", n)
 	}
@@ -651,7 +650,7 @@ func TestDroppedAnswerIsRepairedWithoutReshipping(t *testing.T) {
 	if *droppedAt < 0 {
 		t.Fatal("the victim's answer was not dropped")
 	}
-	c.engine.RunUntil(*droppedAt + lossBound(l.cfg, 3*time.Millisecond))
+	c.engine.RunUntil(*droppedAt + lossBound(3*time.Millisecond))
 	l.mu.Lock()
 	match := l.progress[victim.cfg.ID].match
 	l.mu.Unlock()
@@ -704,7 +703,7 @@ func TestInFlightAppendSurvivesLogTruncation(t *testing.T) {
 	for _, v := range []string{"a", "b", "c"} {
 		_ = l.Propose([]byte(v))
 	}
-	c.engine.RunFor(l.cfg.ElectionTimeoutMin + l.cfg.HeartbeatInterval)
+	c.engine.RunFor(electionTimeoutMin + heartbeatInterval)
 	if sent == nil {
 		t.Fatal("no two-entry append was built")
 	}

@@ -28,13 +28,8 @@ type SimNetwork struct {
 	// only from control code — between runs, or at window barriers with
 	// every shard quiescent — and read concurrently during windows, which is
 	// safe without locks.
-	nodes []simNode
-	// downLink and linkExtra are the per-link faults (cut links, slow
-	// links), keyed by (from, to); the length checks keep a fault-free send
-	// off the map lookups.
-	downLink  map[[2]wire.NodeID]bool
-	linkExtra map[[2]wire.NodeID]time.Duration
-	dropRate  float64
+	nodes    []simNode
+	dropRate float64
 	// siteDelay is the extra one-way latency a message crossing a WAN site
 	// boundary pays: an O(1) compare of the endpoints' sites per send
 	// instead of the O(n^2) link override map a full WAN mesh would need.
@@ -99,11 +94,9 @@ func NewShardedSimNetwork(se *sim.ShardedEngine, model netmodel.Model, traffics 
 
 func newSimNetwork(model netmodel.Model, coord *sim.ShardedEngine, engines []*sim.Engine, traffics []*netmodel.Traffic) *SimNetwork {
 	n := &SimNetwork{
-		model:     model,
-		coord:     coord,
-		shards:    make([]simShard, len(engines)),
-		downLink:  make(map[[2]wire.NodeID]bool),
-		linkExtra: make(map[[2]wire.NodeID]time.Duration),
+		model:  model,
+		coord:  coord,
+		shards: make([]simShard, len(engines)),
 	}
 	for i, eng := range engines {
 		n.shards[i] = simShard{eng: eng, rng: eng.Rand("transport"), traffic: traffics[i]}
@@ -150,15 +143,6 @@ func (n *SimNetwork) shardOfNode(id wire.NodeID) int {
 	panic(fmt.Sprintf("transport: node %v has no shard assignment", id))
 }
 
-// SetLinkDown cuts (or restores) the directed link from -> to.
-func (n *SimNetwork) SetLinkDown(from, to wire.NodeID, down bool) {
-	if down {
-		n.downLink[[2]wire.NodeID{from, to}] = true
-	} else {
-		delete(n.downLink, [2]wire.NodeID{from, to})
-	}
-}
-
 // SetNodeDown crashes (or revives) a node: all its inbound and outbound
 // messages are dropped.
 func (n *SimNetwork) SetNodeDown(id wire.NodeID, down bool) {
@@ -170,7 +154,7 @@ func (n *SimNetwork) SetDropRate(p float64) { n.dropRate = p }
 
 // SetLossExempt marks (or unmarks) a message type as exempt from the
 // uniform drop rate, modelling a reliable transport underneath it. Node
-// crashes, link cuts and partitions still drop exempt messages.
+// crashes and partitions still drop exempt messages.
 func (n *SimNetwork) SetLossExempt(mt wire.MsgType, exempt bool) {
 	if n.lossExempt == nil {
 		n.lossExempt = make(map[wire.MsgType]bool)
@@ -193,21 +177,11 @@ func (n *SimNetwork) Partition(groups ...[]wire.NodeID) {
 	}
 }
 
-// Heal removes any active partition. Link/node down states and latency
+// Heal removes any active partition. Node down states and latency
 // overrides are independent and stay in place.
 func (n *SimNetwork) Heal() {
 	for i := range n.nodes {
 		n.nodes[i].group = 0
-	}
-}
-
-// SetLinkExtraDelay adds d of one-way latency to the directed link
-// from -> to, on top of the network model. d <= 0 removes the override.
-func (n *SimNetwork) SetLinkExtraDelay(from, to wire.NodeID, d time.Duration) {
-	if d <= 0 {
-		delete(n.linkExtra, [2]wire.NodeID{from, to})
-	} else {
-		n.linkExtra[[2]wire.NodeID{from, to}] = d
 	}
 }
 
@@ -235,16 +209,13 @@ func (n *SimNetwork) SetSiteDelay(d time.Duration) {
 
 // Reachable reports whether a message from -> to would currently be
 // delivered, ignoring probabilistic loss: the destination exists, neither
-// endpoint is down, the link is up and no partition separates them.
+// endpoint is down and no partition separates them.
 func (n *SimNetwork) Reachable(from, to wire.NodeID) bool {
 	if int(to) >= len(n.nodes) {
 		return false
 	}
 	a, b := &n.nodes[from], &n.nodes[to]
-	if a.down || b.down || a.group != b.group {
-		return false
-	}
-	return len(n.downLink) == 0 || !n.downLink[[2]wire.NodeID{from, to}]
+	return !a.down && !b.down && a.group == b.group
 }
 
 // send accounts, filters and schedules one message on the sender's shard:
@@ -253,8 +224,8 @@ func (n *SimNetwork) Reachable(from, to wire.NodeID) bool {
 // window barrier (the network model is the same either way, so a cross-shard
 // hop costs the same simulated latency). The steady-state path is
 // allocation-free: delivery goes through the engine's pooled AfterMsg
-// events via the pre-bound deliverFn, and the common fault-free,
-// no-overrides case skips every fault and latency-override map lookup.
+// events via the pre-bound deliverFn, and every fault and latency override
+// is a field of the endpoints' dense records.
 func (n *SimNetwork) send(from, to wire.NodeID, msg wire.Message) error {
 	src := n.shardOfNode(from)
 	sh := &n.shards[src]
@@ -272,16 +243,13 @@ func (n *SimNetwork) send(from, to wire.NodeID, msg wire.Message) error {
 	}
 	if !n.Reachable(from, to) {
 		releaseMsg(msg)
-		return nil // silently lost: crashed endpoint, cut link or partition
+		return nil // silently lost: crashed endpoint or partition
 	}
 	if n.dropRate > 0 && !n.lossExempt[msg.Type()] && sh.rng.Float64() < n.dropRate {
 		releaseMsg(msg)
 		return nil
 	}
 	delay := n.model.Delay(sh.rng, size)
-	if len(n.linkExtra) > 0 {
-		delay += n.linkExtra[[2]wire.NodeID{from, to}]
-	}
 	a, b := &n.nodes[from], &n.nodes[to]
 	delay += a.extra + b.extra
 	if a.site != b.site {

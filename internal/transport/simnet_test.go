@@ -64,27 +64,6 @@ func TestSimNetworkNoHandlerNoCrash(t *testing.T) {
 	e.Run() // handler nil: message silently discarded
 }
 
-func TestSimNetworkLinkFault(t *testing.T) {
-	e := sim.NewEngine(1)
-	n := NewSimNetwork(e, fixedModel(0), nil)
-	a, b := n.AddNode(), n.AddNode()
-	count := 0
-	b.SetHandler(func(wire.NodeID, wire.Message) { count++ })
-
-	n.SetLinkDown(a.ID(), b.ID(), true)
-	_ = a.Send(b.ID(), &wire.StateInfo{})
-	e.Run()
-	if count != 0 {
-		t.Fatal("message crossed a down link")
-	}
-	n.SetLinkDown(a.ID(), b.ID(), false)
-	_ = a.Send(b.ID(), &wire.StateInfo{})
-	e.Run()
-	if count != 1 {
-		t.Fatal("message lost after link restore")
-	}
-}
-
 func TestSimNetworkNodeDown(t *testing.T) {
 	e := sim.NewEngine(1)
 	n := NewSimNetwork(e, fixedModel(0), nil)
@@ -177,7 +156,7 @@ func TestSimNetworkTrafficAccounting(t *testing.T) {
 		t.Fatalf("accounted %d bytes, want %d", got, msg.EncodedSize())
 	}
 	// Dropped messages still consume sender bandwidth.
-	n.SetLinkDown(a.ID(), b.ID(), true)
+	n.SetNodeDown(b.ID(), true)
 	_ = a.Send(b.ID(), msg)
 	e.Run()
 	if tr.CountOf(wire.TypeStateInfo) != 2 {
@@ -248,28 +227,28 @@ func TestSimNetworkPartitionUnlistedNodesJoinGroupZero(t *testing.T) {
 	}
 }
 
-func TestSimNetworkLinkAndNodeExtraDelay(t *testing.T) {
+func TestSimNetworkNodeExtraDelay(t *testing.T) {
 	e := sim.NewEngine(1)
 	n := NewSimNetwork(e, fixedModel(time.Millisecond), nil)
 	a, b := n.AddNode(), n.AddNode()
 	var at []time.Duration
 	b.SetHandler(func(wire.NodeID, wire.Message) { at = append(at, e.Now()) })
 
-	n.SetLinkExtraDelay(a.ID(), b.ID(), 10*time.Millisecond)
-	_ = a.Send(b.ID(), &wire.StateInfo{})
-	e.Run()
-	if len(at) != 1 || at[0] != 11*time.Millisecond {
-		t.Fatalf("link-delayed delivery at %v, want 11ms", at)
-	}
-	// Node delay stacks on both endpoints and on the link override.
 	n.SetNodeExtraDelay(b.ID(), 5*time.Millisecond)
 	_ = a.Send(b.ID(), &wire.StateInfo{})
 	e.Run()
+	if len(at) != 1 || at[0] != 6*time.Millisecond {
+		t.Fatalf("node-delayed delivery at %v, want 6ms", at)
+	}
+	// Node delay stacks on both endpoints.
+	n.SetNodeExtraDelay(a.ID(), 10*time.Millisecond)
+	_ = a.Send(b.ID(), &wire.StateInfo{})
+	e.Run()
 	if at[1]-at[0] != 16*time.Millisecond {
-		t.Fatalf("node+link delay delivered after %v, want 16ms", at[1]-at[0])
+		t.Fatalf("two node delays delivered after %v, want 16ms", at[1]-at[0])
 	}
 	// Clearing both restores the base model.
-	n.SetLinkExtraDelay(a.ID(), b.ID(), 0)
+	n.SetNodeExtraDelay(a.ID(), 0)
 	n.SetNodeExtraDelay(b.ID(), 0)
 	start := e.Now()
 	_ = a.Send(b.ID(), &wire.StateInfo{})
