@@ -43,14 +43,20 @@ func LAN() Model {
 	}
 }
 
-// Delay draws a delivery delay for a message of the given encoded size.
+// Delay draws a delivery delay for a message of the given encoded size:
+// Base + Transmit.
 func (m Model) Delay(rng *sim.Rand, size int) time.Duration {
+	return m.Base(rng) + m.Transmit(size)
+}
+
+// Base draws the part of a delay that does not depend on the message: the
+// propagation jitter (one Int63n), then the clamped processing lognormal.
+// These are the model's only draws, so a stream's sequence of Base values
+// depends on its seed alone and can be drawn ahead of the sends that use it.
+func (m Model) Base(rng *sim.Rand) time.Duration {
 	d := m.PropMin
 	if spread := m.PropMax - m.PropMin; spread > 0 {
 		d += time.Duration(rng.Int63n(int64(spread)))
-	}
-	if m.BandwidthBytesPerSec > 0 {
-		d += time.Duration(float64(size) / m.BandwidthBytesPerSec * float64(time.Second))
 	}
 	if m.ProcMedian > 0 {
 		proc := time.Duration(rng.LogNormal(0, m.ProcSigma) * float64(m.ProcMedian))
@@ -60,4 +66,12 @@ func (m Model) Delay(rng *sim.Rand, size int) time.Duration {
 		d += proc
 	}
 	return d
+}
+
+// Transmit is the store-and-forward serialization time of size bytes.
+func (m Model) Transmit(size int) time.Duration {
+	if m.BandwidthBytesPerSec > 0 {
+		return time.Duration(float64(size) / m.BandwidthBytesPerSec * float64(time.Second))
+	}
+	return 0
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -126,4 +127,38 @@ func readGolden(t *testing.T) (map[string]string, error) {
 		out[fields[0]] = fields[1]
 	}
 	return out, sc.Err()
+}
+
+// TestGoldenAtOneAndTwoProcs replays the lossy, churning and mixed entries
+// at GOMAXPROCS 1 and 2. The transport draws its delays inline at one
+// proc and ahead on another goroutine at two, switching to inline draws
+// when loss is configured, and both must reproduce the goldens.
+func TestGoldenAtOneAndTwoProcs(t *testing.T) {
+	want, err := readGolden(t)
+	if err != nil {
+		t.Fatalf("reading %s: %v", goldenPath, err)
+	}
+	names := map[string]bool{"flaky-network": true, "org-flapping-members": true, "org-mixed-protocols": true, "crash-restart": true}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		ran := 0
+		for _, c := range goldenCases() {
+			if !names[c.name] {
+				continue
+			}
+			key := goldenKey(c.name, c.opt)
+			rep, err := RunNamed(c.name, c.opt)
+			if err != nil {
+				t.Fatalf("GOMAXPROCS %d, %s: %v", procs, key, err)
+			}
+			if got := rep.Fingerprint(); got != want[key] {
+				t.Errorf("GOMAXPROCS %d, %s: fingerprint %s, golden %s", procs, key, got, want[key])
+			}
+			ran++
+		}
+		if ran != 7 {
+			t.Fatalf("GOMAXPROCS %d: %d golden cases ran, want 7", procs, ran)
+		}
+	}
 }

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"fabricgossip/internal/netmodel"
@@ -38,7 +39,13 @@ type SimNetwork struct {
 	// reliable streams (e.g. the ordering service's delivery gRPC) whose
 	// retransmissions mask transient loss. Partitions and crashed nodes
 	// still cut them.
-	lossExempt map[wire.MsgType]bool
+	lossExempt [wire.NumMsgTypes]bool
+	// aheadLen is the buffer length of each shard's delay lookahead, 0 for
+	// inline draws. It is delayAheadLen when there are fewer shards than
+	// GOMAXPROCS, so that a core is left to draw on, and drops to 0 for
+	// good when loss is configured. In-package tests set it before the
+	// first send to hold the lookahead off or shrink its buffers.
+	aheadLen int
 
 	// deliverFn is the deliver method bound once at construction so that
 	// per-message scheduling through sim.Engine.AfterMsg captures nothing.
@@ -65,10 +72,22 @@ type simNode struct {
 // engine goroutine. traffic and wobs may be nil to skip accounting and
 // observation.
 type simShard struct {
-	eng     *sim.Engine
+	eng *sim.Engine
+	// rng is the shard's "transport" stream (transportStream). While ahead
+	// is set, it belongs to the lookahead.
 	rng     *sim.Rand
 	traffic *netmodel.Traffic
 	wobs    *WireObs
+	// ahead draws the delays' Base values ahead of the sends; it starts at
+	// the shard's first send while the network's aheadLen is positive.
+	ahead *delayAhead
+}
+
+// transportStream returns a fresh stream seeded as eng.Rand("transport"):
+// the network owns its delay and loss stream, which is what lets a stopped
+// lookahead rebuild it.
+func transportStream(eng *sim.Engine) *sim.Rand {
+	return sim.NewRand(sim.StreamSeed(eng.Seed(), "transport"))
 }
 
 // NewSimNetwork creates a simulated network on one engine. traffic may be
@@ -99,7 +118,10 @@ func newSimNetwork(model netmodel.Model, coord *sim.ShardedEngine, engines []*si
 		shards: make([]simShard, len(engines)),
 	}
 	for i, eng := range engines {
-		n.shards[i] = simShard{eng: eng, rng: eng.Rand("transport"), traffic: traffics[i]}
+		n.shards[i] = simShard{eng: eng, rng: transportStream(eng), traffic: traffics[i]}
+	}
+	if len(engines) < runtime.GOMAXPROCS(0) {
+		n.aheadLen = delayAheadLen
 	}
 	n.deliverFn = n.deliver
 	return n
@@ -150,15 +172,28 @@ func (n *SimNetwork) SetNodeDown(id wire.NodeID, down bool) {
 }
 
 // SetDropRate installs a uniform message loss probability in [0, 1).
-func (n *SimNetwork) SetDropRate(p float64) { n.dropRate = p }
+//
+// The loss draw shares the "transport" stream with the delay draws, between
+// them, so the first p > 0 turns every shard's lookahead off for the rest of
+// the run: each shard takes back its stream, advanced exactly as far as the
+// delays its sends have used, and draws inline from there.
+func (n *SimNetwork) SetDropRate(p float64) {
+	if p > 0 && n.aheadLen > 0 {
+		n.aheadLen = 0
+		for i := range n.shards {
+			if sh := &n.shards[i]; sh.ahead != nil {
+				sh.rng = sh.ahead.stop(transportStream(sh.eng))
+				sh.ahead = nil
+			}
+		}
+	}
+	n.dropRate = p
+}
 
 // SetLossExempt marks (or unmarks) a message type as exempt from the
 // uniform drop rate, modelling a reliable transport underneath it. Node
 // crashes and partitions still drop exempt messages.
 func (n *SimNetwork) SetLossExempt(mt wire.MsgType, exempt bool) {
-	if n.lossExempt == nil {
-		n.lossExempt = make(map[wire.MsgType]bool)
-	}
 	n.lossExempt[mt] = exempt
 }
 
@@ -225,7 +260,9 @@ func (n *SimNetwork) Reachable(from, to wire.NodeID) bool {
 // hop costs the same simulated latency). The steady-state path is
 // allocation-free: delivery goes through the engine's pooled AfterMsg
 // events via the pre-bound deliverFn, and every fault and latency override
-// is a field of the endpoints' dense records.
+// is a field of the endpoints' dense records. With the lookahead on, the
+// delay's random part was drawn on another goroutine and the send adds
+// only the size term; a refill costs no allocation either.
 func (n *SimNetwork) send(from, to wire.NodeID, msg wire.Message) error {
 	src := n.shardOfNode(from)
 	sh := &n.shards[src]
@@ -249,7 +286,15 @@ func (n *SimNetwork) send(from, to wire.NodeID, msg wire.Message) error {
 		releaseMsg(msg)
 		return nil
 	}
-	delay := n.model.Delay(sh.rng, size)
+	var delay time.Duration
+	if n.aheadLen > 0 {
+		if sh.ahead == nil {
+			sh.ahead = newDelayAhead(n.model, sh.rng, n.aheadLen)
+		}
+		delay = sh.ahead.next() + n.model.Transmit(size)
+	} else {
+		delay = n.model.Delay(sh.rng, size)
+	}
 	a, b := &n.nodes[from], &n.nodes[to]
 	delay += a.extra + b.extra
 	if a.site != b.site {
