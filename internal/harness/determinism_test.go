@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -63,5 +64,34 @@ func TestDisseminationResultDeterministicPerSeed(t *testing.T) {
 				t.Fatal("different seeds produced identical digests")
 			}
 		})
+	}
+}
+
+// A dissemination run's network draws its delays ahead on another goroutine
+// when it has a second core, and inline on one: the results are the same.
+// The runs cross several of the lookahead's buffers.
+func TestDisseminationDelayAheadMatchesInline(t *testing.T) {
+	for _, v := range []Variant{VariantOriginal, VariantEnhanced} {
+		var digests [2]string
+		for i, procs := range []int{1, 2} {
+			func() {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				res, err := RunDissemination(QuickScale(DefaultParams(v, 17), 40, 80))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var msgs uint64
+				for mt := wire.TypeData; mt <= wire.TypeDeliverBlock; mt++ {
+					msgs += res.Traffic.CountOf(mt)
+				}
+				if msgs < 3*8192 {
+					t.Fatalf("%s: %d messages sent, too few to cross three lookahead buffers", v, msgs)
+				}
+				digests[i] = resultDigest(res)
+			}()
+		}
+		if digests[0] != digests[1] {
+			t.Fatalf("%s: GOMAXPROCS 1 and 2 differ:\n%s\n---\n%s", v, digests[0], digests[1])
+		}
 	}
 }

@@ -130,9 +130,10 @@ func readGolden(t *testing.T) (map[string]string, error) {
 }
 
 // TestGoldenAtOneAndTwoProcs replays the lossy, churning and mixed entries
-// at GOMAXPROCS 1 and 2. The transport draws its delays inline at one
-// proc and ahead on another goroutine at two, switching to inline draws
-// when loss is configured, and both must reproduce the goldens.
+// at GOMAXPROCS 1 and 2. A scenario's network is on the window coordinator
+// and draws its delays inline whatever the number of cores (only a
+// single-engine network draws them ahead, see transport.NewSimNetwork), so
+// both must reproduce the goldens.
 func TestGoldenAtOneAndTwoProcs(t *testing.T) {
 	want, err := readGolden(t)
 	if err != nil {

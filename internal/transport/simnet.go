@@ -41,10 +41,10 @@ type SimNetwork struct {
 	// still cut them.
 	lossExempt [wire.NumMsgTypes]bool
 	// aheadLen is the buffer length of each shard's delay lookahead, 0 for
-	// inline draws. It is delayAheadLen when there are fewer shards than
-	// GOMAXPROCS, so that a core is left to draw on, and drops to 0 for
-	// good when loss is configured. In-package tests set it before the
-	// first send to hold the lookahead off or shrink its buffers.
+	// inline draws. NewSimNetwork sets it to delayAheadLen on two or more
+	// cores, and it drops to 0 for good when loss is configured. In-package
+	// tests set it before the first send to hold the lookahead off or
+	// shrink its buffers.
 	aheadLen int
 
 	// deliverFn is the deliver method bound once at construction so that
@@ -92,8 +92,20 @@ func transportStream(eng *sim.Engine) *sim.Rand {
 
 // NewSimNetwork creates a simulated network on one engine. traffic may be
 // nil to skip accounting.
+//
+// On two or more cores the network draws its delays ahead of its sends on
+// another goroutine (delayAhead); the paper runs and figures build their
+// network here, and their engine goroutine leaves a core idle. A network on
+// the window coordinator (NewShardedSimNetwork, every scenario) draws
+// inline: its shard windows, or a transaction workload's ledger workers,
+// keep the other cores busy. The lookahead lost on the transaction
+// workload and was not measured on sharded ones.
 func NewSimNetwork(engine *sim.Engine, model netmodel.Model, traffic *netmodel.Traffic) *SimNetwork {
-	return newSimNetwork(model, nil, []*sim.Engine{engine}, []*netmodel.Traffic{traffic})
+	n := newSimNetwork(model, nil, []*sim.Engine{engine}, []*netmodel.Traffic{traffic})
+	if runtime.GOMAXPROCS(0) > 1 {
+		n.aheadLen = delayAheadLen
+	}
+	return n
 }
 
 // NewShardedSimNetwork creates a simulated network over the coordinator's
@@ -119,9 +131,6 @@ func newSimNetwork(model netmodel.Model, coord *sim.ShardedEngine, engines []*si
 	}
 	for i, eng := range engines {
 		n.shards[i] = simShard{eng: eng, rng: transportStream(eng), traffic: traffics[i]}
-	}
-	if len(engines) < runtime.GOMAXPROCS(0) {
-		n.aheadLen = delayAheadLen
 	}
 	n.deliverFn = n.deliver
 	return n
@@ -286,17 +295,19 @@ func (n *SimNetwork) send(from, to wire.NodeID, msg wire.Message) error {
 		releaseMsg(msg)
 		return nil
 	}
+	// Model.Delay is Base + Transmit; calling the two here keeps the inline
+	// path at one call (Transmit inlines).
 	var delay time.Duration
 	if n.aheadLen > 0 {
 		if sh.ahead == nil {
 			sh.ahead = newDelayAhead(n.model, sh.rng, n.aheadLen)
 		}
-		delay = sh.ahead.next() + n.model.Transmit(size)
+		delay = sh.ahead.next()
 	} else {
-		delay = n.model.Delay(sh.rng, size)
+		delay = n.model.Base(sh.rng)
 	}
 	a, b := &n.nodes[from], &n.nodes[to]
-	delay += a.extra + b.extra
+	delay += n.model.Transmit(size) + a.extra + b.extra
 	if a.site != b.site {
 		delay += n.siteDelay
 	}
