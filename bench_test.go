@@ -739,10 +739,13 @@ func BenchmarkRandomPeersReuse(b *testing.B) {
 // window: hello, digest (the window plus two strays the responder holds
 // above a 3-block gap), request for the two strays. The bodies sent in reply
 // are dropped on the wire, so every round asks again and the steady state
-// repeats. Each handler reads the block store under one lock and the
-// digest's number list is sized once; allocs_op — the messages, the two
-// lists, the tick's timer — has a ceiling of 11, so a digest grown number
-// by number (seven more allocations at this shape) fails the benchmark.
+// repeats. Each handler reads the block store under one lock, and the
+// digest carries its window as a run, so only the strays are a list, sized
+// once. allocs_op — the messages, the two lists, the tick's timer — has a
+// ceiling of 11, so a digest grown number by number (seven more allocations
+// at this shape) fails the benchmark; bytes_op has a ceiling of 512, so a
+// digest that writes its window out as a list again (1 120 B a round) fails
+// it too.
 func BenchmarkOriginalPullRound(b *testing.B) {
 	engine := sim.NewEngine(1)
 	// Constant delay: rounds are exactly TPull apart, so the once-per-round
@@ -778,10 +781,16 @@ func BenchmarkOriginalPullRound(b *testing.B) {
 	for i := 0; i < 10; i++ {
 		cycle() // past the random first-round phase; warm the event pool
 	}
-	allocs := testing.AllocsPerRun(500, cycle)
+	const runs = 500
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, cycle)
+	runtime.ReadMemStats(&after)
 	b.ReportAllocs()
 	b.ResetTimer()
 	atMost(b, "allocs_op", allocs, 11) // 10 recorded
+	// AllocsPerRun makes one warm-up call before its runs.
+	atMost(b, "bytes_op", float64(after.TotalAlloc-before.TotalAlloc)/(runs+1), 512) // 256 recorded
 	for i := 0; i < b.N; i++ {
 		cycle()
 	}

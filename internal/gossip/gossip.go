@@ -549,50 +549,57 @@ func (c *Core) HasBlock(num uint64) bool {
 	return c.blockLocked(num) != nil
 }
 
-// HeldWindow answers a pull hello in one critical section: the stored block
-// numbers from window below the in-order height (from 0 when window is 0 or
-// the ledger is shorter) up to the first gap, then the stored numbers among
-// the probe-1 above that gap — blocks received out of order — ascending.
-// Being one read of the store, the list is a consistent snapshot even while
-// AddBlock runs on other goroutines. The caller owns the result.
-func (c *Core) HeldWindow(window, probe uint64) []uint64 {
+// HeldRun answers a pull hello in one critical section. The stored block
+// numbers it names are the run [lo, gap) — from window below the in-order
+// height (from 0 when window is 0 or the ledger is shorter) up to the first
+// gap, which is the height — and strays, the stored numbers among the
+// probe-1 above that gap (blocks received out of order), ascending. The run
+// is stored by the in-order-prefix invariant, so only the strays are
+// probed: counted first, then written into one exactly-sized slice, nil
+// when there are none. Being one read of the store, the answer is a
+// consistent snapshot even while AddBlock runs on other goroutines. The
+// caller owns strays.
+func (c *Core) HeldRun(window, probe uint64) (lo, gap uint64, strays []uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var lo uint64
-	if window > 0 && c.height > window {
-		lo = c.height - window
+	gap = c.height
+	if window > 0 && gap > window {
+		lo = gap - window
 	}
-	// [lo, height) is stored by the in-order-prefix invariant and block
-	// height is not, so the first gap is found without probing.
-	gap := c.height
 	end := min(gap+probe, uint64(len(c.blocks)))
-	held := gap - lo
+	n := 0
 	for num := gap + 1; num < end; num++ {
 		if c.blocks[num] != nil {
-			held++
+			n++
 		}
 	}
-	nums := make([]uint64, 0, held)
-	for num := lo; num < gap; num++ {
-		nums = append(nums, num)
+	if n == 0 {
+		return lo, gap, nil
 	}
+	strays = make([]uint64, 0, n)
 	for num := gap + 1; num < end; num++ {
 		if c.blocks[num] != nil {
-			nums = append(nums, num)
+			strays = append(strays, num)
 		}
 	}
-	return nums
+	return lo, gap, strays
 }
 
-// Missing returns the numbers among nums whose body is not stored, in the
-// order given, read in one critical section (what a pull digest's receiver
-// asks of its store). The result — nil when nothing is missing, the usual
-// answer — is the caller's to modify.
-func (c *Core) Missing(nums []uint64) []uint64 {
+// MissingIn returns the numbers a pull digest names — the run [lo, hi),
+// then strays — whose body is not stored, in that order, read in one
+// critical section. Of the run only [max(lo, height), hi) is probed:
+// [0, height) is stored by the in-order-prefix invariant. The result — nil
+// when nothing is missing, the usual answer — is the caller's to modify.
+func (c *Core) MissingIn(lo, hi uint64, strays []uint64) []uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var missing []uint64
-	for _, num := range nums {
+	for num := max(lo, c.height); num < hi; num++ {
+		if c.blockLocked(num) == nil {
+			missing = append(missing, num)
+		}
+	}
+	for _, num := range strays {
 		if c.blockLocked(num) == nil {
 			missing = append(missing, num)
 		}

@@ -267,12 +267,12 @@ func (p *Protocol) pullTick() {
 const pullProbe = 64
 
 // servePullHello answers with the numbers of recent blocks we hold: the
-// consecutive prefix we can serve from DigestWindow below our height, plus
-// any blocks received out of order just above it. Nums is sized once and
-// belongs to the message in flight.
+// consecutive prefix we can serve from DigestWindow below our height, as a
+// run, plus any blocks received out of order just above it. Only those
+// strays are a list; it is sized once and belongs to the message in flight.
 func (p *Protocol) servePullHello(from wire.NodeID, m *wire.PullHello) {
-	nums := p.c.HeldWindow(uint64(max(p.cfg.DigestWindow, 0)), pullProbe)
-	p.c.Send(from, &wire.PullDigest{Nonce: m.Nonce, Nums: nums})
+	lo, gap, strays := p.c.HeldRun(uint64(max(p.cfg.DigestWindow, 0)), pullProbe)
+	p.c.Send(from, &wire.PullDigest{Nonce: m.Nonce, RunLo: lo, RunHi: gap, Nums: strays})
 }
 
 // handlePullDigest requests the advertised bodies we lack and have not
@@ -285,9 +285,9 @@ func (p *Protocol) handlePullDigest(from wire.NodeID, m *wire.PullDigest) {
 	}
 	delete(p.pending, m.Nonce)
 	now := p.c.Scheduler().Now()
-	// Missing's result is ours, so the per-round filter runs in place over
+	// MissingIn's result is ours, so the per-round filter runs in place over
 	// the few numbers we lack instead of over the whole digest.
-	missing := p.c.Missing(m.Nums)
+	missing := p.c.MissingIn(m.RunLo, m.RunHi, m.Nums)
 	want := missing[:0]
 	for _, num := range missing {
 		if last, ok := p.requested[num]; ok && now-last < p.cfg.TPull {

@@ -47,7 +47,7 @@ func TestPullTranscriptPinned(t *testing.T) {
 		switch m := msg.(type) {
 		case *wire.PullDigest:
 			digests++
-			record('D', from, to, m.Nonce, m.Nums)
+			record('D', from, to, m.Nonce, digestNums(m))
 		case *wire.PullRequest:
 			requests++
 			record('R', from, to, m.Nonce, m.Nums)
@@ -117,6 +117,15 @@ func TestPullStateIsBounded(t *testing.T) {
 	})
 }
 
+// digestNums is the list a digest stands for: its run, then its strays.
+func digestNums(m *wire.PullDigest) []uint64 {
+	var nums []uint64
+	for num := m.RunLo; num < m.RunHi; num++ {
+		nums = append(nums, num)
+	}
+	return append(nums, m.Nums...)
+}
+
 // digestCheck is an endpoint that checks every pull message a core sends:
 // numbers ascending with no duplicates, and a digest advertising only blocks
 // the test has added or is adding.
@@ -135,7 +144,7 @@ func (e *digestCheck) Send(_ wire.NodeID, msg wire.Message) error {
 	digest := false
 	switch m := msg.(type) {
 	case *wire.PullDigest:
-		nums, digest = m.Nums, true
+		nums, digest = digestNums(m), true
 		e.digests.Add(1)
 	case *wire.PullRequest:
 		nums = m.Nums
@@ -177,10 +186,8 @@ func TestPullHandlersAgainstConcurrentAddBlock(t *testing.T) {
 			order = append(order, uint64(base+j))
 		}
 	}
-	all := make([]uint64, blocks+10) // a digest naming every number and a few beyond
-	for i := range all {
-		all[i] = uint64(i)
-	}
+	// A digest naming every number and a few beyond: a run, then strays.
+	beyond := []uint64{blocks, blocks + 3, blocks + 9}
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -198,7 +205,7 @@ func TestPullHandlersAgainstConcurrentAddBlock(t *testing.T) {
 				p.mu.Lock()
 				p.pending[nonce] = 1
 				p.mu.Unlock()
-				p.handlePullDigest(1, &wire.PullDigest{Nonce: nonce, Nums: all})
+				p.handlePullDigest(1, &wire.PullDigest{Nonce: nonce, RunLo: 0, RunHi: blocks, Nums: beyond})
 			}
 		}(g)
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // refHeldWindow is the per-number loop the stock protocol answered a pull
-// hello with before Core.HeldWindow: one HasBlock per number, from window
+// hello with before Core.HeldRun: one HasBlock per number, from window
 // below the height up to the first gap, then the probe-1 numbers above it.
 func refHeldWindow(c *Core, window, probe uint64) []uint64 {
 	height := c.Height()
@@ -42,6 +42,15 @@ func refMissing(c *Core, nums []uint64) []uint64 {
 	return missing
 }
 
+// seq returns the numbers [lo, hi) as a list.
+func seq(lo, hi uint64) []uint64 {
+	var nums []uint64
+	for num := lo; num < hi; num++ {
+		nums = append(nums, num)
+	}
+	return nums
+}
+
 // storeWith returns a core holding blocks [0, prefix) and prefix+off for
 // each stray offset (off >= 1, so prefix stays the first gap).
 func storeWith(t *testing.T, prefix uint64, strays ...uint64) *Core {
@@ -65,12 +74,13 @@ func checkStoreReads(t *testing.T, name string, c *Core) {
 	for _, window := range []uint64{0, 1, 16, 100, height, height + 1} {
 		for _, probe := range []uint64{64, 0, 1, 2, 200} {
 			want := refHeldWindow(c, window, probe)
-			got := c.HeldWindow(window, probe)
+			lo, gap, strays := c.HeldRun(window, probe)
+			got := append(seq(lo, gap), strays...)
 			if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
-				t.Fatalf("%s: HeldWindow(%d, %d) = %v, want %v", name, window, probe, got, want)
+				t.Fatalf("%s: HeldRun(%d, %d) = [%d, %d) + %v, want %v", name, window, probe, lo, gap, strays, want)
 			}
-			if cap(got) != len(got) {
-				t.Fatalf("%s: HeldWindow(%d, %d) sized its result %d for %d numbers", name, window, probe, cap(got), len(got))
+			if cap(strays) != len(strays) || (len(strays) == 0 && strays != nil) {
+				t.Fatalf("%s: HeldRun(%d, %d) sized its strays %d for %d numbers (nil %v)", name, window, probe, cap(strays), len(strays), strays == nil)
 			}
 		}
 	}
@@ -83,12 +93,27 @@ func checkStoreReads(t *testing.T, name string, c *Core) {
 	for num := uint64(0); num <= hi+3; num++ {
 		all = append(all, num)
 	}
-	asked = append(asked, all)
-	for _, nums := range asked {
+	for _, nums := range append(asked, all) {
 		want := refMissing(c, nums)
-		got := c.Missing(nums)
+		got := c.MissingIn(0, 0, nums)
 		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
-			t.Fatalf("%s: Missing(%v) = %v, want %v", name, nums, got, want)
+			t.Fatalf("%s: MissingIn(0, 0, %v) = %v, want %v", name, nums, got, want)
+		}
+	}
+	// A digest's run: each [lo, end) on a grid around the height and the top, alone and with the
+	// asked numbers as its strays.
+	for _, lo := range []uint64{0, height / 2, height, hi + 1} {
+		for _, end := range []uint64{lo, lo + 1, height + 1, hi + 70} {
+			if end < lo {
+				continue
+			}
+			for _, strays := range [][]uint64{nil, asked[4]} {
+				want := refMissing(c, append(seq(lo, end), strays...))
+				got := c.MissingIn(lo, end, strays)
+				if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+					t.Fatalf("%s: MissingIn(%d, %d, %v) = %v, want %v", name, lo, end, strays, got, want)
+				}
+			}
 		}
 	}
 }

@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -58,7 +60,7 @@ func allMessages() []Message {
 		&PushDigest{Offers: []BlockOffer{{Num: 1, Counter: 2}, {Num: 900, Counter: 0}}},
 		&PushRequest{Nums: []uint64{1, 2, 3}},
 		&PullHello{Nonce: 42},
-		&PullDigest{Nonce: 42, Nums: []uint64{10, 11, 12}},
+		&PullDigest{Nonce: 42, RunLo: 10, RunHi: 13},
 		&PullRequest{Nonce: 42, Nums: []uint64{11}},
 		&PullData{Nonce: 42, Block: blk},
 		&StateInfo{Height: 123456},
@@ -83,6 +85,74 @@ func allMessages() []Message {
 		}},
 		&ShuffleRequest{Entries: []MemberEvent{{Peer: 1, Seq: 5, Kind: EventAlive}}},
 		&ShuffleResponse{Entries: []MemberEvent{{Peer: 2, Seq: 6, Kind: EventSuspect}}},
+	}
+}
+
+// pullDigestCase is a pull digest as built in memory and the canonical form
+// it decodes to (nil: itself).
+type pullDigestCase struct {
+	name    string
+	m, want *PullDigest
+}
+
+// pullDigestCases are runs across the varint-length bands' edges and the
+// shapes at the ends of the canonical split.
+func pullDigestCases() []pullDigestCase {
+	return []pullDigestCase{
+		{name: "empty", m: &PullDigest{Nonce: 1}},
+		{name: "run of one", m: &PullDigest{Nonce: 2, RunLo: 7, RunHi: 8}},
+		{name: "127/128", m: &PullDigest{Nonce: 3, RunLo: 120, RunHi: 136, Nums: []uint64{140}}},
+		{name: "16383/16384", m: &PullDigest{Nonce: 4, RunLo: 16380, RunHi: 16390, Nums: []uint64{16392, 20000}}},
+		{name: "2^21-1/2^21", m: &PullDigest{Nonce: 5, RunLo: 1<<21 - 3, RunHi: 1<<21 + 2}},
+		{name: "three bands and a long count", m: &PullDigest{Nonce: 6, RunLo: 0, RunHi: 20000}},
+		{name: "2^63-1/2^63", m: &PullDigest{Nonce: 7, RunLo: 1<<63 - 2, RunHi: 1<<63 + 2, Nums: []uint64{3}}},
+		{name: "run up to 2^64-1", m: &PullDigest{Nonce: 8, RunLo: math.MaxUint64 - 2, RunHi: math.MaxUint64, Nums: []uint64{math.MaxUint64}}},
+		{name: "[2^64-1, 0] is not a run", m: &PullDigest{Nonce: 9, Nums: []uint64{math.MaxUint64, 0}}},
+		{name: "strays below the run", m: &PullDigest{Nonce: 10, RunLo: 10, RunHi: 12, Nums: []uint64{3, 4}}},
+		{
+			name: "empty run with strays",
+			m:    &PullDigest{Nonce: 11, Nums: []uint64{5, 9}},
+			want: &PullDigest{Nonce: 11, RunLo: 5, RunHi: 6, Nums: []uint64{9}},
+		},
+		{
+			name: "stray continuing the run",
+			m:    &PullDigest{Nonce: 12, RunLo: 10, RunHi: 12, Nums: []uint64{12, 14}},
+			want: &PullDigest{Nonce: 12, RunLo: 10, RunHi: 13, Nums: []uint64{14}},
+		},
+	}
+}
+
+// A pull digest's run is written out on the wire: the bytes are the
+// number-list encoding of the run followed by the strays, EncodedSize counts
+// them without walking the run, and decoding gives the canonical split.
+func TestPullDigestRunIsTheListOnTheWire(t *testing.T) {
+	for _, c := range pullDigestCases() {
+		list := binary.AppendUvarint([]byte{byte(TypePullDigest)}, c.m.Nonce)
+		list = binary.AppendUvarint(list, c.m.RunHi-c.m.RunLo+uint64(len(c.m.Nums)))
+		for v := c.m.RunLo; v < c.m.RunHi; v++ {
+			list = binary.AppendUvarint(list, v)
+		}
+		for _, v := range c.m.Nums {
+			list = binary.AppendUvarint(list, v)
+		}
+		data := Marshal(c.m)
+		if !bytes.Equal(data, list) {
+			t.Fatalf("%s: Marshal differs from the number list", c.name)
+		}
+		if got := c.m.EncodedSize(); got != len(data) {
+			t.Fatalf("%s: EncodedSize = %d, Marshal produced %d bytes", c.name, got, len(data))
+		}
+		want := c.want
+		if want == nil {
+			want = c.m
+		}
+		got, err := Unmarshal(data)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: decoded %+v, want %+v", c.name, got, want)
+		}
 	}
 }
 

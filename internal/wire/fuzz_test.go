@@ -17,6 +17,9 @@ func FuzzUnmarshal(f *testing.F) {
 	for _, m := range allMessages() {
 		f.Add(Marshal(m))
 	}
+	for _, c := range pullDigestCases() {
+		f.Add(Marshal(c.m))
+	}
 	// The benchmark corpus: one full-size Data block message, truncated at
 	// interesting points.
 	big := Marshal(&Data{Block: testBlock(7, 50), Counter: 3})

@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"math"
+
 	"fabricgossip/internal/ledger"
 )
 
@@ -156,27 +158,77 @@ func decodePullHello(d *decoder) *PullHello {
 	return &PullHello{Nonce: d.uvarint("nonce")}
 }
 
-// PullDigest answers a PullHello with the numbers of recently held blocks.
+// PullDigest answers a PullHello with the numbers of recently held blocks:
+// the contiguous run [RunLo, RunHi) (RunLo <= RunHi), then Nums, the strays
+// (the blocks the responder stores above its first gap). On the wire it is
+// one list of numbers, the run written out in full; decoding splits the
+// list into its longest leading run of consecutive numbers and the rest, so
+// that form is the canonical one. A run never holds 2^64-1, which would
+// need RunHi = 2^64.
 type PullDigest struct {
-	Nonce uint64
-	Nums  []uint64
+	Nonce        uint64
+	RunLo, RunHi uint64
+	Nums         []uint64
 }
 
 // Type implements Message.
 func (*PullDigest) Type() MsgType { return TypePullDigest }
 
 // EncodedSize implements Message.
-func (m *PullDigest) EncodedSize() int { return 1 + uvarintLen(m.Nonce) + uint64sLen(m.Nums) }
+func (m *PullDigest) EncodedSize() int {
+	n := 1 + uvarintLen(m.Nonce) + uvarintLen(m.RunHi-m.RunLo+uint64(len(m.Nums))) + runBytes(m.RunLo, m.RunHi)
+	for _, v := range m.Nums {
+		n += uvarintLen(v)
+	}
+	return n
+}
 
 func (m *PullDigest) encode(s *encSink) {
 	s.uvarint(m.Nonce)
-	putUint64s(s, m.Nums)
+	s.uvarint(m.RunHi - m.RunLo + uint64(len(m.Nums)))
+	for v := m.RunLo; v < m.RunHi; v++ {
+		s.uvarint(v)
+	}
+	for _, v := range m.Nums {
+		s.uvarint(v)
+	}
 }
 
 func decodePullDigest(d *decoder) *PullDigest {
 	m := &PullDigest{Nonce: d.uvarint("nonce")}
-	m.Nums = d.uint64s("digest nums")
+	n := d.count(1, "digest nums")
+	for i := 0; i < n && d.err == nil; i++ {
+		v := d.uvarint("digest nums")
+		if m.Nums == nil && v != math.MaxUint64 && (i == 0 || v == m.RunHi) {
+			if i == 0 {
+				m.RunLo = v
+			}
+			m.RunHi = v + 1
+			continue
+		}
+		if m.Nums == nil {
+			m.Nums = make([]uint64, 0, n-i)
+		}
+		m.Nums = append(m.Nums, v)
+	}
 	return m
+}
+
+// runBytes is the varint bytes of the numbers [lo, hi), summed per
+// varint-length band: the k-byte numbers are those below 2^(7k) and not
+// below 2^(7(k-1)), and every number from 2^63 up takes ten bytes.
+func runBytes(lo, hi uint64) int {
+	n := 0
+	for lo < hi {
+		k := uvarintLen(lo)
+		end := hi
+		if k < 10 {
+			end = min(hi, uint64(1)<<(7*k))
+		}
+		n += k * int(end-lo)
+		lo = end
+	}
+	return n
 }
 
 // PullRequest asks for the block bodies the puller is missing.
