@@ -27,9 +27,6 @@ func TestOrgOutageRecoversOnlyThroughAnchors(t *testing.T) {
 		t.Fatalf("with anchors: %d/%d caught up, %d pending — the new path failed",
 			withAnchors.CaughtUp, withAnchors.Survivors, withAnchors.PendingRecoveries)
 	}
-	if withAnchors.OrderViolations != 0 {
-		t.Fatalf("with anchors: %d order violations", withAnchors.OrderViolations)
-	}
 	// Anchor transfers are part of the recovery plane's accounted traffic.
 	if withAnchors.SyncBytes == 0 || withAnchors.SyncMessages == 0 {
 		t.Fatal("with anchors: no state-sync traffic attributed")

@@ -217,7 +217,8 @@ func TestSamplerCountMatchesMerge(t *testing.T) {
 		}
 	}))
 	r.drive()
-	if err := r.drain(); err != nil {
+	r.drain()
+	if err := r.failure(); err != nil {
 		t.Fatal(err)
 	}
 	// The comparison must have seen the cases where the two could differ.

@@ -63,8 +63,10 @@ type Report struct {
 	// order. The catalog's scenarios all end with Survivors == CaughtUp.
 	Survivors int
 	CaughtUp  int
-	// OrderViolations counts commits that skipped or repeated a height —
-	// always zero unless the in-order delivery invariant broke.
+	// OrderViolations is always 0 in a returned report: a run that commits
+	// out of order fails Run instead (check.go). It stays because String
+	// prints it, so every fingerprint hashes it, and the repository
+	// benchmark reads it.
 	OrderViolations int
 
 	// Recoveries summarizes rejoin-with-catchup latency: restart (or

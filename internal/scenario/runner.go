@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
 	rtmetrics "runtime/metrics"
 	"time"
@@ -74,8 +75,8 @@ type Options struct {
 	Trace bool
 	// FlightRing arms the crash flight recorder: each emission context
 	// keeps a bounded ring of this many recent trace events, dumped to a
-	// file when a run dies on a lookahead-violation panic or fails its
-	// pool-leak audit. With Trace also set the full buffers back the
+	// file when a run dies on a lookahead-violation panic or breaks a
+	// safety rule (check.go). With Trace also set the full buffers back the
 	// recorder instead (the dump still carries only the last FlightRing
 	// events per context). Zero disables the recorder.
 	FlightRing int
@@ -152,16 +153,18 @@ type runner struct {
 	// (its leader's reception); later receptions record deltas against it.
 	orgStart []map[uint64]time.Duration
 
+	// check is the safety checker; its per-peer heights are the run's
+	// commit record.
+	check *checker
+
 	// Per-peer measurement state, reset when a peer restarts. Written by
 	// the peer's own shard (commit hooks) or at coordinator barriers
 	// (fault actions), never both at once.
-	lastCommit []int64 // last in-order committed block, -1 if none
 	restartAt  []time.Duration
 	recovering []bool
 
 	// Per-org counters (shard-local writers), summed at report time.
-	transitions     []int
-	orderViolations []int
+	transitions []int
 
 	// samplers are the control-engine timers that measure the run (time
 	// series, membership views); drive stops them when the run ends.
@@ -237,7 +240,9 @@ func RunNamed(name string, opt Options) (*Report, error) {
 }
 
 // Run executes the scenario and returns its report. The run is fully
-// deterministic in (scenario, Options).
+// deterministic in (scenario, Options). A run that breaks a safety rule
+// (check.go) or leaks pooled envelopes returns an error naming the rule
+// instead of a report.
 func Run(sc Scenario, opt Options) (*Report, error) {
 	opt = opt.withDefaults()
 	if opt.Tail > 0 {
@@ -258,7 +263,9 @@ func Run(sc Scenario, opt Options) (*Report, error) {
 	// End — the leak audit must settle refcounts without moving a single
 	// reported number.
 	rep := r.report()
-	if err := r.drain(); err != nil {
+	r.check.settle(rep.Workload)
+	r.drain()
+	if err := r.failure(); err != nil {
 		return nil, err
 	}
 	return rep, nil
@@ -354,23 +361,19 @@ func addressed(a Action) (unit string, indices []int) {
 // plane, and (if scripted) the workload plane.
 func build(sc Scenario, opt Options, top Topology, consenters int) (*runner, error) {
 	r := &runner{
-		sc:              sc,
-		opt:             opt,
-		top:             top,
-		dissem:          make([][]time.Duration, top.Orgs()),
-		recovery:        make([][]time.Duration, top.Orgs()),
-		orgStart:        make([]map[uint64]time.Duration, top.Orgs()),
-		lastCommit:      make([]int64, top.Total()),
-		restartAt:       make([]time.Duration, top.Total()),
-		recovering:      make([]bool, top.Total()),
-		transitions:     make([]int, top.Orgs()),
-		orderViolations: make([]int, top.Orgs()),
+		sc:          sc,
+		opt:         opt,
+		top:         top,
+		dissem:      make([][]time.Duration, top.Orgs()),
+		recovery:    make([][]time.Duration, top.Orgs()),
+		orgStart:    make([]map[uint64]time.Duration, top.Orgs()),
+		check:       newChecker(top.Total(), top.Orgs()),
+		restartAt:   make([]time.Duration, top.Total()),
+		recovering:  make([]bool, top.Total()),
+		transitions: make([]int, top.Orgs()),
 	}
 	for o := 0; o < top.Orgs(); o++ {
 		r.orgStart[o] = make(map[uint64]time.Duration)
-	}
-	for i := range r.lastCommit {
-		r.lastCommit[i] = -1
 	}
 	if err := r.buildNetwork(consenters); err != nil {
 		return nil, err
@@ -572,7 +575,7 @@ func (r *runner) drive() {
 	r.readLiveHeap()
 }
 
-// drain asserts the pooled-envelope refcount invariant on every run: once
+// drain audits the pooled-envelope refcount invariant on every run: once
 // in-flight deliveries settle, every Data/PushDigest drawn from a
 // protocol's pool must have been released exactly refs times, so both
 // outstanding counters read zero. Deliveries scheduled just before End are
@@ -580,24 +583,31 @@ func (r *runner) drive() {
 // the invariant, and those attempts have not happened yet), so the audit
 // first drains the engines a grace period past End — the cores are stopped,
 // so the extra events release envelopes and do nothing else.
-func (r *runner) drain() error {
+func (r *runner) drain() {
 	r.net.RunUntil(r.sc.End() + 5*time.Second)
-	data, digest := r.poolOutstanding()
-	if data == 0 && digest == 0 {
-		return nil
+	if data, digest := r.poolOutstanding(); data != 0 || digest != 0 {
+		r.check.flag(r.check.endSlot, rulePool, "%d data, %d push-digest envelopes outstanding after drain", data, digest)
 	}
-	// The engines are quiescent after the drain, so the full
-	// flight-recorder dump (every context) is safe here.
-	detail := ""
-	if r.flight != nil {
-		reason := fmt.Sprintf("pool leak after drain: %d data, %d push-digest outstanding", data, digest)
-		if p, derr := r.flight.Dump(reason); derr == nil {
-			r.flightDump = p
-			detail = fmt.Sprintf("; flight dump: %s", p)
+}
+
+// failure formats a failed run, the one place that does: the first safety
+// rule broken, and the flight recorder's dump when one is armed. The
+// engines are quiescent after the drain, so the full dump (every context)
+// is safe here.
+func (r *runner) failure() error {
+	for _, broken := range r.check.broken {
+		if broken == "" {
+			continue
 		}
+		msg := fmt.Sprintf("scenario: %q (%s) broke %s", r.sc.Name, r.opt.Variant, broken)
+		if r.flight != nil {
+			if p, err := r.flight.Dump(msg); err == nil {
+				msg += "; flight dump: " + p
+			}
+		}
+		return errors.New(msg)
 	}
-	return fmt.Errorf("scenario: %q leaked pooled envelopes after drain: %d data, %d push-digest outstanding%s",
-		r.sc.Name, data, digest, detail)
+	return nil
 }
 
 // poolOutstanding sums the pooled envelopes every protocol instance still
@@ -637,6 +647,7 @@ func (r *runner) onConsenterState(c int, s raft.State, term uint64) {
 		Node: int32(c), Peer: -1, Num: term, Aux: uint64(s),
 	}
 	if s == raft.Leader {
+		r.check.elected(c, term)
 		e.Kind = obs.EvElection
 		r.emit(ord, e)
 	} else if r.tracer != nil {
@@ -678,10 +689,7 @@ func (r *runner) injected() int {
 func (r *runner) instrument(i int, core *gossip.Core) {
 	org := r.top.OrgOf(i)
 	core.OnCommit(func(b *ledger.Block) {
-		if int64(b.Num) != r.lastCommit[i]+1 {
-			r.orderViolations[org]++
-		}
-		r.lastCommit[i] = int64(b.Num)
+		r.check.commit(i, org, b)
 		if r.tracer != nil {
 			r.tracer.Shards[r.net.OrgObsContext(org)].Emit(obs.Event{
 				At: r.net.EngineFor(i).Now(), Kind: obs.EvBlockCommit,
@@ -738,9 +746,9 @@ func (r *runner) restart(i int) {
 	if !r.net.Crashed(i) {
 		return
 	}
-	// The fresh core commits from zero again; reset the per-peer ordering
+	// The fresh core commits from zero again; reset the per-peer height
 	// and recovery trackers before its hooks fire.
-	r.lastCommit[i] = -1
+	r.check.height[i] = 0
 	r.restartAt[i] = r.net.Engine.Now()
 	r.recovering[i] = r.injected() > 0
 	r.net.Restart(i)
@@ -945,7 +953,6 @@ func (r *runner) reportOrgs(rep *Report, tv *netmodel.Traffic) {
 		recovery = append(recovery, r.recovery[o]...)
 		or := r.orgReport(o, tv, rep.BlockBytes)
 		rep.Transitions += r.transitions[o]
-		rep.OrderViolations += r.orderViolations[o]
 		rep.Survivors += or.Survivors
 		rep.CaughtUp += or.CaughtUp
 		rep.PendingRecoveries += or.PendingRecoveries
@@ -965,7 +972,7 @@ func (r *runner) orgReport(o int, tv *netmodel.Traffic, blockBytes int) OrgRepor
 		Recovery:  metrics.SummarizeSamples(r.recovery[o]),
 		Latency:   metrics.SummarizeSamples(r.dissem[o]),
 	}
-	last := int64(r.injected()) - 1
+	injected := uint64(r.injected())
 	for _, i := range r.top.OrgSpan(o) {
 		in, _ := tv.NodeTotals(wire.NodeID(i))
 		or.InBytes += in
@@ -973,7 +980,7 @@ func (r *runner) orgReport(o int, tv *netmodel.Traffic, blockBytes int) OrgRepor
 			continue
 		}
 		or.Survivors++
-		if r.lastCommit[i] == last {
+		if r.check.height[i] == injected {
 			or.CaughtUp++
 		}
 		if r.recovering[i] {
@@ -1022,7 +1029,6 @@ func (r *runner) snapshot(rep *Report) *obs.Snapshot {
 	reg.Counter("membership_events_total", "kind", "applied").Add(applied)
 	reg.Counter("membership_refutations_total").Add(refutations)
 	reg.Counter("membership_dead_declared_total").Add(deadDeclared)
-	reg.Counter("order_violations_total").Add(uint64(rep.OrderViolations))
 	// Pool leak canaries: pooled envelopes still outstanding at End —
 	// in-flight deliveries the post-report drain settles and then asserts
 	// are zero.

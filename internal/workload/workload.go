@@ -616,6 +616,10 @@ type Stats struct {
 	SubmitErrors      int
 	CommitErrors      uint64
 
+	// InFlight counts submitted transactions not yet resolved in their
+	// organization: Submitted == Committed + Conflicts + InFlight.
+	InFlight int
+
 	// OrderedTx is the ordering service's transaction count; BlocksCut,
 	// CutBySize and CutByTimeout describe its block cutting.
 	OrderedTx    uint64
@@ -671,6 +675,7 @@ func (p *Plane) Stats() Stats {
 		out.EndorseErrors += os.EndorseErrors
 		out.SubmitErrors += os.SubmitErrors
 		out.CommitErrors += os.CommitErrors
+		out.InFlight += len(p.pending[o])
 		out.Orgs = append(out.Orgs, os)
 	}
 	out.Latency = metrics.Summarize(metrics.NewDistribution(all))
