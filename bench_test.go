@@ -940,8 +940,8 @@ func BenchmarkBuildChain(b *testing.B) {
 }
 
 // BenchmarkWireMarshalBlock measures encoding one paper-sized block
-// (50 tx x ~3.2 KB) that has been encoded before: the flat buffer, the sink,
-// and one copy of the encoding cached on the block.
+// (50 tx x ~3.2 KB) built in this process: the sink and the flat buffer,
+// which the block is walked into on every call (nothing is cached on it).
 func BenchmarkWireMarshalBlock(b *testing.B) {
 	blk := harness.BuildChain(1, 50, 3000, 1)[0]
 	msg := &wire.Data{Block: blk, Counter: 3}
@@ -970,7 +970,7 @@ func BenchmarkWireUnmarshalBlock(b *testing.B) {
 		}
 	})
 	b.ResetTimer()
-	atMost(b, "allocs_op", allocs, 4) // 3 recorded
+	atMost(b, "allocs_op", allocs, 4) // 2 recorded
 	for i := 0; i < b.N; i++ {
 		if _, err := wire.Unmarshal(data); err != nil {
 			b.Fatal(err)
@@ -998,7 +998,7 @@ func BenchmarkWireMaterializeBlock(b *testing.B) {
 	}
 	allocs := testing.AllocsPerRun(50, materialize)
 	b.ResetTimer()
-	atMost(b, "allocs_op", allocs, 554) // 505 recorded
+	atMost(b, "allocs_op", allocs, 554) // 504 recorded
 	for i := 0; i < b.N; i++ {
 		materialize()
 	}
@@ -1063,6 +1063,64 @@ func BenchmarkTCPForwardBlock(b *testing.B) {
 	if perOp := (after.TotalAlloc - before.TotalAlloc) / uint64(b.N); perOp > 4096 {
 		b.Fatalf("forwarding a %d-byte block allocated %d bytes", in.EncodedSize(), perOp)
 	}
+}
+
+// BenchmarkTCPSendBuiltBlock measures the ordering service's send step on
+// the live runtime: a paper-sized block built in this process leaves for a
+// bare socket drained into one buffer. The block is walked into the frame's
+// head on each send, so one send may allocate what one wire.Marshal of the
+// message does (the encoding, rounded up to whole pages by the allocator)
+// plus 4 KiB, and the benchmark fails if a send allocates more (a head grown
+// by doubling) or leaves the block holding a second copy of itself (a cached
+// encoding).
+func BenchmarkTCPSendBuiltBlock(b *testing.B) {
+	drain, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer drain.Close()
+	go func() {
+		conn, err := drain.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		for buf := make([]byte, 256<<10); ; {
+			if _, err := conn.Read(buf); err != nil {
+				return
+			}
+		}
+	}()
+	ep, err := transport.ListenTCP(0, "127.0.0.1:0", transport.StaticAddressBook{1: drain.Addr().String()}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ep.Close()
+	blk := harness.BuildChain(1, 50, 3000, 1)[0]
+	send := func() {
+		if err := ep.Send(1, &wire.Data{Block: blk, Counter: 3}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	send() // dial
+	b.SetBytes(int64(wire.BlockEncodedSize(blk)))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	wire.Marshal(&wire.Data{Block: blk, Counter: 3})
+	runtime.ReadMemStats(&after)
+	encoding := after.TotalAlloc - before.TotalAlloc
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		send()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	if blk.WireEncoding() != nil {
+		b.Fatal("sending a built block cached an encoding on it")
+	}
+	perOp := (after.TotalAlloc - before.TotalAlloc) / uint64(b.N)
+	atMost(b, "alloc_bytes_op", float64(perOp), float64(encoding+4096))
 }
 
 // BenchmarkEngineQueue gates the engine's queue in steady state: one

@@ -256,9 +256,6 @@ func writeArtifacts(rep *scenario.Report, traceJSONL, metricsOut string, timeser
 			return err
 		}
 	}
-	if rep.FlightDump != "" {
-		fmt.Printf("  flight dump: %s\n", rep.FlightDump)
-	}
 	return nil
 }
 

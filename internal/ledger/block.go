@@ -96,29 +96,31 @@ type Block struct {
 	// Sig is the ordering service's signature over HeaderBytes.
 	Sig crypto.Signature
 
-	// wireSize and wireEnc cache the block's canonical wire encoding and its
-	// length. Package wire owns their meaning (it cannot be imported from
-	// here); the block only carries them, so the cache lives and dies with
-	// the block. Both are published atomically, because shards and
-	// connection goroutines size and send one block concurrently, and are
-	// set once: every writer computes the same value from the same
-	// immutable block. The simulator fills only the size.
+	// wireSize caches the length of the block's canonical wire encoding, and
+	// wireEnc holds the encoding itself on a block decoded from one. Package
+	// wire owns their meaning (it cannot be imported from here); the block
+	// only carries them, so the cache lives and dies with the block. The
+	// size is published atomically, because shards and connection
+	// goroutines size one block concurrently, every writer computing the
+	// same value from the same immutable block. The encoding is written
+	// once, by the decoder, before the block is shared; a built block has
+	// none, and the simulator fills only the size.
 	wireSize atomic.Int64
-	wireEnc  atomic.Pointer[[]byte]
+	wireEnc  []byte
 
 	// A decoded block keeps its numTxs transactions as bytes of its wire
 	// encoding until a reader asks: buildTxs (package wire's decoder) then
 	// builds them from the encoding, and txs publishes the result, set once
-	// like wireEnc. buildTxs is nil on a block built from Txs.
+	// by compare-and-swap. buildTxs is nil on a block built from Txs.
 	numTxs   int
 	buildTxs func(enc []byte) []*Transaction
 	txs      atomic.Pointer[[]*Transaction]
 }
 
-// DeferTxs records that the block's n transactions are in its cached wire
-// encoding, to be built by build on the first Transactions call. A decoder
-// calls it once, after SetWireEncoding and before the block is shared;
-// build must return exactly n transactions.
+// DeferTxs records that the block's n transactions are in the wire encoding
+// it was decoded from, to be built by build on the first Transactions call.
+// A decoder calls it once, after SetWireEncoding and before the block is
+// shared; build must return exactly n transactions.
 func (b *Block) DeferTxs(n int, build func(enc []byte) []*Transaction) {
 	b.numTxs = n
 	b.buildTxs = build
@@ -157,25 +159,17 @@ func (b *Block) WireSize() int { return int(b.wireSize.Load()) }
 // SetWireSize records the length of the block's wire encoding.
 func (b *Block) SetWireSize(n int) { b.wireSize.Store(int64(n)) }
 
-// WireEncoding returns the cached wire encoding, nil if there is none yet.
-// The bytes are shared by every holder of the block and must not be written.
-func (b *Block) WireEncoding() []byte {
-	if p := b.wireEnc.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
+// WireEncoding returns the wire encoding the block was decoded from, nil on
+// a built block. The bytes are shared by every holder of the block and must
+// not be written.
+func (b *Block) WireEncoding() []byte { return b.wireEnc }
 
-// SetWireEncoding records enc as the block's wire encoding and returns the
-// encoding the block now carries: enc, or the one a concurrent caller
-// published first (the two are equal byte for byte). The caller must not
-// write to enc afterwards.
-func (b *Block) SetWireEncoding(enc []byte) []byte {
-	if !b.wireEnc.CompareAndSwap(nil, &enc) {
-		return *b.wireEnc.Load()
-	}
+// SetWireEncoding records enc, the bytes the block was decoded from, as its
+// wire encoding. A decoder calls it once, before the block is shared; the
+// caller must not write to enc afterwards.
+func (b *Block) SetWireEncoding(enc []byte) {
+	b.wireEnc = enc
 	b.wireSize.Store(int64(len(enc)))
-	return enc
 }
 
 // HeaderBytes returns the canonical encoding of the block header, the

@@ -21,7 +21,8 @@ func TestFlightDumpOnInjectedViolation(t *testing.T) {
 	}
 
 	// The hook the runner installs via sim.ShardedEngine.SetViolationHook:
-	// dump the offending shard, then let the panic propagate.
+	// dump the offending shard, then let the panic, which names the dump,
+	// propagate.
 	violated := func(src int, msg string) {
 		if _, err := rec.DumpShard(src, msg); err != nil {
 			t.Fatalf("dump: %v", err)

@@ -50,8 +50,8 @@ func TestObsLeavesFingerprintUnchanged(t *testing.T) {
 			if len(bare.Events) != 0 {
 				t.Errorf("bare run produced %d structured events", len(bare.Events))
 			}
-			if rep.FlightDump != "" {
-				t.Errorf("healthy run wrote a flight dump: %s", rep.FlightDump)
+			if dumps, err := os.ReadDir(traced.FlightDir); err != nil || len(dumps) != 0 {
+				t.Errorf("healthy run wrote a flight dump: %v %v", dumps, err)
 			}
 			if v, ok := rep.Obs.Get("wire_msgs_total", "dir", "out"); !ok || v == 0 {
 				t.Error("traced run's snapshot has no wire sends")
@@ -134,10 +134,10 @@ func TestTimeSeriesSamplingDeterministic(t *testing.T) {
 }
 
 // The flight recorder's crash path: a cross-shard delivery violating the
-// lookahead window runs the violation hook on the offending shard's
-// goroutine — dumping that shard's recent ring to disk — and then panics.
-// The dump must carry only the offending shard's context and only the last
-// FlightRing events of it.
+// lookahead window runs the runner's violation hook on the offending shard's
+// goroutine — dumping that shard's recent ring to disk — and then panics
+// with a message that names the dump. The dump must carry only the
+// offending shard's context and only the last FlightRing events of it.
 func TestViolationHookDumpsFlightRecorder(t *testing.T) {
 	se := sim.NewShardedEngine(1, 2, 10*time.Millisecond)
 	tracer := obs.NewTracer(2, 16)
@@ -148,31 +148,18 @@ func TestViolationHookDumpsFlightRecorder(t *testing.T) {
 		})
 	}
 	tracer.Shards[1].Emit(obs.Event{At: 0, Kind: obs.EvGossipRecv, Node: 1, Peer: 0, Num: 999})
-	fr := obs.NewFlightRecorder(tracer, 8, t.TempDir())
-	var hookSrc, hookDst int
-	var dumpPath string
-	se.SetViolationHook(func(src, dst int, msg string) {
-		hookSrc, hookDst = src, dst
-		if !strings.Contains(msg, "violates window horizon") {
-			t.Errorf("violation message = %q", msg)
-		}
-		if p, err := fr.DumpShard(src, msg); err == nil {
-			dumpPath = p
-		} else {
-			t.Errorf("DumpShard: %v", err)
-		}
-	})
+	r := &runner{flight: obs.NewFlightRecorder(tracer, 8, t.TempDir())}
+	se.SetViolationHook(r.dumpViolation)
 	se.RunUntil(50 * time.Millisecond) // horizon is now pinned to 50ms
 
 	defer func() {
-		if recover() == nil {
-			t.Fatal("lookahead violation did not panic")
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "violates window horizon") {
+			t.Fatalf("lookahead violation panicked with %q", msg)
 		}
-		if hookSrc != 0 || hookDst != 1 {
-			t.Errorf("hook saw shard %d -> %d, want 0 -> 1", hookSrc, hookDst)
-		}
-		if dumpPath == "" {
-			t.Fatal("violation hook wrote no dump")
+		_, dumpPath, ok := strings.Cut(msg, "; flight dump: ")
+		if !ok {
+			t.Fatalf("panic %q does not name the flight dump", msg)
 		}
 		data, err := os.ReadFile(dumpPath)
 		if err != nil {

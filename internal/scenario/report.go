@@ -190,11 +190,6 @@ type Report struct {
 	// Series is the per-window time-series sampling (Options.TimeSeries
 	// only). Excluded from String and Fingerprint.
 	Series *obs.Series
-
-	// FlightDump is the path of the flight-recorder dump written during
-	// this run, if any (Options.FlightRing armed and a violation or leak
-	// fired). Excluded from String and Fingerprint.
-	FlightDump string
 }
 
 // String renders the report (without the trace) as a stable multi-line

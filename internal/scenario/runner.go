@@ -196,10 +196,9 @@ type runner struct {
 	// The rest of the observability plane (nil unless Options opts in):
 	// one shard-local registry per emission context, merged at report (and
 	// time-series sample) time.
-	obsRegs    []*obs.Registry
-	flight     *obs.FlightRecorder
-	series     *obs.Series
-	flightDump string
+	obsRegs []*obs.Registry
+	flight  *obs.FlightRecorder
+	series  *obs.Series
 }
 
 // RunNamed instantiates the named catalog scenario for opt's topology and
@@ -480,15 +479,18 @@ func (r *runner) buildObsPlane() {
 	net.AttachObs(r.obsRegs, shards)
 	if opt.FlightRing > 0 {
 		r.flight = obs.NewFlightRecorder(r.tracer, opt.FlightRing, opt.FlightDir)
-		net.Sharded().SetViolationHook(func(src, dst int, msg string) {
-			// Mid-window only the offending shard's ring is safe to read;
-			// dump it before the panic unwinds so the artifact survives
-			// the crash.
-			if p, derr := r.flight.DumpShard(src, msg); derr == nil {
-				r.flightDump = p
-			}
-		})
+		net.Sharded().SetViolationHook(r.dumpViolation)
 	}
+}
+
+// dumpViolation is the lookahead-violation hook: mid-window only the
+// offending shard's ring is safe to dump, and the panic names the file.
+func (r *runner) dumpViolation(src, _ int, msg string) string {
+	p, err := r.flight.DumpShard(src, msg)
+	if err != nil {
+		return ""
+	}
+	return "; flight dump: " + p
 }
 
 func (r *runner) buildWorkloadPlane() error {
@@ -908,7 +910,6 @@ func (r *runner) report() *Report {
 		DeliverGap: r.net.MaxDeliverGap(),
 		Trace:      renderTrace(r.script.Merged(), r.sc, r.top.Orgs()),
 		Series:     r.series,
-		FlightDump: r.flightDump,
 	}
 	rep.BarrierFull, rep.BarrierElided = r.net.Sharded().BarrierStats()
 	rep.Elections, rep.Leaderless = r.net.ElectionStats()

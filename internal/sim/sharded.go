@@ -66,8 +66,9 @@ type ShardedEngine struct {
 	// violation, when set, runs on the offending shard's goroutine just
 	// before a lookahead-violation panic, so a flight recorder can dump
 	// that shard's recent events while the rest of the window is still
-	// running. The hook must touch only state owned by shard src.
-	violation func(src, dst int, msg string)
+	// running; what it returns is appended to the panic message. The hook
+	// must touch only state owned by shard src.
+	violation func(src, dst int, msg string) string
 
 	now     time.Duration
 	horizon time.Duration
@@ -155,10 +156,11 @@ func (se *ShardedEngine) BarrierStats() (full, elided uint64) {
 }
 
 // SetViolationHook installs fn to run just before a lookahead-violation
-// panic, on the goroutine of the offending source shard. The hook may only
-// touch state owned by that shard (other shards are still mid-window); the
-// intended use is a flight-recorder dump of the shard's recent events.
-func (se *ShardedEngine) SetViolationHook(fn func(src, dst int, msg string)) {
+// panic, on the goroutine of the offending source shard, and appends what fn
+// returns to the panic message. The hook may only touch state owned by that
+// shard (other shards are still mid-window); the intended use is a
+// flight-recorder dump of the shard's recent events, named in the panic.
+func (se *ShardedEngine) SetViolationHook(fn func(src, dst int, msg string) string) {
 	se.violation = fn
 }
 
@@ -181,7 +183,7 @@ func (se *ShardedEngine) SendCross(src, dst int, at time.Duration, h DeliveryHan
 			"sim: cross-shard delivery at %v violates window horizon %v (shard %d -> %d, lookahead %v): cross-shard latency must be >= lookahead",
 			at, se.horizon, src, dst, se.lookahead)
 		if se.violation != nil {
-			se.violation(src, dst, msg)
+			msg += se.violation(src, dst, msg)
 		}
 		panic(msg)
 	}

@@ -2,8 +2,8 @@
 // layer, carved out of the core so both dissemination protocols share one
 // engine: a Fetcher that owns request targeting, batch sizing and the
 // in-flight/backoff state of catch-up, and a Provider that serves block
-// ranges as batches of the encodings cached on the blocks themselves
-// (paper §III-A, "recovery").
+// ranges as batches of the blocks themselves, sent as the encodings cached
+// on received blocks (paper §III-A, "recovery").
 //
 // The pair talks to its peer through the narrow Host interface — ledger
 // height and block access, message sending, the membership view's dead

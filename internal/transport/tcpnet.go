@@ -51,12 +51,12 @@ func (b StaticAddressBook) Resolve(id wire.NodeID) (string, bool) {
 //
 // Connections to a destination are created on first use and cached.
 //
-// Neither direction copies a block. Send writes the frame header and the
-// message head from a pooled scratch buffer and the blocks' cached encodings
-// (see package wire) as further elements of one vectored write. The reader
-// gives each frame a buffer of its own and hands it over to the decoded
-// message, whose byte fields and block encodings alias it; a block that is
-// forwarded leaves as the bytes it arrived as.
+// Neither direction copies a received block. Send writes the frame header
+// and message head (a built block is walked into it) from a pooled scratch
+// buffer and decoded blocks' cached encodings (see package wire) as further
+// elements of one vectored write. The reader gives each frame a buffer of
+// its own and hands it over to the decoded message, whose byte fields and
+// block encodings alias it; a forwarded block leaves as it arrived.
 type TCPEndpoint struct {
 	id      wire.NodeID
 	book    AddressBook
@@ -126,8 +126,8 @@ var ErrClosed = errors.New("transport: endpoint closed")
 
 // frameBuf is Send's scratch: the bytes of the frame header and message
 // head, and the vector handed to the connection — that head first, then the
-// cached encoding of each block the message carries. Pooled, so a send
-// allocates nothing that grows with the message.
+// cached encoding of each decoded block the message carries. Pooled, so a
+// send allocates nothing that grows with a decoded block.
 type frameBuf struct {
 	head []byte
 	vec  net.Buffers
@@ -140,8 +140,8 @@ type frameBuf struct {
 var frameBufs = sync.Pool{New: func() any { return &frameBuf{head: make([]byte, 0, 512)} }}
 
 // release returns fb to the pool without the block encodings it pointed at.
-// A head that a large block-less message (a Raft append, a view sample) grew
-// past 64 KB is not worth pinning: that scratch is left to the collector.
+// A head grown past 64 KB (by a built block, a Raft append, a view sample)
+// is not worth pinning: that scratch is left to the collector.
 func (fb *frameBuf) release() {
 	if cap(fb.head) > 64<<10 {
 		return

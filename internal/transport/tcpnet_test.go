@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -121,6 +122,71 @@ func TestTCPCarriesBlocks(t *testing.T) {
 	defer mu.Unlock()
 	if blk.Counter != 4 || blk.Block.Num != 3 || blk.Block.Hash() != sent.Block.Hash() {
 		t.Fatalf("got %+v", blk)
+	}
+}
+
+// A built block leaves walked into the frame's head, and a state response
+// that mixes decoded and built blocks as that head plus the decoded blocks'
+// cached encodings and the built ones' own bodies. Either way a bare socket
+// reads exactly wire.Marshal's bytes, and no built block keeps an encoding.
+func TestTCPSendsBuiltAndDecodedBlocksAsMarshal(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	frames := make(chan []byte, 2)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		for {
+			var hdr [8]byte
+			if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+				return
+			}
+			frame := append(hdr[:], make([]byte, binary.BigEndian.Uint32(hdr[:4])-4)...)
+			if _, err := io.ReadFull(conn, frame[8:]); err != nil {
+				return
+			}
+			frames <- frame
+		}
+	}()
+	ep, err := ListenTCP(0, "127.0.0.1:0", StaticAddressBook{1: ln.Addr().String()}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ep.Close() })
+
+	dm, err := wire.Unmarshal(wire.Marshal(&wire.StateResponse{Batch: wire.NewBlockBatch(
+		[]*ledger.Block{testBlockTCP(2), paperBlockTCP(4)})}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded := dm.(*wire.StateResponse).Blocks()
+	built := []*ledger.Block{paperBlockTCP(1), testBlockTCP(3)}
+	for _, m := range []wire.Message{
+		&wire.Data{Block: built[0], Counter: 3},
+		&wire.StateResponse{Batch: wire.NewBlockBatch([]*ledger.Block{built[0], decoded[0], built[1], decoded[1]})},
+	} {
+		if err := ep.Send(1, m); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case frame := <-frames:
+			if want := frameOf(0, m); !bytes.Equal(frame, want) {
+				t.Fatalf("%v: frame of %d bytes differs from the %d of wire.Marshal's", m.Type(), len(frame), len(want))
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%v: no frame arrived", m.Type())
+		}
+	}
+	for _, b := range built {
+		if b.WireEncoding() != nil {
+			t.Fatalf("built block %d kept an encoding after being sent", b.Num)
+		}
 	}
 }
 
@@ -408,8 +474,8 @@ func TestTCPRejectsNonCanonicalTransactionInBlock(t *testing.T) {
 
 // One locally built block, never encoded before, is sent by several
 // goroutines to several endpoints while others size it: every publication of
-// its cached size and encoding races with every read (run under -race), and
-// every receiver must still get the same, correct bytes.
+// its cached size races with every read (run under -race), and every
+// receiver must still get the same, correct bytes.
 func TestTCPConcurrentSendsShareOneBlock(t *testing.T) {
 	const dests, senders, sizers, rounds = 3, 6, 2, 5
 	book := StaticAddressBook{}

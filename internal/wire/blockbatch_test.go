@@ -7,38 +7,66 @@ import (
 	"fabricgossip/internal/ledger"
 )
 
-// The cache on the block must be a pure transmission-cost optimization: a
-// batch of blocks that were never encoded and a batch of blocks that were
-// marshal to the same bytes with the same EncodedSize, and every batch
-// covering a block sends the one slice cached on it.
+// A batch of built blocks, of decoded ones and of both mixed marshals to
+// the bytes of a fresh walk, with EncodedSize their length, on every call. A
+// built block goes into the head, or behind a decoded one into a body of its
+// own, and keeps no encoding; a decoded block is sent as the one slice
+// cached on it, shared by every message covering it.
 func TestBlockBatchSharesCachedEncodings(t *testing.T) {
 	mk := func() []*ledger.Block {
-		return []*ledger.Block{testBlock(1, 3), testBlock(2, 2), testBlock(3, 1)}
-	}
-	cold := &StateResponse{Batch: NewBlockBatch(mk())}
-	if got, want := cold.EncodedSize(), len(Marshal(cold)); got != want {
-		t.Fatalf("uncached EncodedSize = %d, Marshal produced %d bytes", got, want)
+		return []*ledger.Block{testBlock(1, 3), testBlock(2, 2), testBlock(3, 1), testBlock(4, 2)}
 	}
 	// The reference: a fresh walk of equal blocks, bypassing every cache.
 	s := &encSink{}
 	s.byte(byte(TypeStateResponse))
-	s.uvarint(3)
+	s.uvarint(4)
 	for _, b := range mk() {
 		encodeBlock(s, b)
 	}
-	if !bytes.Equal(Marshal(cold), s.buf) {
-		t.Fatal("cached batch marshals differently from a fresh walk")
+	ref := s.buf
+
+	built := mk()
+	dm, err := Unmarshal(append([]byte{}, ref...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded := dm.(*StateResponse).Blocks()
+	mixed := []*ledger.Block{built[0], decoded[1], built[2], decoded[3]}
+	for _, c := range []struct {
+		name   string
+		blocks []*ledger.Block
+		bodies int
+	}{{"built", built, 0}, {"decoded", decoded, 4}, {"mixed", mixed, 3}} {
+		m := &StateResponse{Batch: NewBlockBatch(c.blocks)}
+		for round := 0; round < 2; round++ {
+			if got := Marshal(m); !bytes.Equal(got, ref) {
+				t.Fatalf("%s batch marshals differently from a fresh walk", c.name)
+			}
+			if got := m.EncodedSize(); got != len(ref) {
+				t.Fatalf("%s batch: EncodedSize = %d, Marshal produced %d bytes", c.name, got, len(ref))
+			}
+			head, bodies := AppendMessage(nil, nil, m)
+			if len(bodies) != c.bodies {
+				t.Fatalf("%s batch: %d bodies, want %d", c.name, len(bodies), c.bodies)
+			}
+			if !bytes.Equal(append(head, bytes.Join(bodies, nil)...), ref) {
+				t.Fatalf("%s batch: head+bodies differ from a fresh walk", c.name)
+			}
+		}
+	}
+	for _, b := range built {
+		if b.WireEncoding() != nil {
+			t.Fatalf("built block %d kept an encoding", b.Num)
+		}
 	}
 
-	blocks := cold.Blocks()
-	_, whole := AppendMessage(nil, nil, cold)
-	_, tail := AppendMessage(nil, nil, &StateResponse{Batch: NewBlockBatch(blocks[1:])})
-	_, data := AppendMessage(nil, nil, &Data{Block: blocks[2], Counter: 1})
-	if len(whole) != 3 || len(tail) != 2 || len(data) != 1 {
-		t.Fatalf("bodies = %d, %d, %d, want 3, 2, 1", len(whole), len(tail), len(data))
-	}
-	if &whole[2][0] != &tail[1][0] || &whole[2][0] != &data[0][0] || &whole[2][0] != &blocks[2].WireEncoding()[0] {
-		t.Fatal("messages covering one block do not share its cached encoding")
+	_, whole := AppendMessage(nil, nil, &StateResponse{Batch: NewBlockBatch(decoded)})
+	_, tail := AppendMessage(nil, nil, &StateResponse{Batch: NewBlockBatch(decoded[2:])})
+	_, data := AppendMessage(nil, nil, &Data{Block: decoded[3], Counter: 1})
+	_, mix := AppendMessage(nil, nil, &StateResponse{Batch: NewBlockBatch(mixed)})
+	enc := &decoded[3].WireEncoding()[0]
+	if &whole[3][0] != enc || &tail[1][0] != enc || &data[0][0] != enc || &mix[2][0] != enc {
+		t.Fatal("messages covering one decoded block do not share its cached encoding")
 	}
 }
 

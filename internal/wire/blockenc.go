@@ -7,8 +7,8 @@ import (
 )
 
 // encodeBlock walks a block's fields into s: the one definition of the
-// canonical block encoding. Messages never call it — they write a block
-// with encSink.block, which goes through the cache on the block.
+// canonical block encoding. Messages write a block with encSink.block,
+// which sends a decoded block's cached encoding instead.
 func encodeBlock(s *encSink, b *ledger.Block) {
 	s.uvarint(b.Num)
 	putDigest(s, b.PrevHash)
@@ -174,9 +174,10 @@ func scanTx(d *decoder) {
 }
 
 // BlockEncodedSize returns the exact encoded length of b. The first call
-// walks the block and caches the length on it; blocks are immutable once
-// emitted by the ordering service, and the same block is transmitted
-// hundreds of times per experiment, so every later call is a field load.
+// walks the block and caches the length on it (a decoded block has it from
+// its encoding); blocks are immutable once emitted by the ordering service,
+// and the same block is transmitted hundreds of times per experiment, so
+// every later call is a field load.
 func BlockEncodedSize(b *ledger.Block) int {
 	if n := b.WireSize(); n != 0 {
 		return n
@@ -184,18 +185,4 @@ func BlockEncodedSize(b *ledger.Block) int {
 	n := blockLen(b)
 	b.SetWireSize(n)
 	return n
-}
-
-// blockEncoding returns b's canonical encoding from the cache on the block,
-// walking the block to fill it if this process neither decoded nor encoded
-// b before (goroutines that race to be first each walk it; one result is
-// kept and returned to all). Callers must treat the returned slice as
-// immutable.
-func blockEncoding(b *ledger.Block) []byte {
-	if enc := b.WireEncoding(); enc != nil {
-		return enc
-	}
-	s := &encSink{buf: make([]byte, 0, BlockEncodedSize(b))}
-	encodeBlock(s, b)
-	return b.SetWireEncoding(s.buf)
 }

@@ -21,16 +21,17 @@
 //
 // # Who owns an encoding
 //
-// A block is by far the largest thing on the wire and the same block is
-// sent many times, so its canonical encoding is a property of the block: a
-// set-once, immutable cache slot on ledger.Block that lives and dies with
-// it. BlockEncodedSize fills the length (all the simulator ever asks for);
-// the first Marshal or AppendMessage of a locally built block walks its
-// tree once and fills the bytes; decoding a block records the byte range it
-// was read from. Whichever comes first, a block's tree is walked at most
-// once per process, and every later transmission — on any connection, in
-// any message type, alone or inside a StateResponse batch — sends that one
-// slice. There is no other cache and nothing to evict.
+// A block is by far the largest thing on the wire, and a peer forwards the
+// same block many times, so decoding a block records the byte range it was
+// read from as its canonical encoding: a set-once, immutable slot on
+// ledger.Block that lives and dies with it. Every transmission of a decoded
+// block — on any connection, in any message type, alone or inside a
+// StateResponse batch — sends that one slice. A block this process built
+// carries no encoding: BlockEncodedSize caches its length (all the simulator
+// ever asks for), and each Marshal or AppendMessage walks its tree into the
+// message head. The live runtime sends a built block once, from the ordering
+// service, so a cached copy would never be read again and would double what
+// the orderer holds. There is no other cache and nothing to evict.
 //
 // A decoded block keeps its transactions as those bytes. Unmarshal scans
 // them, rejecting exactly what building them would, and builds nothing;
@@ -50,6 +51,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"fabricgossip/internal/crypto"
 	"fabricgossip/internal/ledger"
@@ -140,12 +142,13 @@ type Message interface {
 }
 
 // AppendMessage encodes m — a type byte followed by the body — for
-// scatter-gather output. Everything up to the blocks m carries is appended
-// to head; each block contributes its cached encoding (see the package
-// comment), appended to bodies and not copied. The message's wire form is
-// head followed by every body in order: the messages that carry blocks
-// (Data, PullData, DeliverBlock, StateResponse) all end with them. The
-// bodies are shared and immutable; bodies may be nil.
+// scatter-gather output. The fields and every block this process built are
+// appended to head; a decoded block contributes the encoding cached on it
+// (see the package comment), appended to bodies and not copied, and a built
+// block behind it becomes a body of its own. The message's wire form is head
+// followed by every body in order: the messages that carry blocks (Data,
+// PullData, DeliverBlock, StateResponse) all end with them. The bodies are
+// immutable; bodies may be nil.
 func AppendMessage(head []byte, bodies [][]byte, m Message) ([]byte, [][]byte) {
 	s := &encSink{buf: head, bodies: bodies}
 	if bodies == nil {
@@ -242,23 +245,41 @@ func Unmarshal(data []byte) (Message, error) {
 	return m, nil
 }
 
-// encSink is what every encode writes to: plain fields go into buf, blocks
-// are referenced, not copied.
+// encSink is what every encode writes to: plain fields and built blocks go
+// into buf, decoded blocks are referenced, not copied.
 type encSink struct {
 	buf    []byte
 	bodies [][]byte
 	// one backs bodies when the caller brings no slice: Marshal of a
 	// one-block message then allocates nothing beyond the sink and buf.
 	one [1][]byte
+	// referenced is set once a block went to bodies, which follow buf on
+	// the wire: a built block behind it can no longer go into buf.
+	referenced bool
 }
 
 func (s *encSink) byte(b byte)      { s.buf = append(s.buf, b) }
 func (s *encSink) bytes(b []byte)   { s.buf = append(s.buf, b...) }
 func (s *encSink) uvarint(v uint64) { s.buf = binary.AppendUvarint(s.buf, v) }
 
-// block writes a whole block from its cache; only blockEncoding walks a
-// block's fields (encodeBlock).
-func (s *encSink) block(b *ledger.Block) { s.bodies = append(s.bodies, blockEncoding(b)) }
+// block writes a whole block: a decoded block as the encoding cached on it,
+// a built one by walking it (encodeBlock) into buf, grown once to its size,
+// or behind a referenced block into a body of its own. Nothing is stored on
+// a built block.
+func (s *encSink) block(b *ledger.Block) {
+	switch enc := b.WireEncoding(); {
+	case enc != nil:
+		s.bodies = append(s.bodies, enc)
+		s.referenced = true
+	case s.referenced:
+		body := &encSink{buf: make([]byte, 0, BlockEncodedSize(b))}
+		encodeBlock(body, b)
+		s.bodies = append(s.bodies, body.buf)
+	default:
+		s.buf = slices.Grow(s.buf, BlockEncodedSize(b))
+		encodeBlock(s, b)
+	}
+}
 
 func uvarintLen(v uint64) int {
 	n := 1

@@ -227,28 +227,68 @@ func TestRoundTripAllTypes(t *testing.T) {
 	}
 }
 
+// walks returns fresh walks of blocks, back to back: what a message that
+// carries them ends with.
+func walks(blocks []*ledger.Block) []byte {
+	s := &encSink{}
+	for _, b := range blocks {
+		encodeBlock(s, b)
+	}
+	return s.buf
+}
+
 // AppendMessage's head and bodies concatenate to exactly Marshal's bytes,
-// and the bodies are the blocks' cached encodings, not copies.
+// whose length EncodedSize predicts, for every message as built and as
+// decoded, on every call. A built block is walked into the head and keeps
+// no encoding; a decoded block is sent as the one slice cached on it.
 func TestAppendMessageSplitsAtTheBlocks(t *testing.T) {
-	for _, m := range allMessages() {
-		prefix := []byte{0xAB, 0xCD}
-		head, bodies := AppendMessage(prefix, nil, m)
-		blocks := blocksOf(m)
-		if len(bodies) != len(blocks) {
-			t.Fatalf("%v: %d bodies for %d blocks", m.Type(), len(bodies), len(blocks))
+	for _, built := range allMessages() {
+		decoded, err := Unmarshal(Marshal(built))
+		if err != nil {
+			t.Fatalf("%v: %v", built.Type(), err)
 		}
-		whole := append([]byte{}, head...)
-		for i, b := range bodies {
-			if &b[0] != &blocks[i].WireEncoding()[0] {
-				t.Fatalf("%v: body %d is not the block's cached encoding", m.Type(), i)
+		for _, m := range []Message{built, decoded} {
+			form := "built"
+			if m == decoded {
+				form = "decoded"
 			}
-			whole = append(whole, b...)
+			blocks := blocksOf(m)
+			for round := 0; round < 2; round++ {
+				head, bodies := AppendMessage([]byte{0xAB, 0xCD}, nil, m)
+				whole := append(head, bytes.Join(bodies, nil)...)
+				want := Marshal(m)
+				if !bytes.Equal(whole, append([]byte{0xAB, 0xCD}, want...)) {
+					t.Fatalf("%v %s: head+bodies differ from Marshal", m.Type(), form)
+				}
+				if got := AppendMarshal([]byte{0xAB, 0xCD}, m); !bytes.Equal(got, whole) {
+					t.Fatalf("%v %s: AppendMarshal differs from head+bodies", m.Type(), form)
+				}
+				if got := m.EncodedSize(); got != len(want) {
+					t.Fatalf("%v %s: EncodedSize = %d, len(Marshal) = %d", m.Type(), form, got, len(want))
+				}
+				if !bytes.HasSuffix(want, walks(blocks)) {
+					t.Fatalf("%v %s: the blocks differ from a fresh walk", m.Type(), form)
+				}
+				if m == built {
+					if len(bodies) != 0 {
+						t.Fatalf("%v: %d bodies for built blocks, want them in the head", m.Type(), len(bodies))
+					}
+					continue
+				}
+				if len(bodies) != len(blocks) {
+					t.Fatalf("%v: %d bodies for %d decoded blocks", m.Type(), len(bodies), len(blocks))
+				}
+				for i, b := range bodies {
+					if &b[0] != &blocks[i].WireEncoding()[0] {
+						t.Fatalf("%v: body %d is not the block's cached encoding", m.Type(), i)
+					}
+				}
+			}
 		}
-		if want := append(prefix, Marshal(m)...); !bytes.Equal(whole, want) {
-			t.Fatalf("%v: head+bodies differ from Marshal", m.Type())
-		}
-		if got := AppendMarshal([]byte{0xAB, 0xCD}, m); !bytes.Equal(got, whole) {
-			t.Fatalf("%v: AppendMarshal differs from head+bodies", m.Type())
+		for _, b := range blocksOf(built) {
+			if b.WireEncoding() != nil {
+				t.Fatalf("%v: block %d kept an encoding after being marshalled", built.Type(), b.Num)
+			}
 		}
 	}
 }

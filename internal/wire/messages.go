@@ -330,11 +330,12 @@ func decodeStateRequest(d *decoder) *StateRequest {
 
 // BlockBatch is the payload of a StateResponse: an immutable run of
 // consecutive blocks, framed as a uvarint block count followed by the
-// concatenated canonical block bodies. A batch owns no bytes: each body is
-// the encoding cached on its block, shared by every batch (and every serving
-// peer) that covers the block, so a repeated transmission of the same range
-// neither re-walks the block trees nor copies them — the simulated transport
-// sums the cached lengths, the TCP transport writes the cached slices.
+// concatenated canonical block bodies. A batch owns no bytes: a decoded
+// block's body is the encoding cached on it, shared by every batch (and
+// every serving peer) that covers the block, so a repeated transmission of
+// the same range neither re-walks the block trees nor copies them — the
+// simulated transport sums the cached lengths, the TCP transport writes the
+// cached slices. A built block is walked on each transmission.
 type BlockBatch struct {
 	Blocks []*ledger.Block
 }
